@@ -319,9 +319,21 @@ func (n *Network) await(job *sim.Job) error {
 // Connect provisions a connection between two sites at the given rate and
 // runs the simulation until it is active (or its setup fails). Rates above a
 // single wavelength (e.g. 12G) are provisioned as composite services; the
-// returned connection is then the first component — use Connections to see
-// them all.
+// returned connection is then the first component — ConnectAll returns them
+// all.
 func (n *Network) Connect(customer, from, to string, rate Rate, protect ...Protection) (*Connection, error) {
+	conns, err := n.ConnectAll(customer, from, to, rate, protect...)
+	if err != nil {
+		return nil, err
+	}
+	return conns[0], nil
+}
+
+// ConnectAll is Connect returning every component connection the request was
+// provisioned as, in the order they were created: one for a rate a single
+// circuit or wavelength carries, several for a composite rate (12G = one 10G
+// wavelength + two 1G circuits).
+func (n *Network) ConnectAll(customer, from, to string, rate Rate, protect ...Protection) ([]*Connection, error) {
 	req := core.Request{
 		Customer: inventory.Customer(customer),
 		From:     topo.SiteID(from),
@@ -338,7 +350,7 @@ func (n *Network) Connect(customer, from, to string, rate Rate, protect ...Prote
 	if err := n.await(job); err != nil {
 		return nil, err
 	}
-	return conns[0], nil
+	return conns, nil
 }
 
 // ConnectAsync submits the request and returns without advancing the clock;
@@ -367,7 +379,9 @@ func (n *Network) Disconnect(customer string, id ConnID) error {
 	return n.await(job)
 }
 
-// Connections lists a customer's connections (the GUI's connection view).
+// Connections lists a customer's connections in ID order (the GUI's
+// connection view). The slice is a read-only view of the controller's index
+// as of this call.
 func (n *Network) Connections(customer string) []*Connection {
 	return n.forCust(customer).CustomerConnections(inventory.Customer(customer))
 }

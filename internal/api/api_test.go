@@ -2,10 +2,12 @@ package api
 
 import (
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"griphon"
+	"griphon/internal/journal"
 )
 
 func newTestServer(t *testing.T) (*Client, *griphon.Network) {
@@ -278,5 +280,55 @@ func TestBillEndpoint(t *testing.T) {
 	}
 	if _, err := c.Bill(""); err == nil {
 		t.Error("missing customer accepted")
+	}
+}
+
+// TestConnectRepliesWithExactlyTheNewConnections: the reply to a connect holds
+// the connections that request created and no others. IDs list in string
+// order, where "C10000" sorts before "C9999", so a reply cut off the end of
+// the customer's listing goes wrong at the fifth digit. The state dir starts
+// from a crafted snapshot whose ID counter is already at 9998.
+func TestConnectRepliesWithExactlyTheNewConnections(t *testing.T) {
+	dir := t.TempDir()
+	store, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WriteSnapshot([]byte(`{"now":0,"next_conn":9998,"lp_seq":0,"next_booking":0,"next_pipe":0}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	net, err := griphon.New(griphon.Testbed(), griphon.WithSeed(5), griphon.WithStateDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	srv := httptest.NewServer(NewServer(net).Handler())
+	defer srv.Close()
+	c := NewClient(srv.URL)
+
+	ids := func(resp ConnectResponse) []string {
+		var out []string
+		for _, conn := range resp.Connections {
+			out = append(out, conn.ID)
+		}
+		return out
+	}
+	composite, err := c.Connect(ConnectRequest{Customer: "acme", From: "DC-A", To: "DC-B", Rate: "12G"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The 1G components ride a pipe whose carrier wavelength takes an ID too.
+	if got, want := ids(composite), []string{"C9998", "C9999", "C10001"}; !slices.Equal(got, want) {
+		t.Errorf("12G reply holds %v, want %v", got, want)
+	}
+	single, err := c.Connect(ConnectRequest{Customer: "acme", From: "DC-A", To: "DC-B", Rate: "1G"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ids(single), []string{"C10002"}; !slices.Equal(got, want) {
+		t.Errorf("1G reply holds %v, want %v", got, want)
 	}
 }

@@ -16,7 +16,9 @@ import (
 // Server adapts a griphon.Network to HTTP. The simulation is single-threaded,
 // so one mutex serializes all requests; each mutating call advances the
 // virtual clock until its operation completes (a 62 s setup returns in
-// microseconds of wall time).
+// microseconds of wall time). A handler reads what its own request concerns —
+// the connections it just made, one customer's listing, bill or report — so
+// its cost does not grow with the history the controller holds.
 type Server struct {
 	mu  sync.Mutex
 	net *griphon.Network
@@ -114,13 +116,13 @@ func (s *Server) handleConnect(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	before := len(s.net.Connections(req.Customer))
-	if _, err := s.net.Connect(req.Customer, req.From, req.To, rate, protect); err != nil {
+	conns, err := s.net.ConnectAll(req.Customer, req.From, req.To, rate, protect)
+	if err != nil {
 		s.writeErr(w, http.StatusConflict, err)
 		return
 	}
-	var out []ConnectionJSON
-	for _, c := range s.net.Connections(req.Customer)[before:] {
+	out := make([]ConnectionJSON, 0, len(conns))
+	for _, c := range conns {
 		out = append(out, FromConnection(c, s.now(), s.graph()))
 	}
 	s.writeJSON(w, http.StatusOK, ConnectResponse{Connections: out})

@@ -23,7 +23,7 @@ import (
 // boundary (e.g. 1G -> 10G) are rejected: that is a new connection, not an
 // adjustment.
 func (c *Controller) AdjustRate(cust inventory.Customer, id ConnID, newRate bw.Rate) (*sim.Job, error) {
-	conn := c.conns[id]
+	conn := c.conns.get(id)
 	if conn == nil {
 		return nil, fmt.Errorf("core: unknown connection %s", id)
 	}
@@ -93,7 +93,7 @@ func (c *Controller) AdjustRate(cust inventory.Customer, id ConnID, newRate bw.R
 	}
 	conn.Rate = newRate
 	txn.Commit()
-	c.log(id, "adjust", "rate %v -> %v", oldRate, newRate)
+	c.log(conn, "adjust", "rate %v -> %v", oldRate, newRate)
 	c.journalCommit(commitSet{reason: "adjust", conns: []*Connection{conn}})
 	return job, nil
 }
@@ -138,7 +138,7 @@ func (c *Controller) adjustCircuit(txn *inventory.Txn, conn *Connection, newRate
 			p.ReleaseShared(owner) //lint:allow errcheck re-registering below
 		}
 		if err := otn.ReserveSharedPath(conn.backup, owner, newSlots); err != nil {
-			c.log(conn.ID, "no-backup", "shared-mesh backup lost on resize: %v", err)
+			c.log(conn, "no-backup", "shared-mesh backup lost on resize: %v", err)
 			conn.backup = nil
 		}
 	}

@@ -36,11 +36,9 @@ func (c *Controller) AuditInvariants() []Finding {
 	}
 
 	// Live (resource-holding) connections index every ownership check below.
-	live := map[string]*Connection{}
-	for _, conn := range c.conns {
-		if conn.State != StateReleased {
-			live[string(conn.ID)] = conn
-		}
+	live := make(map[string]*Connection, len(c.conns.live))
+	for _, conn := range c.conns.live {
+		live[string(conn.ID)] = conn
 	}
 
 	// 1. Every occupied (link, wavelength) pair is owned by a live connection.

@@ -105,7 +105,7 @@ func TestAuditFindingsDeterministicOrder(t *testing.T) {
 	// the connection index behind the controller's back.
 	for i := 0; i < 12; i++ {
 		id := ConnID(fmt.Sprintf("ghost-%02d", i))
-		c.conns[id] = &Connection{ID: id, State: StateActive, Layer: LayerOTN}
+		c.conns.insert(&Connection{ID: id, State: StateActive, Layer: LayerOTN})
 	}
 
 	claimFindings := func() []string {

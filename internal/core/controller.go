@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"griphon/internal/alarms"
@@ -135,7 +135,7 @@ type Controller struct {
 	otnEMS   *ems.Manager
 	fxcEMS   map[topo.NodeID]*ems.Manager
 
-	conns      map[ConnID]*Connection
+	conns      connIndex
 	nextConn   int
 	lpSeq      int
 	accessUsed map[topo.SiteID]bw.Rate
@@ -166,7 +166,7 @@ type Controller struct {
 	pcache *pathCache
 	prearm *prearmPools
 
-	events []Event
+	events eventLog
 
 	tr  *obs.Tracer
 	reg *obs.Registry
@@ -185,10 +185,10 @@ type Controller struct {
 	// journaled.
 	pipeTokens map[otn.PipeID]string
 
-	// onEvent / onAlarmGroup, when set, observe every audit-log append and
-	// alarm-group append — a ShardSet merges per-shard streams through
-	// them.
-	onEvent      func(Event)
+	// onEvent / onAlarmGroup, when set, observe every audit-log append (by
+	// the entry's index in this controller's log) and alarm-group append — a
+	// ShardSet merges per-shard streams through them.
+	onEvent      func(index int)
 	onAlarmGroup func(alarms.Group)
 }
 
@@ -249,7 +249,6 @@ func New(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 		roadmEMS:     ems.NewManager("roadm-ems", k),
 		otnEMS:       ems.NewManager("otn-ems", k),
 		fxcEMS:       make(map[topo.NodeID]*ems.Manager),
-		conns:        make(map[ConnID]*Connection),
 		bookings:     make(map[int]*Booking),
 		accessUsed:   make(map[topo.SiteID]bw.Rate),
 		autoRepair:   cfg.AutoRepair,
@@ -401,64 +400,46 @@ func (c *Controller) Latencies() ems.Latencies { return c.lat }
 func (c *Controller) FXC(n topo.NodeID) *fxc.Switch { return c.fxcs[n] }
 
 // Conn returns a connection by ID, or nil.
-func (c *Controller) Conn(id ConnID) *Connection { return c.conns[id] }
+func (c *Controller) Conn(id ConnID) *Connection { return c.conns.get(id) }
 
 // Connections returns all connections (including released and internal),
-// sorted by ID.
-func (c *Controller) Connections() []*Connection {
-	out := make([]*Connection, 0, len(c.conns))
-	for _, conn := range c.conns {
-		out = append(out, conn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// sorted by ID. The slice is the controller's own, as of this call: read it,
+// do not write to it.
+func (c *Controller) Connections() []*Connection { return view(c.conns.all) }
+
+// liveConns returns the connections that are not released, sorted by ID. It
+// is a copy: callers change connection states while they iterate.
+func (c *Controller) liveConns() []*Connection { return slices.Clone(c.conns.live) }
 
 // CustomerConnections returns cust's non-internal connections sorted by ID —
-// what the customer GUI shows.
+// what the customer GUI shows. Like Connections, it is a read-only view.
 func (c *Controller) CustomerConnections(cust inventory.Customer) []*Connection {
-	var out []*Connection
-	for _, conn := range c.Connections() {
-		if conn.Customer == cust && !conn.Internal {
-			out = append(out, conn)
-		}
-	}
-	return out
+	return view(c.conns.byCust[cust])
 }
 
 // Events returns the audit log (oldest first).
-func (c *Controller) Events() []Event { return append([]Event(nil), c.events...) }
+func (c *Controller) Events() []Event { return c.events.since(0) }
 
 // EventsFor returns the audit entries mentioning a connection.
-func (c *Controller) EventsFor(id ConnID) []Event {
-	var out []Event
-	for _, e := range c.events {
-		if e.Conn == id {
-			out = append(out, e)
-		}
-	}
-	return out
-}
+func (c *Controller) EventsFor(id ConnID) []Event { return c.events.forConn(id) }
 
-func (c *Controller) log(conn ConnID, kind, format string, args ...any) {
-	e := Event{
-		At:   c.k.Now(),
-		Conn: conn,
-		Kind: kind,
-		Text: fmt.Sprintf(format, args...),
-	}
-	c.events = append(c.events, e)
+// log appends one audit entry about conn (nil for entries about no
+// connection).
+func (c *Controller) log(conn *Connection, kind, format string, args ...any) {
+	c.events.append(c.k.Now(), conn, kind, format, args...)
 	if c.flight != nil {
+		e := c.events.at(c.events.len() - 1)
 		c.flight.Event(e.At, string(e.Conn), e.Kind, e.Text)
 	}
 	if c.onEvent != nil {
-		c.onEvent(e)
+		c.onEvent(c.events.len() - 1)
 	}
 }
 
-// SetOnEvent installs an observer called after every audit-log append (nil
-// detaches). A ShardSet uses it to maintain a merged cross-shard log.
-func (c *Controller) SetOnEvent(fn func(Event)) { c.onEvent = fn }
+// SetOnEvent installs an observer called after every audit-log append with the
+// new entry's index in this controller's log (nil detaches). A ShardSet uses
+// it to keep the merged cross-shard order.
+func (c *Controller) SetOnEvent(fn func(index int)) { c.onEvent = fn }
 
 // SetOnAlarmGroup installs an observer called after every alarm-group append
 // (nil detaches).
@@ -474,13 +455,7 @@ func (c *Controller) NowTime() sim.Time { return c.k.Now() }
 // EventsSince returns audit entries from index cursor on, plus the cursor to
 // resume from — the incremental form of Events for polling clients.
 func (c *Controller) EventsSince(cursor int) ([]Event, int) {
-	if cursor < 0 {
-		cursor = 0
-	}
-	if cursor > len(c.events) {
-		cursor = len(c.events)
-	}
-	return append([]Event(nil), c.events[cursor:]...), len(c.events)
+	return c.events.since(cursor), c.events.len()
 }
 
 func (c *Controller) newConnID() ConnID {
@@ -504,10 +479,7 @@ func (c *Controller) BillGbHours(cust inventory.Customer) float64 {
 	var total float64
 	// Sum in ID order: float addition is not associative, and map-order
 	// iteration made the last decimals of an invoice vary run to run.
-	for _, conn := range c.Connections() {
-		if conn.Customer != cust || conn.Internal {
-			continue
-		}
+	for _, conn := range c.conns.byCust[cust] {
 		total += conn.UsageGbHours(now)
 	}
 	return total

@@ -24,7 +24,7 @@ func (c *Controller) DefragmentSpectrum() (*sim.Job, int) {
 	var jobs []*sim.Job
 	var movedConns []*Connection
 	moved := 0
-	for _, conn := range c.Connections() {
+	for _, conn := range c.liveConns() {
 		if conn.Layer != LayerDWDM || conn.State != StateActive {
 			continue
 		}
@@ -93,7 +93,7 @@ func (c *Controller) retuneDown(conn *Connection) bool {
 		for _, link := range seg.Links {
 			c.plant.Spectrum(link).Release(cur) //lint:allow errcheck owned
 		}
-		c.log(conn.ID, "retune", "segment %d channel %d -> %d", i, cur, target)
+		c.log(conn, "retune", "segment %d channel %d -> %d", i, cur, target)
 		lp.route.Channels[i] = target
 		movedAny = true
 	}

@@ -24,21 +24,22 @@ func (c *Controller) CutFiber(link topo.LinkID) error {
 	}
 	c.plant.SetLinkUp(link, false)
 	c.ins.cuts.Inc()
-	c.log("", "fiber-cut", "link %s cut", link)
+	c.log(nil, "fiber-cut", "link %s cut", link)
 
-	for _, conn := range c.Connections() {
+	for _, conn := range c.liveConns() {
 		c.hitByCut(conn, link)
 	}
 
 	if c.autoRepair && !c.repairing[link] {
 		c.repairing[link] = true
 		crew := c.lat.FiberRepair(c.k.Rand())
-		c.log("", "repair-dispatch", "crew for %s, ETA %v", link, crew)
+		c.log(nil, "repair-dispatch", "crew for %s, ETA %v", link, crew)
 		c.k.After(crew, func() { c.RepairFiber(link) }) //lint:allow errcheck best-effort auto repair
 	}
 	// One commit for the whole synchronous blast radius: downed connections,
-	// failed pipes, and the authoritative down-link set.
-	c.journalCommit(commitSet{reason: "fiber-cut", conns: c.Connections(), pipes: c.fabric.Pipes(), links: true})
+	// failed pipes, and the authoritative down-link set. A released
+	// connection's record cannot change, so only live ones are written.
+	c.journalCommit(commitSet{reason: "fiber-cut", conns: c.conns.live, pipes: c.fabric.Pipes(), links: true})
 	return nil
 }
 
@@ -60,7 +61,7 @@ func (c *Controller) hitByCut(conn *Connection, link topo.LinkID) {
 				standby = conn.path
 			}
 			if standby != nil && standby.route.Path.HasLink(link) {
-				c.log(conn.ID, "standby-hit", "standby leg lost on %s", link)
+				c.log(conn, "standby-hit", "standby leg lost on %s", link)
 			}
 		}
 		return
@@ -85,7 +86,7 @@ func (c *Controller) hitByCut(conn *Connection, link topo.LinkID) {
 		conn.opSpan.SetConn(string(conn.ID), string(conn.Customer), conn.Layer.String())
 		conn.phaseSpan = c.tr.Start(conn.opSpan, "restore:detect")
 	}
-	c.log(conn.ID, "down", "working path lost on %s", link)
+	c.log(conn, "down", "working path lost on %s", link)
 	c.failCarriedPipe(conn, link)
 
 	// LOS alarms from both terminating ROADMs reach the controller after
@@ -117,7 +118,7 @@ func (c *Controller) protectionSwitch(conn *Connection, link topo.LinkID) {
 		conn.State = StateDown
 		conn.stable = StateDown
 		c.slaPhase(conn, "repair-wait")
-		c.log(conn.ID, "down", "both 1+1 legs lost")
+		c.log(conn, "down", "both 1+1 legs lost")
 		c.failCarriedPipe(conn, link)
 		return
 	}
@@ -138,7 +139,7 @@ func (c *Controller) protectionSwitch(conn *Connection, link topo.LinkID) {
 				conn.stable = StateDown
 				c.slaPhase(conn, "repair-wait")
 				c.slaBlock(conn, "standby leg lost during switch window")
-				c.log(conn.ID, "down", "both 1+1 legs lost")
+				c.log(conn, "down", "both 1+1 legs lost")
 				c.failCarriedPipe(conn, link)
 				conns, pipes := c.carriedEntities(conn)
 				c.journalCommit(commitSet{reason: "protect-switch-failed", conns: conns, pipes: pipes})
@@ -152,7 +153,7 @@ func (c *Controller) protectionSwitch(conn *Connection, link topo.LinkID) {
 		c.connUp(conn, "protect-switch")
 		conn.opSpan.End()
 		c.ins.protSwitches.Inc()
-		c.log(conn.ID, "protect-switch", "traffic on %s leg", map[bool]string{true: "protect", false: "working"}[conn.onProtect])
+		c.log(conn, "protect-switch", "traffic on %s leg", map[bool]string{true: "protect", false: "working"}[conn.onProtect])
 		c.journalCommit(commitSet{reason: "protect-switch", conns: []*Connection{conn}})
 	})
 }
@@ -168,7 +169,7 @@ func (c *Controller) failCarriedPipe(conn *Connection, link topo.LinkID) {
 		return
 	}
 	pipe.SetUp(false)
-	c.log(conn.ID, "pipe-down", "pipe %s lost its wavelength", pipe.ID())
+	c.log(conn, "pipe-down", "pipe %s lost its wavelength", pipe.ID())
 	for _, circuit := range c.circuitsOnPipe(pipe.ID()) {
 		c.failCircuit(circuit, pipe.ID(), link)
 	}
@@ -187,7 +188,7 @@ func (c *Controller) failCircuit(conn *Connection, pipe otn.PipeID, link topo.Li
 	conn.opSpan = c.tr.Start(obs.SpanRef{}, "op:restore")
 	conn.opSpan.SetConn(string(conn.ID), string(conn.Customer), conn.Layer.String())
 	conn.phaseSpan = c.tr.Start(conn.opSpan, "restore:detect")
-	c.log(conn.ID, "down", "pipe %s failed", pipe)
+	c.log(conn, "down", "pipe %s failed", pipe)
 
 	if len(conn.backup) == 0 {
 		// op:restore stays open: it closes when the DWDM layer restores
@@ -203,7 +204,7 @@ func (c *Controller) failCircuit(conn *Connection, pipe otn.PipeID, link topo.Li
 			c.slaPhase(conn, "repair-wait")
 			c.slaBlock(conn, fmt.Sprintf("shared-mesh backup pipe %s also down", p.ID()))
 			c.ins.restoreBlocked.Inc()
-			c.log(conn.ID, "restore-blocked", "shared-mesh backup pipe %s also down", p.ID())
+			c.log(conn, "restore-blocked", "shared-mesh backup pipe %s also down", p.ID())
 			return
 		}
 	}
@@ -221,7 +222,7 @@ func (c *Controller) failCircuit(conn *Connection, pipe otn.PipeID, link topo.Li
 			c.slaPhase(conn, "repair-wait")
 			c.slaBlock(conn, fmt.Sprintf("shared-mesh activation failed: %v", err))
 			c.ins.restoreBlocked.Inc()
-			c.log(conn.ID, "restore-blocked", "shared-mesh activation failed: %v", err)
+			c.log(conn, "restore-blocked", "shared-mesh activation failed: %v", err)
 			return
 		}
 		// Reprogram the switches along the backup (sub-second total).
@@ -243,7 +244,7 @@ func (c *Controller) failCircuit(conn *Connection, pipe otn.PipeID, link topo.Li
 			conn.opSpan.End()
 			c.ins.restored.Inc()
 			c.ins.restoreSecs[LayerOTN].Observe(d.Seconds())
-			c.log(conn.ID, "restored", "shared-mesh restoration in %v", conn.TotalOutage)
+			c.log(conn, "restored", "shared-mesh restoration in %v", conn.TotalOutage)
 			c.journalCommit(commitSet{reason: "mesh-restore", conns: []*Connection{conn}})
 		})
 	})
@@ -263,9 +264,9 @@ func (c *Controller) RepairFiber(link topo.LinkID) error {
 	c.plant.SetLinkUp(link, true)
 	delete(c.repairing, link)
 	c.ins.repairs.Inc()
-	c.log("", "repair", "link %s repaired", link)
+	c.log(nil, "repair", "link %s repaired", link)
 
-	for _, conn := range c.Connections() {
+	for _, conn := range c.liveConns() {
 		if conn.State != StateDown {
 			continue
 		}
@@ -278,7 +279,7 @@ func (c *Controller) RepairFiber(link topo.LinkID) error {
 				c.connUp(conn, "revived")
 				conn.phaseSpan.EndOutcome("revived")
 				conn.opSpan.EndOutcome("revived")
-				c.log(conn.ID, "revived", "working path whole again after repair")
+				c.log(conn, "revived", "working path whole again after repair")
 				c.revivePipe(conn)
 				continue
 			}
@@ -293,7 +294,7 @@ func (c *Controller) RepairFiber(link topo.LinkID) error {
 					conn.State = StateActive
 					conn.stable = StateActive
 					c.connUp(conn, "revived")
-					c.log(conn.ID, "revived", "switched to repaired leg")
+					c.log(conn, "revived", "switched to repaired leg")
 				}
 			}
 		case LayerOTN:
@@ -304,7 +305,7 @@ func (c *Controller) RepairFiber(link topo.LinkID) error {
 	if c.autoRevert {
 		// Reversion: restored connections sitting on detour paths move
 		// back to the best route via bridge-and-roll (paper §2.2).
-		for _, conn := range c.Connections() {
+		for _, conn := range c.liveConns() {
 			if conn.Layer != LayerDWDM || conn.State != StateActive || conn.Protect != Restore {
 				continue
 			}
@@ -312,13 +313,13 @@ func (c *Controller) RepairFiber(link topo.LinkID) error {
 				continue // never moved; nothing to revert
 			}
 			if moved, _, err := c.regroom(conn); err == nil && moved {
-				c.log(conn.ID, "revert", "moving back after repair of %s", link)
+				c.log(conn, "revert", "moving back after repair of %s", link)
 			}
 		}
 	}
 	// One commit for the synchronous revival sweep (reversion rolls commit on
 	// their own schedule as their bridge-and-roll events resolve).
-	c.journalCommit(commitSet{reason: "repair", conns: c.Connections(), pipes: c.fabric.Pipes(), links: true})
+	c.journalCommit(commitSet{reason: "repair", conns: c.conns.live, pipes: c.fabric.Pipes(), links: true})
 	return nil
 }
 
@@ -332,7 +333,7 @@ func (c *Controller) revivePipe(conn *Connection) {
 		return
 	}
 	pipe.SetUp(true)
-	c.log(conn.ID, "pipe-up", "pipe %s back in service", pipe.ID())
+	c.log(conn, "pipe-up", "pipe %s back in service", pipe.ID())
 	for _, circuit := range c.circuitsOnPipe(pipe.ID()) {
 		c.reviveCircuitIfWhole(circuit)
 	}
@@ -354,7 +355,7 @@ func (c *Controller) reviveCircuitIfWhole(conn *Connection) {
 	c.connUp(conn, "revived")
 	conn.phaseSpan.EndOutcome("revived")
 	conn.opSpan.EndOutcome("revived")
-	c.log(conn.ID, "revived", "all pipes whole again")
+	c.log(conn, "revived", "all pipes whole again")
 }
 
 // carriedEntities returns the commit entities affected when a carrier
@@ -383,7 +384,7 @@ func (c *Controller) onAlarmBatch(batch []alarms.Alarm) {
 			continue
 		}
 		seen[id] = true
-		if conn := c.conns[id]; conn != nil {
+		if conn := c.conns.get(id); conn != nil {
 			alarmedConns = append(alarmedConns, conn)
 		}
 	}
@@ -394,7 +395,7 @@ func (c *Controller) onAlarmBatch(batch []alarms.Alarm) {
 			alarmedPaths = append(alarmedPaths, lp.route.Path)
 		}
 	}
-	for _, conn := range c.Connections() {
+	for _, conn := range c.conns.live {
 		if conn.Layer == LayerDWDM && conn.State == StateActive {
 			if lp := conn.working(); lp != nil {
 				healthyPaths = append(healthyPaths, lp.route.Path)
@@ -402,7 +403,7 @@ func (c *Controller) onAlarmBatch(batch []alarms.Alarm) {
 		}
 	}
 	suspects := alarms.PrimarySuspects(alarms.Localize(alarmedPaths, healthyPaths))
-	c.log("", "localized", "%d alarms -> suspects %v", len(batch), suspects)
+	c.log(nil, "localized", "%d alarms -> suspects %v", len(batch), suspects)
 	c.recordAlarmBatch(batch, suspects)
 
 	// The correlated alarms have arrived: detection is over, localization
@@ -451,11 +452,11 @@ func (c *Controller) startRestoration(conn *Connection, suspects []topo.LinkID) 
 		c.slaPhase(conn, "repair-wait")
 		c.slaBlock(conn, fmt.Sprintf("no restoration path: %v", err))
 		c.ins.restoreBlocked.Inc()
-		c.log(conn.ID, "restore-blocked", "no restoration path: %v", err)
+		c.log(conn, "restore-blocked", "no restoration path: %v", err)
 		return // stays Down; revived on repair
 	}
 	conn.State = StateRestoring
-	c.log(conn.ID, "restore-start", "re-provisioning onto %s", newlp.route.Path)
+	c.log(conn, "restore-start", "re-provisioning onto %s", newlp.route.Path)
 
 	c.lightpathSetupJob(newlp, conn.phaseSpan).OnDone(func(err error) {
 		if conn.State != StateRestoring {
@@ -471,7 +472,7 @@ func (c *Controller) startRestoration(conn *Connection, suspects []topo.LinkID) 
 			c.slaPhase(conn, "repair-wait")
 			c.slaBlock(conn, fmt.Sprintf("EMS failure: %v", err))
 			c.ins.restoreBlocked.Inc()
-			c.log(conn.ID, "restore-blocked", "EMS failure: %v", err)
+			c.log(conn, "restore-blocked", "EMS failure: %v", err)
 			return
 		}
 		if !c.plant.PathUp(newlp.route.Path) {
@@ -483,7 +484,7 @@ func (c *Controller) startRestoration(conn *Connection, suspects []topo.LinkID) 
 			c.slaPhase(conn, "repair-wait")
 			c.slaBlock(conn, "restoration path failed during setup")
 			c.ins.restoreBlocked.Inc()
-			c.log(conn.ID, "restore-blocked", "restoration path failed during setup")
+			c.log(conn, "restore-blocked", "restoration path failed during setup")
 			return
 		}
 		c.releaseLightpathMiddle(old)
@@ -498,7 +499,7 @@ func (c *Controller) startRestoration(conn *Connection, suspects []topo.LinkID) 
 		conn.opSpan.End()
 		c.ins.restored.Inc()
 		c.ins.restoreSecs[LayerDWDM].Observe(d.Seconds())
-		c.log(conn.ID, "restored", "outage %v", conn.TotalOutage)
+		c.log(conn, "restored", "outage %v", conn.TotalOutage)
 		c.revivePipe(conn)
 		conns, pipes := c.carriedEntities(conn)
 		c.journalCommit(commitSet{reason: "restore", conns: conns, pipes: pipes})

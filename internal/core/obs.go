@@ -175,7 +175,7 @@ func (c *Controller) initObs() {
 		r.GaugeFunc("griphon_connections",
 			"Customer connections by state.", func() float64 {
 				n := 0
-				for _, conn := range c.conns {
+				for _, conn := range c.conns.live {
 					if !conn.Internal && conn.State == st {
 						n++
 					}
@@ -204,7 +204,7 @@ func (c *Controller) initObs() {
 	r.GaugeFunc("griphon_down_links", "Fiber links currently out of service.",
 		func() float64 { return float64(len(c.plant.DownLinks())) })
 	r.CounterFunc("griphon_events_total", "Audit-log entries recorded.",
-		func() float64 { return float64(len(c.events)) })
+		func() float64 { return float64(c.events.len()) })
 	r.GaugeFunc("griphon_sim_virtual_seconds", "Virtual time since the simulation epoch.",
 		func() float64 { return c.k.Now().Seconds() })
 	r.CounterFunc("griphon_sim_events_total", "Discrete events executed by the kernel.",

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"griphon/internal/journal"
@@ -175,12 +176,14 @@ func (c *Controller) connRecOf(conn *Connection) (connRec, bool) {
 		State:        int(st),
 		Internal:     conn.Internal,
 		Degraded:     conn.Degraded,
-		Carries:      string(conn.carries),
 		RequestedAt:  int64(conn.RequestedAt),
 		ActiveAt:     int64(conn.ActiveAt),
 		ReleasedAt:   int64(conn.ReleasedAt),
 		Restorations: conn.Restorations,
 		Rolls:        conn.Rolls,
+	}
+	if conn.connLive != nil {
+		r.Carries = string(conn.carries)
 	}
 	if st != StateReleased {
 		r.OnProtect = conn.onProtect
@@ -304,8 +307,9 @@ func (c *Controller) sortedBookings() []*Booking {
 	return out
 }
 
-// captureState serializes the whole committed state.
-func (c *Controller) captureState() stateRec {
+// captureHeader serializes the committed state except the connections: the
+// clock and counters, and the small entity sets.
+func (c *Controller) captureHeader() stateRec {
 	st := stateRec{
 		Now:         int64(c.k.Now()),
 		NextConn:    c.nextConn,
@@ -315,16 +319,22 @@ func (c *Controller) captureState() stateRec {
 		Quotas:      c.quotaRecs(),
 		DownLinks:   c.downLinkRecs(),
 	}
-	for _, conn := range c.Connections() {
-		if r, ok := c.connRecOf(conn); ok {
-			st.Conns = append(st.Conns, r)
-		}
-	}
 	for _, p := range c.fabric.Pipes() {
 		st.Pipes = append(st.Pipes, c.pipeRecOf(p))
 	}
 	for _, b := range c.sortedBookings() {
 		st.Bookings = append(st.Bookings, bookingRecOf(b))
+	}
+	return st
+}
+
+// captureState serializes the whole committed state.
+func (c *Controller) captureState() stateRec {
+	st := c.captureHeader()
+	for _, conn := range c.conns.all {
+		if r, ok := c.connRecOf(conn); ok {
+			st.Conns = append(st.Conns, r)
+		}
 	}
 	return st
 }
@@ -340,17 +350,20 @@ func (c *Controller) DurableState() ([]byte, error) {
 
 // foldState folds a snapshot and subsequent WAL entries into one stateRec:
 // entity records upsert by ID, DelPipes remove, pointer fields replace whole
-// sets, counters last-write-wins.
+// sets, counters last-write-wins. Connections — the bulk of any state — stay
+// in the snapshot's own ID order and take their upserts in place.
 func foldState(snapshot []byte, entries []journal.Entry) (stateRec, error) {
 	var st stateRec
 	if snapshot != nil {
-		if err := json.Unmarshal(snapshot, &st); err != nil {
+		var err error
+		if st, err = decodeSnapshot(snapshot, len(entries)); err != nil {
 			return st, fmt.Errorf("core: corrupt state snapshot: %w", err)
 		}
-	}
-	conns := map[string]connRec{}
-	for _, r := range st.Conns {
-		conns[r.ID] = r
+		for i := 1; i < len(st.Conns); i++ {
+			if st.Conns[i-1].ID >= st.Conns[i].ID {
+				return st, fmt.Errorf("core: corrupt state snapshot: connection %s out of order", st.Conns[i].ID)
+			}
+		}
 	}
 	pipes := map[string]pipeRec{}
 	for _, r := range st.Pipes {
@@ -373,8 +386,8 @@ func foldState(snapshot []byte, entries []journal.Entry) (stateRec, error) {
 		st.LpSeq = rec.LpSeq
 		st.NextBooking = rec.NextBooking
 		st.NextPipe = rec.NextPipe
-		for _, r := range rec.Conns {
-			conns[r.ID] = r
+		for i := range rec.Conns {
+			st.Conns = upsertConnRec(st.Conns, &rec.Conns[i])
 		}
 		for _, r := range rec.Pipes {
 			pipes[r.ID] = r
@@ -392,10 +405,6 @@ func foldState(snapshot []byte, entries []journal.Entry) (stateRec, error) {
 			st.Quotas = *rec.Quotas
 		}
 	}
-	st.Conns = nil
-	for _, id := range sortedKeys(conns) {
-		st.Conns = append(st.Conns, conns[id])
-	}
 	st.Pipes = nil
 	for _, id := range sortedKeys(pipes) {
 		st.Pipes = append(st.Pipes, pipes[id])
@@ -410,6 +419,20 @@ func foldState(snapshot []byte, entries []journal.Entry) (stateRec, error) {
 		st.Bookings = append(st.Bookings, books[id])
 	}
 	return st, nil
+}
+
+// upsertConnRec replaces the record with r's ID in the ID-ordered recs, or
+// inserts r in its place; a fresh ID usually sorts last.
+func upsertConnRec(recs []connRec, r *connRec) []connRec {
+	if n := len(recs); n == 0 || recs[n-1].ID < r.ID {
+		return append(recs, *r)
+	}
+	i := sort.Search(len(recs), func(i int) bool { return recs[i].ID >= r.ID })
+	if recs[i].ID == r.ID {
+		recs[i] = *r
+		return recs
+	}
+	return slices.Insert(recs, i, *r)
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -510,7 +533,7 @@ func (c *Controller) journalCommit(cs commitSet) {
 	data, err := json.Marshal(&rec)
 	if err != nil {
 		c.ins.journalErrs.Inc()
-		c.log("", "journal-error", "encoding %s commit: %v", cs.reason, err)
+		c.log(nil, "journal-error", "encoding %s commit: %v", cs.reason, err)
 		return
 	}
 	if c.flight != nil {
@@ -521,7 +544,7 @@ func (c *Controller) journalCommit(cs commitSet) {
 	}
 	if _, err := c.jrnl.Append(recKindCommit, data); err != nil {
 		c.ins.journalErrs.Inc()
-		c.log("", "journal-error", "appending %s commit: %v", cs.reason, err)
+		c.log(nil, "journal-error", "appending %s commit: %v", cs.reason, err)
 		return
 	}
 	if c.snapshotEvery > 0 && c.jrnl.AppendsSinceSnapshot() >= c.snapshotEvery {
@@ -530,18 +553,32 @@ func (c *Controller) journalCommit(cs commitSet) {
 }
 
 // snapshotNow streams a full state snapshot, record by record, after which
-// the journal rotates the WAL and compacts the covered segments. Streaming
-// keeps the snapshot's memory cost at one entity record, not one full copy of
-// the serialized database.
+// the journal rotates the WAL and compacts the covered segments. Connections
+// are serialized one at a time straight off the index, so the snapshot's
+// memory cost is one connection record plus the small entity sets, not a
+// second copy of the database.
 func (c *Controller) snapshotNow() {
 	if c.jrnl == nil {
 		return
 	}
 	sp := c.tr.Start(obs.SpanRef{}, "journal:snapshot")
-	st := c.captureState()
+	hdr := c.captureHeader()
 	w, err := c.jrnl.BeginSnapshot()
 	if err == nil {
-		if serr := streamState(w, &st); serr != nil {
+		all, i := c.conns.all, 0
+		var rec connRec
+		serr := streamStateFrom(w, &hdr, func() *connRec {
+			for i < len(all) {
+				r, ok := c.connRecOf(all[i])
+				i++
+				if ok {
+					rec = r
+					return &rec
+				}
+			}
+			return nil
+		})
+		if serr != nil {
 			w.Abort()
 			err = serr
 		} else {
@@ -551,14 +588,20 @@ func (c *Controller) snapshotNow() {
 	sp.EndErr(err)
 	if err != nil {
 		c.ins.journalErrs.Inc()
-		c.log("", "journal-error", "snapshot: %v", err)
+		c.log(nil, "journal-error", "snapshot: %v", err)
 	}
 }
 
 // streamState writes st's canonical serialization to w one record at a time,
-// byte-identical to json.Marshal(&st): the scalar header first, then each
-// entity array element-by-element in struct field order.
+// byte-identical to json.Marshal(&st).
 func streamState(w io.Writer, st *stateRec) error {
+	return streamStateFrom(w, st, sliceIter(st.Conns))
+}
+
+// streamStateFrom is streamState with the connections pulled from nextConn
+// (nil ends them) instead of st.Conns: the scalar header first, then each
+// entity array element-by-element in struct field order.
+func streamStateFrom(w io.Writer, st *stateRec, nextConn func() *connRec) error {
 	hdr := *st
 	hdr.Quotas, hdr.DownLinks, hdr.Conns, hdr.Pipes, hdr.Bookings = nil, nil, nil, nil, nil
 	b, err := json.Marshal(&hdr)
@@ -569,46 +612,60 @@ func streamState(w io.Writer, st *stateRec) error {
 	if _, err := w.Write(b[:len(b)-1]); err != nil {
 		return err
 	}
-	if err := streamField(w, "quotas", len(st.Quotas), func(i int) any { return &st.Quotas[i] }); err != nil {
+	if err := streamField(w, "quotas", sliceIter(st.Quotas)); err != nil {
 		return err
 	}
-	if err := streamField(w, "down_links", len(st.DownLinks), func(i int) any { return &st.DownLinks[i] }); err != nil {
+	if err := streamField(w, "down_links", sliceIter(st.DownLinks)); err != nil {
 		return err
 	}
-	if err := streamField(w, "conns", len(st.Conns), func(i int) any { return &st.Conns[i] }); err != nil {
+	if err := streamField(w, "conns", nextConn); err != nil {
 		return err
 	}
-	if err := streamField(w, "pipes", len(st.Pipes), func(i int) any { return &st.Pipes[i] }); err != nil {
+	if err := streamField(w, "pipes", sliceIter(st.Pipes)); err != nil {
 		return err
 	}
-	if err := streamField(w, "bookings", len(st.Bookings), func(i int) any { return &st.Bookings[i] }); err != nil {
+	if err := streamField(w, "bookings", sliceIter(st.Bookings)); err != nil {
 		return err
 	}
 	_, err = w.Write([]byte{'}'})
 	return err
 }
 
-// streamField writes one omitempty JSON array field, one element per marshal.
-func streamField(w io.Writer, name string, n int, elem func(int) any) error {
-	if n == 0 {
-		return nil
-	}
-	if _, err := io.WriteString(w, `,"`+name+`":[`); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			if _, err := w.Write([]byte{','}); err != nil {
-				return err
-			}
+// sliceIter walks s by element address; nil ends it.
+func sliceIter[T any](s []T) func() *T {
+	i := 0
+	return func() *T {
+		if i == len(s) {
+			return nil
 		}
-		b, err := json.Marshal(elem(i))
+		i++
+		return &s[i-1]
+	}
+}
+
+// streamField writes one omitempty JSON array field, one element per marshal;
+// next returns nil after the last element.
+func streamField[T any](w io.Writer, name string, next func() *T) error {
+	n := 0
+	for elem := next(); elem != nil; elem = next() {
+		sep := ","
+		if n == 0 {
+			sep = `,"` + name + `":[`
+		}
+		if _, err := io.WriteString(w, sep); err != nil {
+			return err
+		}
+		b, err := json.Marshal(elem)
 		if err != nil {
 			return err
 		}
 		if _, err := w.Write(b); err != nil {
 			return err
 		}
+		n++
+	}
+	if n == 0 {
+		return nil
 	}
 	_, err := io.WriteString(w, "]")
 	return err

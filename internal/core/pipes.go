@@ -45,10 +45,10 @@ func (c *Controller) connectCircuit(conn *Connection, a, b topo.NodeID) (*sim.Jo
 			if pending := c.pendingPipe(a, b); pending != nil {
 				sp := c.tr.Start(conn.opSpan, "pipe:wait")
 				pending.OnDone(func(err error) { sp.EndErr(err) })
-				c.log(conn.ID, "pipe-wait", "waiting for in-flight pipe %s-%s", a, b)
+				c.log(conn, "pipe-wait", "waiting for in-flight pipe %s-%s", a, b)
 				return pending
 			}
-			c.log(conn.ID, "pipe-build", "no OTN capacity %s->%s, lighting a new wavelength", a, b)
+			c.log(conn, "pipe-build", "no OTN capacity %s->%s, lighting a new wavelength", a, b)
 			sp := c.tr.Start(conn.opSpan, "pipe:wait")
 			j := c.startPipeBuild(a, b, otn.ODU2)
 			j.OnDone(func(err error) { sp.EndErr(err) })
@@ -56,6 +56,11 @@ func (c *Controller) connectCircuit(conn *Connection, a, b topo.NodeID) (*sim.Jo
 		}).
 		// Reserve tributary slots (and a best-effort shared-mesh backup).
 		ThenDo(func() error {
+			if conn.State != StatePending {
+				// Released while waiting for the pipe (a composite sibling
+				// failed): nothing is left to hold slots for.
+				return fmt.Errorf("core: connection %s was %v before its slots were reserved", conn.ID, conn.State)
+			}
 			// The path was found in an earlier kernel event; housekeeping may
 			// have retired one of its pipes in between (an idle pipe carries
 			// no hint that a setup intends to use it). Reserving on such a
@@ -63,7 +68,7 @@ func (c *Controller) connectCircuit(conn *Connection, a, b topo.NodeID) (*sim.Jo
 			// being torn down — re-resolve instead.
 			for _, p := range pipes {
 				if c.fabric.Pipe(p.ID()) == nil {
-					c.log(conn.ID, "pipe-stale", "pipe %s retired mid-setup, re-routing", p.ID())
+					c.log(conn, "pipe-stale", "pipe %s retired mid-setup, re-routing", p.ID())
 					pipes = nil
 					break
 				}
@@ -114,11 +119,11 @@ func (c *Controller) reserveSharedBackup(conn *Connection, a, b topo.NodeID) {
 	}
 	backup, err := c.fabric.FindPath(a, b, 0, avoid)
 	if err != nil {
-		c.log(conn.ID, "no-backup", "no disjoint OTN path for shared mesh: %v", err)
+		c.log(conn, "no-backup", "no disjoint OTN path for shared mesh: %v", err)
 		return
 	}
 	if err := otn.ReserveSharedPath(backup, string(conn.ID), conn.slots); err != nil {
-		c.log(conn.ID, "no-backup", "shared reservation failed: %v", err)
+		c.log(conn, "no-backup", "shared reservation failed: %v", err)
 		return
 	}
 	conn.backup = backup
@@ -189,6 +194,7 @@ func (c *Controller) buildPipe(a, b topo.NodeID, level otn.Level) *sim.Job {
 		State:       StatePending,
 		RequestedAt: c.k.Now(),
 		Internal:    true,
+		connLive:    &connLive{},
 	}
 	out := c.k.NewJob()
 	// The carrier's own admission and claim ride one transaction: a routing
@@ -241,8 +247,8 @@ func (c *Controller) buildPipe(a, b topo.NodeID, level otn.Level) *sim.Job {
 	}
 	adm.Commit()
 	carrier.path = lp
-	c.conns[carrier.ID] = carrier
-	c.log(carrier.ID, "request", "carrier pipe wavelength %s->%s %v", a, b, rate)
+	c.conns.insert(carrier)
+	c.log(carrier, "request", "carrier pipe wavelength %s->%s %v", a, b, rate)
 
 	c.lightpathSetupJob(lp, carrier.opSpan).OnDone(func(err error) {
 		c.finishSetup(carrier, err)
@@ -268,7 +274,7 @@ func (c *Controller) buildPipe(a, b topo.NodeID, level otn.Level) *sim.Job {
 			c.pipeTokens[pipe.ID()] = pipeToken
 		}
 		carrier.carries = pipe.ID()
-		c.log(carrier.ID, "pipe-up", "pipe %s in service (%v, %d slots)", pipe.ID(), level, pipe.TotalSlots())
+		c.log(carrier, "pipe-up", "pipe %s in service (%v, %d slots)", pipe.ID(), level, pipe.TotalSlots())
 		c.journalCommit(commitSet{reason: "pipe-up", conns: []*Connection{carrier}, pipes: []*otn.Pipe{pipe}})
 		out.Complete(nil)
 	})
@@ -305,7 +311,7 @@ func (c *Controller) ReclaimIdlePipes() (*sim.Job, int) {
 			continue
 		}
 		carrierID := c.pipeCarrier[pipe.ID()]
-		carrier := c.conns[carrierID]
+		carrier := c.conns.get(carrierID)
 		if carrier == nil || carrier.State != StateActive {
 			continue
 		}
@@ -318,7 +324,7 @@ func (c *Controller) ReclaimIdlePipes() (*sim.Job, int) {
 			delete(c.pipeTokens, pipe.ID())
 		}
 		carrier.carries = ""
-		c.log(carrierID, "pipe-retire", "pipe %s idle, reclaiming its wavelength", pipe.ID())
+		c.log(carrier, "pipe-retire", "pipe %s idle, reclaiming its wavelength", pipe.ID())
 		c.journalCommit(commitSet{reason: "pipe-retire", conns: []*Connection{carrier}, delPipes: []otn.PipeID{pipe.ID()}})
 		job, err := c.Disconnect(CarrierCustomer, carrierID)
 		if err != nil {
@@ -330,11 +336,11 @@ func (c *Controller) ReclaimIdlePipes() (*sim.Job, int) {
 	return sim.All(c.k, jobs...), n
 }
 
-// circuitsOnPipe returns non-released OTN circuits riding the pipe.
+// circuitsOnPipe returns the live OTN circuits riding the pipe.
 func (c *Controller) circuitsOnPipe(id otn.PipeID) []*Connection {
 	var out []*Connection
-	for _, conn := range c.Connections() {
-		if conn.Layer != LayerOTN || conn.State == StateReleased {
+	for _, conn := range c.conns.live {
+		if conn.Layer != LayerOTN {
 			continue
 		}
 		for _, p := range conn.pipes {

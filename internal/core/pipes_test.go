@@ -277,9 +277,6 @@ func TestMultiHopCircuitOverTwoPipes(t *testing.T) {
 	// Teardown releases slots on both pipes.
 	c.Disconnect("x", conn.ID)
 	k.Run()
-	for _, p := range conn.pipes {
-		_ = p
-	}
 	if s := c.Snapshot(); s.SlotsInUse != 0 {
 		t.Errorf("slots leaked: %+v", s)
 	}

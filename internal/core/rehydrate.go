@@ -79,7 +79,7 @@ func Rehydrate(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 			// dispatch a fresh crew.
 			c.repairing[link] = true
 			crew := c.lat.FiberRepair(c.k.Rand())
-			c.log("", "repair-dispatch", "crew for %s after recovery, ETA %v", link, crew)
+			c.log(nil, "repair-dispatch", "crew for %s after recovery, ETA %v", link, crew)
 			c.k.After(crew, func() { c.RepairFiber(link) }) //lint:allow errcheck best-effort auto repair
 		}
 	}
@@ -116,7 +116,8 @@ func Rehydrate(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 		}
 	}
 
-	for _, r := range st.Conns {
+	for i := range st.Conns {
+		r := &st.Conns[i]
 		if err := c.restoreConn(r); err != nil {
 			return nil, fmt.Errorf("core: rebuilding connection %s: %w", r.ID, err)
 		}
@@ -141,14 +142,14 @@ func Rehydrate(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 		}
 		return nil, fmt.Errorf("core: recovered state fails invariant audit: %s", strings.Join(msgs, "; "))
 	}
-	c.log("", "recovered", "journal replay: %d connections, %d pipes, %d bookings",
+	c.log(nil, "recovered", "journal replay: %d connections, %d pipes, %d bookings",
 		len(st.Conns), len(st.Pipes), len(st.Bookings))
 	return c, nil
 }
 
 // restoreConn rebuilds one connection from its record, re-reserving every
 // resource the committed state says it holds.
-func (c *Controller) restoreConn(r connRec) error {
+func (c *Controller) restoreConn(r *connRec) error {
 	conn := &Connection{
 		ID:           ConnID(r.ID),
 		Customer:     inventory.Customer(r.Customer),
@@ -161,16 +162,17 @@ func (c *Controller) restoreConn(r connRec) error {
 		stable:       State(r.State),
 		Internal:     r.Internal,
 		Degraded:     r.Degraded,
-		carries:      otn.PipeID(r.Carries),
 		onProtect:    r.OnProtect,
-		slots:        r.Slots,
 		RequestedAt:  sim.Time(r.RequestedAt),
 		ActiveAt:     sim.Time(r.ActiveAt),
 		ReleasedAt:   sim.Time(r.ReleasedAt),
 		Restorations: r.Restorations,
 		Rolls:        r.Rolls,
 	}
-	c.conns[conn.ID] = conn
+	if conn.State != StateReleased || r.Carries != "" {
+		conn.connLive = &connLive{carries: otn.PipeID(r.Carries), slots: r.Slots}
+	}
+	c.conns.insert(conn)
 	if conn.State == StateReleased {
 		return nil
 	}
@@ -346,7 +348,7 @@ func (c *Controller) restoreBooking(r bookingRec) error {
 		b.CloseErr = errors.New(r.CloseErr)
 	}
 	for _, id := range r.Conns {
-		conn := c.conns[ConnID(id)]
+		conn := c.conns.get(ConnID(id))
 		if conn == nil {
 			return fmt.Errorf("component %s was not rebuilt", id)
 		}

@@ -19,7 +19,7 @@ import (
 // target, or nothing for re-grooming). The job completes when the roll is
 // done and the old path released.
 func (c *Controller) BridgeAndRoll(cust inventory.Customer, id ConnID, avoid map[topo.LinkID]bool) (*sim.Job, error) {
-	conn := c.conns[id]
+	conn := c.conns.get(id)
 	if conn == nil {
 		return nil, fmt.Errorf("core: unknown connection %s", id)
 	}
@@ -55,7 +55,7 @@ func (c *Controller) bridgeAndRoll(conn *Connection, avoid map[topo.LinkID]bool)
 		rollSp.EndErr(err)
 		return nil, fmt.Errorf("core: no disjoint bridge path for %s: %w", conn.ID, err)
 	}
-	c.log(conn.ID, "roll-bridge", "building bridge on %s", bridge.route.Path)
+	c.log(conn, "roll-bridge", "building bridge on %s", bridge.route.Path)
 
 	out := c.k.NewJob()
 	out.OnDone(func(err error) { rollSp.EndErr(err) })
@@ -85,7 +85,7 @@ func (c *Controller) bridgeAndRoll(conn *Connection, avoid map[topo.LinkID]bool)
 			conn.Rolls++
 			c.ins.rolls.Inc()
 			c.ins.rollHitSecs.ObserveDuration(hit)
-			c.log(conn.ID, "roll-done", "traffic on %s (hit %v)", bridge.route.Path, hit)
+			c.log(conn, "roll-done", "traffic on %s (hit %v)", bridge.route.Path, hit)
 			c.journalCommit(commitSet{reason: "roll", conns: []*Connection{conn}})
 			out.Complete(nil)
 		})
@@ -119,9 +119,9 @@ func (c *Controller) ScheduleMaintenance(link topo.LinkID, at sim.Time, window s
 	m := &Maintenance{Link: link, Window: window}
 	out := c.k.NewJob()
 	c.k.At(at, func() {
-		c.log("", "maintenance-start", "link %s window %v", link, window)
+		c.log(nil, "maintenance-start", "link %s window %v", link, window)
 		var rolls []*sim.Job
-		for _, conn := range c.Connections() {
+		for _, conn := range c.liveConns() {
 			if conn.Layer != LayerDWDM || conn.State != StateActive {
 				continue
 			}
@@ -132,7 +132,7 @@ func (c *Controller) ScheduleMaintenance(link topo.LinkID, at sim.Time, window s
 			job, err := c.bridgeAndRoll(conn, map[topo.LinkID]bool{link: true})
 			if err != nil {
 				m.Unmoved = append(m.Unmoved, conn.ID)
-				c.log(conn.ID, "maintenance-hit", "cannot move off %s: %v", link, err)
+				c.log(conn, "maintenance-hit", "cannot move off %s: %v", link, err)
 				continue
 			}
 			m.Rolled = append(m.Rolled, conn.ID)
@@ -162,7 +162,7 @@ func (c *Controller) startMaintenanceWindow(m *Maintenance, out *sim.Job) {
 			c.RepairFiber(link) //lint:allow errcheck symmetric with cut
 		}
 		m.Finished = true
-		c.log("", "maintenance-done", "link %s returned to service", link)
+		c.log(nil, "maintenance-done", "link %s returned to service", link)
 		out.Complete(nil)
 	})
 }
@@ -172,7 +172,7 @@ func (c *Controller) startMaintenanceWindow(m *Maintenance, out *sim.Job) {
 // reduces latency and off-loads original paths), using bridge-and-roll so the
 // customer barely notices. It reports whether a move was made.
 func (c *Controller) Regroom(cust inventory.Customer, id ConnID) (bool, *sim.Job, error) {
-	conn := c.conns[id]
+	conn := c.conns.get(id)
 	if conn == nil {
 		return false, nil, fmt.Errorf("core: unknown connection %s", id)
 	}
@@ -216,14 +216,14 @@ func (c *Controller) regroom(conn *Connection) (bool, *sim.Job, error) {
 	if err != nil {
 		return false, nil, err
 	}
-	c.log(conn.ID, "regroom", "weight %.0f -> %.0f (%v)", curW, newW, m)
+	c.log(conn, "regroom", "weight %.0f -> %.0f (%v)", curW, newW, m)
 	return true, job, nil
 }
 
 // RevertProtect switches a 1+1 connection's traffic back to its working leg
 // after repair (fast tail-end switch, no bridge needed).
 func (c *Controller) RevertProtect(cust inventory.Customer, id ConnID) (*sim.Job, error) {
-	conn := c.conns[id]
+	conn := c.conns.get(id)
 	if conn == nil {
 		return nil, fmt.Errorf("core: unknown connection %s", id)
 	}
@@ -245,7 +245,7 @@ func (c *Controller) RevertProtect(cust inventory.Customer, id ConnID) (*sim.Job
 	c.k.After(hit, func() {
 		c.connUp(conn, "revert-done")
 		conn.onProtect = false
-		c.log(id, "revert", "traffic back on working leg (hit %v)", hit)
+		c.log(conn, "revert", "traffic back on working leg (hit %v)", hit)
 		c.journalCommit(commitSet{reason: "revert-protect", conns: []*Connection{conn}})
 		out.Complete(nil)
 	})

@@ -67,7 +67,7 @@ func (c *Controller) ScheduleConnect(req Request, at sim.Time, hold sim.Duration
 	c.nextBooking++
 	c.bookings[b.ID] = b
 	c.scheduleOpen(b)
-	c.log("", "booking", "%s %s->%s %v at %v for %v", req.Customer, req.From, req.To, req.Rate, at, hold)
+	c.log(nil, "booking", "%s %s->%s %v at %v for %v", req.Customer, req.From, req.To, req.Rate, at, hold)
 	c.journalCommit(commitSet{reason: "booking", bookings: []*Booking{b}})
 	return b, nil
 }
@@ -90,7 +90,7 @@ func (c *Controller) openBooking(b *Booking) {
 	if err != nil {
 		b.SetupErr = err
 		b.phase = bookingFailed
-		c.log("", "booking-blocked", "%s %s->%s %v: %v", b.Req.Customer, b.Req.From, b.Req.To, b.Req.Rate, err)
+		c.log(nil, "booking-blocked", "%s %s->%s %v: %v", b.Req.Customer, b.Req.From, b.Req.To, b.Req.Rate, err)
 		c.journalCommit(commitSet{reason: "booking-blocked", bookings: []*Booking{b}})
 		b.Done.Complete(err)
 		return
@@ -113,7 +113,7 @@ func (c *Controller) openBooking(b *Booking) {
 			}
 			sim.All(c.k, tds...).OnDone(func(error) {
 				b.phase = bookingFailed
-				c.log("", "booking-failed", "%s: setup failed, %d components released: %v",
+				c.log(nil, "booking-failed", "%s: setup failed, %d components released: %v",
 					b.Req.Customer, len(tds), err)
 				c.journalCommit(commitSet{reason: "booking-failed", bookings: []*Booking{b}})
 				b.Done.Complete(err)
@@ -140,12 +140,12 @@ func (c *Controller) CancelBooking(cust inventory.Customer, id int) (*sim.Job, e
 	switch b.phase {
 	case bookingPending:
 		b.phase = bookingClosed
-		c.log("", "booking-cancel", "%s cancelled booking %d before its window", cust, id)
+		c.log(nil, "booking-cancel", "%s cancelled booking %d before its window", cust, id)
 		c.journalCommit(commitSet{reason: "booking-cancel", bookings: []*Booking{b}})
 		b.Done.Complete(nil)
 		return b.Done, nil
 	case bookingOpen:
-		c.log("", "booking-cancel", "%s closing booking %d early", cust, id)
+		c.log(nil, "booking-cancel", "%s closing booking %d early", cust, id)
 		c.closeBooking(b)
 		return b.Done, nil
 	default:
@@ -169,7 +169,7 @@ func (c *Controller) closeBooking(b *Booking) {
 		b.phase = bookingClosed
 		b.CloseErr = err
 		if err != nil {
-			c.log("", "booking-close-failed", "%s: %v", b.Req.Customer, err)
+			c.log(nil, "booking-close-failed", "%s: %v", b.Req.Customer, err)
 		}
 		c.journalCommit(commitSet{reason: "booking-close", bookings: []*Booking{b}})
 		b.Done.Complete(err)
@@ -198,7 +198,7 @@ func (c *Controller) tryCloseBookingConn(b *Booking, conn *Connection, attempt i
 		return
 	}
 	c.ins.bookingCloseErrs.Inc()
-	c.log(conn.ID, "booking-close-error", "attempt %d: %v", attempt, err)
+	c.log(conn, "booking-close-error", "attempt %d: %v", attempt, err)
 	if attempt >= c.retry.MaxAttempts {
 		out.Complete(fmt.Errorf("core: closing booking %d component %s: %w", b.ID, conn.ID, err))
 		return

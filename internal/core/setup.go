@@ -150,6 +150,7 @@ func (c *Controller) Connect(req Request) (*Connection, *sim.Job, error) {
 		Protect:     protect,
 		State:       StatePending,
 		RequestedAt: c.k.Now(),
+		connLive:    &connLive{},
 	}
 	if err := adm.Do(
 		func() error { return c.ledger.Claim(req.Customer, connKey(conn.ID)) },
@@ -175,8 +176,8 @@ func (c *Controller) Connect(req Request) (*Connection, *sim.Job, error) {
 		return nil, nil, err
 	}
 	adm.Commit()
-	c.conns[conn.ID] = conn
-	c.log(conn.ID, "request", "%s %s->%s %v %v %v", conn.Customer, conn.From, conn.To, conn.Rate, conn.Layer, conn.Protect)
+	c.conns.insert(conn)
+	c.log(conn, "request", "%s %s->%s %v %v %v", conn.Customer, conn.From, conn.To, conn.Rate, conn.Layer, conn.Protect)
 	return conn, job, nil
 }
 
@@ -247,7 +248,7 @@ func (c *Controller) attemptWavelengthSetup(conn *Connection, a, b topo.NodeID, 
 		}
 		// Path-level EMS fault; transient faults were already retried
 		// inside the setup job, so this path is not worth more attempts.
-		c.log(conn.ID, "setup-fallback", "path %s failed: %v", lp.route.Path, err)
+		c.log(conn, "setup-fallback", "path %s failed: %v", lp.route.Path, err)
 		c.releaseLightpath(conn.ID, lp)
 		conn.path = nil
 		if avoid == nil {
@@ -259,7 +260,7 @@ func (c *Controller) attemptWavelengthSetup(conn *Connection, a, b topo.NodeID, 
 		if alternates > 0 {
 			if alt, rerr := c.reserveLightpath(conn.ID, a, b, conn.Rate, conn.Protect, avoid, nil, true, conn.opSpan); rerr == nil {
 				c.ins.setupRerouted.Inc()
-				c.log(conn.ID, "setup-reroute", "retrying on candidate %s", alt.route.Path)
+				c.log(conn, "setup-reroute", "retrying on candidate %s", alt.route.Path)
 				c.attemptWavelengthSetup(conn, a, b, alt, avoid, alternates-1, out)
 				return
 			}
@@ -296,7 +297,7 @@ func (c *Controller) degradeToGroomed(conn *Connection, a, b topo.NodeID, cause 
 	}
 	conn.Degraded = true
 	c.ins.setupGroomed.Inc()
-	c.log(conn.ID, "setup-degraded", "wavelength unavailable (%v); degrading to a groomed OTN circuit", cause)
+	c.log(conn, "setup-degraded", "wavelength unavailable (%v); degrading to a groomed OTN circuit", cause)
 	return job, nil
 }
 
@@ -309,12 +310,10 @@ func (c *Controller) finishSetup(conn *Connection, err error) {
 	if err != nil {
 		conn.opSpan.EndErr(err)
 		c.ins.setupFailed[conn.Layer].Inc()
-		c.log(conn.ID, "setup-failed", "%v", err)
+		c.log(conn, "setup-failed", "%v", err)
 		pipes := touchedPipes(conn)
 		c.releaseConnResources(conn)
-		conn.State = StateReleased
-		conn.stable = StateReleased
-		conn.ReleasedAt = c.k.Now()
+		c.retire(conn)
 		c.journalCommit(commitSet{reason: "setup-failed", conns: []*Connection{conn}, pipes: pipes})
 		return
 	}
@@ -331,7 +330,7 @@ func (c *Controller) finishSetup(conn *Connection, err error) {
 		c.ins.setupOK[conn.Layer].Inc()
 		c.ins.setupSecs[conn.Layer].ObserveDuration(conn.SetupTime())
 	}
-	c.log(conn.ID, "active", "setup took %v", conn.SetupTime())
+	c.log(conn, "active", "setup took %v", conn.SetupTime())
 	c.journalCommit(commitSet{reason: "setup", conns: []*Connection{conn}, pipes: touchedPipes(conn)})
 }
 
@@ -576,7 +575,7 @@ func segmentNodes(path topo.Path, plan optics.RegenPlan) [][]topo.NodeID {
 // Disconnect tears a connection down on behalf of its owner. Resources are
 // released when the teardown EMS work completes.
 func (c *Controller) Disconnect(cust inventory.Customer, id ConnID) (*sim.Job, error) {
-	conn := c.conns[id]
+	conn := c.conns.get(id)
 	if conn == nil {
 		return nil, fmt.Errorf("core: unknown connection %s", id)
 	}
@@ -598,7 +597,7 @@ func (c *Controller) Disconnect(cust inventory.Customer, id ConnID) (*sim.Job, e
 	conn.opSpan.EndOutcome("cancelled")
 	conn.opSpan = c.tr.Start(obs.SpanRef{}, "op:teardown")
 	conn.opSpan.SetConn(string(conn.ID), string(conn.Customer), conn.Layer.String())
-	c.log(id, "teardown", "requested by %s", cust)
+	c.log(conn, "teardown", "requested by %s", cust)
 
 	var job *sim.Job
 	switch conn.Layer {
@@ -615,13 +614,27 @@ func (c *Controller) Disconnect(cust inventory.Customer, id ConnID) (*sim.Job, e
 		c.releaseConnResources(conn)
 		c.connUp(conn, "released")
 		c.sla.Release(string(conn.ID), c.k.Now())
-		conn.State = StateReleased
-		conn.stable = StateReleased
-		conn.ReleasedAt = c.k.Now()
-		c.log(id, "released", "teardown took %v", job.Elapsed())
+		c.retire(conn)
+		c.log(conn, "released", "teardown took %v", job.Elapsed())
 		c.journalCommit(commitSet{reason: "teardown", conns: []*Connection{conn}, pipes: pipes})
 	})
 	return job, nil
+}
+
+// retire marks a connection released, once releaseConnResources has returned
+// what it held: it leaves the live view and drops its live half, keeping the
+// row that lists, bills and reports for ever. A carrier released while its
+// pipe still stands keeps the reference its journal record carries.
+func (c *Controller) retire(conn *Connection) {
+	conn.State = StateReleased
+	conn.stable = StateReleased
+	conn.ReleasedAt = c.k.Now()
+	c.conns.retire(conn)
+	if conn.carries == "" {
+		conn.connLive = nil
+	} else {
+		conn.connLive = &connLive{carries: conn.carries}
+	}
 }
 
 // releaseConnResources returns everything a connection holds: lightpaths or
@@ -681,10 +694,8 @@ func (c *Controller) ConnectComposite(req Request) ([]*Connection, *sim.Job, err
 				done.State = StateTearingDown
 				pipes = append(pipes, touchedPipes(done)...)
 				c.releaseConnResources(done)
-				done.State = StateReleased
-				done.stable = StateReleased
-				done.ReleasedAt = c.k.Now()
-				c.log(done.ID, "released", "composite sibling failed")
+				c.retire(done)
+				c.log(done, "released", "composite sibling failed")
 			}
 			if len(conns) > 0 {
 				c.journalCommit(commitSet{reason: "composite-unwind", conns: conns, pipes: pipes})

@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -82,14 +81,8 @@ func (s *ShardSet) AuditInvariants() []Finding {
 		// Customer-owned state must live on the owning shard. The carrier's
 		// internal conns and the coordinator's synthetic customers are
 		// shard-local by construction and exempt.
-		ids := make([]string, 0, len(c.conns))
-		for id := range c.conns {
-			ids = append(ids, string(id))
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			conn := c.conns[ConnID(id)]
-			if conn.Internal || conn.State == StateReleased {
+		for _, conn := range c.conns.live {
+			if conn.Internal {
 				continue
 			}
 			if want := s.ShardFor(conn.Customer); want != i {

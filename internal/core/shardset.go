@@ -83,9 +83,17 @@ type ShardSet struct {
 
 	// mu guards the merged logs, which observers append to from whichever
 	// shard (and, under parallel drive, whichever goroutine) produced them.
-	mu       sync.Mutex
-	events   []Event
+	mu sync.Mutex
+	// events is the merged audit log's order: each entry names the shard
+	// that logged it and its index in that shard's own log, which holds the
+	// entry itself. Read it between drives, like the shards' own logs.
+	events   []eventRef
 	alarmLog *alarms.Log
+}
+
+// eventRef locates one merged-log entry in its shard's audit log.
+type eventRef struct {
+	shard, index uint32
 }
 
 // NewShardSet builds (or, with StateDir holding prior state, rehydrates)
@@ -159,10 +167,11 @@ func NewShardSet(g *topo.Graph, cfg ShardSetConfig) (*ShardSet, error) {
 // attachObservers wires every shard's event and alarm streams into the
 // merged operator logs.
 func (s *ShardSet) attachObservers() {
-	for _, sh := range s.shards {
-		sh.Ctrl.SetOnEvent(func(e Event) {
+	for i, sh := range s.shards {
+		shard := uint32(i)
+		sh.Ctrl.SetOnEvent(func(index int) {
 			s.mu.Lock()
-			s.events = append(s.events, e)
+			s.events = append(s.events, eventRef{shard: shard, index: uint32(index)})
 			s.mu.Unlock()
 		})
 		sh.Ctrl.SetOnAlarmGroup(func(g alarms.Group) {
@@ -311,12 +320,8 @@ func (s *ShardSet) AdvanceParallel(d sim.Duration) {
 // shards under lockstep drive (deterministic), goroutine order under
 // parallel drive. A single-shard set reads the controller's log directly.
 func (s *ShardSet) Events() []Event {
-	if len(s.shards) == 1 {
-		return s.shards[0].Ctrl.Events()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
+	evs, _ := s.EventsSince(0)
+	return evs
 }
 
 // EventsFor returns the merged audit entries mentioning a connection.
@@ -327,12 +332,17 @@ func (s *ShardSet) EventsFor(id ConnID) []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []Event
-	for _, e := range s.events {
-		if e.Conn == id {
+	for _, ref := range s.events {
+		if e := s.at(ref); e.Conn == id {
 			out = append(out, e)
 		}
 	}
 	return out
+}
+
+// at reads one merged-log entry out of its shard's log.
+func (s *ShardSet) at(ref eventRef) Event {
+	return s.shards[ref.shard].Ctrl.events.at(int(ref.index))
 }
 
 // EventsSince returns merged audit entries from index cursor on, plus the
@@ -343,13 +353,12 @@ func (s *ShardSet) EventsSince(cursor int) ([]Event, int) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cursor < 0 {
-		cursor = 0
+	cursor = max(0, min(cursor, len(s.events)))
+	var out []Event
+	for _, ref := range s.events[cursor:] {
+		out = append(out, s.at(ref))
 	}
-	if cursor > len(s.events) {
-		cursor = len(s.events)
-	}
-	return append([]Event(nil), s.events[cursor:]...), len(s.events)
+	return out, len(s.events)
 }
 
 // AlarmsSince returns alarm groups after the seq cursor. A customer query

@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -447,4 +450,80 @@ func TestSingleShardSetMatchesController(t *testing.T) {
 		t.Errorf("unsharded conn ID %s carries a shard prefix", conn.ID)
 	}
 	auditSetClean(t, s)
+}
+
+// mergedLogSession provisions two customers per shard on three shards, tears
+// half of them down, and returns the set with its merged log rendered.
+func mergedLogSession(t *testing.T) (*ShardSet, []*Connection, []byte) {
+	t.Helper()
+	s := newShardSet(t, 3, ShardSetConfig{})
+	var conns []*Connection
+	for _, cc := range shardCustomers(t, s, 2) {
+		for i, cust := range cc {
+			conn := shardConnect(t, s, cust, "DC-A", "DC-B", bw.Rate1G)
+			conns = append(conns, conn)
+			if i == 0 {
+				job, err := s.For(inventory.Customer(cust)).Disconnect(inventory.Customer(cust), conn.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Await(job); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	var b bytes.Buffer
+	for _, e := range s.Events() {
+		fmt.Fprintf(&b, "%v %s %s %s\n", e.At, e.Conn, e.Kind, e.Text)
+	}
+	return s, conns, b.Bytes()
+}
+
+// TestShardSetMergedLogReads: the merged audit log keeps each entry once, in
+// its shard's log, and reads it through (shard, index) references. The merged
+// order is frozen as a golden written by the log that kept full copies, and
+// every read path must agree with it, cursors included.
+func TestShardSetMergedLogReads(t *testing.T) {
+	s, conns, rendered := mergedLogSession(t)
+	golden := filepath.Join("testdata", "merged_events.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, rendered, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rendered, want) {
+		t.Fatalf("merged log moved:\n got:\n%s\nwant:\n%s", rendered, want)
+	}
+
+	all := s.Events()
+	total := 0
+	for _, sh := range s.Shards() {
+		total += len(sh.Ctrl.Events())
+	}
+	if len(all) == 0 || len(all) != total {
+		t.Errorf("merged log holds %d entries, the shards %d", len(all), total)
+	}
+	for _, cursor := range []int{-1, 0, 1, len(all) / 2, len(all) - 1, len(all), len(all) + 5} {
+		page, next := s.EventsSince(cursor)
+		from := max(0, min(cursor, len(all)))
+		if next != len(all) || len(page) != len(all)-from || (len(page) > 0 && !reflect.DeepEqual(page, all[from:])) {
+			t.Errorf("EventsSince(%d) = %d entries, next %d; want %d entries, next %d", cursor, len(page), next, len(all)-from, len(all))
+		}
+	}
+	for _, conn := range conns {
+		var want []Event
+		for _, e := range all {
+			if e.Conn == conn.ID {
+				want = append(want, e)
+			}
+		}
+		if got := s.EventsFor(conn.ID); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("EventsFor(%s) = %d entries, want %d", conn.ID, len(got), len(want))
+		}
+	}
 }

@@ -31,10 +31,9 @@ type Stats struct {
 
 // Snapshot computes current statistics.
 func (c *Controller) Snapshot() Stats {
-	var s Stats
-	for _, conn := range c.conns {
+	s := Stats{Released: c.conns.released, InternalConns: c.conns.internal}
+	for _, conn := range c.conns.live {
 		if conn.Internal {
-			s.InternalConns++
 			continue
 		}
 		switch conn.State {
@@ -46,8 +45,6 @@ func (c *Controller) Snapshot() Stats {
 			s.Down++
 		case StateRestoring:
 			s.Restoring++
-		case StateReleased:
-			s.Released++
 		}
 	}
 	// Topology elements added after plant construction carry no devices yet;
@@ -73,7 +70,7 @@ func (c *Controller) Snapshot() Stats {
 		s.SlotsTotal += p.TotalSlots()
 	}
 	s.DownLinks = c.plant.DownLinks()
-	s.Events = len(c.events)
+	s.Events = c.events.len()
 	return s
 }
 

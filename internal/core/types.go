@@ -23,7 +23,7 @@ import (
 type ConnID string
 
 // State is a connection's lifecycle state.
-type State int
+type State uint8
 
 const (
 	// StatePending: resources reserved, EMS configuration in progress.
@@ -59,7 +59,7 @@ func (s State) String() string {
 }
 
 // Layer records which network layer realizes a connection (paper Fig. 2).
-type Layer int
+type Layer uint8
 
 const (
 	// LayerDWDM is a full-wavelength connection switched by ROADMs.
@@ -79,7 +79,7 @@ func (l Layer) String() string {
 }
 
 // Protection selects a connection's survivability scheme (paper Table 1).
-type Protection int
+type Protection uint8
 
 const (
 	// Restore is GRIPhoN's default for wavelengths: automated failure
@@ -127,49 +127,21 @@ type lightpath struct {
 	cached bool
 }
 
-// Connection is the controller's record of one customer connection.
+// Connection is the controller's record of one customer connection. The
+// struct itself is the row that is kept for ever — identity, placement,
+// lifecycle timestamps and the billing and outage totals — and is sized for
+// that: a long-lived controller holds mostly released connections. What only
+// a connection holding resources needs sits behind connLive.
 type Connection struct {
 	ID       ConnID
 	Customer inventory.Customer
 	From, To topo.SiteID
 	Rate     bw.Rate
-	Layer    Layer
-	Protect  Protection
-	State    State
-
-	// stable is the last committed lifecycle state — what the journal
-	// records while State is transiently Pending/Restoring/TearingDown.
-	// Maintained at every commit point (see persist.go).
-	stable State
-
-	// DWDM realization.
-	path *lightpath
-	// protect is the 1+1 standby lightpath.
-	protect *lightpath
-	// onProtect records that traffic currently rides the protect path.
-	onProtect bool
-
-	// OTN realization.
-	pipes  []*otn.Pipe
-	slots  int
-	backup []*otn.Pipe
-
-	// Internal marks carrier-owned connections (OTN pipe carriers) that
-	// are not customer-visible.
-	Internal bool
-	// Degraded marks a wavelength request delivered as a groomed OTN
-	// circuit because the DWDM layer could not carry it (the last rung of
-	// the setup degradation ladder).
-	Degraded bool
-	// carries is the pipe this internal wavelength transports.
-	carries otn.PipeID
 
 	// Timing and accounting.
 	RequestedAt  sim.Time
 	ActiveAt     sim.Time
 	ReleasedAt   sim.Time
-	outageStart  sim.Time
-	inOutage     bool
 	TotalOutage  sim.Duration
 	Restorations int
 	Rolls        int
@@ -178,8 +150,52 @@ type Connection struct {
 	// calendar month — and outages are not billed, which is the carrier's
 	// skin in the restoration game.
 	usageGbHours float64
-	meterAt      sim.Time
-	metering     bool
+
+	// The resource-holding half; nil once the release has committed (see
+	// Controller.retire). Promoted field reads on a released connection must
+	// go through the nil-safe accessors below.
+	*connLive
+
+	Layer   Layer
+	Protect Protection
+	State   State
+	// stable is the last committed lifecycle state — what the journal
+	// records while State is transiently Pending/Restoring/TearingDown.
+	// Maintained at every commit point (see persist.go).
+	stable State
+
+	// onProtect records that traffic currently rides the protect path.
+	onProtect bool
+	// Internal marks carrier-owned connections (OTN pipe carriers) that
+	// are not customer-visible.
+	Internal bool
+	// Degraded marks a wavelength request delivered as a groomed OTN
+	// circuit because the DWDM layer could not carry it (the last rung of
+	// the setup degradation ladder).
+	Degraded bool
+	inOutage bool
+	metering bool
+}
+
+// connLive is what a connection needs only while it holds resources: its
+// realization on both layers, the running clocks behind the totals, and the
+// spans of the operation driving it.
+type connLive struct {
+	// DWDM realization.
+	path *lightpath
+	// protect is the 1+1 standby lightpath.
+	protect *lightpath
+
+	// OTN realization.
+	pipes  []*otn.Pipe
+	slots  int
+	backup []*otn.Pipe
+
+	// carries is the pipe this internal wavelength transports.
+	carries otn.PipeID
+
+	outageStart sim.Time
+	meterAt     sim.Time
 
 	// opSpan traces the operation currently driving this connection
 	// (op:setup, op:restore, op:teardown); phaseSpan is the open phase
@@ -218,6 +234,9 @@ func (c *Connection) Channels() []optics.Channel {
 
 // PipeIDs returns the OTN pipes a sub-wavelength circuit rides, in order.
 func (c *Connection) PipeIDs() []otn.PipeID {
+	if c.connLive == nil {
+		return []otn.PipeID{}
+	}
 	out := make([]otn.PipeID, len(c.pipes))
 	for i, p := range c.pipes {
 		out[i] = p.ID()
@@ -226,6 +245,9 @@ func (c *Connection) PipeIDs() []otn.PipeID {
 }
 
 func (c *Connection) working() *lightpath {
+	if c.connLive == nil {
+		return nil
+	}
 	if c.onProtect {
 		return c.protect
 	}
@@ -267,6 +289,9 @@ func (c *Connection) billing() bool {
 // the meter. Call it BEFORE any transition that changes billing state (state,
 // outage, or rate).
 func (c *Connection) settleUsage(now sim.Time) {
+	if c.connLive == nil {
+		return // released: the total is final
+	}
 	if c.billing() {
 		c.usageGbHours += c.Rate.Gbps() * now.Sub(c.meterAt).Hours()
 	}

@@ -149,11 +149,7 @@ func (fr *FlightRecorder) Snapshot(reason string, at sim.Time, findings []string
 		d.Spans = fr.spans()
 	}
 	if fr.ledger != nil {
-		for _, id := range fr.ledger.sortedConns() {
-			if cl := fr.ledger.conns[id]; cl.open != nil {
-				d.Outages = append(d.Outages, *cl.open)
-			}
-		}
+		d.Outages = fr.ledger.openOutageList()
 	}
 	return d
 }

@@ -1,6 +1,8 @@
 package slo
 
 import (
+	"sort"
+
 	"griphon/internal/sim"
 )
 
@@ -42,30 +44,26 @@ type CustomerReport struct {
 // the customer circuits riding them.
 func (l *Ledger) Report(customer string, now sim.Time) CustomerReport {
 	rep := CustomerReport{Customer: customer, Now: now}
-	for _, id := range l.sortedConns() {
-		cl := l.conns[id]
-		if cl.internal {
-			continue
-		}
-		if customer != "" && cl.customer != customer {
-			continue
+	add := func(r *connRow, cl *custLedger) {
+		if r.internal {
+			return
 		}
 		cr := ConnReport{
-			Conn:        cl.conn,
+			Conn:        r.conn,
 			Customer:    cl.customer,
-			ActivatedAt: cl.activatedAt,
-			ReleasedAt:  cl.releasedAt,
-			Released:    cl.released,
-			Degraded:    cl.degraded,
-			Downtime:    l.Downtime(id, now),
-			Outages:     l.Outages(id),
+			ActivatedAt: r.activatedAt,
+			ReleasedAt:  r.releasedAt,
+			Released:    r.released,
+			Degraded:    r.degraded,
+			Downtime:    r.downtime(now),
+			Outages:     r.outages(),
 		}
 		end := now
-		if cl.released {
-			end = cl.releasedAt
+		if r.released {
+			end = r.releasedAt
 		}
-		if end.After(cl.activatedAt) {
-			cr.Lifetime = end.Sub(cl.activatedAt)
+		if end.After(r.activatedAt) {
+			cr.Lifetime = end.Sub(r.activatedAt)
 		}
 		cr.Availability = availability(cr.Lifetime, cr.Downtime)
 		rep.Conns = append(rep.Conns, cr)
@@ -76,6 +74,29 @@ func (l *Ledger) Report(customer string, now sim.Time) CustomerReport {
 			if o.Cause == CauseUnknown {
 				rep.Unattributed++
 			}
+		}
+	}
+	if customer != "" {
+		if cl := l.custs[customer]; cl != nil {
+			for _, r := range cl.rows {
+				add(r, cl)
+			}
+		}
+	} else {
+		// The operator view interleaves every customer's rows by ID.
+		type filed struct {
+			row  *connRow
+			cust *custLedger
+		}
+		all := make([]filed, 0, l.tracked)
+		for _, cl := range l.custs {
+			for _, r := range cl.rows {
+				all = append(all, filed{r, cl})
+			}
+		}
+		sort.Slice(all, func(i, j int) bool { return all[i].row.conn < all[j].row.conn })
+		for _, f := range all {
+			add(f.row, f.cust)
 		}
 	}
 	rep.Availability = availability(rep.TotalLifetime, rep.TotalDowntime)

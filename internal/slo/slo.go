@@ -12,7 +12,9 @@ package slo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"griphon/internal/obs"
 	"griphon/internal/sim"
@@ -132,25 +134,70 @@ func (o Outage) String() string {
 	return fmt.Sprintf("%s [%v..%s] %s link=%s res=%s", o.Conn, o.Start, end, o.Cause, o.Link, o.Resolution)
 }
 
-// connLedger is one connection's availability record.
-type connLedger struct {
+// connRow is one connection's availability record, sized to be kept for
+// ever: most connections never see an outage, so the outage history hangs off
+// a pointer that stays nil for them.
+type connRow struct {
 	conn        string
-	customer    string
-	internal    bool
 	activatedAt sim.Time
 	releasedAt  sim.Time
+	hist        *outageHist
 	released    bool
 	degraded    bool
-	outages     []*Outage
-	open        *Outage // also the last element of outages while open
+	internal    bool
+}
+
+// outageHist is the outage history of a connection that has had one.
+type outageHist struct {
+	outages []*Outage
+	open    *Outage // also the last element of outages while open
+}
+
+// open returns the open outage interval, if any; a nil row has none.
+func (r *connRow) open() *Outage {
+	if r == nil || r.hist == nil {
+		return nil
+	}
+	return r.hist.open
+}
+
+// custLedger is one customer's rows in connection-ID order. Rows are inserted
+// once and never removed, so a customer's report reads its own rows in order
+// and nothing else.
+type custLedger struct {
+	customer string
+	rows     []*connRow
+}
+
+// find returns the position of conn in rows (or where it would go).
+func (cl *custLedger) find(conn string) (int, bool) {
+	return slices.BinarySearchFunc(cl.rows, conn, func(r *connRow, id string) int {
+		return strings.Compare(r.conn, id)
+	})
+}
+
+// liveConn is a connection that has not been released, with its owner.
+type liveConn struct {
+	row  *connRow
+	cust *custLedger
 }
 
 // Ledger is the per-connection availability ledger. Like the controller it
 // serves, it lives on the single simulation thread; all timestamps are
 // virtual. The zero value is NOT usable — call New.
+//
+// Released connections are history and are reached through their customer;
+// only the connections still in service, the ones Down/Phase/Up address by
+// ID, sit in the live map.
 type Ledger struct {
-	conns map[string]*connLedger
-	order []string
+	live  map[string]liveConn
+	custs map[string]*custLedger
+
+	// Gauge values, kept as counts at the transitions that change them so a
+	// scrape does not walk the history.
+	tracked      int
+	openOutages  int
+	degradedLive int
 
 	// Instruments (nil registry ⇒ all remain nil and updates are skipped).
 	outagesTotal  map[Cause]*obs.Counter
@@ -169,7 +216,7 @@ var phaseNames = []string{"detect", "localize", "provision", "switch", "activate
 // New returns an empty ledger, registering its instruments in reg (nil skips
 // instrumentation).
 func New(reg *obs.Registry) *Ledger {
-	l := &Ledger{conns: map[string]*connLedger{}}
+	l := &Ledger{live: map[string]liveConn{}, custs: map[string]*custLedger{}}
 	if reg == nil {
 		return l
 	}
@@ -202,72 +249,64 @@ func New(reg *obs.Registry) *Ledger {
 	l.blocksTotal = reg.Counter("griphon_sla_restore_blocks_total",
 		"Blocked restoration attempts recorded inside outages.")
 	reg.GaugeFunc("griphon_sla_open_outages",
-		"Outage intervals currently open in the ledger.", func() float64 {
-			n := 0
-			for _, cl := range l.conns {
-				if cl.open != nil {
-					n++
-				}
-			}
-			return float64(n)
-		})
+		"Outage intervals currently open in the ledger.",
+		func() float64 { return float64(l.openOutages) })
 	reg.GaugeFunc("griphon_sla_tracked_connections",
 		"Connections the availability ledger is tracking (released included).",
-		func() float64 { return float64(len(l.conns)) })
+		func() float64 { return float64(l.tracked) })
 	reg.GaugeFunc("griphon_sla_degraded_connections",
-		"Live connections delivered degraded (groomed-OTN fallback).", func() float64 {
-			n := 0
-			for _, cl := range l.conns {
-				if cl.degraded && !cl.released {
-					n++
-				}
-			}
-			return float64(n)
-		})
+		"Live connections delivered degraded (groomed-OTN fallback).",
+		func() float64 { return float64(l.degradedLive) })
 	return l
 }
 
-func (l *Ledger) get(conn string) *connLedger {
-	cl, ok := l.conns[conn]
-	if !ok {
-		cl = &connLedger{conn: conn}
-		l.conns[conn] = cl
-		l.order = append(l.order, conn)
-	}
-	return cl
-}
-
-// Activate registers a connection entering service. Degraded marks a request
-// delivered as a groomed-OTN fallback; internal marks carrier-owned
-// connections excluded from customer reports.
+// Activate registers a connection entering service, filing its row under
+// customer (a released connection activated again takes its old row back).
+// Degraded marks a request delivered as a groomed-OTN fallback; internal marks
+// carrier-owned connections excluded from customer reports.
 func (l *Ledger) Activate(conn, customer string, at sim.Time, degraded, internal bool) {
-	cl := l.get(conn)
-	cl.customer = customer
-	cl.activatedAt = at
-	cl.degraded = degraded
-	cl.internal = internal
-	cl.released = false
-}
-
-// Degrade marks a tracked connection as running degraded.
-func (l *Ledger) Degrade(conn string) {
-	if cl, ok := l.conns[conn]; ok {
-		cl.degraded = true
+	lc, wasLive := l.live[conn]
+	if !wasLive {
+		cl := l.custs[customer]
+		if cl == nil {
+			cl = &custLedger{customer: customer}
+			l.custs[customer] = cl
+		}
+		i, ok := cl.find(conn)
+		if !ok {
+			cl.rows = slices.Insert(cl.rows, i, &connRow{conn: conn})
+			l.tracked++
+		}
+		lc = liveConn{row: cl.rows[i], cust: cl}
+		lc.row.released = false
+		l.live[conn] = lc
 	}
+	r := lc.row
+	if wasLive && r.degraded {
+		l.degradedLive--
+	}
+	if degraded {
+		l.degradedLive++
+	}
+	r.activatedAt = at
+	r.degraded = degraded
+	r.internal = internal
 }
 
 // Down opens an outage interval attributed to cause. A second Down while one
 // is open is a no-op (mirrors the controller's inOutage guard); the first
 // attribution wins because it is the root cause. phase names the opening
-// phase ("detect", "switch", "repair-wait", "hit").
+// phase ("detect", "switch", "repair-wait", "hit"). Like Phase, Block and Up
+// it addresses a connection in service; any other ID is ignored.
 func (l *Ledger) Down(conn string, at sim.Time, cause Cause, link topo.LinkID, detail, phase string) {
-	cl := l.get(conn)
-	if cl.open != nil {
+	lc, ok := l.live[conn]
+	if !ok || lc.row.open() != nil {
 		return
 	}
+	r := lc.row
 	o := &Outage{
 		Conn:     conn,
-		Customer: cl.customer,
+		Customer: lc.cust.customer,
 		Start:    at,
 		Open:     true,
 		Cause:    cause,
@@ -277,20 +316,24 @@ func (l *Ledger) Down(conn string, at sim.Time, cause Cause, link topo.LinkID, d
 	if phase != "" {
 		o.Phases = append(o.Phases, Phase{Name: phase, Start: at, Open: true})
 	}
-	cl.outages = append(cl.outages, o)
-	cl.open = o
+	if r.hist == nil {
+		r.hist = &outageHist{}
+	}
+	r.hist.outages = append(r.hist.outages, o)
+	r.hist.open = o
+	l.openOutages++
 }
 
 // Phase closes the open phase and opens a new one at the same instant —
 // called at exactly the controller's phase-span transitions, so closed phases
 // tile the outage with no gaps.
 func (l *Ledger) Phase(conn string, at sim.Time, name string) {
-	cl, ok := l.conns[conn]
-	if !ok || cl.open == nil {
+	o := l.live[conn].row.open()
+	if o == nil {
 		return
 	}
-	l.closePhase(cl.open, at)
-	cl.open.Phases = append(cl.open.Phases, Phase{Name: name, Start: at, Open: true})
+	l.closePhase(o, at)
+	o.Phases = append(o.Phases, Phase{Name: name, Start: at, Open: true})
 }
 
 func (l *Ledger) closePhase(o *Outage, at sim.Time) {
@@ -306,11 +349,11 @@ func (l *Ledger) closePhase(o *Outage, at sim.Time) {
 
 // Block records a blocked restoration attempt inside the open outage.
 func (l *Ledger) Block(conn string, at sim.Time, reason string) {
-	cl, ok := l.conns[conn]
-	if !ok || cl.open == nil {
+	o := l.live[conn].row.open()
+	if o == nil {
 		return
 	}
-	cl.open.Blocks = append(cl.open.Blocks, Block{At: at, Reason: reason})
+	o.Blocks = append(o.Blocks, Block{At: at, Reason: reason})
 	if l.blocksTotal != nil {
 		l.blocksTotal.Inc()
 	}
@@ -319,16 +362,17 @@ func (l *Ledger) Block(conn string, at sim.Time, reason string) {
 // Up closes the open outage interval with the given resolution. A no-op when
 // no interval is open.
 func (l *Ledger) Up(conn string, at sim.Time, resolution string) {
-	cl, ok := l.conns[conn]
-	if !ok || cl.open == nil {
+	r := l.live[conn].row
+	o := r.open()
+	if o == nil {
 		return
 	}
-	o := cl.open
 	l.closePhase(o, at)
 	o.End = at
 	o.Open = false
 	o.Resolution = resolution
-	cl.open = nil
+	r.hist.open = nil
+	l.openOutages--
 	if l.outagesTotal != nil {
 		l.outagesTotal[o.Cause].Inc()
 		l.downtimeTotal[o.Cause].Add(o.End.Sub(o.Start).Seconds())
@@ -339,26 +383,52 @@ func (l *Ledger) Up(conn string, at sim.Time, resolution string) {
 	}
 }
 
-// Release retires a connection: any open outage closes as "released" and the
-// lifetime clock stops.
+// Release retires a connection: any open outage closes as "released", the
+// lifetime clock stops, and the row leaves the live map for its customer's
+// history.
 func (l *Ledger) Release(conn string, at sim.Time) {
-	cl, ok := l.conns[conn]
+	lc, ok := l.live[conn]
 	if !ok {
 		return
 	}
 	l.Up(conn, at, "released")
-	cl.released = true
-	cl.releasedAt = at
+	lc.row.released = true
+	lc.row.releasedAt = at
+	if lc.row.degraded {
+		l.degradedLive--
+	}
+	delete(l.live, conn)
+}
+
+// row finds a connection's row: in the live map, or else in some customer's
+// history.
+func (l *Ledger) row(conn string) *connRow {
+	if lc, ok := l.live[conn]; ok {
+		return lc.row
+	}
+	for _, cl := range l.custs {
+		if i, ok := cl.find(conn); ok {
+			return cl.rows[i]
+		}
+	}
+	return nil
 }
 
 // Outages returns copies of a connection's outage intervals, oldest first.
 func (l *Ledger) Outages(conn string) []Outage {
-	cl, ok := l.conns[conn]
-	if !ok {
+	r := l.row(conn)
+	if r == nil {
 		return nil
 	}
-	out := make([]Outage, len(cl.outages))
-	for i, o := range cl.outages {
+	return r.outages()
+}
+
+func (r *connRow) outages() []Outage {
+	if r.hist == nil {
+		return []Outage{}
+	}
+	out := make([]Outage, len(r.hist.outages))
+	for i, o := range r.hist.outages {
 		out[i] = *o
 		out[i].Phases = append([]Phase(nil), o.Phases...)
 		out[i].Blocks = append([]Block(nil), o.Blocks...)
@@ -371,26 +441,44 @@ func (l *Ledger) Outages(conn string) []Outage {
 // controller's own Connection.Outage accounting to the nanosecond — the
 // chaos soak asserts exactly that.
 func (l *Ledger) Downtime(conn string, now sim.Time) sim.Duration {
-	cl, ok := l.conns[conn]
-	if !ok {
+	r := l.row(conn)
+	if r == nil {
+		return 0
+	}
+	return r.downtime(now)
+}
+
+func (r *connRow) downtime(now sim.Time) sim.Duration {
+	if r.hist == nil {
 		return 0
 	}
 	var total sim.Duration
-	for _, o := range cl.outages {
+	for _, o := range r.hist.outages {
 		total += o.Duration(now)
 	}
 	return total
 }
 
-// Conns returns every tracked connection ID in activation order.
+// Conns returns every tracked connection ID, sorted.
 func (l *Ledger) Conns() []string {
-	return append([]string(nil), l.order...)
+	out := make([]string, 0, l.tracked)
+	for _, cl := range l.custs {
+		for _, r := range cl.rows {
+			out = append(out, r.conn)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
-// sortedConns returns tracked connection IDs sorted, for deterministic
-// reports.
-func (l *Ledger) sortedConns() []string {
-	out := append([]string(nil), l.order...)
-	sort.Strings(out)
+// openOutageList returns copies of the open outage intervals, by connection ID.
+func (l *Ledger) openOutageList() []Outage {
+	var out []Outage
+	for _, lc := range l.live {
+		if o := lc.row.open(); o != nil {
+			out = append(out, *o)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Conn < out[j].Conn })
 	return out
 }

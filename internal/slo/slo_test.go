@@ -176,3 +176,43 @@ func TestCauseStrings(t *testing.T) {
 		t.Errorf("outage string = %q", s)
 	}
 }
+
+// TestLedgerGaugesFollowTransitions: the three gauges are counts kept at the
+// transitions, not walks over the history, and must read the same as a walk
+// would at every step — released rows included in tracked, excluded from
+// degraded and open.
+func TestLedgerGaugesFollowTransitions(t *testing.T) {
+	l := New(obs.NewRegistry())
+	check := func(step string, tracked, open, degraded int) {
+		t.Helper()
+		if l.tracked != tracked || l.openOutages != open || l.degradedLive != degraded {
+			t.Errorf("%s: tracked %d open %d degraded %d, want %d %d %d",
+				step, l.tracked, l.openOutages, l.degradedLive, tracked, open, degraded)
+		}
+	}
+	l.Activate("c1", "acme", at(0), true, false)
+	l.Activate("c2", "acme", at(0), false, false)
+	l.Activate("c3", "bob", at(0), true, false)
+	check("activated", 3, 0, 2)
+	l.Activate("c1", "acme", at(time.Second), true, false) // re-activation must not double-count
+	check("re-activated", 3, 0, 2)
+	l.Down("c1", at(2*time.Second), CauseFiberCut, "I-II", "", "detect")
+	l.Down("c1", at(3*time.Second), CauseFiberCut, "I-II", "", "detect")
+	l.Down("c2", at(3*time.Second), CauseRoll, "", "", "hit")
+	check("two down", 3, 2, 2)
+	l.Up("c2", at(4*time.Second), "roll-done")
+	check("one up", 3, 1, 2)
+	l.Release("c1", at(5*time.Second)) // closes its outage, leaves the degraded count
+	check("released", 3, 0, 1)
+	l.Release("c1", at(6*time.Second))
+	check("released twice", 3, 0, 1)
+	if got := len(l.Report("acme", at(time.Minute)).Conns); got != 2 {
+		t.Errorf("report lists %d connections, want the live and the released one", got)
+	}
+	if outs := l.Outages("c1"); len(outs) != 1 || outs[0].Resolution != "released" {
+		t.Errorf("released connection's outages = %+v", outs)
+	}
+	if got := l.Conns(); len(got) != 3 || got[0] != "c1" || got[2] != "c3" {
+		t.Errorf("Conns = %v", got)
+	}
+}
