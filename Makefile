@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint cover bench profile reproduce examples daemon trace latency serve clean
+.PHONY: all build test vet lint cover bench profile reproduce examples daemon trace latency clean
 
 all: build test
 
@@ -54,13 +54,9 @@ daemon:
 
 # Regenerate the setup-latency before/after distributions (BENCH_PR6.json):
 # serial choreography vs graph + path cache + pre-arm, per service class.
+# TestLatencyWithinCommittedBaseline holds later runs to the committed file.
 latency:
 	$(GO) run ./cmd/griphon-bench -latency 120
-
-# Regenerate the journal/API hot-path numbers (BENCH_PR10.json): group commit
-# vs per-commit fsync, fast vs legacy HTTP response path over a real listener.
-serve:
-	$(GO) run ./cmd/griphon-bench -serve 4000
 
 # Record a setup -> cut -> restore demo trace; load trace.json in
 # ui.perfetto.dev or chrome://tracing to see the EMS step ladder.

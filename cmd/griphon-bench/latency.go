@@ -10,7 +10,7 @@ import (
 )
 
 // runLatencyBench runs the setup-latency benchmark and writes the JSON report
-// CI commits as the regression baseline.
+// that experiments.TestLatencyWithinCommittedBaseline holds later runs to.
 func runLatencyBench(seed int64, iters int, out string) error {
 	rep, err := experiments.LatencyBench(seed, iters)
 	if err != nil {
@@ -30,48 +30,6 @@ func runLatencyBench(seed int64, iters int, out string) error {
 		return err
 	}
 	fmt.Printf("wrote %s (seed %d, %d setups per class per mode)\n", out, seed, iters)
-	return nil
-}
-
-// runLatencyGate re-runs the benchmark at the committed baseline's seed and
-// iteration count and fails if any class's fast-mode p95 regressed beyond the
-// tolerance.
-func runLatencyGate(path string, tol float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var want experiments.LatencyReport
-	if err := json.Unmarshal(data, &want); err != nil {
-		return fmt.Errorf("parse %s: %w", path, err)
-	}
-	if len(want.Classes) == 0 || want.Iters <= 0 {
-		return fmt.Errorf("%s holds no classes or a non-positive iteration count", path)
-	}
-	got, err := experiments.LatencyBench(want.Seed, want.Iters)
-	if err != nil {
-		return err
-	}
-	var violations []string
-	for _, name := range sortedClasses(want) {
-		w := want.Classes[name]
-		g, ok := got.Classes[name]
-		if !ok {
-			violations = append(violations, fmt.Sprintf("class %s missing from the re-run", name))
-			continue
-		}
-		limit := w.Fast.P95 * (1 + tol)
-		status := "ok"
-		if g.Fast.P95 > limit {
-			status = "REGRESSED"
-			violations = append(violations,
-				fmt.Sprintf("%s fast p95 %.1fs exceeds committed %.1fs by more than %.0f%%", name, g.Fast.P95, w.Fast.P95, tol*100))
-		}
-		fmt.Printf("%-12s fast p95 %.1fs vs committed %.1fs (limit %.1fs): %s\n", name, g.Fast.P95, w.Fast.P95, limit, status)
-	}
-	if len(violations) > 0 {
-		return fmt.Errorf("%d regression(s): %v", len(violations), violations)
-	}
 	return nil
 }
 

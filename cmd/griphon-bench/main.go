@@ -1,5 +1,6 @@
 // Command griphon-bench regenerates the paper's tables and figures (and the
-// extension studies indexed in DESIGN.md §4) as formatted text.
+// extension studies indexed in DESIGN.md §4) as formatted text, and runs the
+// soaks, all in virtual time. Wall-clock performance is measured by bench/.
 //
 // Usage:
 //
@@ -11,14 +12,9 @@
 //	griphon-bench -trace trace.json   # record a setup→cut→restore demo trace
 //	griphon-bench -chaos 2000         # chaos soak: N randomized ops under the fault model
 //	griphon-bench -chaos 2000 -flight-out flight.json   # where a failing soak dumps the flight recorder
+//	griphon-bench -chaos 300 -tenants 50 -shards 4   # multi-tenant soak with cross-shard audit
 //	griphon-bench -crash 50           # crash-recovery soak: N random WAL truncations
 //	griphon-bench -latency 120        # setup-latency benchmark: write BENCH_PR6.json
-//	griphon-bench -latency-gate BENCH_PR6.json   # fail on fast-mode p95 regression
-//	griphon-bench -tenants 1000       # multi-tenant scaling benchmark: write BENCH_PR9.json
-//	griphon-bench -tenants-gate BENCH_PR9.json   # fail on speedup collapse or audit findings
-//	griphon-bench -chaos 300 -tenants 50 -shards 4   # multi-tenant soak with cross-shard audit
-//	griphon-bench -serve 4000         # journal/API hot-path benchmark: write BENCH_PR10.json
-//	griphon-bench -serve-gate BENCH_PR10.json    # fail on group-commit or fast-path speedup collapse
 package main
 
 import (
@@ -44,44 +40,9 @@ func main() {
 	crash := flag.Int("crash", 0, "run the crash-recovery soak with this many WAL truncation trials and exit")
 	latency := flag.Int("latency", 0, "run the setup-latency benchmark with this many setups per class and write the JSON report")
 	latencyOut := flag.String("latency-out", "BENCH_PR6.json", "where -latency writes the JSON report")
-	latencyGate := flag.String("latency-gate", "", "re-run the latency benchmark at this committed baseline's seed/iters and fail on p95 regression")
-	latencyTol := flag.Float64("latency-tol", 0.10, "relative tolerance for the -latency-gate p95 comparison")
-	tenants := flag.Int("tenants", 0, "run the multi-tenant scaling benchmark with this many customers (or the sharded chaos soak with -chaos) and write the JSON report")
-	tenantsOut := flag.String("tenants-out", "BENCH_PR9.json", "where -tenants writes the JSON report")
-	tenantsGate := flag.String("tenants-gate", "", "re-run the tenant benchmark against this committed baseline and fail on correctness or speedup collapse")
-	tenantsTol := flag.Float64("tenants-tol", 0.50, "relative tolerance for the -tenants-gate speedup comparison")
+	tenants := flag.Int("tenants", 0, "with -chaos, spread the soak over this many customers on -shards shards and audit across shards")
 	shards := flag.Int("shards", 4, "shard count for the -chaos -tenants soak")
-	serve := flag.Int("serve", 0, "run the journal/API hot-path benchmark with this many ops per mode and write the JSON report")
-	serveOut := flag.String("serve-out", "BENCH_PR10.json", "where -serve writes the JSON report")
-	serveGate := flag.String("serve-gate", "", "re-run the serve benchmark at this committed baseline's seed/iters and fail on speedup collapse")
-	serveTol := flag.Float64("serve-tol", 0.50, "relative tolerance for the -serve-gate speedup comparison")
 	flag.Parse()
-
-	if *serveGate != "" {
-		if err := runServeGate(*serveGate, *serveTol); err != nil {
-			fmt.Fprintln(os.Stderr, "serve-gate:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("serve gate passed against %s (tolerance %.0f%%)\n", *serveGate, *serveTol*100)
-		return
-	}
-
-	if *serve > 0 {
-		if err := runServeBench(*seed, *serve, *serveOut); err != nil {
-			fmt.Fprintln(os.Stderr, "serve:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *tenantsGate != "" {
-		if err := runTenantsGate(*tenantsGate, *tenantsTol); err != nil {
-			fmt.Fprintln(os.Stderr, "tenants-gate:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("tenants gate passed against %s (tolerance %.0f%%)\n", *tenantsGate, *tenantsTol*100)
-		return
-	}
 
 	if *tenants > 0 && *chaos > 0 {
 		res, err := experiments.ChaosShardedN(*seed, *chaos, *tenants, *shards, false)
@@ -93,23 +54,6 @@ func main() {
 		if res.Values["audit_findings"] != 0 {
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *tenants > 0 {
-		if err := runTenantsBench(*seed, *tenants, *tenantsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "tenants:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *latencyGate != "" {
-		if err := runLatencyGate(*latencyGate, *latencyTol); err != nil {
-			fmt.Fprintln(os.Stderr, "latency-gate:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("latency gate passed against %s (tolerance %.0f%%)\n", *latencyGate, *latencyTol*100)
 		return
 	}
 

@@ -3,29 +3,17 @@ package api
 // Response-path machinery: pooled encode buffers, pre-encoded static bodies,
 // and a version-invalidated GET response cache. The API fronts a
 // single-threaded simulation, so every byte saved on the marshal path is
-// throughput; the benchmark harness (griphon-bench -serve) drives this path
-// over real HTTP and gates it in CI. WithLegacyEncoding preserves the
-// original allocate-per-response behavior so the benchmark compares the two
-// honestly inside one binary.
+// throughput; bench/ drives this path over real HTTP against a running
+// griphond (workload portal-read).
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 )
-
-// Option tunes a Server at construction.
-type Option func(*Server)
-
-// WithLegacyEncoding restores the pre-optimization response path: one
-// json.Marshal allocation per response, no buffer pooling, no static bodies,
-// no GET cache. It exists so the serve benchmark can measure the fast path
-// against the original inside the same binary.
-func WithLegacyEncoding() Option {
-	return func(s *Server) { s.legacy = true }
-}
 
 // encState is a pooled response encoder: a reusable buffer with a JSON
 // encoder bound to it. json.Encoder.Encode emits exactly json.Marshal's bytes
@@ -41,6 +29,11 @@ var encPool = sync.Pool{New: func() any {
 	return e
 }}
 
+// maxRequestBody bounds a request body. Real requests are under 300 bytes;
+// the bound keeps one oversized POST from being buffered whole and its
+// capacity from staying pinned in bufPool.
+const maxRequestBody = 1 << 20
+
 // bufPool holds request-body read buffers.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -55,13 +48,8 @@ var (
 // mutated, so hot responses skip the per-call slice Header().Set allocates.
 var jsonContentType = []string{"application/json"}
 
-// writeStatic sends a pre-encoded JSON body. Under legacy encoding it falls
-// back to marshaling the equivalent map, as the original handlers did.
-func (s *Server) writeStatic(w http.ResponseWriter, body []byte, legacyStatus string) {
-	if s.legacy {
-		s.writeJSON(w, http.StatusOK, map[string]string{"status": legacyStatus})
-		return
-	}
+// writeStatic sends a pre-encoded JSON body.
+func (s *Server) writeStatic(w http.ResponseWriter, body []byte) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(body); err != nil {
@@ -77,15 +65,6 @@ func (s *Server) encode(e *encState, v any) error {
 		}
 	}
 	e.buf.Reset()
-	if s.legacy {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		e.buf.Write(b) //lint:allow errcheck bytes.Buffer never errors
-		e.buf.WriteByte('\n')
-		return nil
-	}
 	return e.enc.Encode(v)
 }
 
@@ -185,7 +164,7 @@ func (s *Server) withCache(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		if s.legacy || r.Method != http.MethodGet || !cacheable(r.URL.Path) {
+		if r.Method != http.MethodGet || !cacheable(r.URL.Path) {
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -245,13 +224,19 @@ func (s *Server) writeErr(w http.ResponseWriter, status int, err error) {
 }
 
 // readJSON decodes the request body through a pooled buffer, keeping the
-// strict unknown-field rejection of the original decoder path.
+// strict unknown-field rejection of the original decoder path. A body over
+// maxRequestBody is refused with 413 before it is buffered.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := bufPool.Get().(*bytes.Buffer)
 	defer bufPool.Put(buf)
 	buf.Reset()
-	if _, err := buf.ReadFrom(r.Body); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody)); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.writeErr(w, status, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))

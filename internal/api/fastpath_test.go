@@ -1,10 +1,14 @@
 package api
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -43,9 +47,9 @@ func TestWriteJSONTerminalFallback(t *testing.T) {
 }
 
 // TestStaticBodiesMatchLegacy pins the pre-encoded mutation responses to the
-// bytes the legacy marshal path produces.
+// bytes marshaling the equivalent map produces — the reference the original
+// handlers used.
 func TestStaticBodiesMatchLegacy(t *testing.T) {
-	legacy := NewServer(newNet(t), WithLegacyEncoding())
 	for _, c := range []struct {
 		body   []byte
 		status string
@@ -54,10 +58,13 @@ func TestStaticBodiesMatchLegacy(t *testing.T) {
 		{bodyCut, "cut"},
 		{bodyRepaired, "repaired"},
 	} {
-		rec := httptest.NewRecorder()
-		legacy.writeJSON(rec, http.StatusOK, map[string]string{"status": c.status})
-		if rec.Body.String() != string(c.body) {
-			t.Errorf("static %q = %q, legacy renders %q", c.status, c.body, rec.Body.String())
+		want, err := json.Marshal(map[string]string{"status": c.status})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		if !bytes.Equal(c.body, want) {
+			t.Errorf("static %q = %q, marshal renders %q", c.status, c.body, want)
 		}
 	}
 }
@@ -162,56 +169,74 @@ func TestPanickingMutationStillInvalidates(t *testing.T) {
 	}
 }
 
-// TestLegacyServerServesIdenticalBytes runs the same scripted session against
-// a fast and a legacy server over the same-seed network and requires
-// byte-identical responses: the fast path is an optimization, not a behavior
-// change.
+// TestLegacyServerServesIdenticalBytes runs a scripted session and requires
+// the responses to match testdata/scripted_session.golden byte for byte. The
+// golden was written by the allocate-per-response json.Marshal encoder this
+// server replaced (the last commit that had it, over the same nine requests):
+// the pooled encoder, static bodies and GET cache are an optimization, not a
+// behavior change.
 func TestLegacyServerServesIdenticalBytes(t *testing.T) {
-	run := func(opts ...Option) []string {
+	s := NewServer(newNet(t))
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	var got strings.Builder
+	do := func(method, path, body string) {
 		t.Helper()
-		s := NewServer(newNet(t), opts...)
-		srv := httptest.NewServer(s.Handler())
-		defer srv.Close()
-		var out []string
-		do := func(method, path, body string) {
-			t.Helper()
-			var resp *http.Response
-			var err error
-			if method == http.MethodGet {
-				resp, err = http.Get(srv.URL + path)
-			} else {
-				resp, err = http.Post(srv.URL+path, "application/json", strings.NewReader(body))
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			b, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, fmt.Sprintf("%d %s", resp.StatusCode, b))
+		var resp *http.Response
+		var err error
+		if method == http.MethodGet {
+			resp, err = http.Get(srv.URL + path)
+		} else {
+			resp, err = http.Post(srv.URL+path, "application/json", strings.NewReader(body))
 		}
-		do("POST", "/api/v1/connect", `{"customer":"acme","from":"DC-A","to":"DC-C","rate":"10G"}`)
-		do("GET", "/api/v1/connections?customer=acme", "")
-		do("GET", "/api/v1/connections?customer=acme", "") // cache hit on the fast server
-		do("GET", "/api/v1/stats", "")
-		do("GET", "/api/v1/topology", "")
-		do("GET", "/api/v1/bill?customer=acme", "")
-		do("POST", "/api/v1/connect", `{"customer":"acme","from":"bogus","to":"DC-C","rate":"10G"}`) // error path
-		do("POST", "/api/v1/advance", `{"duration":"30m"}`)
-		do("GET", "/api/v1/stats", "")
-		return out
-	}
-	fast := run()
-	legacy := run(WithLegacyEncoding())
-	if len(fast) != len(legacy) {
-		t.Fatalf("response counts differ: %d vs %d", len(fast), len(legacy))
-	}
-	for i := range fast {
-		if fast[i] != legacy[i] {
-			t.Errorf("response %d differs:\nfast:   %s\nlegacy: %s", i, fast[i], legacy[i])
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%d %s", resp.StatusCode, b)
+	}
+	do("POST", "/api/v1/connect", `{"customer":"acme","from":"DC-A","to":"DC-C","rate":"10G"}`)
+	do("GET", "/api/v1/connections?customer=acme", "")
+	do("GET", "/api/v1/connections?customer=acme", "") // cache hit
+	do("GET", "/api/v1/stats", "")
+	do("GET", "/api/v1/topology", "")
+	do("GET", "/api/v1/bill?customer=acme", "")
+	do("POST", "/api/v1/connect", `{"customer":"acme","from":"bogus","to":"DC-C","rate":"10G"}`) // error path
+	do("POST", "/api/v1/advance", `{"duration":"30m"}`)
+	do("GET", "/api/v1/stats", "")
+	if hits := s.cacheHits.Value(); hits != 1 {
+		t.Errorf("cache hits = %v, want 1: the session no longer exercises the cache", hits)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "scripted_session.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("scripted session moved:\n got: %s\nwant: %s", got.String(), want)
+	}
+}
+
+// TestOversizedBodyRefused: a body past maxRequestBody gets 413 without being
+// buffered whole, and the server keeps serving.
+func TestOversizedBodyRefused(t *testing.T) {
+	h := NewServer(newNet(t)).Handler()
+	post := func(body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/connect", strings.NewReader(body)))
+		return rec.Code
+	}
+	if got := post(strings.Repeat("x", 2*maxRequestBody)); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body = %d, want 413", got)
+	}
+	if got := post("not json"); got != http.StatusBadRequest {
+		t.Fatalf("malformed body = %d, want 400", got)
+	}
+	if got := post(`{"customer":"acme","from":"DC-A","to":"DC-C","rate":"10G"}`); got != http.StatusOK {
+		t.Fatalf("well-formed connect after the oversized one = %d, want 200", got)
 	}
 }
 
@@ -229,8 +254,8 @@ func (d *discardResponseWriter) Write(p []byte) (int, error) { return len(p), ni
 func (d *discardResponseWriter) WriteHeader(int)             {}
 
 // TestWriteJSONAllocGate gates the pooled response encoder. The exact figure
-// depends on encoding/json internals; what is pinned is the absence of the
-// per-response buffer copies the legacy path made.
+// depends on encoding/json internals; what is pinned is the absence of
+// per-response buffer copies.
 func TestWriteJSONAllocGate(t *testing.T) {
 	s := NewServer(newNet(t))
 	w := &discardResponseWriter{}
@@ -251,7 +276,7 @@ func TestWriteStaticAllocGate(t *testing.T) {
 	w := &discardResponseWriter{}
 	w.Header().Set("Content-Type", "application/json")
 	allocs := testing.AllocsPerRun(200, func() {
-		s.writeStatic(w, bodyReleased, "released")
+		s.writeStatic(w, bodyReleased)
 	})
 	if allocs > 0 {
 		t.Fatalf("writeStatic allocates %.1f objects per response, want 0", allocs)

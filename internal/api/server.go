@@ -26,9 +26,7 @@ type Server struct {
 	// instrument the controller registers, fetched from the shared registry.
 	encodeErrs *obs.Counter
 
-	// legacy restores the pre-optimization response path (WithLegacyEncoding).
-	legacy bool
-	cache  respCache
+	cache respCache
 	cacheHits,
 	cacheMisses *obs.Counter
 
@@ -38,8 +36,8 @@ type Server struct {
 }
 
 // NewServer wraps a network.
-func NewServer(net *griphon.Network, opts ...Option) *Server {
-	s := &Server{
+func NewServer(net *griphon.Network) *Server {
+	return &Server{
 		net: net,
 		encodeErrs: net.Metrics().Counter("griphon_api_encode_errors_total",
 			"HTTP API responses that failed to encode or write."),
@@ -48,10 +46,6 @@ func NewServer(net *griphon.Network, opts ...Option) *Server {
 		cacheMisses: net.Metrics().Counter("griphon_api_cache_misses_total",
 			"Cacheable GET responses rendered from state."),
 	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s
 }
 
 // Handler returns the API's routing table, wrapped in the GET response cache.
@@ -153,7 +147,7 @@ func (s *Server) handleDisconnect(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusConflict, err)
 		return
 	}
-	s.writeStatic(w, bodyReleased, "released")
+	s.writeStatic(w, bodyReleased)
 }
 
 func (s *Server) handleRoll(w http.ResponseWriter, r *http.Request) {
@@ -232,7 +226,7 @@ func (s *Server) handleCut(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusConflict, err)
 		return
 	}
-	s.writeStatic(w, bodyCut, "cut")
+	s.writeStatic(w, bodyCut)
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
@@ -246,7 +240,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusConflict, err)
 		return
 	}
-	s.writeStatic(w, bodyRepaired, "repaired")
+	s.writeStatic(w, bodyRepaired)
 }
 
 func (s *Server) handleMaintenance(w http.ResponseWriter, r *http.Request) {

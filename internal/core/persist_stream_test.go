@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"griphon/internal/journal"
@@ -49,35 +51,36 @@ func TestStreamStateMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestLegacyJSONDirUpgradesInPlace is the cross-era compatibility contract: a
+// TestJSONEraDirUpgradesInPlace is the cross-era compatibility contract: a
 // state directory written entirely in the legacy JSON encoding (snapshot and
 // WAL records) keeps accepting binary appends after an upgrade, and the
 // resulting mixed-format directory rehydrates byte-equal to the live state.
-func TestLegacyJSONDirUpgradesInPlace(t *testing.T) {
+//
+// testdata/json_era is such a directory, frozen: the last commit that still
+// had a JSON frame writer ran runJournaledOps(60) on kernel seed 31 with
+// AutoRepair and SnapshotEvery 16 into it, and durable_state.golden is the
+// DurableState of that live controller at close.
+func TestJSONEraDirUpgradesInPlace(t *testing.T) {
+	src := filepath.Join("testdata", "json_era")
+	legacyFrozen, err := os.ReadFile(filepath.Join(src, "durable_state.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	legacyStore, err := journal.Open(dir, journal.Options{LegacyJSON: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := sim.NewKernel(31)
-	c, err := New(k, topo.Testbed(), Config{AutoRepair: true, Journal: legacyStore, SnapshotEvery: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runJournaledOps(t, k, c, 60)
-	k.Run()
-	if legacyStore.Stats().Snapshots == 0 {
-		t.Fatal("workload too small: no legacy snapshot written")
-	}
-	legacyFrozen, err := c.DurableState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := legacyStore.Close(); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"snapshot.db", "wal-00000002.log"} {
+		b, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b[8] != '{' { // first payload byte behind the 8-byte frame header
+			t.Fatalf("fixture %s starts with %#x, want '{'", name, b[8])
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// Upgrade: same directory, binary format. Snapshotting is disabled so the
+	// Upgrade: today's store on that directory. Snapshotting is disabled so the
 	// legacy JSON snapshot stays on disk and the new records land as binary
 	// WAL frames behind it — the mixed-format directory of interest.
 	binStore, err := journal.Open(dir, journal.Options{})

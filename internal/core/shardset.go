@@ -285,10 +285,16 @@ func (s *ShardSet) Drain() {
 	}
 }
 
-// DrainParallel drains every shard concurrently, one goroutine per shard —
-// the throughput mode of the multi-tenant benchmark. Determinism is traded
-// for wall-clock scaling: shard clocks advance independently and merged-log
-// order follows goroutine scheduling.
+// DrainParallel drains every shard concurrently, one goroutine per shard.
+// Determinism is traded for wall-clock scaling: shard clocks advance
+// independently and merged-log order follows goroutine scheduling.
+//
+// Known limitation: two shards' setups can read the coordinator's
+// foreign-channel mask, pick the same wavelength, and the loser's claim then
+// fails its whole setup ("cross-shard spectrum conflict") instead of trying
+// the next channel. Lockstep drive, the only mode griphond uses, cannot
+// interleave there; the fix belongs to ROADMAP "Make sharding pay in
+// wall-clock" (lock per shard). TestShardSetBookingCycles pins both sides.
 func (s *ShardSet) DrainParallel() {
 	var wg sync.WaitGroup
 	for _, sh := range s.shards {

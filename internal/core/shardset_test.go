@@ -14,6 +14,7 @@ import (
 	"griphon/internal/inventory"
 	"griphon/internal/journal"
 	"griphon/internal/optics"
+	"griphon/internal/sim"
 	"griphon/internal/topo"
 )
 
@@ -524,6 +525,70 @@ func TestShardSetMergedLogReads(t *testing.T) {
 		}
 		if got := s.EventsFor(conn.ID); len(want) == 0 || !reflect.DeepEqual(got, want) {
 			t.Errorf("EventsFor(%s) = %d entries, want %d", conn.ID, len(got), len(want))
+		}
+	}
+}
+
+// TestShardSetBookingCycles pushes 48 tenants through one full bandwidth
+// calendar cycle each — a booked window that provisions, holds and releases —
+// with windows spaced per shard so admission never blocks. Under lockstep
+// drive, the only mode griphond uses, every cycle completes cleanly. Under
+// DrainParallel every cycle still ends and the books still balance, but two
+// shards' booking timers can read the coordinator's foreign-channel mask,
+// pick the same wavelength, and the loser's claim fails its whole setup
+// instead of trying the next channel: that conflict is the one setup error
+// parallel drive may report (see DrainParallel).
+func TestShardSetBookingCycles(t *testing.T) {
+	book := func(t *testing.T, s *ShardSet) []*Booking {
+		t.Helper()
+		pairs := [][2]topo.SiteID{{"DC-A", "DC-C"}, {"DC-A", "DC-B"}, {"DC-B", "DC-C"}}
+		next := make([]int, s.Len()) // per-shard window sequence
+		var bookings []*Booking
+		for i := 0; i < 48; i++ {
+			cust := inventory.Customer(fmt.Sprintf("tenant-%04d", i))
+			sh := s.ShardFor(cust)
+			slot := next[sh]
+			next[sh]++
+			rate := bw.Rate10G // even tenants take a wavelength...
+			if i%2 == 1 {
+				rate = bw.Rate1G // ...odd ones ride shared OTN pipes
+			}
+			p := pairs[i%len(pairs)]
+			at := sim.Time(0).Add(time.Duration(slot)*10*time.Minute + time.Minute)
+			b, err := s.For(cust).ScheduleConnect(Request{
+				Customer: cust, From: p[0], To: p[1], Rate: rate,
+			}, at, 5*time.Minute)
+			if err != nil {
+				t.Fatalf("tenant %d: %v", i, err)
+			}
+			bookings = append(bookings, b)
+		}
+		return bookings
+	}
+	for _, shards := range []int{1, 3} {
+		for _, parallel := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/parallel=%v", shards, parallel), func(t *testing.T) {
+				s := newShardSet(t, shards, ShardSetConfig{})
+				defer s.Close()
+				bookings := book(t, s)
+				if parallel {
+					s.DrainParallel()
+				} else {
+					s.Drain()
+				}
+				for _, b := range bookings {
+					if !b.Done.Done() || b.CloseErr != nil {
+						t.Errorf("%s: done=%v close=%v", b.Req.Customer, b.Done.Done(), b.CloseErr)
+					}
+					known := parallel && b.SetupErr != nil && strings.Contains(b.SetupErr.Error(), "cross-shard spectrum conflict")
+					if b.SetupErr != nil && !known {
+						t.Errorf("%s: setup failed: %v", b.Req.Customer, b.SetupErr)
+					}
+				}
+				for _, f := range s.AuditInvariants() {
+					t.Errorf("audit: %s", f)
+				}
+			})
 		}
 	}
 }

@@ -92,8 +92,6 @@ var All = []Spec{
 	{ID: "trace", Paper: "extension: restoration timeline rebuilt from the span recorder", Run: Trace},
 	{ID: "scale", Paper: "§1 carrier scale: 64-node grid, a month of churn + failure storm", Run: Scale},
 	{ID: "latency", Paper: "PR 6: setup-latency war — graph choreography, path cache, pre-arming", Run: Latency},
-	{ID: "tenants", Paper: "PR 9: sharded multi-tenant control plane scaling", Run: Tenants},
-	{ID: "serve", Paper: "PR 10: journal & API hot paths — group commit, pooled encoding, GET cache", Run: Serve},
 	{ID: "chaos", Paper: "§2.2/§3 extension: fault-model soak with invariant audit", Run: Chaos},
 	{ID: "crashrec", Paper: "§2.2 extension: WAL crash injection with shadow-state diff", Run: CrashRec},
 }

@@ -36,6 +36,16 @@ func TestFindExperiment(t *testing.T) {
 	if _, err := Find("nope"); err == nil {
 		t.Error("unknown experiment found")
 	}
+	// The wall-clock A/B benchmarks live in bench/ now; TestAllExperimentsRun
+	// runs the 21 that remain.
+	for _, id := range []string{"serve", "tenants"} {
+		if _, err := Find(id); err == nil {
+			t.Errorf("%s is still an experiment ID", id)
+		}
+	}
+	if len(All) != 21 {
+		t.Errorf("%d experiments registered, want 21", len(All))
+	}
 }
 
 // TestTable2MatchesPaperShape is the headline reproduction check: measured

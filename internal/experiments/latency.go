@@ -35,8 +35,8 @@ type LatencyClass struct {
 	SpeedupP50 float64      `json:"speedup_p50"`
 }
 
-// LatencyReport is the JSON artifact (BENCH_PR6.json) the CI latency gate
-// compares against.
+// LatencyReport is the JSON artifact (BENCH_PR6.json) that
+// TestLatencyWithinCommittedBaseline compares against.
 type LatencyReport struct {
 	PR      int                     `json:"pr"`
 	Seed    int64                   `json:"seed"`

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"testing"
+)
 
 // TestLatencyMeetsSpeedupBar is PR 6's acceptance check: the fast
 // configuration (graph choreography + path cache + pre-arm) must at least
@@ -37,6 +41,39 @@ func TestLatencyMeetsSpeedupBar(t *testing.T) {
 			if s.P50 > s.P95 || s.P95 > s.P99 {
 				t.Errorf("%s: percentiles out of order: p50 %.1f p95 %.1f p99 %.1f", name, s.P50, s.P95, s.P99)
 			}
+		}
+	}
+}
+
+// TestLatencyWithinCommittedBaseline re-runs the benchmark at the committed
+// baseline's seed and iteration count — virtual time, so the same code gives
+// the same numbers — and fails if any class's fast-mode p95 regressed beyond
+// 10% or a class went missing. `make latency` regenerates the baseline.
+func TestLatencyWithinCommittedBaseline(t *testing.T) {
+	const path = "../../BENCH_PR6.json"
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want LatencyReport
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("parse %s: %v", path, err)
+	}
+	if len(want.Classes) == 0 || want.Iters <= 0 {
+		t.Fatalf("%s holds no classes or a non-positive iteration count", path)
+	}
+	got, err := LatencyBench(want.Seed, want.Iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range want.Classes {
+		g, ok := got.Classes[name]
+		if !ok {
+			t.Errorf("class %s missing from the re-run", name)
+			continue
+		}
+		if limit := w.Fast.P95 * 1.10; g.Fast.P95 > limit {
+			t.Errorf("%s fast p95 %.1fs exceeds committed %.1fs by more than 10%%", name, g.Fast.P95, w.Fast.P95)
 		}
 	}
 }

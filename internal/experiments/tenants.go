@@ -12,151 +12,6 @@ import (
 	"griphon/internal/topo"
 )
 
-// TenantsPoint is one shard count's measurement in the multi-tenant scaling
-// benchmark: the cost of pushing the same tenant population through 1..N
-// control-plane shards. Wall-clock numbers are informational (they depend on
-// core count); the scaling claim is carried by the deterministic kernel-event
-// accounting: EventsBottleneck is the work the busiest shard's event loop
-// executes, which is what bounds wall time once each shard has a core, and
-// ProjectedSpeedup = baseline events / bottleneck events. Near-linear scaling
-// means ProjectedSpeedup tracks the shard count — the load partitions evenly
-// AND the coordinator adds no super-linear cross-shard work.
-type TenantsPoint struct {
-	Shards           int     `json:"shards"`
-	WallMS           float64 `json:"wall_ms"`
-	CyclesPerSec     float64 `json:"cycles_per_sec"`
-	EventsTotal      uint64  `json:"events_total"`
-	EventsBottleneck uint64  `json:"events_bottleneck"`
-	ProjectedSpeedup float64 `json:"projected_speedup"`
-	Overhead         float64 `json:"overhead"`
-	Failed           int     `json:"failed"`
-	AuditFindings    int     `json:"audit_findings"`
-}
-
-// TenantsReport is the committed JSON baseline (BENCH_PR9.json) the CI
-// throughput gate compares against.
-type TenantsReport struct {
-	Seed        int64          `json:"seed"`
-	Tenants     int            `json:"tenants"`
-	ShardCounts []int          `json:"shard_counts"`
-	Points      []TenantsPoint `json:"points"`
-	MaxSpeedup  float64        `json:"max_speedup"`
-}
-
-// tenantsWorkload pushes `tenants` customers through one full bandwidth
-// calendar cycle each — a booked window that provisions, holds, and releases —
-// on a control plane with the given shard count, and measures the wall-clock
-// cost of draining it with the goroutine-per-shard driver. Windows are spaced
-// per shard so admission never blocks: every tenant's cycle completes, and
-// the comparison across shard counts is the same work divided N ways.
-func tenantsWorkload(seed int64, tenants, shards int) (TenantsPoint, error) {
-	set, err := core.NewShardSet(topo.Testbed(), core.ShardSetConfig{Shards: shards, Seed: seed})
-	if err != nil {
-		return TenantsPoint{}, err
-	}
-	defer set.Close()
-
-	pairs := [][2]topo.SiteID{{"DC-A", "DC-C"}, {"DC-A", "DC-B"}, {"DC-B", "DC-C"}}
-	next := make([]int, set.Len()) // per-shard window sequence
-	bookings := make([]*core.Booking, 0, tenants)
-	for i := 0; i < tenants; i++ {
-		cust := inventory.Customer(fmt.Sprintf("tenant-%04d", i))
-		sh := set.ShardFor(cust)
-		slot := next[sh]
-		next[sh]++
-		rate := bw.Rate10G // even tenants take a wavelength...
-		if i%2 == 1 {
-			rate = bw.Rate1G // ...odd ones ride shared OTN pipes
-		}
-		p := pairs[i%len(pairs)]
-		at := sim.Time(0).Add(time.Duration(slot)*10*time.Minute + time.Minute)
-		b, err := set.For(cust).ScheduleConnect(core.Request{
-			Customer: cust, From: p[0], To: p[1], Rate: rate,
-		}, at, 5*time.Minute)
-		if err != nil {
-			return TenantsPoint{}, fmt.Errorf("tenant %d: %w", i, err)
-		}
-		bookings = append(bookings, b)
-	}
-
-	sw := sim.NewStopwatch()
-	set.DrainParallel()
-	wall := sw.Elapsed()
-
-	pt := TenantsPoint{Shards: shards, WallMS: float64(wall.Microseconds()) / 1000}
-	for _, b := range bookings {
-		if b.SetupErr != nil || b.CloseErr != nil || !b.Done.Done() {
-			pt.Failed++
-		}
-	}
-	for i := 0; i < set.Len(); i++ {
-		n := set.Shard(i).Kernel.Processed()
-		pt.EventsTotal += n
-		if n > pt.EventsBottleneck {
-			pt.EventsBottleneck = n
-		}
-	}
-	pt.AuditFindings = len(set.AuditInvariants())
-	if wall > 0 {
-		pt.CyclesPerSec = float64(tenants) / wall.Seconds()
-	}
-	return pt, nil
-}
-
-// TenantsBench measures the tenant workload at each shard count and reports
-// speedups relative to the single-shard (serial) control plane.
-func TenantsBench(seed int64, tenants int, shardCounts []int) (TenantsReport, error) {
-	rep := TenantsReport{Seed: seed, Tenants: tenants, ShardCounts: shardCounts}
-	var base uint64
-	for _, n := range shardCounts {
-		pt, err := tenantsWorkload(seed, tenants, n)
-		if err != nil {
-			return TenantsReport{}, fmt.Errorf("shards=%d: %w", n, err)
-		}
-		if base == 0 {
-			base = pt.EventsTotal
-		}
-		if pt.EventsBottleneck > 0 {
-			pt.ProjectedSpeedup = float64(base) / float64(pt.EventsBottleneck)
-		}
-		if base > 0 {
-			pt.Overhead = float64(pt.EventsTotal) / float64(base)
-		}
-		if pt.ProjectedSpeedup > rep.MaxSpeedup {
-			rep.MaxSpeedup = pt.ProjectedSpeedup
-		}
-		rep.Points = append(rep.Points, pt)
-	}
-	return rep, nil
-}
-
-// Tenants is the registered experiment: a reduced run of the scaling
-// benchmark (the committed BENCH_PR9.json baseline uses -tenants 1000).
-func Tenants(seed int64) (Result, error) {
-	res := Result{ID: "tenants", Paper: "PR 9: sharded multi-tenant control plane"}
-	rep, err := TenantsBench(seed, 120, []int{1, 2, 4})
-	if err != nil {
-		return Result{}, err
-	}
-	tb := metrics.NewTable("Multi-tenant scaling: one full booking cycle per tenant",
-		"Shards", "Wall ms", "Cycles/s", "Proj speedup", "Overhead", "Failed", "Audit")
-	failed, findings := 0, 0
-	for _, pt := range rep.Points {
-		tb.Row(fmt.Sprintf("%d", pt.Shards), pt.WallMS, pt.CyclesPerSec,
-			pt.ProjectedSpeedup, pt.Overhead, float64(pt.Failed), float64(pt.AuditFindings))
-		failed += pt.Failed
-		findings += pt.AuditFindings
-	}
-	res.Tables = append(res.Tables, tb)
-	res.value("tenants", float64(rep.Tenants))
-	res.value("max_speedup", rep.MaxSpeedup)
-	res.value("failed", float64(failed))
-	res.value("audit_findings", float64(findings))
-	res.notef("%d tenants per point; projected speedup is the deterministic event-partition "+
-		"ratio (baseline events / bottleneck shard events), wall clock is hardware-dependent", rep.Tenants)
-	return res, nil
-}
-
 // ChaosShardedN is the multi-tenant flavor of the chaos soak: randomized
 // setups, teardowns, cuts and time jumps across many tenants spread over a
 // sharded control plane, with the cross-shard invariant audit (per-shard

@@ -2,26 +2,6 @@ package experiments
 
 import "testing"
 
-// TestTenantsBenchCompletesEveryCycle: every tenant's booking cycle finishes
-// and the books balance at every shard count.
-func TestTenantsBenchCompletesEveryCycle(t *testing.T) {
-	rep, err := TenantsBench(1, 48, []int{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(rep.Points))
-	}
-	for _, pt := range rep.Points {
-		if pt.Failed != 0 {
-			t.Errorf("shards=%d: %d failed cycles", pt.Shards, pt.Failed)
-		}
-		if pt.AuditFindings != 0 {
-			t.Errorf("shards=%d: %d audit findings", pt.Shards, pt.AuditFindings)
-		}
-	}
-}
-
 // TestChaosShardedCleanRun: the multi-tenant soak holds the cross-shard
 // invariants through a randomized workload.
 func TestChaosShardedCleanRun(t *testing.T) {

@@ -16,10 +16,10 @@
 //	u32 LE payload length | u32 LE CRC32 (IEEE) of payload | payload
 //
 // The payload's first byte selects its encoding: '{' is the original JSON
-// envelope (kept so state directories written before the binary format still
-// replay), 0x01 is the binary record encoding (varint sequence number, a
-// one-byte kind table, then the raw record bytes — see binary.go). Snapshots
-// carry the same format byte.
+// envelope (read only: no writer for it exists, it is kept so state
+// directories written before the binary format still replay), 0x01 is the
+// binary record encoding (varint sequence number, a one-byte kind table, then
+// the raw record bytes — see binary.go). Snapshots carry the same format byte.
 //
 // A write that is torn mid-frame — short header, short payload, or a payload
 // whose checksum does not match — invalidates that frame and everything after
@@ -83,11 +83,6 @@ type Options struct {
 	// reaches this many bytes (0 = 4 MiB default, negative disables
 	// rotation).
 	SegmentSize int64
-	// LegacyJSON writes records and snapshots in the pre-binary JSON
-	// encoding. Replay always accepts both formats; this exists so the
-	// mixed-format compatibility tests and benchmarks can produce
-	// old-format state directories on demand.
-	LegacyJSON bool
 }
 
 // Stats counts the store's lifetime activity, including what Open recovered.
@@ -525,19 +520,11 @@ func (s *Store) waitDurable(seq uint64) error {
 }
 
 // encodeFrame builds the on-disk frame for one record in the store's reused
-// scratch buffer. Binary encoding allocates nothing once the buffer has
-// grown to the workload's frame size.
+// scratch buffer. It allocates nothing once the buffer has grown to the
+// workload's frame size.
 func (s *Store) encodeFrame(seq uint64, kind string, data []byte) ([]byte, error) {
 	b := append(s.encBuf[:0], 0, 0, 0, 0, 0, 0, 0, 0) // header hole
-	if s.opts.LegacyJSON {
-		payload, err := json.Marshal(Entry{Seq: seq, Kind: kind, Data: data})
-		if err != nil {
-			return nil, err
-		}
-		b = append(b, payload...)
-	} else {
-		b = appendBinaryRecord(b, seq, kind, data)
-	}
+	b = appendBinaryRecord(b, seq, kind, data)
 	size := len(b) - frameHeader
 	if size > maxFrame {
 		return nil, fmt.Errorf("record of %d bytes exceeds the %d byte frame limit", size, maxFrame)

@@ -203,30 +203,25 @@ func TestTornTailVoidsLaterSegments(t *testing.T) {
 
 // TestMixedFormatDirectory: a directory can carry a legacy JSON snapshot and
 // JSON WAL records alongside binary records appended after an upgrade — one
-// log, two encodings, one replay.
+// log, two encodings, one replay. testdata/json_era is such a directory,
+// frozen: the last commit that still had a JSON frame writer made two
+// appends, a snapshot {"state":"legacy"} and one more append into it.
 func TestMixedFormatDirectory(t *testing.T) {
 	dir := t.TempDir()
-	legacy, err := Open(dir, Options{LegacyJSON: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustAppend(t, legacy, "commit", `{"era":"json","n":1}`)
-	mustAppend(t, legacy, "commit", `{"era":"json","n":2}`)
-	if err := legacy.WriteSnapshot([]byte(`{"state":"legacy"}`)); err != nil {
-		t.Fatal(err)
-	}
-	mustAppend(t, legacy, "commit", `{"era":"json","n":3}`)
-	legacy.Close()
-	// The snapshot on disk must actually be the legacy encoding.
-	rawSnap, err := os.ReadFile(filepath.Join(dir, snapName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rawSnap[frameHeader] != '{' {
-		t.Fatalf("legacy snapshot starts with %#x, want '{'", rawSnap[frameHeader])
+	for _, name := range []string{snapName, filepath.Base(segmentPath(dir, 2))} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "json_era", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw[frameHeader] != '{' {
+			t.Fatalf("fixture %s starts with %#x, want '{'", name, raw[frameHeader])
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// Upgrade: reopen in the default binary format and keep appending.
+	// Upgrade: open it with today's store and keep appending.
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)

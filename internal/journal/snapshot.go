@@ -50,7 +50,6 @@ type SnapshotWriter struct {
 	n    int64 // payload bytes, including the format preamble
 	seq  uint64
 	tmp  string
-	lgcy bool
 	done bool
 }
 
@@ -68,7 +67,6 @@ func (s *Store) BeginSnapshot() (*SnapshotWriter, error) {
 	}
 	s.snapshotting = true
 	seq := s.seq
-	legacy := s.opts.LegacyJSON
 	s.mu.Unlock()
 
 	tmp := filepath.Join(s.dir, snapName+".tmp")
@@ -77,20 +75,14 @@ func (s *Store) BeginSnapshot() (*SnapshotWriter, error) {
 		s.endSnapshot()
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	w := &SnapshotWriter{s: s, f: f, bw: bufio.NewWriter(f), crc: crc32.NewIEEE(), seq: seq, tmp: tmp, lgcy: legacy}
+	w := &SnapshotWriter{s: s, f: f, bw: bufio.NewWriter(f), crc: crc32.NewIEEE(), seq: seq, tmp: tmp}
 	// Reserve the frame header; Commit patches it once the payload length
 	// and checksum are known.
 	var hole [frameHeader]byte
 	if _, err := w.bw.Write(hole[:]); err != nil {
 		return nil, w.fail(err)
 	}
-	var preamble []byte
-	if legacy {
-		preamble = []byte(fmt.Sprintf(`{"seq":%d,"data":`, seq))
-	} else {
-		preamble = appendBinarySnapshotPreamble(nil, seq)
-	}
-	if _, err := w.payload(preamble); err != nil {
+	if _, err := w.payload(appendBinarySnapshotPreamble(nil, seq)); err != nil {
 		return nil, w.fail(err)
 	}
 	return w, nil
@@ -113,8 +105,7 @@ func (w *SnapshotWriter) payload(p []byte) (int, error) {
 	return n, nil
 }
 
-// Write streams snapshot bytes. In legacy mode the bytes land inside the
-// JSON envelope's data field, so they must form one valid JSON value.
+// Write streams snapshot bytes.
 func (w *SnapshotWriter) Write(p []byte) (int, error) {
 	if w.done {
 		return 0, fmt.Errorf("journal: snapshot writer is finished")
@@ -152,11 +143,6 @@ func (w *SnapshotWriter) Abort() {
 func (w *SnapshotWriter) Commit() error {
 	if w.done {
 		return fmt.Errorf("journal: snapshot writer is finished")
-	}
-	if w.lgcy {
-		if _, err := w.payload([]byte{'}'}); err != nil {
-			return w.fail(err)
-		}
 	}
 	if err := w.injected("write"); err != nil {
 		return w.fail(err)
