@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	griphon-lint [-wallclock=false ...] [-json|-sarif] [-github] [packages]
+//	griphon-lint [-sarif] [-github] [packages]
 //
 // With no packages, ./... is checked. Exit status is 0 when clean, 2 when
 // diagnostics were reported, 1 on failure to load or analyze. -sarif emits a
@@ -43,6 +43,10 @@ func main() {
 }
 
 func run(args []string) int {
+	fs := flag.NewFlagSet("griphon-lint", flag.ContinueOnError)
+	sarifOut := fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0")
+	githubOut := fs.Bool("github", false, "also emit GitHub ::error workflow annotations")
+
 	// The go command probes its vet tool before handing it a vet.cfg:
 	// `-V=full` must print a stable version line, `-flags` must describe
 	// the supported flags as JSON.
@@ -51,19 +55,9 @@ func run(args []string) int {
 			return printVersion()
 		}
 		if a == "-flags" || a == "--flags" {
-			return printFlags()
+			return printFlags(fs)
 		}
 	}
-
-	fs := flag.NewFlagSet("griphon-lint", flag.ContinueOnError)
-	enabled := map[string]*bool{}
-	for _, a := range analysis.All() {
-		enabled[a.Name] = fs.Bool(a.Name, true, firstLine(a.Doc))
-	}
-	var jsonOut, sarifOut, githubOut bool
-	fs.BoolVar(&jsonOut, "json", false, "emit diagnostics as JSON")
-	fs.BoolVar(&sarifOut, "sarif", false, "emit diagnostics as SARIF 2.1.0")
-	fs.BoolVar(&githubOut, "github", false, "also emit GitHub ::error workflow annotations")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: griphon-lint [flags] [packages]\n\nanalyzers:\n")
 		for _, a := range analysis.All() {
@@ -76,12 +70,7 @@ func run(args []string) int {
 		return 1
 	}
 
-	var suite []*analysis.Analyzer
-	for _, a := range analysis.All() {
-		if *enabled[a.Name] {
-			suite = append(suite, a)
-		}
-	}
+	suite := analysis.All()
 
 	// Vet-tool mode: the go command passes exactly one *.cfg argument.
 	rest := fs.Args()
@@ -120,25 +109,17 @@ func run(args []string) int {
 		}
 	}
 	root, _ := os.Getwd()
-	switch {
-	case sarifOut:
+	if *sarifOut {
 		if err := driver.WriteSARIF(os.Stdout, root, suite, all); err != nil {
 			fmt.Fprintf(os.Stderr, "griphon-lint: %v\n", err)
 			return 1
 		}
-	case jsonOut:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if err := enc.Encode(all); err != nil {
-			fmt.Fprintf(os.Stderr, "griphon-lint: %v\n", err)
-			return 1
-		}
-	default:
+	} else {
 		for _, d := range all {
 			fmt.Printf("%s\n", d)
 		}
 	}
-	if githubOut {
+	if *githubOut {
 		driver.WriteGitHubAnnotations(os.Stderr, root, all)
 	}
 	if len(all) > 0 {
@@ -163,22 +144,17 @@ func printVersion() int {
 }
 
 // printFlags describes the flag set as the JSON list `go vet` consumes.
-func printFlags() int {
+func printFlags(fs *flag.FlagSet) int {
 	type jsonFlag struct {
 		Name  string
 		Bool  bool
 		Usage string
 	}
 	var flags []jsonFlag
-	for _, a := range analysis.All() {
-		flags = append(flags, jsonFlag{Name: a.Name, Bool: true, Usage: firstLine(a.Doc)})
-	}
-	flags = append(flags,
-		jsonFlag{Name: "json", Bool: true, Usage: "emit diagnostics as JSON"},
-		jsonFlag{Name: "sarif", Bool: true, Usage: "emit diagnostics as SARIF 2.1.0"},
-		jsonFlag{Name: "github", Bool: true, Usage: "also emit GitHub ::error workflow annotations"},
-		jsonFlag{Name: "V", Bool: false, Usage: "print version and exit"},
-	)
+	fs.VisitAll(func(f *flag.Flag) {
+		flags = append(flags, jsonFlag{Name: f.Name, Bool: true, Usage: f.Usage})
+	})
+	flags = append(flags, jsonFlag{Name: "V", Bool: false, Usage: "print version and exit"})
 	data, err := json.MarshalIndent(flags, "", "\t")
 	if err != nil {
 		return 1

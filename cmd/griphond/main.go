@@ -38,11 +38,10 @@ func main() {
 	trace := flag.Bool("trace", false, "record virtual-time spans; export via GET /api/v1/trace")
 	stateDir := flag.String("state-dir", "", "persist controller state in this directory (WAL + snapshots); recovers on restart")
 	fsync := flag.Bool("fsync", false, "fsync the journal after every commit (with -state-dir)")
-	walSegment := flag.Int64("wal-segment", 0, "WAL segment size in bytes (with -state-dir): 0 = 4 MiB default, negative = one unbounded segment")
 	shards := flag.Int("shards", 1, "partition the control plane into N per-customer shards; GET /api/v1/shards")
 	flag.Parse()
 
-	net, desc, err := buildNetwork(*topoName, *pops, *sites, *seed, *autoRepair, *trace, *stateDir, *fsync, *walSegment, *shards)
+	net, desc, err := buildNetwork(*topoName, *pops, *sites, *seed, *autoRepair, *trace, *stateDir, *fsync, *shards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -53,7 +52,7 @@ func main() {
 }
 
 // buildNetwork assembles the simulated network for the chosen topology.
-func buildNetwork(topoName string, pops, sites int, seed int64, autoRepair, trace bool, stateDir string, fsync bool, walSegment int64, shards int) (*griphon.Network, string, error) {
+func buildNetwork(topoName string, pops, sites int, seed int64, autoRepair, trace bool, stateDir string, fsync bool, shards int) (*griphon.Network, string, error) {
 	var topo *griphon.Topology
 	switch topoName {
 	case "testbed":
@@ -81,9 +80,6 @@ func buildNetwork(topoName string, pops, sites int, seed int64, autoRepair, trac
 		opts = append(opts, griphon.WithStateDir(stateDir))
 		if fsync {
 			opts = append(opts, griphon.WithFsync())
-		}
-		if walSegment != 0 {
-			opts = append(opts, griphon.WithWALSegmentSize(walSegment))
 		}
 	}
 	if shards > 1 {

@@ -19,7 +19,7 @@ func TestBuildNetworkTopologies(t *testing.T) {
 		{"continental", "20 PoPs", 4},
 	}
 	for _, c := range cases {
-		net, desc, err := buildNetwork(c.name, 20, 4, 1, true, false, "", false, 0, 1)
+		net, desc, err := buildNetwork(c.name, 20, 4, 1, true, false, "", false, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -30,10 +30,10 @@ func TestBuildNetworkTopologies(t *testing.T) {
 }
 
 func TestBuildNetworkErrors(t *testing.T) {
-	if _, _, err := buildNetwork("bogus", 0, 0, 1, false, false, "", false, 0, 1); err == nil {
+	if _, _, err := buildNetwork("bogus", 0, 0, 1, false, false, "", false, 1); err == nil {
 		t.Error("unknown topology accepted")
 	}
-	if _, _, err := buildNetwork("continental", 2, 1, 1, false, false, "", false, 0, 1); err == nil {
+	if _, _, err := buildNetwork("continental", 2, 1, 1, false, false, "", false, 1); err == nil {
 		t.Error("invalid continental parameters accepted")
 	}
 }
@@ -41,7 +41,7 @@ func TestBuildNetworkErrors(t *testing.T) {
 // TestServedNetworkEndToEnd boots the same server main would and drives one
 // connection through it.
 func TestServedNetworkEndToEnd(t *testing.T) {
-	net, _, err := buildNetwork("testbed", 0, 0, 9, true, true, "", false, 0, 1)
+	net, _, err := buildNetwork("testbed", 0, 0, 9, true, true, "", false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestServedNetworkEndToEnd(t *testing.T) {
 // TestServedShardedNetwork boots griphond with -shards 4 and checks tenants
 // provision through their shards while /api/v1/shards reports the layout.
 func TestServedShardedNetwork(t *testing.T) {
-	net, desc, err := buildNetwork("testbed", 0, 0, 9, true, false, "", false, 0, 4)
+	net, desc, err := buildNetwork("testbed", 0, 0, 9, true, false, "", false, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

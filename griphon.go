@@ -83,69 +83,50 @@ type Finding = core.Finding
 // Option configures a Network.
 type Option func(*config)
 
-type config struct {
-	seed     int64
-	core     core.Config
-	tracing  bool
-	stateDir string
-	fsync    bool
-	segSize  int64
-	shards   int
-	maxPipes int
-}
+type config = core.ShardSetConfig
 
 // WithSeed sets the simulation seed (default 1). Runs with equal seeds are
 // bit-identical.
-func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
-
-// WithChannels sets the DWDM grid size per fiber (default 80).
-func WithChannels(n int) Option {
-	return func(c *config) { c.core.Optics.Channels = n }
-}
-
-// WithReachKM sets the optical reach before regeneration (default 2500 km).
-func WithReachKM(km float64) Option {
-	return func(c *config) { c.core.Optics.ReachKM = km }
-}
+func WithSeed(seed int64) Option { return func(c *config) { c.Seed = seed } }
 
 // WithOTsPerNode sets the transponder pool size at every PoP (default 8).
 func WithOTsPerNode(n int) Option {
-	return func(c *config) { c.core.Optics.OTsPerNode = n }
+	return func(c *config) { c.Core.Optics.OTsPerNode = n }
 }
 
 // WithRegensPerNode sets the regenerator pool size at every PoP (default 2).
 func WithRegensPerNode(n int) Option {
-	return func(c *config) { c.core.Optics.RegensPerNode = n }
+	return func(c *config) { c.Core.Optics.RegensPerNode = n }
 }
 
 // WithReachForRate overrides the optical reach for one line rate (e.g. 40G
 // signals regenerate sooner than 10G ones).
 func WithReachForRate(rate Rate, km float64) Option {
 	return func(c *config) {
-		if c.core.Optics.ReachByRate == nil {
-			c.core.Optics.ReachByRate = map[Rate]float64{}
+		if c.Core.Optics.ReachByRate == nil {
+			c.Core.Optics.ReachByRate = map[Rate]float64{}
 		}
-		c.core.Optics.ReachByRate[rate] = km
+		c.Core.Optics.ReachByRate[rate] = km
 	}
 }
 
 // WithAutoRepair dispatches a repair crew automatically after every fiber
 // cut (4–12 h, drawn from the latency model).
 func WithAutoRepair() Option {
-	return func(c *config) { c.core.AutoRepair = true }
+	return func(c *config) { c.Core.AutoRepair = true }
 }
 
 // WithAutoRevert re-grooms restored connections back onto their best path
 // after repairs, via bridge-and-roll.
 func WithAutoRevert() Option {
-	return func(c *config) { c.core.AutoRevert = true }
+	return func(c *config) { c.Core.AutoRevert = true }
 }
 
 // WithTracing records a virtual-time span for every controller operation, EMS
 // command and RWA search. Export the trace with TraceTo / TraceJSONLTo. Off by
 // default: the disabled path costs zero allocations on the hot paths.
 func WithTracing() Option {
-	return func(c *config) { c.tracing = true }
+	return func(c *config) { c.Tracing = true }
 }
 
 // WithFastSetup turns on the low-latency setup machinery: the dependency-graph
@@ -157,9 +138,9 @@ func WithTracing() Option {
 // setup latency on the testbed; see DESIGN.md §12.
 func WithFastSetup() Option {
 	return func(c *config) {
-		c.core.Choreography = core.ChoreoGraph
-		c.core.PathCache = true
-		c.core.PreArm = core.PreArm{WarmOTsPerNode: 2, WarmSessions: 2}
+		c.Core.Choreography = core.ChoreoGraph
+		c.Core.PathCache = true
+		c.Core.PreArm = core.PreArm{WarmOTsPerNode: 2, WarmSessions: 2}
 	}
 }
 
@@ -167,7 +148,7 @@ func WithFastSetup() Option {
 // records and alarm groups, dumpable as JSON via DumpFlight when an invariant
 // audit or a soak assertion trips. Off by default (zero retained state).
 func WithFlightRecorder(capacity int) Option {
-	return func(c *config) { c.core.FlightRecorder = capacity }
+	return func(c *config) { c.Core.FlightRecorder = capacity }
 }
 
 // WithStateDir makes the controller's state durable in dir: every committed
@@ -176,40 +157,24 @@ func WithFlightRecorder(capacity int) Option {
 // connections, pipes, bookings, quotas and fiber status come back exactly as
 // last committed, with booking timers re-armed. Call Close when done.
 func WithStateDir(dir string) Option {
-	return func(c *config) { c.stateDir = dir }
+	return func(c *config) { c.StateDir = dir }
 }
 
 // WithFsync forces a file sync after every journal append (only meaningful
 // with WithStateDir). Durability against OS crashes at one fsync per commit.
 func WithFsync() Option {
-	return func(c *config) { c.fsync = true }
-}
-
-// WithWALSegmentSize bounds each write-ahead-log segment to roughly n bytes
-// (only meaningful with WithStateDir). The journal rotates to a fresh segment
-// once the active one crosses the bound and compacts segments a snapshot
-// fully covers in the background; smaller segments mean faster reclamation
-// after snapshots at the cost of more files. 0 keeps the 4 MiB default,
-// negative disables rotation (one unbounded segment, the historical layout).
-func WithWALSegmentSize(n int64) Option {
-	return func(c *config) { c.segSize = n }
+	return func(c *config) { c.Fsync = true }
 }
 
 // WithShards partitions the control plane into n shards, each a full
 // controller (own event loop, own journal under <stateDir>/shard-<i>, own
 // plant replica) serving the customers that hash to it. Spectrum on shared
-// fibers and OTN pipe capacity are brokered by a cross-shard coordinator;
-// everything else is shard-local. n <= 1 is the serial single-shard mode —
-// the default, byte-compatible with unsharded deployments — and runs the
-// same code path. See DESIGN.md §15.
+// fibers is brokered by a cross-shard coordinator; everything else is
+// shard-local. n <= 1 is the serial single-shard mode — the default,
+// byte-compatible with unsharded deployments — and runs the same code path.
+// See DESIGN.md §15.
 func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
-}
-
-// WithMaxPipesPerPair caps concurrent OTN pipes between one node pair across
-// all shards (0 = unlimited; only meaningful with WithShards).
-func WithMaxPipesPerPair(n int) Option {
-	return func(c *config) { c.maxPipes = n }
+	return func(c *config) { c.Shards = n }
 }
 
 // Network is a GRIPhoN deployment: the photonic plant, the OTN overlay, the
@@ -229,34 +194,21 @@ func New(t *Topology, opts ...Option) (*Network, error) {
 	if t == nil {
 		return nil, fmt.Errorf("griphon: nil topology")
 	}
-	cfg := config{seed: 1}
+	cfg := config{Seed: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	// Partially overridden optics configs inherit the remaining defaults.
-	oc := &cfg.core.Optics
-	if oc.Channels == 0 {
-		oc.Channels = 80
-	}
-	if oc.ReachKM == 0 {
-		oc.ReachKM = 2500
-	}
+	// Grid size and reach are the experiments'; so is any device pool no
+	// option sized.
+	oc := &cfg.Core.Optics
+	oc.Channels, oc.ReachKM = 80, 2500
 	if oc.OTsPerNode == 0 {
 		oc.OTsPerNode = 8
 	}
 	if oc.RegensPerNode == 0 {
 		oc.RegensPerNode = 2
 	}
-	set, err := core.NewShardSet(t.g, core.ShardSetConfig{
-		Shards:          cfg.shards,
-		Seed:            cfg.seed,
-		Core:            cfg.core,
-		StateDir:        cfg.stateDir,
-		Fsync:           cfg.fsync,
-		SegmentSize:     cfg.segSize,
-		Tracing:         cfg.tracing,
-		MaxPipesPerPair: cfg.maxPipes,
-	})
+	set, err := core.NewShardSet(t.g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -301,8 +253,8 @@ func (n *Network) Advance(d time.Duration) { n.set.Advance(d) }
 func (n *Network) Drain() { n.set.Drain() }
 
 // AuditInvariants sweeps every shard's resource books plus the cross-shard
-// invariants (spectrum claims, pipe tokens, tenant placement). Empty means
-// everything balances.
+// invariants (spectrum claims, tenant placement). Empty means everything
+// balances, and holds between any two events.
 func (n *Network) AuditInvariants() []Finding { return n.set.AuditInvariants() }
 
 // await drives the clock until the job completes.

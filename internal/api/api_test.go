@@ -1,6 +1,7 @@
 package api
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"slices"
 	"strings"
@@ -260,6 +261,35 @@ func TestDefragEndpoint(t *testing.T) {
 	}
 	if d.Retuned != 1 || d.MaxChannelNow != 1 {
 		t.Errorf("defrag = %+v", d)
+	}
+}
+
+// TestDefragMaxChannelSharded: the plant-wide figure must count channels lit
+// by every shard, not only shard 0's replica.
+func TestDefragMaxChannelSharded(t *testing.T) {
+	net, err := griphon.New(griphon.Testbed(), griphon.WithSeed(5), griphon.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(net).Handler())
+	t.Cleanup(srv.Close)
+	c := NewClient(srv.URL)
+
+	tenant := ""
+	for i := 0; tenant == ""; i++ {
+		if name := fmt.Sprintf("tenant-%d", i); net.ShardFor(name) == 1 {
+			tenant = name
+		}
+	}
+	if _, err := c.Connect(ConnectRequest{Customer: tenant, From: "DC-A", To: "DC-B", Rate: "10G"}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := c.Defrag()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Retuned != 0 || d.MaxChannelNow != 1 {
+		t.Errorf("defrag = %+v, want nothing retuned and channel 1 lit", d)
 	}
 }
 

@@ -211,7 +211,7 @@ func (s *Server) handleDefrag(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, DefragResponse{
 		Retuned:       moved,
-		MaxChannelNow: s.net.Controller().MaxChannelInUse(),
+		MaxChannelNow: s.net.ShardSet().MaxChannelInUse(),
 	})
 }
 

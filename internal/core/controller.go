@@ -30,8 +30,6 @@ type Config struct {
 	Latencies ems.Latencies
 	// RWA tunes route search.
 	RWA rwa.Options
-	// CorrelationWindow batches alarms of one failure event.
-	CorrelationWindow sim.Duration
 	// AutoRepair dispatches a repair crew automatically on every fiber
 	// cut (crew time drawn from Latencies.FiberRepair).
 	AutoRepair bool
@@ -52,9 +50,6 @@ type Config struct {
 	// latency inflation and per-EMS brownout windows, all driven by the
 	// kernel's seeded random source.
 	Faults *faults.Profile
-	// Retry bounds transient-fault retries of EMS steps. Nil takes
-	// DefaultRetryPolicy; a policy with MaxAttempts 1 disables retries.
-	Retry *RetryPolicy
 	// Choreography selects how lightpath EMS work is ordered: ChoreoSerial
 	// (the default) reproduces the paper's fully serialized steps and its
 	// 60–70 s setup times; ChoreoGraph keeps only real happens-before
@@ -92,9 +87,6 @@ type Config struct {
 	// an invariant audit or the chaos soak trips (Controller.DumpFlight).
 	// Zero disables it.
 	FlightRecorder int
-	// AlarmLogSize bounds the correlated alarm-group log backing the
-	// customer alarm stream (default 512).
-	AlarmLogSize int
 	// Shard identifies this controller's slice of a sharded control plane
 	// (see ShardSet). The zero value is the unsharded default: no
 	// coordinator, plain connection IDs, identical behavior to every
@@ -109,10 +101,17 @@ type ShardInfo struct {
 	Index int
 	// Count is the total number of shards.
 	Count int
-	// Coordinator brokers cross-shard spectrum and pipe capacity; nil when
-	// unsharded.
+	// Coordinator brokers cross-shard spectrum; nil when unsharded.
 	Coordinator *Coordinator
 }
+
+const (
+	// correlationWindow batches the alarms of one failure event.
+	correlationWindow = time.Second
+	// alarmLogSize bounds the correlated alarm-group log backing the
+	// customer alarm stream.
+	alarmLogSize = 512
+)
 
 // sharded reports whether this controller is one shard of several.
 func (s ShardInfo) sharded() bool { return s.Count > 1 }
@@ -180,10 +179,6 @@ type Controller struct {
 	pendingPipes map[string]*sim.Job
 
 	shard ShardInfo
-	// pipeTokens maps a live OTN pipe to its cross-shard capacity token.
-	// Derived state: rebuilt by re-claiming during rehydration, never
-	// journaled.
-	pipeTokens map[otn.PipeID]string
 
 	// onEvent / onAlarmGroup, when set, observe every audit-log append (by
 	// the entry's index in this controller's log) and alarm-group append — a
@@ -215,10 +210,6 @@ func New(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 	}
 	if nLine <= 0 {
 		nLine = 16
-	}
-	window := cfg.CorrelationWindow
-	if window <= 0 {
-		window = time.Second
 	}
 	rwaOpt := cfg.RWA
 	if rwaOpt.Rand == nil {
@@ -258,7 +249,6 @@ func New(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 		pipeCarrier:  make(map[otn.PipeID]ConnID),
 		pendingPipes: make(map[string]*sim.Job),
 		shard:        cfg.Shard,
-		pipeTokens:   make(map[otn.PipeID]string),
 		degradeToOTN: cfg.DegradeToOTN,
 		choreo:       cfg.Choreography,
 		tr:           cfg.Tracer,
@@ -287,9 +277,6 @@ func New(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 		c.snapshotEvery = 256
 	}
 	c.retry = DefaultRetryPolicy()
-	if cfg.Retry != nil {
-		c.retry = *cfg.Retry
-	}
 	if cfg.Faults != nil {
 		c.faultModel = faults.NewModel(k, *cfg.Faults)
 		c.roadmEMS.SetFaults(c.faultModel)
@@ -308,18 +295,14 @@ func New(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 	}
 	c.initObs()
 	c.sla = slo.New(c.reg)
-	logSize := cfg.AlarmLogSize
-	if logSize <= 0 {
-		logSize = 512
-	}
-	c.alarmLog = alarms.NewLog(logSize)
+	c.alarmLog = alarms.NewLog(alarmLogSize)
 	if cfg.FlightRecorder > 0 {
 		c.flight = slo.NewFlightRecorder(cfg.FlightRecorder, c.reg)
 		c.flight.AttachLedger(c.sla)
 		tail := cfg.FlightRecorder
 		c.flight.AttachSpans(func() []slo.SpanRecord { return c.spanTail(tail) })
 	}
-	c.correlator = alarms.NewCorrelator(k, window, c.onAlarmBatch)
+	c.correlator = alarms.NewCorrelator(k, correlationWindow, c.onAlarmBatch)
 	return c, nil
 }
 

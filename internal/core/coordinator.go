@@ -2,35 +2,31 @@ package core
 
 // Cross-shard coordination for the sharded control plane. Each shard of a
 // ShardSet is a full Controller over its own replica of the photonic plant,
-// so two shards could light the same wavelength on the same fiber or groom
-// onto more OTN pipes than the node pair supports. The Coordinator is the
-// single arbiter for those two genuinely shared resources — spectrum on
-// shared links and OTN pipes per node pair — and nothing else: quotas,
-// connections, transponders and bookings are wholly shard-local.
+// so two shards could light the same wavelength on the same fiber. The
+// Coordinator is the single arbiter for that one genuinely shared resource —
+// spectrum on shared links — and nothing else: quotas, connections,
+// transponders, OTN pipes and bookings are wholly shard-local (a pipe's
+// shared part is its carrier wavelength, claimed here like any other).
 //
-// Claims go through an inventory.Ledger keyed "spectrum:<link>:<ch>" and
-// "pipe:<pair>#<seq>", each owned by the synthetic customer "shard-<i>", so
-// the same claim/verify/release discipline (and the same audit sweeps) that
-// protect customer isolation protect shard isolation. The Coordinator is the
-// only mutex-guarded state shared between shard event loops; every method
-// holds the lock for a few map operations and never blocks on the simulation.
+// A claim is one bit per (link, channel) in the union mask and in the owning
+// shard's mask. The Coordinator is the only mutex-guarded state shared
+// between shard event loops; every method holds the lock for a few word
+// operations and never blocks on the simulation.
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
-	"strings"
 	"sync"
 
-	"griphon/internal/inventory"
 	"griphon/internal/optics"
 	"griphon/internal/topo"
 )
 
-// Coordinator brokers spectrum and OTN pipe capacity between the shards of a
-// ShardSet. Safe for concurrent use by multiple shard drivers.
+// Coordinator brokers spectrum between the shards of a ShardSet. Safe for
+// concurrent use by multiple shard drivers.
 type Coordinator struct {
-	mu     sync.Mutex
-	ledger *inventory.Ledger
+	mu sync.Mutex
 
 	channels int // grid size; sizes the per-link claim masks
 
@@ -41,45 +37,19 @@ type Coordinator struct {
 	all map[topo.LinkID][]uint64
 	own map[int]map[topo.LinkID][]uint64
 
-	// pipeSeq hands out monotonic per-pair pipe tokens; pipeOwner maps a
-	// live token to its shard; pipePair counts live pipes per node pair.
-	pipeSeq   map[string]int
-	pipeOwner map[string]int
-	pipePair  map[string]int
-
-	// maxPipesPerPair caps concurrent OTN pipes between one node pair
-	// across all shards (0 = unlimited) — the shared-fabric capacity the
-	// shards would otherwise oversubscribe independently.
-	maxPipesPerPair int
-
-	// violations records release/claim inconsistencies (a shard releasing
-	// a channel it never claimed, a token released twice); surfaced by the
-	// cross-shard audit sweep.
+	// violations records release inconsistencies (a shard releasing a
+	// channel it does not hold); surfaced by the cross-shard audit sweep.
 	violations []string
 }
 
 // NewCoordinator returns a coordinator for plants with the given DWDM grid
-// size. maxPipesPerPair caps live OTN pipes per node pair across shards
-// (0 = unlimited).
-func NewCoordinator(channels, maxPipesPerPair int) *Coordinator {
+// size.
+func NewCoordinator(channels int) *Coordinator {
 	return &Coordinator{
-		ledger:          inventory.NewLedger(),
-		channels:        channels,
-		all:             make(map[topo.LinkID][]uint64),
-		own:             make(map[int]map[topo.LinkID][]uint64),
-		pipeSeq:         make(map[string]int),
-		pipeOwner:       make(map[string]int),
-		pipePair:        make(map[string]int),
-		maxPipesPerPair: maxPipesPerPair,
+		channels: channels,
+		all:      make(map[topo.LinkID][]uint64),
+		own:      make(map[int]map[topo.LinkID][]uint64),
 	}
-}
-
-func shardCustomer(shard int) inventory.Customer {
-	return inventory.Customer(fmt.Sprintf("shard-%d", shard))
-}
-
-func spectrumKey(link topo.LinkID, ch optics.Channel) string {
-	return fmt.Sprintf("spectrum:%s:%d", link, ch)
 }
 
 func (co *Coordinator) words(m map[topo.LinkID][]uint64, link topo.LinkID) []uint64 {
@@ -91,21 +61,41 @@ func (co *Coordinator) words(m map[topo.LinkID][]uint64, link topo.LinkID) []uin
 	return w
 }
 
-// claimChannel registers (link, ch) to a shard, failing if another shard
-// holds it.
+// chanBit locates a channel in a claim mask.
+func chanBit(ch optics.Channel) (word int, bit uint64) {
+	return int(ch-1) >> 6, uint64(1) << uint((ch-1)&63)
+}
+
+// holds reports whether a shard's mask has (link, ch) set. Caller holds mu.
+func (co *Coordinator) holds(shard int, link topo.LinkID, ch optics.Channel) bool {
+	w, bit := chanBit(ch)
+	own := co.own[shard][link]
+	return w < len(own) && own[w]&bit != 0
+}
+
+// claimChannel registers (link, ch) to a shard, failing if any shard —
+// another or the caller itself — already holds it.
 func (co *Coordinator) claimChannel(shard int, link topo.LinkID, ch optics.Channel) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if err := co.ledger.Claim(shardCustomer(shard), spectrumKey(link, ch)); err != nil {
-		return fmt.Errorf("core: cross-shard spectrum conflict: %w", err)
+	w, bit := chanBit(ch)
+	all := co.words(co.all, link)
+	if all[w]&bit != 0 {
+		holder := -1
+		for s := range co.own {
+			if co.holds(s, link, ch) {
+				holder = s
+				break
+			}
+		}
+		return fmt.Errorf("core: cross-shard spectrum conflict: channel %d on %s already owned by shard-%d", ch, link, holder)
 	}
 	ownm := co.own[shard]
 	if ownm == nil {
 		ownm = make(map[topo.LinkID][]uint64)
 		co.own[shard] = ownm
 	}
-	w, bit := (ch-1)>>6, uint64(1)<<uint((ch-1)&63)
-	co.words(co.all, link)[w] |= bit
+	all[w] |= bit
 	co.words(ownm, link)[w] |= bit
 	return nil
 }
@@ -115,15 +105,13 @@ func (co *Coordinator) claimChannel(shard int, link topo.LinkID, ch optics.Chann
 func (co *Coordinator) releaseChannel(shard int, link topo.LinkID, ch optics.Channel) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if err := co.ledger.Release(shardCustomer(shard), spectrumKey(link, ch)); err != nil {
-		co.violations = append(co.violations, fmt.Sprintf("shard-%d release %s: %s", shard, spectrumKey(link, ch), err))
+	if !co.holds(shard, link, ch) {
+		co.violations = append(co.violations, fmt.Sprintf("shard-%d release of channel %d on %s: not the owner", shard, ch, link))
 		return
 	}
-	w, bit := (ch-1)>>6, uint64(1)<<uint((ch-1)&63)
-	co.words(co.all, link)[w] &^= bit
-	if ownm := co.own[shard]; ownm != nil {
-		co.words(ownm, link)[w] &^= bit
-	}
+	w, bit := chanBit(ch)
+	co.all[link][w] &^= bit
+	co.own[shard][link][w] &^= bit
 }
 
 // maskForeign clears, from a continuity bitset, every channel on link that a
@@ -151,87 +139,28 @@ func (co *Coordinator) maskForeign(shard int, link topo.LinkID, words []uint64) 
 	}
 }
 
-// ClaimPipe reserves one unit of OTN pipe capacity between a node pair for a
-// shard, returning an opaque token to release later. It fails when the
-// per-pair cap is reached.
-func (co *Coordinator) ClaimPipe(shard int, a, b topo.NodeID) (string, error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	pair := pipePairKey(a, b)
-	if co.maxPipesPerPair > 0 && co.pipePair[pair] >= co.maxPipesPerPair {
-		return "", fmt.Errorf("core: pipe capacity %s exhausted (%d live across shards)", pair, co.pipePair[pair])
-	}
-	co.pipeSeq[pair]++
-	token := fmt.Sprintf("pipe:%s#%d", pair, co.pipeSeq[pair])
-	if err := co.ledger.Claim(shardCustomer(shard), token); err != nil {
-		return "", err // unreachable: seq is monotonic, but keep the ledger authoritative
-	}
-	co.pipeOwner[token] = shard
-	co.pipePair[pair]++
-	return token, nil
-}
-
-// ReleasePipe retires a pipe token. Mismatched or double releases are
-// recorded as violations.
-func (co *Coordinator) ReleasePipe(shard int, token string) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if owner, ok := co.pipeOwner[token]; !ok || owner != shard {
-		co.violations = append(co.violations, fmt.Sprintf("shard-%d release %s: not the owner", shard, token))
-		return
-	}
-	if err := co.ledger.Release(shardCustomer(shard), token); err != nil {
-		co.violations = append(co.violations, fmt.Sprintf("shard-%d release %s: %s", shard, token, err))
-		return
-	}
-	delete(co.pipeOwner, token)
-	if pair, ok := pipePairOfToken(token); ok {
-		co.pipePair[pair]--
-	}
-}
-
-func pipePairKey(a, b topo.NodeID) string {
-	if b < a {
-		a, b = b, a
-	}
-	return string(a) + "~" + string(b)
-}
-
-func pipePairOfToken(token string) (string, bool) {
-	rest, ok := strings.CutPrefix(token, "pipe:")
-	if !ok {
-		return "", false
-	}
-	pair, _, ok := strings.Cut(rest, "#")
-	return pair, ok
-}
-
 // ownsChannel reports whether a shard holds the coordinator claim on
 // (link, ch) — the backing the cross-shard audit demands for every channel a
 // shard's plant has lit.
 func (co *Coordinator) ownsChannel(shard int, link topo.LinkID, ch optics.Channel) bool {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	ownm := co.own[shard]
-	if ownm == nil {
-		return false
-	}
-	w := ownm[link]
-	wi, bit := int(ch-1)>>6, uint64(1)<<uint((ch-1)&63)
-	return wi < len(w) && w[wi]&bit != 0
+	return co.holds(shard, link, ch)
 }
 
-// shardClaims returns a shard's live claim keys, sorted.
+// shardClaims returns a shard's live claims as "<link>:<ch>", sorted.
 func (co *Coordinator) shardClaims(shard int) []string {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	cust := shardCustomer(shard)
 	var out []string
-	for _, key := range co.ledger.Claims() {
-		if co.ledger.OwnerOf(key) == cust {
-			out = append(out, key)
+	for link, words := range co.own[shard] {
+		for w, word := range words {
+			for ; word != 0; word &= word - 1 {
+				out = append(out, fmt.Sprintf("%s:%d", link, w*64+bits.TrailingZeros64(word)+1))
+			}
 		}
 	}
+	sort.Strings(out)
 	return out
 }
 

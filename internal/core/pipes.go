@@ -215,24 +215,6 @@ func (c *Controller) buildPipe(a, b topo.NodeID, level otn.Level) *sim.Job {
 		out.Complete(err)
 		return out
 	}
-	// In a sharded control plane pipe capacity between a node pair is shared
-	// fabric: claim one unit from the coordinator inside the same txn so a
-	// routing failure below hands it back with the admit and the claim.
-	var pipeToken string
-	if co := c.shard.Coordinator; co != nil {
-		if err := adm.Do(
-			func() error {
-				t, err := co.ClaimPipe(c.shard.Index, a, b)
-				pipeToken = t
-				return err
-			},
-			func() { co.ReleasePipe(c.shard.Index, pipeToken) },
-		); err != nil {
-			adm.Rollback()
-			out.Complete(err)
-			return out
-		}
-	}
 	carrier.opSpan = c.tr.Start(obs.SpanRef{}, "op:pipe-build")
 	carrier.opSpan.SetConn(string(carrier.ID), string(CarrierCustomer), LayerDWDM.String())
 
@@ -253,26 +235,15 @@ func (c *Controller) buildPipe(a, b topo.NodeID, level otn.Level) *sim.Job {
 	c.lightpathSetupJob(lp, carrier.opSpan).OnDone(func(err error) {
 		c.finishSetup(carrier, err)
 		if err != nil {
-			// The admission txn committed before the optical bring-up; the
-			// cross-shard capacity unit goes back by hand on this path.
-			if co := c.shard.Coordinator; co != nil && pipeToken != "" {
-				co.ReleasePipe(c.shard.Index, pipeToken)
-			}
 			out.Complete(err)
 			return
 		}
 		pipe, perr := c.fabric.AddPipe(a, b, level)
 		if perr != nil {
-			if co := c.shard.Coordinator; co != nil && pipeToken != "" {
-				co.ReleasePipe(c.shard.Index, pipeToken)
-			}
 			out.Complete(perr)
 			return
 		}
 		c.pipeCarrier[pipe.ID()] = carrier.ID
-		if pipeToken != "" {
-			c.pipeTokens[pipe.ID()] = pipeToken
-		}
 		carrier.carries = pipe.ID()
 		c.log(carrier, "pipe-up", "pipe %s in service (%v, %d slots)", pipe.ID(), level, pipe.TotalSlots())
 		c.journalCommit(commitSet{reason: "pipe-up", conns: []*Connection{carrier}, pipes: []*otn.Pipe{pipe}})
@@ -319,10 +290,6 @@ func (c *Controller) ReclaimIdlePipes() (*sim.Job, int) {
 			continue
 		}
 		delete(c.pipeCarrier, pipe.ID())
-		if token, ok := c.pipeTokens[pipe.ID()]; ok {
-			c.shard.Coordinator.ReleasePipe(c.shard.Index, token)
-			delete(c.pipeTokens, pipe.ID())
-		}
 		carrier.carries = ""
 		c.log(carrier, "pipe-retire", "pipe %s idle, reclaiming its wavelength", pipe.ID())
 		c.journalCommit(commitSet{reason: "pipe-retire", conns: []*Connection{carrier}, delPipes: []otn.PipeID{pipe.ID()}})

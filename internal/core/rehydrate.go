@@ -104,16 +104,6 @@ func Rehydrate(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 		if r.Carrier != "" {
 			c.pipeCarrier[otn.PipeID(r.ID)] = ConnID(r.Carrier)
 		}
-		// Cross-shard pipe tokens are derived state: re-claim fresh ones
-		// rather than journaling them. (Spectrum claims re-register through
-		// the broker gate as restoreConn replays each reservation.)
-		if co := c.shard.Coordinator; co != nil {
-			token, err := co.ClaimPipe(c.shard.Index, topo.NodeID(r.A), topo.NodeID(r.B))
-			if err != nil {
-				return nil, fmt.Errorf("core: re-claiming pipe capacity for %s: %w", r.ID, err)
-			}
-			c.pipeTokens[otn.PipeID(r.ID)] = token
-		}
 	}
 
 	for i := range st.Conns {

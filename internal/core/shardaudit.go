@@ -5,10 +5,7 @@ package core
 // the shards' views of the shared plant agree with the coordinator's, and
 // that no customer's state leaked onto a shard that doesn't own them.
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // AuditInvariants audits every shard's books plus the cross-shard invariants:
 //
@@ -16,16 +13,16 @@ import (
 //   - xshard-spectrum: every channel a shard's plant has lit on a shared
 //     fiber is backed by that shard's coordinator claim;
 //   - xshard-leak: every coordinator claim a shard holds is backed by a
-//     shard-local reservation (a lit channel, a live pipe token) — the
-//     converse direction, catching claims that outlive their resource;
-//   - xshard-pipe: each shard holds exactly one pipe token per live pipe;
+//     channel that shard's plant has lit — the converse direction, catching
+//     claims that outlive their resource;
 //   - tenant-leak: every customer with state on a shard actually hashes to
 //     that shard;
 //   - xshard-violation: release/claim inconsistencies the coordinator
 //     recorded as they happened.
 //
 // Empty means every shard's books balance and the shards agree with the
-// coordinator. Read-only, safe between events like the per-shard audit.
+// coordinator. A plant claims and lights a channel in one step, so this holds
+// between any two events, like the per-shard audit. Read-only.
 func (s *ShardSet) AuditInvariants() []Finding {
 	var out []Finding
 	report := func(kind, format string, args ...any) {
@@ -56,31 +53,14 @@ func (s *ShardSet) AuditInvariants() []Finding {
 				}
 			}
 		}
-		tokens := map[string]bool{}
-		for _, token := range c.pipeTokens {
-			tokens[token] = true
-		}
-
 		for _, key := range s.coord.shardClaims(i) {
-			switch {
-			case strings.HasPrefix(key, "spectrum:"):
-				if !litChannels[strings.TrimPrefix(key, "spectrum:")] {
-					report("xshard-leak", "shard-%d claim %q has no lit channel behind it", i, key)
-				}
-			case strings.HasPrefix(key, "pipe:"):
-				if !tokens[key] {
-					report("xshard-leak", "shard-%d claim %q has no live pipe token behind it", i, key)
-				}
+			if !litChannels[key] {
+				report("xshard-leak", "shard-%d claim %q has no lit channel behind it", i, key)
 			}
 		}
 
-		if got, want := len(c.pipeTokens), len(c.fabric.Pipes()); got != want {
-			report("xshard-pipe", "shard-%d holds %d pipe tokens for %d live pipes", i, got, want)
-		}
-
 		// Customer-owned state must live on the owning shard. The carrier's
-		// internal conns and the coordinator's synthetic customers are
-		// shard-local by construction and exempt.
+		// internal conns are shard-local by construction and exempt.
 		for _, conn := range c.conns.live {
 			if conn.Internal {
 				continue

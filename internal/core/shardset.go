@@ -4,9 +4,8 @@ package core
 // Controller — its own event loop (sim.Kernel), its own journal, its own
 // replica of the photonic plant and device pools — serving the customers that
 // hash to it. The only state shared between shards is the Coordinator
-// (spectrum on shared fibers, OTN pipe capacity per node pair) and the merged
-// operator event/alarm logs, all mutex-guarded and never blocking on the
-// simulation.
+// (spectrum on shared fibers) and the merged operator event/alarm logs, all
+// mutex-guarded and never blocking on the simulation.
 //
 // Two drive modes:
 //
@@ -24,8 +23,8 @@ package core
 // Shard ownership rules: connections, bookings, quotas, SLA ledgers, alarm
 // streams and billing are wholly owned by the customer's shard. Fiber state
 // is replicated (cuts and repairs fan out to every shard so each restores its
-// own customers). Spectrum and pipe capacity are claimed through the
-// Coordinator before any shard-local reservation sticks.
+// own customers). Spectrum is claimed through the Coordinator before any
+// shard-local reservation sticks.
 
 import (
 	"fmt"
@@ -58,14 +57,8 @@ type ShardSetConfig struct {
 	StateDir string
 	// Fsync syncs every journal append (with StateDir).
 	Fsync bool
-	// SegmentSize bounds each shard's WAL segments in bytes (with StateDir):
-	// 0 means the journal's default, negative disables rotation.
-	SegmentSize int64
 	// Tracing gives every shard a span tracer on its own kernel.
 	Tracing bool
-	// MaxPipesPerPair caps live OTN pipes per node pair across all shards
-	// (0 = unlimited). Ignored for a single shard.
-	MaxPipesPerPair int
 }
 
 // Shard is one slice of the sharded control plane.
@@ -109,8 +102,8 @@ func NewShardSet(g *topo.Graph, cfg ShardSetConfig) (*ShardSet, error) {
 		if ch <= 0 {
 			ch = optics.DefaultConfig().Channels
 		}
-		s.coord = NewCoordinator(ch, cfg.MaxPipesPerPair)
-		s.alarmLog = alarms.NewLog(512 * n)
+		s.coord = NewCoordinator(ch)
+		s.alarmLog = alarms.NewLog(alarmLogSize * n)
 	}
 	for i := 0; i < n; i++ {
 		k := sim.NewKernel(cfg.Seed + int64(i))
@@ -135,7 +128,7 @@ func NewShardSet(g *topo.Graph, cfg ShardSetConfig) (*ShardSet, error) {
 				dir = filepath.Join(cfg.StateDir, fmt.Sprintf("shard-%d", i))
 			}
 			var err error
-			store, err = journal.Open(dir, journal.Options{Fsync: cfg.Fsync, SegmentSize: cfg.SegmentSize})
+			store, err = journal.Open(dir, journal.Options{Fsync: cfg.Fsync})
 			if err != nil {
 				s.Close() //lint:allow errcheck construction already failed
 				return nil, err
@@ -428,6 +421,17 @@ func (s *ShardSet) Snapshot() Stats {
 		}
 	}
 	return out
+}
+
+// MaxChannelInUse returns the highest channel any shard has lit (0 when the
+// spectrum is empty). Each plant replica lights only its own shard's
+// channels, so the plant-wide figure is the max over shards.
+func (s *ShardSet) MaxChannelInUse() int {
+	top := 0
+	for _, sh := range s.shards {
+		top = max(top, sh.Ctrl.MaxChannelInUse())
+	}
+	return top
 }
 
 // WriteMetrics renders the set's instruments in Prometheus text format: one

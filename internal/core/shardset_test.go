@@ -54,9 +54,9 @@ func shardConnect(t *testing.T, s *ShardSet, cust, from, to string, rate bw.Rate
 	return conn
 }
 
-// twoShardCustomers returns one customer per given shard index, derived by
+// customersByShard returns perShard customers for every shard, derived by
 // probing the hash — the test stays correct if the hash function changes.
-func shardCustomers(t *testing.T, s *ShardSet, perShard int) [][]string {
+func customersByShard(t *testing.T, s *ShardSet, perShard int) [][]string {
 	t.Helper()
 	out := make([][]string, s.Len())
 	filled := 0
@@ -130,7 +130,7 @@ func TestBookingScopedToCustomer(t *testing.T) {
 // audits stay clean.
 func TestShardSetRoutesAndIsolates(t *testing.T) {
 	s := newShardSet(t, 4, ShardSetConfig{})
-	custs := shardCustomers(t, s, 1)
+	custs := customersByShard(t, s, 1)
 	conns := map[string]*Connection{}
 	for sh, cc := range custs {
 		for _, cust := range cc {
@@ -170,7 +170,7 @@ func TestShardSetRoutesAndIsolates(t *testing.T) {
 // exactly one shard.
 func TestShardSetCoordinatesSpectrum(t *testing.T) {
 	s := newShardSet(t, 2, ShardSetConfig{})
-	custs := shardCustomers(t, s, 2)
+	custs := customersByShard(t, s, 2)
 	for _, cc := range custs {
 		for _, cust := range cc {
 			shardConnect(t, s, cust, "DC-A", "DC-C", bw.Rate10G)
@@ -225,13 +225,40 @@ func TestShardSetAuditDetectsCrossLeaks(t *testing.T) {
 	}
 }
 
+// TestCrossShardAuditHoldsMidChoreography: a groomed connect on each of two
+// shards forces a pipe build — carrier wavelength claimed and lit, EMS ladder
+// in flight, pipe not yet registered — and the cross-shard audit must balance
+// after every single event of it, not only once drained.
+func TestCrossShardAuditHoldsMidChoreography(t *testing.T) {
+	s := newShardSet(t, 2, ShardSetConfig{})
+	for _, cc := range customersByShard(t, s, 1) {
+		cust := inventory.Customer(cc[0])
+		if _, _, err := s.For(cust).Connect(Request{Customer: cust, From: "DC-A", To: "DC-C", Rate: bw.Rate1G}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	auditSetClean(t, s)
+	steps := 0
+	for s.Step() {
+		steps++
+		if fs := s.AuditInvariants(); len(fs) > 0 {
+			t.Fatalf("audit after event %d: %v", steps, fs)
+		}
+	}
+	for i, sh := range s.Shards() {
+		if sh.Ctrl.Snapshot().Pipes == 0 {
+			t.Errorf("shard %d built no pipe: the choreography under test never ran", i)
+		}
+	}
+}
+
 // TestShardSetLockstepDeterministic: equal seeds give byte-identical merged
 // event logs, shard clocks included — the property the lockstep driver
 // exists to preserve.
 func TestShardSetLockstepDeterministic(t *testing.T) {
 	run := func() []string {
 		s := newShardSet(t, 3, ShardSetConfig{})
-		custs := shardCustomers(t, s, 2)
+		custs := customersByShard(t, s, 2)
 		for _, cc := range custs {
 			for _, cust := range cc {
 				c := s.For(inventory.Customer(cust))
@@ -264,7 +291,7 @@ func TestShardSetLockstepDeterministic(t *testing.T) {
 // same steady state (all setups active, audits clean) as lockstep.
 func TestShardSetParallelDrain(t *testing.T) {
 	s := newShardSet(t, 4, ShardSetConfig{})
-	custs := shardCustomers(t, s, 2)
+	custs := customersByShard(t, s, 2)
 	var conns []*Connection
 	for _, cc := range custs {
 		for _, cust := range cc {
@@ -294,7 +321,7 @@ func TestShardSetParallelDrain(t *testing.T) {
 func TestShardSetQuotaLandsOnOwningShard(t *testing.T) {
 	dir := t.TempDir()
 	s := newShardSet(t, 2, ShardSetConfig{StateDir: dir})
-	custs := shardCustomers(t, s, 1)
+	custs := customersByShard(t, s, 1)
 	custA, custB := custs[0][0], custs[1][0] // different shards by construction
 
 	// custB's setup choreography is in flight on its shard...
@@ -342,16 +369,19 @@ func TestShardSetQuotaLandsOnOwningShard(t *testing.T) {
 }
 
 // TestShardSetRehydratesEveryShard: a sharded deployment closes and comes
-// back with every shard's connections, spectrum claims and pipe tokens
-// rebuilt from that shard's own journal.
+// back with every shard's connections, OTN pipes and spectrum claims rebuilt
+// from that shard's own journal.
 func TestShardSetRehydratesEveryShard(t *testing.T) {
 	dir := t.TempDir()
 	s := newShardSet(t, 3, ShardSetConfig{StateDir: dir})
-	custs := shardCustomers(t, s, 1)
+	custs := customersByShard(t, s, 1)
 	ids := map[string]ConnID{}
 	for _, cc := range custs {
 		for _, cust := range cc {
 			ids[cust] = shardConnect(t, s, cust, "DC-A", "DC-C", bw.Rate10G).ID
+			// A groomed circuit too, so every journal carries a pipe and
+			// its carrier wavelength.
+			shardConnect(t, s, cust, "DC-A", "DC-B", bw.Rate1G)
 		}
 	}
 	auditSetClean(t, s)
@@ -361,6 +391,11 @@ func TestShardSetRehydratesEveryShard(t *testing.T) {
 
 	s2 := newShardSet(t, 3, ShardSetConfig{StateDir: dir})
 	defer s2.Close()
+	for i, sh := range s2.Shards() {
+		if sh.Ctrl.Snapshot().Pipes == 0 {
+			t.Errorf("shard %d rehydrated no OTN pipe", i)
+		}
+	}
 	for cust, id := range ids {
 		conn := s2.Conn(id)
 		if conn == nil || conn.State != StateActive {
@@ -371,8 +406,8 @@ func TestShardSetRehydratesEveryShard(t *testing.T) {
 			t.Errorf("connection %s rehydrated on the wrong shard (owner %d)", id, got)
 		}
 	}
-	// The coordinator's claims were rebuilt: audits (including xshard-leak
-	// and xshard-pipe) balance.
+	// The coordinator's claims were rebuilt: audits (including xshard-leak)
+	// balance.
 	auditSetClean(t, s2)
 }
 
@@ -399,7 +434,7 @@ func TestShardSetCrashRecoveryByteEqual(t *testing.T) {
 		})
 	}
 	// First wave completes and commits on every shard...
-	custs := shardCustomers(t, s, 2)
+	custs := customersByShard(t, s, 2)
 	for _, cc := range custs {
 		shardConnect(t, s, cc[0], "DC-A", "DC-C", bw.Rate10G)
 	}
@@ -435,7 +470,7 @@ func TestShardSetCrashRecoveryByteEqual(t *testing.T) {
 		}
 	}
 	// The recovered books balance, including the coordinator's rebuilt
-	// spectrum and pipe claims.
+	// spectrum claims.
 	auditSetClean(t, s2)
 }
 
@@ -459,7 +494,7 @@ func mergedLogSession(t *testing.T) (*ShardSet, []*Connection, []byte) {
 	t.Helper()
 	s := newShardSet(t, 3, ShardSetConfig{})
 	var conns []*Connection
-	for _, cc := range shardCustomers(t, s, 2) {
+	for _, cc := range customersByShard(t, s, 2) {
 		for i, cust := range cc {
 			conn := shardConnect(t, s, cust, "DC-A", "DC-B", bw.Rate1G)
 			conns = append(conns, conn)

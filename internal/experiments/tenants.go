@@ -35,13 +35,8 @@ func ChaosShardedN(seed int64, steps, tenants, shards int, injectLeak bool) (Res
 		custs[i] = inventory.Customer(fmt.Sprintf("tenant-%04d", i))
 	}
 
-	// The cross-shard sweep checks a quiescent invariant: a pipe is claimed
-	// at the coordinator before its token exists (the claim protects the
-	// choreography that creates it), so claims and tokens only balance once
-	// in-flight work drains. Audit at drained checkpoints, not mid-flight.
 	findings := 0
 	audit := func(step int, op string) {
-		set.Drain()
 		for _, f := range set.AuditInvariants() {
 			findings++
 			res.notef("AUDIT step %d after %s: %s", step, op, f)
@@ -108,10 +103,9 @@ func ChaosShardedN(seed int64, steps, tenants, shards int, injectLeak bool) (Res
 			}
 			c.Plant().SetBroker(broker)
 		}
-		if step%10 == 9 {
-			audit(step, op)
-		}
+		audit(step, op)
 	}
+	set.Drain()
 	audit(steps, "final drain")
 
 	tb := metrics.NewTable("Multi-tenant chaos soak", "Quantity", "Value")

@@ -15,7 +15,6 @@ import (
 
 	"griphon"
 	"griphon/internal/api"
-	"griphon/internal/journal"
 )
 
 type connFingerprint struct {
@@ -184,52 +183,5 @@ func TestGriphondRestart(t *testing.T) {
 	// The recovered connection accepts operations through the new daemon.
 	if err := c2.Disconnect("acme", resp.Connections[0].ID); err != nil {
 		t.Errorf("disconnect recovered connection: %v", err)
-	}
-}
-
-// TestSegmentedWALRestart pins the WithWALSegmentSize plumbing end to end: a
-// tiny segment bound must produce a multi-segment WAL directory through the
-// facade, and recovery over those segments must rebuild the same state.
-func TestSegmentedWALRestart(t *testing.T) {
-	dir := t.TempDir()
-	open := func(seed int64) *griphon.Network {
-		net, err := griphon.New(griphon.Testbed(),
-			griphon.WithSeed(seed), griphon.WithStateDir(dir), griphon.WithWALSegmentSize(512))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return net
-	}
-
-	net1 := open(17)
-	for i := 0; i < 6; i++ {
-		conn, err := net1.Connect("acme", "DC-A", "DC-C", griphon.Rate1G)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i%2 == 0 {
-			if err := net1.Disconnect("acme", conn.ID); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	before := fingerprint(net1, "acme")
-	if err := net1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	files, err := journal.WALFiles(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) < 2 {
-		t.Fatalf("WAL did not rotate under a 512-byte bound: %d segment(s)", len(files))
-	}
-
-	net2 := open(71)
-	defer net2.Close()
-	after := fingerprint(net2, "acme")
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("state diverged across segmented restart:\n before %+v\n after  %+v", before, after)
 	}
 }
