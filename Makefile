@@ -16,8 +16,8 @@ vet:
 	$(GO) vet ./...
 
 # Domain-invariant static analysis (DESIGN.md §9) plus the flow-sensitive
-# suite (DESIGN.md §14): wallclock, spanpair, txnrollback, emslayer,
-# metricname, suppress, determinism, journaled, leakpath, loopblock. Also
+# suite (DESIGN.md §14): wallclock, txnrollback, emslayer, metricname,
+# suppress, determinism, journaled, leakpath, loopblock, spanpair. Also
 # runnable as a vet tool:
 #   go vet -vettool=$$(go env GOPATH)/bin/griphon-lint ./...
 lint:

@@ -1,13 +1,14 @@
 // Command griphon-lint runs GRIPhoN's domain-invariant analyzers across the
-// repository: wallclock (virtual-time determinism), spanpair (every tracer
-// span ends), txnrollback (reservations carry rollbacks), emslayer (hardware
-// is only reached through internal/core), metricname (instrument naming) and
-// suppress (//lint:allow hygiene), plus the flow-sensitive suite built on the
-// internal CFG layer — determinism (map order must not reach serialized
-// output unsorted), journaled (durable mutations reach a journalCommit on
-// every non-error path), leakpath (Txn claims cannot escape through an error
-// return unsettled) and loopblock (no blocking operations in controller
-// event-loop code). See DESIGN.md §9 and §14 for each invariant.
+// repository: wallclock (virtual-time determinism), txnrollback (reservations
+// carry rollbacks), emslayer (hardware is only reached through
+// internal/core), metricname (instrument naming) and suppress (//lint:allow
+// hygiene), plus the flow-sensitive suite built on the internal CFG layer —
+// determinism (map order must not reach serialized output unsorted),
+// journaled (durable mutations reach a journalCommit on every non-error
+// path), leakpath (Txn claims cannot escape through an error return
+// unsettled), spanpair (every tracer span ends on every path) and loopblock
+// (no blocking operations in controller event-loop code). See DESIGN.md §9
+// and §14 for each invariant.
 //
 // Usage:
 //

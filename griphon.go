@@ -493,6 +493,9 @@ func (n *Network) Metrics() *obs.Registry { return n.ctrl.Metrics() }
 // TraceTo writes the recorded spans in Chrome trace_event JSON — loadable in
 // chrome://tracing or ui.perfetto.dev, with one track per EMS so a setup
 // renders as the paper's step ladder. Fails unless WithTracing was set.
+//
+// Known limitation: when sharded, only shard 0's tracer is exported; spans
+// recorded by shards 1..N-1 are dropped (ROADMAP "Wall-clock observability").
 func (n *Network) TraceTo(w io.Writer) error {
 	tr := n.ctrl.Tracer()
 	if !tr.Enabled() {
@@ -502,6 +505,7 @@ func (n *Network) TraceTo(w io.Writer) error {
 }
 
 // TraceJSONLTo writes the recorded spans as JSON Lines (one span per line).
+// It has TraceTo's limitation: shard 0's spans only.
 func (n *Network) TraceJSONLTo(w io.Writer) error {
 	tr := n.ctrl.Tracer()
 	if !tr.Enabled() {
@@ -536,13 +540,8 @@ func (n *Network) Alarms(since uint64, customer string) ([]AlarmGroup, uint64) {
 
 // SLA assembles a customer's availability report as of the current virtual
 // time. An empty customer is the operator view (every non-internal
-// connection, read from shard 0 when sharded).
-func (n *Network) SLA(customer string) SLAReport {
-	if customer == "" {
-		return n.ctrl.SLAReport("")
-	}
-	return n.forCust(customer).SLAReport(customer)
-}
+// connection on every shard).
+func (n *Network) SLA(customer string) SLAReport { return n.set.SLAReport(customer) }
 
 // DumpFlight snapshots the flight recorder (ok=false without
 // WithFlightRecorder), folding findings into the dump.

@@ -1,8 +1,8 @@
 package analysis
 
 // Function-level control-flow graphs for the flow-sensitive analyzers
-// (determinism, journaled, leakpath, loopblock). The builder covers the
-// statement forms the repo actually uses — if/else chains, for and range
+// (determinism, journaled, leakpath, loopblock, spanpair). The builder covers
+// the statement forms the repo actually uses — if/else chains, for and range
 // loops, switch/type-switch/select, labeled break/continue, goto, defer,
 // return, panic — and deliberately nothing exotic beyond that. Like the rest
 // of the package it depends only on the standard library.

@@ -1,14 +1,14 @@
 package analysis
 
 // Path queries and def-use chains over the CFGs built in cfg.go. Three
-// primitives carry all four flow-sensitive analyzers:
+// primitives carry the flow-sensitive analyzers:
 //
 //   - PathTo: can execution get from node A to node B without passing a
 //     barrier? (determinism: loop exit -> sink avoiding sort.*)
 //   - EscapesExit: can execution get from node A to a function exit of a
 //     given kind without passing a barrier? (journaled: mutation -> non-error
 //     return avoiding journalCommit; leakpath: claim -> error return avoiding
-//     rollback/commit)
+//     rollback/commit; spanpair: Start -> any exit avoiding End)
 //   - defUse: which objects does a function assign and read, where?
 //
 // Traversal is block-level breadth-first with the barrier predicate applied

@@ -5,8 +5,8 @@ import (
 	"go/types"
 )
 
-// Leakpath is the path-sensitive successor of txnrollback's lexical check: a
-// function that creates an inventory.Txn and claims resources through it
+// Leakpath checks the path half of the reservation discipline: a function
+// that creates an inventory.Txn and claims resources through it
 // (Txn.Do, inventory.Reserve, or a helper handed the txn — interprocedural
 // one level) must not be able to reach a `return` carrying a non-nil error
 // while the transaction is still open. On such a path every reservation made

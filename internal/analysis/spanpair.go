@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -14,19 +13,18 @@ import (
 // spans as "open" slices stretching to the end of the run, which corrupts
 // the per-step latency ladder the paper's Table 2 is reproduced from.
 //
-// The check is lexical, not a full CFG analysis. A span variable is
-// considered safe when any of the following holds:
+// Ending the span is someone else's duty, and the function is not checked
+// further, when:
 //
 //   - a defer ends it (directly or via a deferred closure);
 //   - it is captured by a function literal that ends it (the async pattern:
 //     job.OnDone(func(err error) { sp.EndErr(err) }));
 //   - it escapes the function — returned, stored in a field or composite
-//     literal, reassigned, or handed to another function — in which case
-//     ownership moved and the callee/holder is responsible;
-//   - otherwise, every lexical exit of the variable's scope (each return or
-//     break/continue/goto after the Start, and falling off the end of the
-//     scope block) must be preceded by an End call in a block that encloses
-//     that exit.
+//     literal, reassigned, or handed to another function.
+//
+// Otherwise no path through the function's CFG may run from the Start to a
+// function exit (a return, or falling off the end) without passing an End
+// call on that span.
 var Spanpair = &Analyzer{
 	Name: "spanpair",
 	Doc: "a span returned by obs.Tracer Start/StartTrack must be ended on " +
@@ -45,51 +43,37 @@ func runSpanpair(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					checkSpanFunc(pass, fn.Type, fn.Body)
-				}
-			case *ast.FuncLit:
-				if fn.Body != nil {
-					checkSpanFunc(pass, fn.Type, fn.Body)
-				}
-			}
-			return true
-		})
+		for _, fb := range funcBodies(f) {
+			checkSpanFunc(pass, fb.body)
+		}
 	}
 	return nil
 }
 
-// spanDecl is one `sp := tracer.Start(...)` site in the function under
-// check, with the statement and block it belongs to.
+// spanDecl is one `sp := tracer.Start(...)` site in the function under check.
 type spanDecl struct {
 	obj   types.Object
 	ident *ast.Ident
-	stmt  ast.Stmt
+	stmt  *ast.AssignStmt
 }
 
-func checkSpanFunc(pass *Pass, ftyp *ast.FuncType, body *ast.BlockStmt) {
-	decls := spanDeclsShallow(pass, body)
+func checkSpanFunc(pass *Pass, body *ast.BlockStmt) {
+	decls := spanDecls(pass, body)
 	if len(decls) == 0 {
 		return
 	}
 	parents := buildParents(body)
+	g := BuildCFG(body)
 	for _, d := range decls {
-		checkSpanDecl(pass, ftyp, body, parents, d)
+		checkSpanDecl(pass, body, parents, g, d)
 	}
 }
 
-// spanDeclsShallow finds span declarations directly in this function,
-// skipping nested function literals (they are checked on their own visit).
-func spanDeclsShallow(pass *Pass, body *ast.BlockStmt) []spanDecl {
+// spanDecls finds span declarations directly in this function; nested
+// function literals are checked on their own visit.
+func spanDecls(pass *Pass, body *ast.BlockStmt) []spanDecl {
 	var out []spanDecl
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
+	ownStmts(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 			return true
@@ -107,196 +91,109 @@ func spanDeclsShallow(pass *Pass, body *ast.BlockStmt) []spanDecl {
 			!methodOn(fn, obsPkg, "Tracer", "StartTrack") {
 			return true
 		}
-		obj := pass.TypesInfo.Defs[id]
-		if obj == nil {
-			obj = pass.TypesInfo.Uses[id]
-		}
-		if obj == nil {
-			return true
-		}
-		out = append(out, spanDecl{obj: obj, ident: id, stmt: as})
-		return true
-	}
-	ast.Inspect(body, walk)
-	return out
-}
-
-// checkSpanDecl gathers the evidence for one span variable and reports if
-// some exit of its scope is uncovered.
-func checkSpanDecl(pass *Pass, ftyp *ast.FuncType, body *ast.BlockStmt, parents map[ast.Node]ast.Node, d spanDecl) {
-	var endCalls []ast.Node // plain End calls in this function's own body
-	safe := false           // defer / capturing closure / escape
-
-	ast.Inspect(body, func(n ast.Node) bool {
-		if safe {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok || pass.TypesInfo.Uses[id] != d.obj {
-			return true
-		}
-		use := classifySpanUse(pass, parents, id)
-		switch use {
-		case useEnd:
-			endCalls = append(endCalls, enclosingCall(parents, id))
-		case useDeferEnd, useClosureEnd, useEscape:
-			safe = true
+		if obj := objOf(pass.TypesInfo, id); obj != nil {
+			out = append(out, spanDecl{obj: obj, ident: id, stmt: as})
 		}
 		return true
 	})
-	if safe {
-		return
-	}
+	return out
+}
 
-	declBlock := blockOf(parents, d.stmt)
-	if declBlock == nil {
-		declBlock = body
-	}
-	for _, exit := range scopeExits(ftyp, body, declBlock, d.stmt) {
-		if exitCovered(parents, endCalls, exit) {
-			continue
+// checkSpanDecl reports one span variable if the function keeps the duty to
+// end it and some path from its Start reaches an exit without doing so.
+func checkSpanDecl(pass *Pass, body *ast.BlockStmt, parents map[ast.Node]ast.Node, g *CFG, d spanDecl) {
+	info := pass.TypesInfo
+	for _, df := range g.Defers {
+		if isSpanEnd(info, df.Call, d.obj) {
+			return
 		}
-		pass.Reportf(d.ident.Pos(),
-			"span %s from Tracer.%s is not ended on every path: exit at %s "+
-				"has no preceding End/EndErr/EndOutcome (defer the End, end "+
-				"it in the completion callback, or end it before this exit)",
-			d.ident.Name, startName(pass, d.stmt), pass.Fset.Position(exit.pos))
+	}
+	handedOff := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == d.obj && spanHandedOff(parents, id) {
+			handedOff = true
+		}
+		return !handedOff
+	})
+	if handedOff {
 		return
 	}
-}
 
-func startName(pass *Pass, stmt ast.Stmt) string {
-	as := stmt.(*ast.AssignStmt)
-	if fn := calleeFunc(pass.TypesInfo, as.Rhs[0].(*ast.CallExpr)); fn != nil {
-		return fn.Name()
+	ends := func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		return ok && isSpanEnd(info, call, d.obj)
 	}
-	return "Start"
+	anyExit := func(*ast.ReturnStmt) bool { return true }
+	esc, ret := g.EscapesExit(d.stmt, ends, anyExit)
+	if !esc {
+		return
+	}
+	exit := "the end of the function"
+	if ret != nil {
+		exit = "the return at " + pass.Fset.Position(ret.Pos()).String()
+	}
+	start := "Start"
+	if fn := calleeFunc(info, d.stmt.Rhs[0].(*ast.CallExpr)); fn != nil {
+		start = fn.Name()
+	}
+	pass.Reportf(d.ident.Pos(),
+		"span %s from Tracer.%s is not ended on every path: %s is reachable "+
+			"with no End/EndErr/EndOutcome before it (defer the End, end it "+
+			"in the completion callback, or end it on that path)",
+		d.ident.Name, start, exit)
 }
 
-type spanUse int
+// isSpanEnd matches sp.End(...) / sp.EndErr(...) / sp.EndOutcome(...) on this
+// span variable.
+func isSpanEnd(info *types.Info, call *ast.CallExpr, span types.Object) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || !spanEndMethods[sel.Sel.Name] {
+		return false
+	}
+	id, ok := ast.Unparen(sel.X).(*ast.Ident)
+	return ok && info.Uses[id] == span
+}
 
-const (
-	useOther spanUse = iota
-	useEnd
-	useDeferEnd
-	useClosureEnd
-	useEscape
-)
-
-// classifySpanUse decides what one identifier occurrence of the span
-// variable means for the analysis.
-func classifySpanUse(pass *Pass, parents map[ast.Node]ast.Node, id *ast.Ident) spanUse {
+// spanHandedOff reports whether one identifier occurrence of the span
+// variable moves the duty to end it out of the function's own control flow:
+// a closure ends it, or the value escapes.
+func spanHandedOff(parents map[ast.Node]ast.Node, id *ast.Ident) bool {
 	// sp.End(...)? — the parent chain is Ident <- SelectorExpr <- CallExpr.
 	if sel, ok := parents[id].(*ast.SelectorExpr); ok && sel.X == id {
 		if call, ok := parents[sel].(*ast.CallExpr); ok && call.Fun == sel {
-			if spanEndMethods[sel.Sel.Name] {
-				if underDefer(parents, call) {
-					return useDeferEnd
-				}
-				if underFuncLit(parents, call) {
-					return useClosureEnd
-				}
-				return useEnd
-			}
-			// sp.SetConn(...), sp.Active() — neutral method call.
-			return useOther
+			// An End in a closure runs on the closure's schedule; a plain End
+			// is a barrier on the CFG; sp.SetConn(...), sp.Active() are
+			// neutral wherever they run.
+			return spanEndMethods[sel.Sel.Name] && underFuncLit(parents, call)
 		}
 		// Selector not called (method value `sp.End` passed around): the
 		// receiver escaped with it.
-		if spanEndMethods[sel.Sel.Name] {
-			return useEscape
-		}
-		return useOther
+		return spanEndMethods[sel.Sel.Name]
 	}
 	if underFuncLit(parents, id) {
 		// Captured by a closure that never ends it: the closure may stash
 		// it anywhere — treat as escaped rather than guess.
-		return useEscape
+		return true
 	}
 	// Walk outward to see where the value flows.
 	for n := parents[id]; n != nil; n = parents[n] {
 		switch p := n.(type) {
 		case *ast.ReturnStmt, *ast.CompositeLit, *ast.KeyValueExpr, *ast.SendStmt:
-			return useEscape
+			return true
 		case *ast.AssignStmt:
 			for _, r := range p.Rhs {
 				if containsNode(r, id) {
-					return useEscape
+					return true
 				}
 			}
-			return useOther
+			return false
 		case *ast.CallExpr:
 			// An argument position (not the callee) hands the span to
 			// another function — including tracer.Start(sp, ...) child
 			// spans; conservatively the holder owns ending it.
-			if !containsNode(p.Fun, id) {
-				return useEscape
-			}
-			return useOther
+			return !containsNode(p.Fun, id)
 		case ast.Stmt:
-			return useOther
-		}
-	}
-	return useOther
-}
-
-// exit is one lexical way out of the span variable's scope.
-type exitPoint struct {
-	node ast.Node
-	pos  token.Pos
-}
-
-// scopeExits enumerates the lexical exits of the block the span is declared
-// in: returns and branch statements after the declaration (outside nested
-// function literals), plus falling off the end of the block. Falling off the
-// end of the function body is only an exit when the function can actually
-// end there (no result list — with results, the compiler already requires a
-// return or panic).
-func scopeExits(ftyp *ast.FuncType, body *ast.BlockStmt, declBlock ast.Node, declStmt ast.Stmt) []exitPoint {
-	var exits []exitPoint
-	ast.Inspect(declBlock, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
 			return false
-		}
-		switch s := n.(type) {
-		case *ast.ReturnStmt:
-			if s.Pos() > declStmt.End() {
-				exits = append(exits, exitPoint{s, s.Pos()})
-			}
-		case *ast.BranchStmt:
-			if s.Tok != token.FALLTHROUGH && s.Pos() > declStmt.End() {
-				exits = append(exits, exitPoint{s, s.Pos()})
-			}
-		}
-		return true
-	})
-	end := declBlock.End()
-	if bs, ok := declBlock.(*ast.BlockStmt); ok {
-		end = bs.Rbrace
-	}
-	hasResults := ftyp != nil && ftyp.Results != nil && len(ftyp.Results.List) > 0
-	if !(hasResults && declBlock == ast.Node(body)) {
-		exits = append(exits, exitPoint{declBlock, end})
-	}
-	return exits
-}
-
-// exitCovered reports whether some recorded End call lexically dominates the
-// exit: the call appears before it, in a block that encloses it.
-func exitCovered(parents map[ast.Node]ast.Node, endCalls []ast.Node, e exitPoint) bool {
-	for _, c := range endCalls {
-		if c == nil || c.Pos() >= e.pos {
-			continue
-		}
-		cb := blockOf(parents, c)
-		for n := e.node; n != nil; n = parents[n] {
-			if n == cb {
-				return true
-			}
-		}
-		// The virtual end-of-block exit carries the block itself as node.
-		if cb == e.node {
-			return true
 		}
 	}
 	return false
@@ -320,46 +217,6 @@ func buildParents(root ast.Node) map[ast.Node]ast.Node {
 		return true
 	})
 	return parents
-}
-
-// blockOf returns the nearest enclosing statement-list node (block or
-// switch/select clause).
-func blockOf(parents map[ast.Node]ast.Node, n ast.Node) ast.Node {
-	for p := parents[n]; p != nil; p = parents[p] {
-		switch p.(type) {
-		case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause:
-			return p
-		}
-	}
-	return nil
-}
-
-// enclosingCall returns the CallExpr the identifier's method call belongs to.
-func enclosingCall(parents map[ast.Node]ast.Node, id *ast.Ident) ast.Node {
-	sel, ok := parents[id].(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	call, _ := parents[sel].(*ast.CallExpr)
-	return call
-}
-
-// underDefer reports whether n sits directly under a defer statement
-// (without an intervening function literal that would defer the End to the
-// closure's own execution).
-func underDefer(parents map[ast.Node]ast.Node, n ast.Node) bool {
-	for p := parents[n]; p != nil; p = parents[p] {
-		switch p.(type) {
-		case *ast.DeferStmt:
-			return true
-		case *ast.FuncLit:
-			// defer func() { sp.End() }() — the DeferStmt is above the
-			// FuncLit; keep climbing, a plain closure is handled by the
-			// caller as useClosureEnd which is just as safe.
-			continue
-		}
-	}
-	return false
 }
 
 // underFuncLit reports whether n is inside a function literal nested in the

@@ -9,8 +9,8 @@ import (
 
 // Each analyzer runs over at least one flagging and one non-flagging fixture.
 // The package path a fixture is checked under is part of the test: it is how
-// the path-scoped exemptions (sim for wallclock, core for emslayer and
-// txnrollback, obs for metricname) get exercised from both sides.
+// the path-scoped exemptions (sim for wallclock, core for emslayer, obs for
+// metricname) get exercised from both sides.
 
 func TestWallclock(t *testing.T) {
 	analysistest.Run(t, analysis.Wallclock, "testdata/wallclock/flag", "example/fixture")

@@ -40,3 +40,33 @@ func endedOnAllPaths(tr *obs.Tracer, parent obs.SpanRef, fail bool) error {
 	sp.End()
 	return nil
 }
+
+// everyArmReturns ends and returns in every arm of a switch with a default:
+// the closing brace of the function is unreachable, so nothing falls off it.
+func everyArmReturns(tr *obs.Tracer, parent obs.SpanRef, kind int) {
+	sp := tr.Start(parent, "op:dispatch")
+	switch kind {
+	case 0:
+		sp.EndOutcome("noop")
+		return
+	case 1:
+		sp.EndErr(errors.New("refused"))
+		return
+	default:
+		sp.End()
+		return
+	}
+}
+
+// perIteration starts a span in a loop body and ends it before both the
+// continue and the fall-through to the next iteration.
+func perIteration(tr *obs.Tracer, parent obs.SpanRef, steps []bool) {
+	for _, skip := range steps {
+		sp := tr.Start(parent, "op:step")
+		if skip {
+			sp.EndOutcome("skipped")
+			continue
+		}
+		sp.End()
+	}
+}

@@ -25,32 +25,3 @@ const errExhausted = poolError("pool exhausted")
 func reserveProperly(t *inventory.Txn, p *pool) (int, error) {
 	return inventory.Reserve(t, p.Acquire, p.Release)
 }
-
-// txnCoordinated drives a whole multi-step setup through one transaction;
-// rollback, not hand-sequenced releases, undoes partial work.
-func txnCoordinated(p *pool) error {
-	t := inventory.NewTxn()
-	id, err := inventory.Reserve(t, p.Acquire, p.Release)
-	if err != nil {
-		t.Rollback()
-		return err
-	}
-	if err := push(id); err != nil {
-		t.Rollback()
-		return err
-	}
-	t.Commit()
-	return nil
-}
-
-// coordinated has the Txn in play, so a direct error-path Release is taken
-// to be deliberate coordination with the transaction.
-func coordinated(t *inventory.Txn, p *pool, id int) error {
-	if err := push(id); err != nil {
-		p.Release(id)
-		return err
-	}
-	return t.Do(func() error { return nil }, func() { p.Release(id) })
-}
-
-func push(int) error { return nil }

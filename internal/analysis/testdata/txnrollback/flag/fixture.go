@@ -30,19 +30,3 @@ func nilTxn(p *pool) (int, error) {
 func nilRelease(t *inventory.Txn, p *pool) (int, error) {
 	return inventory.Reserve(t, p.Acquire, nil) // want `inventory\.Reserve with a nil release closure`
 }
-
-// handRolledUndo sequences its own undo on the error path instead of letting
-// a Txn keep the LIFO order.
-func handRolledUndo(p *pool) error {
-	id, err := p.Acquire()
-	if err != nil {
-		return err
-	}
-	if err := push(id); err != nil {
-		p.Release(id) // want `Release on an error path outside a Txn`
-		return err
-	}
-	return nil
-}
-
-func push(int) error { return nil }

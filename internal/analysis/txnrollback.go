@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 const (
@@ -15,34 +14,25 @@ const (
 // §2.2: the resource database is only mutated through reversible steps. A
 // connection setup reserves transponders, regen chains, wavelengths, FXC
 // ports and ODU slots; any step can fail, and everything already taken must
-// come back. Concretely:
-//
-//   - inventory.Reserve must be given a live transaction (not a nil *Txn)
-//     and a non-nil release closure — a Reserve with no release is a leak
-//     the moment any later step fails;
-//   - in internal/core, a resource release on an `if err != nil` path that
-//     is not a transaction rollback is reported: the release belongs inside
-//     the Txn as a rollback closure, where it runs in LIFO order with every
-//     other undo instead of being hand-sequenced.
+// come back. Concretely: inventory.Reserve must be given a live transaction
+// (not a nil *Txn) and a non-nil release closure — a Reserve with no release
+// is a leak the moment any later step fails. That a claim made through the
+// transaction cannot reach an error return with it still open is leakpath's
+// check.
 var Txnrollback = &Analyzer{
 	Name: "txnrollback",
-	Doc: "inventory.Reserve needs a live Txn and a non-nil rollback closure; " +
-		"error-path releases outside a Txn are reported",
-	Run: runTxnrollback,
+	Doc:  "inventory.Reserve needs a live Txn and a non-nil rollback closure",
+	Run:  runTxnrollback,
 }
 
 func runTxnrollback(pass *Pass) error {
-	path := NormalizePkgPath(pass.Pkg.Path())
-	if path == inventoryPkg {
+	if NormalizePkgPath(pass.Pkg.Path()) == inventoryPkg {
 		// The transaction mechanics themselves (and their tests) exercise
-		// nil undos and direct releases on purpose.
+		// nil undos on purpose.
 		return nil
 	}
 	for _, f := range pass.Files {
 		checkReserveCalls(pass, f)
-		if path == corePkg && !inTestFile(pass.Fset, f.Pos()) {
-			checkErrorPathReleases(pass, f)
-		}
 	}
 	return nil
 }
@@ -110,128 +100,4 @@ func errorInterface() *types.Interface {
 		errIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 	}
 	return errIface
-}
-
-// releaseMethodNames are the resource-returning methods the error-path check
-// looks for. They return capacity to a pool or ledger; on a failure path
-// that return must be a Txn rollback, not a hand-written call.
-func isReleaseName(name string) bool {
-	return name == "Release" || name == "ReleasePath" || name == "ReleaseSlots" ||
-		name == "ReleaseShared" || strings.HasPrefix(name, "Release")
-}
-
-// checkErrorPathReleases walks core functions looking for Release* calls
-// lexically inside `if err != nil` blocks that are not themselves rollback
-// closures and whose enclosing function has no *inventory.Txn in play.
-func checkErrorPathReleases(pass *Pass, f *ast.File) {
-	var stack []ast.Node
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(pass.TypesInfo, call)
-		if fn == nil || !isReleaseName(fn.Name()) {
-			return true
-		}
-		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() == nil {
-			return true
-		}
-		if !inErrPath(pass, stack) || txnInPlay(pass, stack) {
-			return true
-		}
-		pass.Reportf(call.Pos(),
-			"%s on an error path outside a Txn: register the release as a "+
-				"rollback closure (inventory.Reserve / Txn.Do) so undo order "+
-				"stays LIFO", fn.Name())
-		return true
-	}
-	ast.Inspect(f, visit)
-}
-
-// inErrPath reports whether the innermost enclosing branch of the node stack
-// is the then-block of an `if err != nil`.
-func inErrPath(pass *Pass, stack []ast.Node) bool {
-	for i := len(stack) - 1; i > 0; i-- {
-		ifs, ok := stack[i].(*ast.IfStmt)
-		if !ok {
-			// Stop at function boundaries: a closure declared on an error
-			// path is not itself error-path code (it may be a deferred
-			// cleanup or a scheduled callback).
-			if _, isFn := stack[i].(*ast.FuncLit); isFn {
-				return false
-			}
-			continue
-		}
-		// Only the then-branch is the error path; the node must be inside
-		// Body, not Else or Cond.
-		if !errNilCond(pass.TypesInfo, ifs.Cond) {
-			continue
-		}
-		if i+1 < len(stack) && stack[i+1] == ifs.Body {
-			return true
-		}
-	}
-	return false
-}
-
-// txnInPlay reports whether any enclosing function in the stack declares,
-// receives or uses an *inventory.Txn — in that case the release is assumed
-// to be coordinated with the transaction (or to *be* its rollback closure).
-func txnInPlay(pass *Pass, stack []ast.Node) bool {
-	for _, n := range stack {
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			if fnUsesTxn(pass, fn.Type, fn.Body) {
-				return true
-			}
-		case *ast.FuncLit:
-			if fnUsesTxn(pass, fn.Type, fn.Body) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func fnUsesTxn(pass *Pass, ft *ast.FuncType, body *ast.BlockStmt) bool {
-	if ft.Params != nil {
-		for _, fld := range ft.Params.List {
-			if isTxnType(pass.TypesInfo.Types[fld.Type].Type) {
-				return true
-			}
-		}
-	}
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := pass.TypesInfo.Uses[id]
-		if obj == nil {
-			obj = pass.TypesInfo.Defs[id]
-		}
-		if obj != nil && isTxnType(obj.Type()) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-func isTxnType(t types.Type) bool {
-	n, ok := namedType(t)
-	return ok && n.Obj().Name() == "Txn" &&
-		n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == inventoryPkg
 }

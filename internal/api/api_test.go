@@ -11,9 +11,9 @@ import (
 	"griphon/internal/journal"
 )
 
-func newTestServer(t *testing.T) (*Client, *griphon.Network) {
+func newTestServer(t *testing.T, opts ...griphon.Option) (*Client, *griphon.Network) {
 	t.Helper()
-	net, err := griphon.New(griphon.Testbed(), griphon.WithSeed(5))
+	net, err := griphon.New(griphon.Testbed(), append([]griphon.Option{griphon.WithSeed(5)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +267,7 @@ func TestDefragEndpoint(t *testing.T) {
 // TestDefragMaxChannelSharded: the plant-wide figure must count channels lit
 // by every shard, not only shard 0's replica.
 func TestDefragMaxChannelSharded(t *testing.T) {
-	net, err := griphon.New(griphon.Testbed(), griphon.WithSeed(5), griphon.WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServer(net).Handler())
-	t.Cleanup(srv.Close)
-	c := NewClient(srv.URL)
+	c, net := newTestServer(t, griphon.WithShards(2))
 
 	tenant := ""
 	for i := 0; tenant == ""; i++ {

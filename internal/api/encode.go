@@ -1,10 +1,10 @@
 package api
 
-// Response-path machinery: pooled encode buffers, pre-encoded static bodies,
-// and a version-invalidated GET response cache. The API fronts a
-// single-threaded simulation, so every byte saved on the marshal path is
-// throughput; bench/ drives this path over real HTTP against a running
-// griphond (workload portal-read).
+// Response-path machinery: pooled encode buffers, pooled request-body
+// buffers and pre-encoded static bodies. The API fronts a single-threaded
+// simulation, so every byte saved on the marshal path is throughput; bench/
+// drives this path over real HTTP against a running griphond (workload
+// portal-read).
 
 import (
 	"bytes"
@@ -66,130 +66,6 @@ func (s *Server) encode(e *encState, v any) error {
 	}
 	e.buf.Reset()
 	return e.enc.Encode(v)
-}
-
-// cachedResp is one cached GET response.
-type cachedResp struct {
-	status int
-	ctype  string
-	body   []byte
-}
-
-// respCache memoizes GET responses keyed by request URI, invalidated whole
-// whenever any mutation lands. The version counter closes the race between a
-// GET rendering under the server mutex and a concurrent mutation: a response
-// computed against version N is only stored if the cache is still at N.
-type respCache struct {
-	mu      sync.Mutex
-	version uint64
-	entries map[string]cachedResp
-}
-
-// maxCacheEntries bounds the cache between invalidations; distinct query
-// strings past the cap simply go uncached.
-const maxCacheEntries = 1024
-
-func (c *respCache) snapshot() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
-}
-
-func (c *respCache) get(key string) (cachedResp, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.entries[key]
-	return r, ok
-}
-
-func (c *respCache) putIfVersion(key string, version uint64, r cachedResp) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.version != version || len(c.entries) >= maxCacheEntries {
-		return
-	}
-	if c.entries == nil {
-		c.entries = make(map[string]cachedResp)
-	}
-	c.entries[key] = r
-}
-
-// bump invalidates everything: the state changed.
-func (c *respCache) bump() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.version++
-	c.entries = nil
-}
-
-// cacheable reports whether a GET path's response is a pure function of the
-// committed state. The metrics and trace endpoints are excluded: metrics move
-// on scrapes themselves (cache counters, scrape timestamps) and traces
-// accumulate outside the mutation path.
-func cacheable(path string) bool {
-	switch path {
-	case "/api/v1/metrics", "/api/v1/trace":
-		return false
-	}
-	return true
-}
-
-// teeWriter duplicates a handler's response into a buffer so a cache fill
-// costs no extra render.
-type teeWriter struct {
-	http.ResponseWriter
-	status int
-	buf    bytes.Buffer
-}
-
-func (t *teeWriter) WriteHeader(status int) {
-	t.status = status
-	t.ResponseWriter.WriteHeader(status)
-}
-
-func (t *teeWriter) Write(p []byte) (int, error) {
-	t.buf.Write(p) //lint:allow errcheck bytes.Buffer never errors
-	return t.ResponseWriter.Write(p)
-}
-
-// withCache wraps the routing table: GETs on cacheable paths are served from
-// (and fill) the response cache; every POST invalidates it.
-func (s *Server) withCache(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
-			// Deferred so a handler that panics mid-mutation (net/http
-			// recovers per connection) still invalidates: the state may have
-			// changed before the panic.
-			defer s.cache.bump()
-			next.ServeHTTP(w, r)
-			return
-		}
-		if r.Method != http.MethodGet || !cacheable(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		key := r.URL.RequestURI()
-		if resp, ok := s.cache.get(key); ok {
-			s.cacheHits.Inc()
-			w.Header().Set("Content-Type", resp.ctype)
-			w.WriteHeader(resp.status)
-			if _, err := w.Write(resp.body); err != nil {
-				s.encodeErrs.Inc()
-			}
-			return
-		}
-		s.cacheMisses.Inc()
-		version := s.cache.snapshot()
-		tee := &teeWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(tee, r)
-		if tee.status == http.StatusOK {
-			s.cache.putIfVersion(key, version, cachedResp{
-				status: tee.status,
-				ctype:  tee.Header().Get("Content-Type"),
-				body:   append([]byte(nil), tee.buf.Bytes()...),
-			})
-		}
-	})
 }
 
 // writeJSON encodes v fully before touching the ResponseWriter, so an encode

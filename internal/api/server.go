@@ -14,21 +14,17 @@ import (
 )
 
 // Server adapts a griphon.Network to HTTP. The simulation is single-threaded,
-// so one mutex serializes all requests; each mutating call advances the
-// virtual clock until its operation completes (a 62 s setup returns in
-// microseconds of wall time). A handler reads what its own request concerns —
-// the connections it just made, one customer's listing, bill or report — so
-// its cost does not grow with the history the controller holds.
+// so one mutex serializes all requests, reads included; each mutating call
+// advances the virtual clock until its operation completes (a 62 s setup
+// returns in microseconds of wall time). A handler reads what its own request
+// concerns — the connections it just made, one customer's listing, bill or
+// report — so its cost does not grow with the history the controller holds.
 type Server struct {
 	mu  sync.Mutex
 	net *griphon.Network
 	// encodeErrs counts responses that failed to encode or write — the same
 	// instrument the controller registers, fetched from the shared registry.
 	encodeErrs *obs.Counter
-
-	cache respCache
-	cacheHits,
-	cacheMisses *obs.Counter
 
 	// testEncodeErr, when set, overrides response encoding — the seam the
 	// terminal plain-text fallback test uses.
@@ -41,14 +37,10 @@ func NewServer(net *griphon.Network) *Server {
 		net: net,
 		encodeErrs: net.Metrics().Counter("griphon_api_encode_errors_total",
 			"HTTP API responses that failed to encode or write."),
-		cacheHits: net.Metrics().Counter("griphon_api_cache_hits_total",
-			"GET responses served from the invalidation-versioned response cache."),
-		cacheMisses: net.Metrics().Counter("griphon_api_cache_misses_total",
-			"Cacheable GET responses rendered from state."),
 	}
 }
 
-// Handler returns the API's routing table, wrapped in the GET response cache.
+// Handler returns the API's routing table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /api/v1/connections", s.handleConnections)
@@ -71,7 +63,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /api/v1/repair", s.handleRepair)
 	mux.HandleFunc("POST /api/v1/maintenance", s.handleMaintenance)
 	mux.HandleFunc("POST /api/v1/advance", s.handleAdvance)
-	return s.withCache(mux)
+	return mux
 }
 
 func (s *Server) now() sim.Time { return sim.Time(s.net.Now()) }

@@ -1,6 +1,8 @@
 package api
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,6 +79,56 @@ func TestSLAEndpoint(t *testing.T) {
 	}
 	if len(op.Conns) != 1 {
 		t.Errorf("operator view = %d conns", len(op.Conns))
+	}
+}
+
+// TestSLAOperatorViewSharded: the operator report must list the connections
+// of every shard's ledger, ID-ordered, with totals that are the sum of the
+// tenants' own reports — not shard 0's ledger alone.
+func TestSLAOperatorViewSharded(t *testing.T) {
+	c, net := newTestServer(t, griphon.WithShards(4))
+
+	var tenants []string
+	for i := 0; len(tenants) < 8; i++ {
+		if name := fmt.Sprintf("tenant-%d", i); net.ShardFor(name) != 0 {
+			tenants = append(tenants, name)
+		}
+	}
+	for _, tenant := range tenants {
+		if _, err := c.Connect(ConnectRequest{Customer: tenant, From: "DC-A", To: "DC-B", Rate: "1G"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Advance("1h"); err != nil {
+		t.Fatal(err)
+	}
+
+	op, err := c.SLA("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(op.Conns) != len(tenants) {
+		t.Fatalf("operator view lists %d of %d connections", len(op.Conns), len(tenants))
+	}
+	if !slices.IsSortedFunc(op.Conns, func(a, b SLAConnJSON) int { return strings.Compare(a.ID, b.ID) }) {
+		t.Errorf("operator view not ordered by ID: %+v", op.Conns)
+	}
+	var lifetime float64
+	for _, tenant := range tenants {
+		own, err := c.SLA(tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(own.Conns) != 1 {
+			t.Fatalf("%s sees %d connections", tenant, len(own.Conns))
+		}
+		lifetime += own.LifetimeS
+	}
+	if diff := op.LifetimeS - lifetime; diff > 1e-6 || diff < -1e-6 || lifetime == 0 {
+		t.Errorf("operator lifetime = %v s, tenants' reports sum to %v s", op.LifetimeS, lifetime)
+	}
+	if op.Availability != 1 {
+		t.Errorf("operator availability = %v with no outage", op.Availability)
 	}
 }
 

@@ -45,8 +45,8 @@ type instruments struct {
 	alarmsObserved [3]*obs.Counter
 	alarmGroups    [3]*obs.Counter
 
-	pathcacheHits          *obs.Counter
-	pathcacheMisses        *obs.Counter
+	pathcacheHit           *obs.Counter
+	pathcacheMiss          *obs.Counter
 	pathcacheInvalidations *obs.Counter
 	pathcacheEvictDeadLink *obs.Counter
 	pathcacheEvictBlocked  *obs.Counter
@@ -128,9 +128,9 @@ func (c *Controller) initObs() {
 		"Correlated alarm groups emitted, by root-cause kind.", "kind", "equipment")
 	c.ins.alarmGroups[alarms.GroupService] = r.Counter("griphon_alarms_groups_total",
 		"Correlated alarm groups emitted, by root-cause kind.", "kind", "service")
-	c.ins.pathcacheHits = r.Counter("griphon_pathcache_lookups_total",
+	c.ins.pathcacheHit = r.Counter("griphon_pathcache_lookups_total",
 		"Path-cache lookups on cache-eligible route requests, by result.", "result", "hit")
-	c.ins.pathcacheMisses = r.Counter("griphon_pathcache_lookups_total",
+	c.ins.pathcacheMiss = r.Counter("griphon_pathcache_lookups_total",
 		"Path-cache lookups on cache-eligible route requests, by result.", "result", "miss")
 	c.ins.pathcacheInvalidations = r.Counter("griphon_pathcache_invalidations_total",
 		"Path-cache flushes triggered by link-state or topology changes.")

@@ -360,7 +360,7 @@ func (c *Controller) reserveLightpath(id ConnID, a, b topo.NodeID, rate bw.Rate,
 	if cacheable {
 		key := pathKey{a: a, b: b, rate: rate, protect: protect}
 		if route, ok := c.pcacheLookup(key); ok {
-			c.ins.pathcacheHits.Inc()
+			c.ins.pathcacheHit.Inc()
 			sp := c.tr.Start(parent, "rwa:cache-hit")
 			lp, err := c.reserveOnRoute(id, route, rate, reuse, withFXC)
 			sp.EndErr(err)
@@ -370,7 +370,7 @@ func (c *Controller) reserveLightpath(id ConnID, a, b topo.NodeID, rate bw.Rate,
 			}
 			// Fall through to the full search below.
 		} else {
-			c.ins.pathcacheMisses.Inc()
+			c.ins.pathcacheMiss.Inc()
 		}
 	}
 

@@ -15,10 +15,9 @@ package core
 //     degenerates to exactly the pre-sharding controller: no coordinator, no
 //     broker gates, plain connection IDs, byte-identical journals.
 //
-//   - Parallel (DrainParallel/AdvanceParallel): one goroutine per shard, for
-//     the multi-tenant throughput benchmark. Shard clocks advance
-//     independently; cross-shard effects serialize only on the coordinator's
-//     mutex.
+//   - Parallel (DrainParallel): one goroutine per shard. Shard clocks
+//     advance independently; cross-shard effects serialize only on the
+//     coordinator's mutex.
 //
 // Shard ownership rules: connections, bookings, quotas, SLA ledgers, alarm
 // streams and billing are wholly owned by the customer's shard. Fiber state
@@ -39,6 +38,7 @@ import (
 	"griphon/internal/obs"
 	"griphon/internal/optics"
 	"griphon/internal/sim"
+	"griphon/internal/slo"
 	"griphon/internal/topo"
 )
 
@@ -300,21 +300,6 @@ func (s *ShardSet) DrainParallel() {
 	wg.Wait()
 }
 
-// AdvanceParallel runs every shard concurrently until each clock reaches
-// now+d.
-func (s *ShardSet) AdvanceParallel(d sim.Duration) {
-	target := s.Now().Add(d)
-	var wg sync.WaitGroup
-	for _, sh := range s.shards {
-		wg.Add(1)
-		go func(sh *Shard) {
-			defer wg.Done()
-			sh.Kernel.RunUntil(target)
-		}(sh)
-	}
-	wg.Wait()
-}
-
 // Events returns the operator's merged audit log: arrival order across
 // shards under lockstep drive (deterministic), goroutine order under
 // parallel drive. A single-shard set reads the controller's log directly.
@@ -379,6 +364,19 @@ func (s *ShardSet) AlarmsSince(seq uint64, customer string) ([]alarms.Group, uin
 		}
 	}
 	return groups, s.alarmLog.NextSeq() - 1
+}
+
+// SLAReport assembles a customer's availability report from the owning
+// shard's ledger. The operator view ("") spans every shard's ledger.
+func (s *ShardSet) SLAReport(customer string) slo.CustomerReport {
+	if customer != "" || len(s.shards) == 1 {
+		return s.For(inventory.Customer(customer)).SLAReport(customer)
+	}
+	reps := make([]slo.CustomerReport, len(s.shards))
+	for i, sh := range s.shards {
+		reps[i] = sh.Ctrl.SLAReport("")
+	}
+	return slo.MergeReports(s.Now(), reps)
 }
 
 // Conn finds a connection by ID across every shard.

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// These tests pin the transaction lifecycle contract the txnrollback analyzer
-// (internal/analysis) assumes when it pushes error-path releases into Txn
-// rollback closures: undo order is LIFO, a finished transaction refuses new
+// These tests pin the transaction lifecycle contract the txnrollback and
+// leakpath analyzers (internal/analysis) assume when they push releases into
+// Txn rollback closures: undo order is LIFO, a finished transaction refuses new
 // work loudly, and a committed transaction can never fire an undo.
 
 func TestTxnDoAfterRollbackPanics(t *testing.T) {

@@ -103,6 +103,23 @@ func (l *Ledger) Report(customer string, now sim.Time) CustomerReport {
 	return rep
 }
 
+// MergeReports joins the operator views of ledgers that own disjoint sets of
+// customers (one per shard) into the report one ledger holding all of them
+// would give: rows re-sorted by ID, totals summed, availability recomputed.
+func MergeReports(now sim.Time, reps []CustomerReport) CustomerReport {
+	out := CustomerReport{Now: now}
+	for _, r := range reps {
+		out.Conns = append(out.Conns, r.Conns...)
+		out.TotalLifetime += r.TotalLifetime
+		out.TotalDowntime += r.TotalDowntime
+		out.OutageCount += r.OutageCount
+		out.Unattributed += r.Unattributed
+	}
+	sort.Slice(out.Conns, func(i, j int) bool { return out.Conns[i].Conn < out.Conns[j].Conn })
+	out.Availability = availability(out.TotalLifetime, out.TotalDowntime)
+	return out
+}
+
 func availability(lifetime, downtime sim.Duration) float64 {
 	if lifetime <= 0 {
 		return 1
