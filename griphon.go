@@ -160,8 +160,9 @@ func WithStateDir(dir string) Option {
 	return func(c *config) { c.StateDir = dir }
 }
 
-// WithFsync forces a file sync after every journal append (only meaningful
-// with WithStateDir). Durability against OS crashes at one fsync per commit.
+// WithFsync makes every mutating call wait, before it returns, for a file
+// sync covering the commits it journaled (only meaningful with WithStateDir).
+// Durability against OS crashes at one fsync per call and shard it touched.
 func WithFsync() Option {
 	return func(c *config) { c.Fsync = true }
 }
@@ -187,6 +188,8 @@ func WithShards(n int) Option {
 type Network struct {
 	set  *core.ShardSet
 	ctrl *core.Controller // shard 0, the whole plane when unsharded
+	// hoisted: the caller waits for the disk itself (see HoistSync).
+	hoisted bool
 }
 
 // New builds a network over the given topology.
@@ -214,6 +217,26 @@ func New(t *Topology, opts ...Option) (*Network, error) {
 	}
 	return &Network{set: set, ctrl: set.Shard(0).Ctrl}, nil
 }
+
+// settle ends every mutating method: the controllers write their commits to
+// the journal without waiting for the disk, and this is the wait, so that what
+// the method did is durable when it returns. A commit that could not be made
+// durable is counted (griphon_journal_errors_total) and logged as a
+// journal-error event; the network keeps running on the in-memory database.
+func (n *Network) settle() {
+	if !n.hoisted {
+		n.set.Sync()
+	}
+}
+
+// HoistSync hands the wait for the disk to the caller, for good. Mutating
+// methods then return once their commits are applied and written, and before
+// acknowledging any of them the caller must collect what they wrote with
+// ShardSet().TakeUnsynced and wait on ShardSet().WaitDurable. api.NewServer
+// calls it, so that the fsync happens after the server's lock is released and
+// once per request. It is not configuration: no Option, flag or environment
+// variable reaches it, and a library caller has no lock to release first.
+func (n *Network) HoistSync() { n.hoisted = true }
 
 // Close releases every shard's journal (a no-op without WithStateDir). The
 // network is unusable for durable operations afterwards.
@@ -247,10 +270,16 @@ func (n *Network) Now() time.Duration { return time.Duration(n.set.Now()) }
 
 // Advance runs the simulation for d of virtual time, in lockstep across
 // shards (deterministic).
-func (n *Network) Advance(d time.Duration) { n.set.Advance(d) }
+func (n *Network) Advance(d time.Duration) {
+	n.set.Advance(d)
+	n.settle()
+}
 
 // Drain runs the simulation until no events remain on any shard.
-func (n *Network) Drain() { n.set.Drain() }
+func (n *Network) Drain() {
+	n.set.Drain()
+	n.settle()
+}
 
 // AuditInvariants sweeps every shard's resource books plus the cross-shard
 // invariants (spectrum claims, tenant placement). Empty means everything
@@ -286,6 +315,7 @@ func (n *Network) Connect(customer, from, to string, rate Rate, protect ...Prote
 // circuit or wavelength carries, several for a composite rate (12G = one 10G
 // wavelength + two 1G circuits).
 func (n *Network) ConnectAll(customer, from, to string, rate Rate, protect ...Protection) ([]*Connection, error) {
+	defer n.settle()
 	req := core.Request{
 		Customer: inventory.Customer(customer),
 		From:     topo.SiteID(from),
@@ -308,6 +338,7 @@ func (n *Network) ConnectAll(customer, from, to string, rate Rate, protect ...Pr
 // ConnectAsync submits the request and returns without advancing the clock;
 // the connection is Pending until the caller advances time past its setup.
 func (n *Network) ConnectAsync(customer, from, to string, rate Rate, protect ...Protection) (*Connection, error) {
+	defer n.settle()
 	req := core.Request{
 		Customer: inventory.Customer(customer),
 		From:     topo.SiteID(from),
@@ -324,6 +355,7 @@ func (n *Network) ConnectAsync(customer, from, to string, rate Rate, protect ...
 // Disconnect tears a connection down and runs until its resources are
 // released.
 func (n *Network) Disconnect(customer string, id ConnID) error {
+	defer n.settle()
 	job, err := n.forCust(customer).Disconnect(inventory.Customer(customer), id)
 	if err != nil {
 		return err
@@ -344,17 +376,20 @@ func (n *Network) Conn(id ConnID) *Connection { return n.set.Conn(id) }
 // CutFiber fails a fiber link on every shard's plant replica; detection,
 // localization and restoration proceed as the simulation advances.
 func (n *Network) CutFiber(link string) error {
+	defer n.settle()
 	return n.set.CutFiber(topo.LinkID(link))
 }
 
 // RepairFiber returns a failed link to service on every shard.
 func (n *Network) RepairFiber(link string) error {
+	defer n.settle()
 	return n.set.RepairFiber(topo.LinkID(link))
 }
 
 // BridgeAndRoll moves an active wavelength connection to a disjoint path
 // almost hitlessly and runs until the roll completes.
 func (n *Network) BridgeAndRoll(customer string, id ConnID) error {
+	defer n.settle()
 	job, err := n.forCust(customer).BridgeAndRoll(inventory.Customer(customer), id, nil)
 	if err != nil {
 		return err
@@ -366,6 +401,7 @@ func (n *Network) BridgeAndRoll(customer string, id ConnID) error {
 // now, lasting `window`. It returns immediately; advance the clock to let it
 // happen. The Maintenance record fills in as it proceeds.
 func (n *Network) ScheduleMaintenance(link string, in, window time.Duration) (*Maintenance, error) {
+	defer n.settle()
 	// Planned work is plant state, replicated like fiber cuts: every shard
 	// schedules its own window so each drains and restores its own
 	// customers. The operator watches shard 0's record.
@@ -392,6 +428,7 @@ func (n *Network) ScheduleMaintenance(link string, in, window time.Duration) (*M
 // Regroom moves a connection onto a better path if one exists (reports
 // whether it moved) and runs until done.
 func (n *Network) Regroom(customer string, id ConnID) (bool, error) {
+	defer n.settle()
 	moved, job, err := n.forCust(customer).Regroom(inventory.Customer(customer), id)
 	if err != nil {
 		return false, err
@@ -406,6 +443,7 @@ type Booking = core.Booking
 // lasting `hold`. Provisioning happens when the window opens; advance the
 // clock to let it play out.
 func (n *Network) ScheduleConnect(customer, from, to string, rate Rate, in, hold time.Duration) (*Booking, error) {
+	defer n.settle()
 	c := n.forCust(customer)
 	return c.ScheduleConnect(core.Request{
 		Customer: inventory.Customer(customer),
@@ -430,6 +468,7 @@ func (n *Network) Bookings(customer string) []*Booking {
 // descheduled, an open one has its components released — and runs until the
 // release completes.
 func (n *Network) CancelBooking(customer string, id int) error {
+	defer n.settle()
 	job, err := n.forCust(customer).CancelBooking(inventory.Customer(customer), id)
 	if err != nil {
 		return err
@@ -441,6 +480,7 @@ func (n *Network) CancelBooking(customer string, id int) error {
 // slot changes; wavelengths: a brief re-tune) and runs until the adjustment
 // completes. Moves across the OTN/DWDM boundary are rejected.
 func (n *Network) AdjustRate(customer string, id ConnID, rate Rate) error {
+	defer n.settle()
 	job, err := n.forCust(customer).AdjustRate(inventory.Customer(customer), id, rate)
 	if err != nil {
 		return err
@@ -452,6 +492,7 @@ func (n *Network) AdjustRate(customer string, id ConnID, rate Rate) error {
 // wavelengths and transponders to the shared pool. It reports how many pipes
 // were reclaimed and runs until the teardowns complete.
 func (n *Network) ReclaimIdlePipes() (int, error) {
+	defer n.settle()
 	total := 0
 	for _, sh := range n.set.Shards() {
 		job, count := sh.Ctrl.ReclaimIdlePipes()
@@ -474,6 +515,7 @@ func (n *Network) BillGbHours(customer string) float64 {
 // shard that owns the customer, so it is admission-safe while setups are in
 // flight on other shards.
 func (n *Network) SetQuota(customer string, maxConns int, maxBandwidth Rate) {
+	defer n.settle()
 	n.set.SetQuota(inventory.Customer(customer), inventory.Quota{
 		MaxConnections: maxConns,
 		MaxBandwidth:   maxBandwidth,
@@ -554,6 +596,7 @@ func (n *Network) DumpFlight(reason string, findings []string) (FlightDump, bool
 // packing after churn. It reports how many connections moved and runs until
 // the retunes complete.
 func (n *Network) DefragmentSpectrum() (int, error) {
+	defer n.settle()
 	total := 0
 	for _, sh := range n.set.Shards() {
 		job, moved := sh.Ctrl.DefragmentSpectrum()

@@ -1,7 +1,8 @@
 package api
 
-// Response-path machinery: pooled encode buffers, pooled request-body
-// buffers and pre-encoded static bodies. The API fronts a single-threaded
+// Response-path machinery: pooled replies, pooled request-body buffers and
+// pre-encoded static bodies, and the two ends of a mutation (begin, ack)
+// between which the server lock is held. The API fronts a single-threaded
 // simulation, so every byte saved on the marshal path is throughput; bench/
 // drives this path over real HTTP against a running griphond (workload
 // portal-read).
@@ -15,18 +16,25 @@ import (
 	"sync"
 )
 
-// encState is a pooled response encoder: a reusable buffer with a JSON
-// encoder bound to it. json.Encoder.Encode emits exactly json.Marshal's bytes
-// plus a trailing newline — the same wire format the marshal path produced.
-type encState struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+// reply is a pooled response: a reusable buffer with a JSON encoder bound to
+// it, and the status and bytes send puts on the wire. json.Encoder.Encode
+// emits exactly json.Marshal's bytes plus a trailing newline — the same wire
+// format the marshal path produced. A GET renders and sends in one step; a
+// mutation renders under the server lock and is parked here, beside the
+// journal sequence numbers it must not overtake, until they are durable.
+type reply struct {
+	buf    bytes.Buffer
+	enc    *json.Encoder
+	status int // 0 until something is rendered
+	ctype  []string
+	body   []byte   // buf's bytes, or a pre-encoded static body
+	seqs   []uint64 // per shard, from ShardSet.TakeUnsynced
 }
 
-var encPool = sync.Pool{New: func() any {
-	e := &encState{}
-	e.enc = json.NewEncoder(&e.buf)
-	return e
+var replyPool = sync.Pool{New: func() any {
+	rep := &reply{}
+	rep.enc = json.NewEncoder(&rep.buf)
+	return rep
 }}
 
 // maxRequestBody bounds a request body. Real requests are under 300 bytes;
@@ -44,53 +52,70 @@ var (
 	bodyRepaired = []byte("{\"status\":\"repaired\"}\n")
 )
 
-// jsonContentType is the shared Content-Type header value — assigned, never
-// mutated, so hot responses skip the per-call slice Header().Set allocates.
-var jsonContentType = []string{"application/json"}
+// The shared Content-Type header values — assigned, never mutated, so hot
+// responses skip the per-call slice Header().Set allocates.
+var (
+	jsonContentType  = []string{"application/json"}
+	plainContentType = []string{"text/plain; charset=utf-8"}
+)
 
-// writeStatic sends a pre-encoded JSON body.
-func (s *Server) writeStatic(w http.ResponseWriter, body []byte) {
-	w.Header()["Content-Type"] = jsonContentType
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(body); err != nil {
-		s.encodeErrs.Inc() // client gone; record it and move on
-	}
+// static renders a pre-encoded JSON body.
+func (rep *reply) static(body []byte) {
+	rep.status, rep.ctype, rep.body = http.StatusOK, jsonContentType, body
 }
 
-// encode renders v into e's buffer (reset first).
-func (s *Server) encode(e *encState, v any) error {
+// send puts the rendered reply on the wire. An error means the client is
+// gone; the caller counts it in encodeErrs, under the server lock.
+func (rep *reply) send(w http.ResponseWriter) error {
+	w.Header()["Content-Type"] = rep.ctype
+	w.WriteHeader(rep.status)
+	_, err := w.Write(rep.body)
+	return err
+}
+
+// encode renders v into rep's buffer (reset first).
+func (s *Server) encode(rep *reply, v any) error {
 	if s.testEncodeErr != nil {
 		if err := s.testEncodeErr(v); err != nil {
 			return err
 		}
 	}
-	e.buf.Reset()
-	return e.enc.Encode(v)
+	rep.buf.Reset()
+	return rep.enc.Encode(v)
 }
 
-// writeJSON encodes v fully before touching the ResponseWriter, so an encode
-// failure still yields a well-formed 500 instead of a truncated 200 body.
-// If even the error envelope refuses to encode, the terminal fallback is
-// plain text — the response is never silently empty. Encode and write
-// failures both count in griphon_api_encode_errors_total.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	e := encPool.Get().(*encState)
-	defer encPool.Put(e)
-	if err := s.encode(e, v); err != nil {
+// render encodes v fully before anything touches the ResponseWriter, so an
+// encode failure still yields a well-formed 500 instead of a truncated 200
+// body. If even the error envelope refuses to encode, the terminal fallback
+// is plain text — the response is never silently empty. Encode failures
+// count in griphon_api_encode_errors_total, so the caller holds the server
+// lock.
+func (s *Server) render(rep *reply, status int, v any) {
+	rep.ctype = jsonContentType
+	if err := s.encode(rep, v); err != nil {
 		s.encodeErrs.Inc()
-		if encErr := s.encode(e, ErrorJSON{Error: fmt.Sprintf("encoding response: %s", err)}); encErr != nil {
+		status = http.StatusInternalServerError
+		if encErr := s.encode(rep, ErrorJSON{Error: fmt.Sprintf("encoding response: %s", err)}); encErr != nil {
 			// Terminal fallback: the error envelope itself would not encode.
 			s.encodeErrs.Inc()
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			w.WriteHeader(http.StatusInternalServerError)
-			fmt.Fprintf(w, "encoding response: %s\n", err) //lint:allow errcheck best effort on the terminal error path
-			return
+			rep.ctype = plainContentType
+			rep.buf.Reset()
+			fmt.Fprintf(&rep.buf, "encoding response: %s\n", err)
 		}
-		status = http.StatusInternalServerError
 	}
-	w.Header()["Content-Type"] = jsonContentType
-	w.WriteHeader(status)
-	if _, err := w.Write(e.buf.Bytes()); err != nil {
+	rep.status, rep.body = status, rep.buf.Bytes()
+}
+
+func (s *Server) renderErr(rep *reply, status int, err error) {
+	s.render(rep, status, ErrorJSON{Error: err.Error()})
+}
+
+// writeJSON renders v and sends it, under the server lock.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	rep := replyPool.Get().(*reply)
+	defer replyPool.Put(rep)
+	s.render(rep, status, v)
+	if err := rep.send(w); err != nil {
 		s.encodeErrs.Inc() // client gone; record it and move on
 	}
 }
@@ -99,26 +124,80 @@ func (s *Server) writeErr(w http.ResponseWriter, status int, err error) {
 	s.writeJSON(w, status, ErrorJSON{Error: err.Error()})
 }
 
+// begin opens a mutation: it takes the server lock, and the reply the handler
+// renders its answer into instead of writing it. Pair it with a deferred ack.
+func (s *Server) begin() *reply {
+	rep := replyPool.Get().(*reply)
+	rep.status = 0
+	s.mu.Lock()
+	return rep
+}
+
+// ack closes a mutation: it collects the journal sequence numbers the request
+// wrote, releases the server lock, waits until an fsync covers them — one per
+// shard the request touched, however many commits it made — and only then
+// touches the ResponseWriter. If a commit could not be written or synced, the
+// change stands in memory but would not survive a restart: the answer is 503,
+// whatever the handler rendered.
+func (s *Server) ack(w http.ResponseWriter, rep *reply) {
+	defer replyPool.Put(rep)
+	set := s.net.ShardSet()
+	var lost error
+	rep.seqs, lost = set.TakeUnsynced(rep.seqs[:0])
+	s.mu.Unlock()
+	if rep.status == 0 {
+		return // the handler panicked; there is no reply to hold back
+	}
+	var shard int
+	var err error
+	if s.testSync != nil {
+		err = s.testSync()
+	} else {
+		shard, err = set.WaitDurable(rep.seqs)
+	}
+	if err != nil || lost != nil {
+		s.mu.Lock()
+		if err != nil {
+			set.SyncFailed(shard, err)
+			lost = err
+		}
+		s.renderErr(rep, http.StatusServiceUnavailable,
+			fmt.Errorf("the change is applied but not durable, and would not survive a restart: %w", lost))
+		s.mu.Unlock()
+	}
+	if err := rep.send(w); err != nil {
+		s.mu.Lock()
+		s.encodeErrs.Inc() // client gone; record it and move on
+		s.mu.Unlock()
+	}
+}
+
 // readJSON decodes the request body through a pooled buffer, keeping the
 // strict unknown-field rejection of the original decoder path. A body over
-// maxRequestBody is refused with 413 before it is buffered.
+// maxRequestBody is refused with 413 before it is buffered. It runs before
+// the handler takes the server lock, and takes it only to refuse.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := bufPool.Get().(*bytes.Buffer)
 	defer bufPool.Put(buf)
 	buf.Reset()
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody)); err != nil {
-		status := http.StatusBadRequest
+	status := http.StatusBadRequest
+	// MaxBytesReader gets the real ResponseWriter: that is how it marks the
+	// connection to be closed after a 413.
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		s.writeErr(w, status, fmt.Errorf("bad request body: %w", err))
-		return false
+	} else {
+		dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
 	}
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err != nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.writeErr(w, status, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true

@@ -117,11 +117,17 @@ func TestGETReadsCurrentState(t *testing.T) {
 }
 
 // TestServerConcurrentRequests drives the handler from several goroutines at
-// once. Every piece of server state is read and written under the one server
-// mutex; the race detector (CI's -race job) is the assertion.
+// once, over a journaled, fsynced network. Every piece of server state is read
+// and written under the one server mutex, while the replies' waits for the
+// disk and their writes overlap outside it; the race detector (CI's -race job)
+// is the first assertion. The second is the acknowledgement's promise: every
+// connection a 200 named is there when the directory is opened again.
 func TestServerConcurrentRequests(t *testing.T) {
-	h := NewServer(newNet(t)).Handler()
+	dir := t.TempDir()
+	net := newDurableNet(t, dir)
+	h := NewServer(net).Handler()
 	var wg sync.WaitGroup
+	acked := make(chan string, 4*5)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
@@ -140,12 +146,40 @@ func TestServerConcurrentRequests(t *testing.T) {
 					h.ServeHTTP(rec, req)
 					if rec.Code != http.StatusOK {
 						t.Errorf("%s %s = %d: %s", req.Method, req.URL, rec.Code, rec.Body)
+						continue
+					}
+					if req.Method != http.MethodPost {
+						continue
+					}
+					var resp ConnectResponse
+					if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+						t.Errorf("connect reply: %v", err)
+					}
+					for _, c := range resp.Connections {
+						acked <- c.ID
 					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	close(acked)
+	if err := net.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := newDurableNet(t, dir)
+	defer reopened.Close()
+	n := 0
+	for id := range acked {
+		n++
+		if conn := reopened.Conn(griphon.ConnID(id)); conn == nil || conn.State.String() != "active" {
+			t.Errorf("acknowledged connection %s after reopening: %+v", id, conn)
+		}
+	}
+	if n != 4*5 {
+		t.Errorf("%d connections acknowledged, want %d", n, 4*5)
+	}
 }
 
 // TestLegacyServerServesIdenticalBytes runs a scripted session and requires
@@ -250,13 +284,16 @@ func TestWriteJSONAllocGate(t *testing.T) {
 // TestWriteStaticAllocGate: fixed-shape mutation responses must not allocate
 // at all.
 func TestWriteStaticAllocGate(t *testing.T) {
-	s := NewServer(newNet(t))
+	rep := &reply{}
 	w := &discardResponseWriter{}
 	w.Header().Set("Content-Type", "application/json")
 	allocs := testing.AllocsPerRun(200, func() {
-		s.writeStatic(w, bodyReleased)
+		rep.static(bodyReleased)
+		if err := rep.send(w); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if allocs > 0 {
-		t.Fatalf("writeStatic allocates %.1f objects per response, want 0", allocs)
+		t.Fatalf("a static reply allocates %.1f objects per response, want 0", allocs)
 	}
 }

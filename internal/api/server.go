@@ -14,25 +14,39 @@ import (
 )
 
 // Server adapts a griphon.Network to HTTP. The simulation is single-threaded,
-// so one mutex serializes all requests, reads included; each mutating call
-// advances the virtual clock until its operation completes (a 62 s setup
-// returns in microseconds of wall time). A handler reads what its own request
-// concerns — the connections it just made, one customer's listing, bill or
-// report — so its cost does not grow with the history the controller holds.
+// so one mutex serializes everything that touches it, reads included; each
+// mutating call advances the virtual clock until its operation completes (a
+// 62 s setup returns in microseconds of wall time). A handler reads what its
+// own request concerns — the connections it just made, one customer's
+// listing, bill or report — so its cost does not grow with the history the
+// controller holds.
+//
+// The mutex covers a mutation's apply, its journal writes and the rendering
+// of its reply, not the disk: the handler's goroutine releases it, waits for
+// the fsync that covers what it wrote, and only then answers (begin and ack
+// in encode.go). Reads are served from applied state, so a GET can list a
+// connection whose POST has not been answered yet; only the answer promises
+// that the connection survives a restart.
 type Server struct {
 	mu  sync.Mutex
 	net *griphon.Network
 	// encodeErrs counts responses that failed to encode or write — the same
 	// instrument the controller registers, fetched from the shared registry.
+	// It is a plain counter /metrics reads under mu, so count under mu.
 	encodeErrs *obs.Counter
 
-	// testEncodeErr, when set, overrides response encoding — the seam the
-	// terminal plain-text fallback test uses.
+	// Test seams, nil in production. testEncodeErr overrides response
+	// encoding (the terminal plain-text fallback test); testSync replaces a
+	// mutation's wait for the disk.
 	testEncodeErr func(v any) error
+	testSync      func() error
 }
 
-// NewServer wraps a network.
+// NewServer wraps a network, and takes over its wait for the disk: from here
+// on the network's mutating calls return once written, and ack does the
+// waiting after the server lock is released.
 func NewServer(net *griphon.Network) *Server {
+	net.HoistSync()
 	return &Server{
 		net: net,
 		encodeErrs: net.Metrics().Counter("griphon_api_encode_errors_total",
@@ -90,28 +104,28 @@ func (s *Server) handleConnect(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	rate, err := griphon.ParseRate(req.Rate)
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
+		s.renderErr(rep, http.StatusBadRequest, err)
 		return
 	}
 	protect, err := parseProtection(req.Protection)
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
+		s.renderErr(rep, http.StatusBadRequest, err)
 		return
 	}
 	conns, err := s.net.ConnectAll(req.Customer, req.From, req.To, rate, protect)
 	if err != nil {
-		s.writeErr(w, http.StatusConflict, err)
+		s.renderErr(rep, http.StatusConflict, err)
 		return
 	}
 	out := make([]ConnectionJSON, 0, len(conns))
 	for _, c := range conns {
 		out = append(out, FromConnection(c, s.now(), s.graph()))
 	}
-	s.writeJSON(w, http.StatusOK, ConnectResponse{Connections: out})
+	s.render(rep, http.StatusOK, ConnectResponse{Connections: out})
 }
 
 func parseProtection(s string) (griphon.Protection, error) {
@@ -133,13 +147,13 @@ func (s *Server) handleDisconnect(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	if err := s.net.Disconnect(req.Customer, griphon.ConnID(req.ID)); err != nil {
-		s.writeErr(w, http.StatusConflict, err)
+		s.renderErr(rep, http.StatusConflict, err)
 		return
 	}
-	s.writeStatic(w, bodyReleased)
+	rep.static(bodyReleased)
 }
 
 func (s *Server) handleRoll(w http.ResponseWriter, r *http.Request) {
@@ -147,14 +161,14 @@ func (s *Server) handleRoll(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	if err := s.net.BridgeAndRoll(req.Customer, griphon.ConnID(req.ID)); err != nil {
-		s.writeErr(w, http.StatusConflict, err)
+		s.renderErr(rep, http.StatusConflict, err)
 		return
 	}
 	conn := s.net.Conn(griphon.ConnID(req.ID))
-	s.writeJSON(w, http.StatusOK, FromConnection(conn, s.now(), s.graph()))
+	s.render(rep, http.StatusOK, FromConnection(conn, s.now(), s.graph()))
 }
 
 func (s *Server) handleRegroom(w http.ResponseWriter, r *http.Request) {
@@ -162,15 +176,15 @@ func (s *Server) handleRegroom(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	moved, err := s.net.Regroom(req.Customer, griphon.ConnID(req.ID))
 	if err != nil {
-		s.writeErr(w, http.StatusConflict, err)
+		s.renderErr(rep, http.StatusConflict, err)
 		return
 	}
 	conn := s.net.Conn(griphon.ConnID(req.ID))
-	s.writeJSON(w, http.StatusOK, RegroomResponse{Moved: moved, Connection: FromConnection(conn, s.now(), s.graph())})
+	s.render(rep, http.StatusOK, RegroomResponse{Moved: moved, Connection: FromConnection(conn, s.now(), s.graph())})
 }
 
 func (s *Server) handleAdjust(w http.ResponseWriter, r *http.Request) {
@@ -178,30 +192,30 @@ func (s *Server) handleAdjust(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	rate, err := griphon.ParseRate(req.Rate)
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
+		s.renderErr(rep, http.StatusBadRequest, err)
 		return
 	}
 	if err := s.net.AdjustRate(req.Customer, griphon.ConnID(req.ID), rate); err != nil {
-		s.writeErr(w, http.StatusConflict, err)
+		s.renderErr(rep, http.StatusConflict, err)
 		return
 	}
 	conn := s.net.Conn(griphon.ConnID(req.ID))
-	s.writeJSON(w, http.StatusOK, FromConnection(conn, s.now(), s.graph()))
+	s.render(rep, http.StatusOK, FromConnection(conn, s.now(), s.graph()))
 }
 
 func (s *Server) handleDefrag(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	moved, err := s.net.DefragmentSpectrum()
 	if err != nil {
-		s.writeErr(w, http.StatusConflict, err)
+		s.renderErr(rep, http.StatusConflict, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, DefragResponse{
+	s.render(rep, http.StatusOK, DefragResponse{
 		Retuned:       moved,
 		MaxChannelNow: s.net.ShardSet().MaxChannelInUse(),
 	})
@@ -212,13 +226,13 @@ func (s *Server) handleCut(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	if err := s.net.CutFiber(req.Link); err != nil {
-		s.writeErr(w, http.StatusConflict, err)
+		s.renderErr(rep, http.StatusConflict, err)
 		return
 	}
-	s.writeStatic(w, bodyCut)
+	rep.static(bodyCut)
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
@@ -226,13 +240,13 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	if err := s.net.RepairFiber(req.Link); err != nil {
-		s.writeErr(w, http.StatusConflict, err)
+		s.renderErr(rep, http.StatusConflict, err)
 		return
 	}
-	s.writeStatic(w, bodyRepaired)
+	rep.static(bodyRepaired)
 }
 
 func (s *Server) handleMaintenance(w http.ResponseWriter, r *http.Request) {
@@ -240,21 +254,21 @@ func (s *Server) handleMaintenance(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	in, err := time.ParseDuration(valueOr(req.In, "1m"))
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
+		s.renderErr(rep, http.StatusBadRequest, err)
 		return
 	}
 	window, err := time.ParseDuration(valueOr(req.Window, "2h"))
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
+		s.renderErr(rep, http.StatusBadRequest, err)
 		return
 	}
 	m, err := s.net.ScheduleMaintenance(req.Link, in, window)
 	if err != nil {
-		s.writeErr(w, http.StatusConflict, err)
+		s.renderErr(rep, http.StatusConflict, err)
 		return
 	}
 	// Let the whole window play out so the response is conclusive.
@@ -266,7 +280,7 @@ func (s *Server) handleMaintenance(w http.ResponseWriter, r *http.Request) {
 	for _, id := range m.Unmoved {
 		out.Unmoved = append(out.Unmoved, string(id))
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.render(rep, http.StatusOK, out)
 }
 
 func valueOr(s, def string) string {
@@ -281,15 +295,15 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	d, err := time.ParseDuration(req.Duration)
 	if err != nil || d < 0 {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad duration %q", req.Duration))
+		s.renderErr(rep, http.StatusBadRequest, fmt.Errorf("bad duration %q", req.Duration))
 		return
 	}
 	s.net.Advance(d)
-	s.writeJSON(w, http.StatusOK, map[string]string{"now": s.net.Now().String()})
+	s.render(rep, http.StatusOK, map[string]string{"now": s.net.Now().String()})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

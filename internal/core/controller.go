@@ -144,6 +144,10 @@ type Controller struct {
 
 	jrnl          *journal.Store
 	snapshotEvery int
+	// What journalCommit has left for TakeUnsynced: the last sequence number
+	// written and not yet handed to a Sync, and the first commit that failed.
+	unsynced  uint64
+	unwritten error
 
 	correlator *alarms.Correlator
 	autoRepair bool

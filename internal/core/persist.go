@@ -468,12 +468,16 @@ type commitSet struct {
 	quotas   bool // record the authoritative quota set
 }
 
-// journalCommit appends one commit record for cs and snapshots on cadence.
+// journalCommit writes one commit record for cs and snapshots on cadence.
 // With no journal configured it is a no-op (except for feeding the flight
 // recorder, which tails commit records whether or not they hit disk).
-// Journal write failures are surfaced as a counter and an audit-log event,
-// never a crash: the network keeps running on the in-memory database, as the
-// paper's controller would.
+//
+// The record is written, not synced: the controller runs under its caller's
+// lock and the fsync belongs after it. What the caller must still wait for —
+// or could not have, because the write itself failed — is handed over by
+// TakeUnsynced. A failure is also a counter and an audit-log event, never a
+// crash: the network keeps running on the in-memory database, as the paper's
+// controller would.
 func (c *Controller) journalCommit(cs commitSet) {
 	if c.jrnl == nil && c.flight == nil {
 		return
@@ -532,8 +536,7 @@ func (c *Controller) journalCommit(cs commitSet) {
 	}
 	data, err := json.Marshal(&rec)
 	if err != nil {
-		c.ins.journalErrs.Inc()
-		c.log(nil, "journal-error", "encoding %s commit: %v", cs.reason, err)
+		c.commitLost(fmt.Errorf("encoding %s commit: %w", cs.reason, err))
 		return
 	}
 	if c.flight != nil {
@@ -542,14 +545,39 @@ func (c *Controller) journalCommit(cs commitSet) {
 	if c.jrnl == nil {
 		return
 	}
-	if _, err := c.jrnl.Append(recKindCommit, data); err != nil {
-		c.ins.journalErrs.Inc()
-		c.log(nil, "journal-error", "appending %s commit: %v", cs.reason, err)
+	seq, err := c.jrnl.Write(recKindCommit, data)
+	if err != nil {
+		c.commitLost(fmt.Errorf("appending %s commit: %w", cs.reason, err))
 		return
 	}
+	c.unsynced = seq
 	if c.snapshotEvery > 0 && c.jrnl.AppendsSinceSnapshot() >= c.snapshotEvery {
 		c.snapshotNow()
 	}
+}
+
+// journalFailed counts and logs a journal failure.
+func (c *Controller) journalFailed(err error) {
+	c.ins.journalErrs.Inc()
+	c.log(nil, "journal-error", "%v", err)
+}
+
+// commitLost records a commit that is applied but never reached the file.
+func (c *Controller) commitLost(err error) {
+	c.journalFailed(err)
+	if c.unwritten == nil {
+		c.unwritten = err
+	}
+}
+
+// TakeUnsynced hands over what the commits since the last call left for the
+// disk: the journal sequence number of the last one written (0 if none), to
+// be passed to the journal's Sync before any of them is acknowledged, and the
+// first of them that could not be written at all.
+func (c *Controller) TakeUnsynced() (seq uint64, err error) {
+	seq, err = c.unsynced, c.unwritten
+	c.unsynced, c.unwritten = 0, nil
+	return seq, err
 }
 
 // snapshotNow streams a full state snapshot, record by record, after which
@@ -587,8 +615,7 @@ func (c *Controller) snapshotNow() {
 	}
 	sp.EndErr(err)
 	if err != nil {
-		c.ins.journalErrs.Inc()
-		c.log(nil, "journal-error", "snapshot: %v", err)
+		c.journalFailed(fmt.Errorf("snapshot: %w", err))
 	}
 }
 

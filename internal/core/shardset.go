@@ -482,6 +482,58 @@ func (s *ShardSet) eachPlant(op func(*Controller) error) error {
 	return firstErr
 }
 
+// TakeUnsynced appends to seqs, per shard, the journal sequence number of the
+// last commit written since the previous call (0 if none), and returns the
+// first commit among them that could not be written. It reads controller
+// state: call it under whatever serializes the drive.
+func (s *ShardSet) TakeUnsynced(seqs []uint64) ([]uint64, error) {
+	var first error
+	for _, sh := range s.shards {
+		seq, err := sh.Ctrl.TakeUnsynced()
+		seqs = append(seqs, seq)
+		if first == nil {
+			first = err
+		}
+	}
+	return seqs, first
+}
+
+// WaitDurable blocks until shard i's journal has fsynced seqs[i], for every
+// shard, stopping at the first that fails. It touches only the journals, so
+// the caller can — and to let others drive meanwhile, should — have released
+// its lock. Nothing seqs covers may be acknowledged unless this returns nil.
+func (s *ShardSet) WaitDurable(seqs []uint64) (shard int, err error) {
+	for i, sh := range s.shards {
+		if seqs[i] == 0 || sh.Store == nil {
+			continue
+		}
+		if err := sh.Store.Sync(seqs[i]); err != nil {
+			return i, err
+		}
+	}
+	return 0, nil
+}
+
+// SyncFailed counts and logs on its shard the failure WaitDurable returned.
+// Unlike WaitDurable it writes controller state: call it under the lock.
+func (s *ShardSet) SyncFailed(shard int, err error) {
+	s.shards[shard].Ctrl.journalFailed(err)
+}
+
+// Sync makes every commit written so far durable before it returns — the
+// three steps above in one, for a caller with no lock to release in between
+// and no reply to withhold: a failure is counted and logged, as a commit that
+// could not be written already was.
+func (s *ShardSet) Sync() {
+	for _, sh := range s.shards {
+		if seq, _ := sh.Ctrl.TakeUnsynced(); seq > 0 {
+			if err := sh.Store.Sync(seq); err != nil {
+				sh.Ctrl.journalFailed(err)
+			}
+		}
+	}
+}
+
 // Close releases every shard's journal.
 func (s *ShardSet) Close() error {
 	var firstErr error

@@ -71,7 +71,7 @@ func CrashRecN(seed int64, trials int) (Result, error) {
 		return Result{}, err
 	}
 
-	// Shadow every committed state: after each durable append the live
+	// Shadow every committed state: at each journal write the live
 	// controller's serialized state is the ground truth for that sequence
 	// number. shadows[0] is the empty pre-workload state. At crashArchiveSeq
 	// the WAL directory is photographed for the mid-compaction trials.

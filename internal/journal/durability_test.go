@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -447,5 +448,198 @@ func TestConcurrentAppendsReplayCleanly(t *testing.T) {
 		if e.Seq != uint64(i+1) {
 			t.Fatalf("entry %d has seq %d: sequence not gap-free", i, e.Seq)
 		}
+	}
+}
+
+// copyDir copies a journal directory's files as they stand — what a kill at
+// this instant would leave for the next Open, page cache included.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, ent.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// replayedSeqs opens dir and returns the sequence numbers it recovers.
+func replayedSeqs(t *testing.T, dir string) []uint64 {
+	t.Helper()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, entries := s.Recovered()
+	seqs := make([]uint64, 0, len(entries))
+	for _, e := range entries {
+		seqs = append(seqs, e.Seq)
+	}
+	return seqs
+}
+
+// TestKillBetweenWriteAndSync puts a kill point in the window the two halves
+// open: the frame is written, its fsync has not returned, and nobody has been
+// told anything. A directory captured there may or may not replay the record
+// — either is a state the caller could have crashed into without having
+// acknowledged it. A directory captured after Sync returns must replay it.
+func TestKillBetweenWriteAndSync(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mustAppend(t, s, "commit", `{"n":1}`)
+
+	var killed string
+	synced := false
+	s.testSyncErr = func() error {
+		if synced {
+			t.Error("the fsync ran after Sync had already returned")
+		}
+		killed = copyDir(t, dir)
+		return nil
+	}
+	seq, err := s.Write("commit", []byte(`{"n":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if killed != "" {
+		t.Fatal("Write ran an fsync: the two halves are not separate")
+	}
+	if err := s.Sync(seq); err != nil {
+		t.Fatal(err)
+	}
+	synced = true
+	if killed == "" {
+		t.Fatal("Sync returned without an fsync having covered the write")
+	}
+
+	switch got := replayedSeqs(t, killed); {
+	case len(got) == 1 && got[0] == 1:
+	case len(got) == 2 && got[0] == 1 && got[1] == 2:
+	default:
+		t.Fatalf("killed before the fsync returned: replayed %v, want [1] or [1 2]", got)
+	}
+	if got := replayedSeqs(t, copyDir(t, dir)); len(got) != 2 || got[1] != seq {
+		t.Fatalf("killed after Sync returned: replayed %v, want [1 %d]", got, seq)
+	}
+}
+
+// TestSyncOnClosedStoreFails: a sequence number no fsync covered cannot be
+// covered once the file is closed, and nil would acknowledge it.
+func TestSyncOnClosedStoreFails(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable := mustAppend(t, s, "commit", `{"n":1}`)
+	seq, err := s.Write("commit", []byte(`{"n":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := s.Sync(seq); err == nil {
+		t.Fatal("Sync of an uncovered seq on a closed store returned nil")
+	}
+	if err := s.Sync(durable); err != nil {
+		t.Fatalf("Sync of a seq covered before Close: %v", err)
+	}
+}
+
+// TestRotationSealsAfterSync: writers run ahead of their syncs, so a full
+// segment always holds frames no fsync has covered. Rotation must not wait
+// for a quiet moment that never comes; it syncs the file, then seals it. And
+// if that sync fails the file is not sealed, and exactly the frames it left
+// uncovered are poisoned.
+func TestRotationSealsAfterSync(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Fsync: true, SegmentSize: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte(fmt.Sprintf(`{"pad":%q}`, strings.Repeat("x", 100)))
+	write := func() uint64 {
+		t.Helper()
+		seq, err := s.Write("commit", payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq
+	}
+	// Two writers take turns and neither syncs: uncovered frames are
+	// outstanding at every write.
+	for i := 0; s.Stats().Rotations == 0; i++ {
+		if i == 100 {
+			t.Fatal("no rotation after 200 unsynced writes past a 1 KiB limit")
+		}
+		write()
+		write()
+	}
+	if got := s.Stats().Fsyncs; got != 1 {
+		t.Fatalf("fsyncs = %d, want 1: the seal's", got)
+	}
+	s.mu.Lock()
+	sealed, covered := s.sealed[0], s.syncedSeq
+	s.mu.Unlock()
+	if covered != sealed.maxSeq {
+		t.Fatalf("sealed through seq %d but synced through %d", sealed.maxSeq, covered)
+	}
+	// The sealed file replays whole: frame after frame to its last byte.
+	raw, err := os.ReadFile(sealed.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := uint64(0)
+	for off := 0; off < len(raw); frames++ {
+		_, n, err := readFrame(raw[off:])
+		if err != nil {
+			t.Fatalf("sealed segment torn at byte %d of %d: %v", off, len(raw), err)
+		}
+		off += n
+	}
+	if frames != sealed.maxSeq {
+		t.Fatalf("sealed segment holds %d frames, want %d", frames, sealed.maxSeq)
+	}
+
+	// Fill the next segment the same way, with the disk refusing to sync.
+	s.testSyncErr = func() error { return fmt.Errorf("injected fsync failure") }
+	rotations := s.Stats().Rotations
+	var top uint64
+	for i := 0; i < 12; i++ { // 12 x ~130 B: past the limit, so the last writes each try to seal
+		top = write()
+	}
+	if got := s.Stats().Rotations; got != rotations {
+		t.Fatalf("rotations moved %d -> %d: a segment was sealed though its sync failed", rotations, got)
+	}
+	for seq := uint64(1); seq <= top; seq++ {
+		if err := s.Sync(seq); (err != nil) != (seq > covered) {
+			t.Fatalf("Sync(%d) = %v with seqs through %d covered before the failure and %d written", seq, err, covered, top)
+		}
+	}
+
+	// The disk heals: the next write's seal syncs the whole file and rotates.
+	s.testSyncErr = nil
+	healed := write()
+	if got := s.Stats().Rotations; got != rotations+1 {
+		t.Fatalf("rotations = %d after the disk healed, want %d", got, rotations+1)
+	}
+	if err := s.Sync(healed); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if got := replayedSeqs(t, dir); uint64(len(got)) != healed || got[len(got)-1] != healed {
+		t.Fatalf("replayed %d records ending at %d, want all %d", len(got), got[len(got)-1], healed)
 	}
 }

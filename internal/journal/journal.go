@@ -28,17 +28,23 @@
 // reports how many bytes were discarded. A torn record is therefore discarded
 // whole: recovery never sees a half-applied operation.
 //
-// Durability is group-committed: concurrent Append calls under Options.Fsync
-// share fsyncs — the first writer in a window becomes the sync leader, one
-// fsync covers every frame written before it ran, and the followers wake
-// without issuing their own. A single sequential appender degenerates to
-// exactly one fsync per append, the pre-group-commit behavior.
+// An append has two halves. Write frames the record, puts it in the active
+// file and returns its sequence number; Sync blocks until a sequence number is
+// covered by a successful fsync. Append is one after the other. A caller that
+// holds a lock of its own while it writes can release it before it syncs, and
+// one Sync of the last number a batch of writes returned covers the batch.
+// Under Options.Fsync the syncs are group-committed: the first waiter in a
+// window becomes the sync leader, one fsync covers every frame written before
+// it ran, and the other waiters wake without issuing their own. A single
+// sequential appender degenerates to exactly one fsync per append.
 //
 // Snapshots are streamed (temp file + fsync + rename) and stamped with the
 // WAL sequence number they cover. After a successful snapshot the WAL rotates
 // to a fresh segment and a background compactor unlinks the covered segments;
 // if the process dies anywhere in that window, replay simply skips the WAL
-// entries whose sequence numbers the snapshot already covers.
+// entries whose sequence numbers the snapshot already covers. A segment is
+// sealed only once every frame in it is fsynced, so a sequence number a Sync
+// is still waiting on is never left behind in a closed file.
 package journal
 
 import (
@@ -75,8 +81,8 @@ type Entry struct {
 
 // Options tunes a Store.
 type Options struct {
-	// Fsync forces a file sync before every append returns. Durability
-	// against OS crashes costs fsyncs; concurrent appenders share them via
+	// Fsync makes Sync (and so Append) wait for a file sync. Durability
+	// against OS crashes costs fsyncs; concurrent waiters share them via
 	// group commit. Tests and simulations leave it off.
 	Fsync bool
 	// SegmentSize rotates the WAL to a new segment once the active one
@@ -108,7 +114,7 @@ type sealedFile struct {
 }
 
 // Store is an open journal directory. All methods are safe for concurrent
-// use; under Options.Fsync concurrent Append calls group-commit their fsyncs.
+// use; under Options.Fsync concurrent Sync calls group-commit their fsyncs.
 type Store struct {
 	dir  string
 	opts Options
@@ -347,10 +353,10 @@ func (s *Store) AppendsSinceSnapshot() int {
 	return s.pending
 }
 
-// SetOnAppend registers a hook that fires after every durable append, with
-// the store lock held (the hook must not call back into the store). The
-// crash-injection harness uses it to capture shadow state at each sequence
-// point.
+// SetOnAppend registers a hook that fires when a record has been written,
+// before any fsync covers it, with the store lock held (the hook must not
+// call back into the store). The crash-injection harness uses it to capture
+// shadow state at each sequence point.
 func (s *Store) SetOnAppend(fn func(Entry)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -364,21 +370,38 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// Append writes one record to the WAL and returns its sequence number.
+// Append writes one record to the WAL and returns its sequence number once
+// the record is as durable as the store was opened to make it: Write, then
+// Sync of the number Write returned.
+func (s *Store) Append(kind string, data []byte) (uint64, error) {
+	seq, err := s.Write(kind, data)
+	if err != nil {
+		return 0, err
+	}
+	if err := s.Sync(seq); err != nil {
+		// The frame is written but not provably durable; the burned number
+		// guarantees the retry gets a fresh one.
+		return 0, err
+	}
+	return seq, nil
+}
+
+// Write frames one record, puts it in the active file and returns its
+// sequence number. The record is in the file but no fsync covers it yet: it
+// may be acknowledged only after Sync of its number (or a later one) returns
+// nil.
 //
-// Error discipline: a failed append never leaves the store able to reuse a
+// Error discipline: a failed write never leaves the store able to reuse a
 // sequence number that might already be on disk, and never leaves the store
-// able to acknowledge a later append that replay could not recover. A failed
+// able to acknowledge a later record that replay could not recover. A failed
 // Write tries to truncate the partial frame back off the file and restore
 // the write offset — only if both succeed is the number rolled back for
 // reuse. If the partial frame cannot be provably removed, the number is
 // burned and the store wedges: replay stops at a torn frame and discards
-// everything after it, so accepting more appends would acknowledge records
-// recovery cannot reach. Each subsequent Append retries the removal and
-// unwedges the store once it succeeds. A failed fsync keeps the number
-// burned: the frame's bytes are in the file, and a retry under the same
-// number would replay as a duplicate.
-func (s *Store) Append(kind string, data []byte) (uint64, error) {
+// everything after it, so accepting more records would acknowledge ones
+// recovery cannot reach. Each subsequent Write retries the removal and
+// unwedges the store once it succeeds.
+func (s *Store) Write(kind string, data []byte) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.active == nil {
@@ -406,8 +429,8 @@ func (s *Store) Append(kind string, data []byte) (uint64, error) {
 		}
 		// Could not remove the partial frame (or could not restore the write
 		// offset, which would leave a hole that reads as torn). Burn the
-		// number so a retried append cannot write a duplicate, and wedge the
-		// store: a frame appended after a torn one is discarded by replay, so
+		// number so a retried write cannot produce a duplicate, and wedge the
+		// store: a frame written after a torn one is discarded by replay, so
 		// it must never be acknowledged.
 		s.seq = seq
 		s.activeSeq = seq
@@ -420,13 +443,6 @@ func (s *Store) Append(kind string, data []byte) (uint64, error) {
 	s.activeSeq = seq
 	s.activeSize += int64(len(frame))
 	s.stats.Bytes += uint64(len(frame))
-	if s.opts.Fsync {
-		if err := s.waitDurable(seq); err != nil {
-			// The frame is written but not provably durable; the burned
-			// number guarantees the retry gets a fresh one.
-			return 0, fmt.Errorf("journal: %w", err)
-		}
-	}
 	s.pending++
 	s.stats.Appends++
 	if s.onAppend != nil {
@@ -434,6 +450,26 @@ func (s *Store) Append(kind string, data []byte) (uint64, error) {
 	}
 	s.maybeRotate()
 	return seq, nil
+}
+
+// Sync blocks until seq is covered by a successful fsync, and reports the
+// failure of the fsync that covered it otherwise. A failed fsync keeps the
+// numbers it covered burned: their bytes are in the file, and a retry under
+// the same number would replay as a duplicate. A store opened without
+// Options.Fsync promised nothing beyond the write, so Sync returns at once.
+func (s *Store) Sync(seq uint64) error {
+	if !s.opts.Fsync {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if seq > s.seq {
+		return fmt.Errorf("journal: sync of seq %d, but only %d are written", seq, s.seq)
+	}
+	if err := s.waitDurable(seq); err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	return nil
 }
 
 // writeActive writes one frame at the active file's current offset. The test
@@ -476,7 +512,7 @@ func (s *Store) truncateActive(off int64) error {
 
 // waitDurable blocks until seq is covered by a successful fsync, electing
 // this goroutine sync leader if no fsync is in flight. Called and returns
-// with mu held.
+// with mu held; mu is released while it waits or syncs.
 func (s *Store) waitDurable(seq uint64) error {
 	for {
 		if s.syncedSeq >= seq {
@@ -484,6 +520,10 @@ func (s *Store) waitDurable(seq uint64) error {
 		}
 		if s.syncFailSeq >= seq {
 			return s.syncFailErr
+		}
+		if s.active == nil {
+			// Nothing can cover seq any more; nil here would acknowledge it.
+			return fmt.Errorf("store is closed")
 		}
 		if !s.syncing {
 			s.syncing = true

@@ -72,9 +72,7 @@ func WALFiles(dir string) ([]string, error) {
 }
 
 // maybeRotate seals the active file and opens the next segment once the
-// active one is full. Called with mu held. Under Fsync the rotation waits for
-// quiescence — never closing a file another appender still needs synced —
-// by simply deferring to a later append.
+// active one is full. Called with mu held.
 func (s *Store) maybeRotate() {
 	limit := s.opts.SegmentSize
 	if limit < 0 {
@@ -86,16 +84,33 @@ func (s *Store) maybeRotate() {
 	if s.activeSize < limit {
 		return
 	}
-	if s.opts.Fsync && (s.syncing || s.syncedSeq < s.activeSeq) {
-		return
-	}
 	s.rotate() //lint:allow errcheck rotation failure leaves the oversized segment active; the next append retries
 }
 
 // rotate seals the active file and starts the next segment. Called with mu
-// held. On failure the current file stays active and the caller's append is
+// held. On failure the current file stays active and the caller's write is
 // unaffected.
+//
+// Seal after sync: writers run ahead of the fsyncs that cover them, so the
+// file to seal usually holds frames some Sync is still waiting on. rotate
+// syncs them first, through the same leader election those waiters use — it
+// waits out a leader in flight, then leads an fsync of its own if frames are
+// still uncovered. A failed fsync poisons the numbers it covered and the file
+// is not sealed. mu is released during the sync, so another writer may add
+// frames, seal the file or wedge the store meanwhile: the loop takes the
+// first two into account, and the wedge is checked after it.
 func (s *Store) rotate() error {
+	if s.opts.Fsync {
+		f := s.active
+		for s.syncedSeq < s.activeSeq {
+			if err := s.waitDurable(s.activeSeq); err != nil {
+				return fmt.Errorf("journal: syncing segment before sealing it: %w", err)
+			}
+			if s.active != f {
+				return nil // sealed by another writer, or closed, while mu was released
+			}
+		}
+	}
 	if s.wedgedErr != nil {
 		// Sealing a file whose tail holds an unremoved partial frame would
 		// let later appends land in a segment replay can never reach: a torn

@@ -195,7 +195,7 @@ func (w *SnapshotWriter) Commit() error {
 	s.entries = nil
 	s.pending = int(s.seq - w.seq)
 	var rerr error
-	if s.activeSize > 0 && !(s.opts.Fsync && (s.syncing || s.syncedSeq < s.activeSeq)) {
+	if s.activeSize > 0 {
 		rerr = s.rotate()
 	}
 	if herr := w.injected("rotate"); herr != nil {

@@ -185,3 +185,52 @@ func TestGriphondRestart(t *testing.T) {
 		t.Errorf("disconnect recovered connection: %v", err)
 	}
 }
+
+// TestMutationsDurableOnReturn: the controllers write their commits without
+// waiting for the disk, and a library caller has nobody to do the waiting for
+// it. Every mutating method therefore returns with its commits fsynced — in
+// one fsync, however many commits it made.
+func TestMutationsDurableOnReturn(t *testing.T) {
+	net, err := griphon.New(griphon.Testbed(),
+		griphon.WithSeed(11), griphon.WithStateDir(t.TempDir()), griphon.WithFsync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	store := net.Controller().Journal()
+	var prev struct{ appends, fsyncs uint64 }
+	settled := func(what string) {
+		t.Helper()
+		st := store.Stats()
+		if want := min(st.Appends-prev.appends, 1); st.Fsyncs-prev.fsyncs != want {
+			t.Fatalf("%s: %d commits, %d fsyncs, want %d", what, st.Appends-prev.appends, st.Fsyncs-prev.fsyncs, want)
+		}
+		if err := store.Sync(store.Seq()); err != nil {
+			t.Fatal(err)
+		}
+		if after := store.Stats(); after.Fsyncs != st.Fsyncs {
+			t.Fatalf("%s returned with seq %d not yet fsynced", what, store.Seq())
+		}
+		prev.appends, prev.fsyncs = st.Appends, st.Fsyncs
+	}
+	conn, err := net.Connect("acme", "DC-A", "DC-B", griphon.Rate1G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Stats().Appends < 2 {
+		t.Fatalf("a first 1G connect made %d commits; the test wants one that makes several", store.Stats().Appends)
+	}
+	settled("Connect")
+	net.SetQuota("acme", 10, 0)
+	settled("SetQuota")
+	if err := net.CutFiber("I-IV"); err != nil {
+		t.Fatal(err)
+	}
+	settled("CutFiber")
+	net.Advance(10 * time.Minute)
+	settled("Advance")
+	if err := net.Disconnect("acme", conn.ID); err != nil {
+		t.Fatal(err)
+	}
+	settled("Disconnect")
+}
