@@ -15,14 +15,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Domain-invariant static analysis (DESIGN.md §9) plus the flow-sensitive
-# suite (DESIGN.md §14): wallclock, txnrollback, emslayer, metricname,
-# suppress, determinism, journaled, leakpath, loopblock, spanpair. Also
-# runnable as a vet tool:
-#   go vet -vettool=$$(go env GOPATH)/bin/griphon-lint ./...
+# Static invariants (DESIGN.md §9): wallclock, txnrollback, emslayer,
+# metricname, suppress, determinism, journaled, leakpath, loopblock, spanpair,
+# run over the whole module by TestRepoIsClean — `make test` runs it too.
 lint:
-	$(GO) run ./cmd/griphon-lint ./...
-	$(GO) test ./internal/analysis/...
+	$(GO) test -count=1 ./internal/analysis/...
 
 cover:
 	$(GO) test -cover ./...

@@ -116,12 +116,6 @@ func WithAutoRepair() Option {
 	return func(c *config) { c.Core.AutoRepair = true }
 }
 
-// WithAutoRevert re-grooms restored connections back onto their best path
-// after repairs, via bridge-and-roll.
-func WithAutoRevert() Option {
-	return func(c *config) { c.Core.AutoRevert = true }
-}
-
 // WithTracing records a virtual-time span for every controller operation, EMS
 // command and RWA search. Export the trace with TraceTo / TraceJSONLTo. Off by
 // default: the disabled path costs zero allocations on the hot paths.
@@ -246,13 +240,10 @@ func (n *Network) Close() error { return n.set.Close() }
 // sharded — for advanced use (benchmark harnesses drive it directly).
 func (n *Network) Controller() *core.Controller { return n.ctrl }
 
-// ShardSet exposes the sharded control plane itself: per-shard controllers,
-// the cross-shard coordinator and the parallel drivers the multi-tenant
-// benchmark uses.
+// ShardSet exposes the sharded control plane itself: per-shard controllers
+// (Len, Shard), the cross-shard coordinator, and the journal hand-over the API
+// server waits on (TakeUnsynced, WaitDurable).
 func (n *Network) ShardSet() *core.ShardSet { return n.set }
-
-// Shards returns the shard count (1 unless WithShards).
-func (n *Network) Shards() int { return n.set.Len() }
 
 // ShardFor returns the index of the shard owning a customer's state.
 func (n *Network) ShardFor(customer string) int {

@@ -13,10 +13,12 @@
 // truth — the analyzers in this package are those sentences as code.
 //
 // The x/tools module is deliberately not imported: the suite runs on the
-// standard library alone (go/ast, go/types, go/parser) so `make lint` works
-// in hermetic build environments. The driver subpackage loads and
-// type-checks packages via `go list -export`; the analysistest subpackage
-// runs fixture packages with `// want` expectations.
+// standard library alone (go/ast, go/types, go/parser) so it works in
+// hermetic build environments. There is no lint command: this package's
+// TestRepoIsClean runs every analyzer over every package of the module, so
+// `go test ./...` lints. The driver subpackage loads and type-checks packages
+// via `go list -export`; the analysistest subpackage runs fixture packages
+// with `// want` expectations.
 package analysis
 
 import (
@@ -32,7 +34,7 @@ import (
 // diagnostics and //lint:allow suppressions), one paragraph of doc, and a Run
 // function invoked once per package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, flags and suppressions.
+	// Name identifies the analyzer in diagnostics and suppressions.
 	// It must be a valid identifier.
 	Name string
 	// Doc states the invariant, first line summary style.

@@ -17,8 +17,8 @@
 //
 // Every diagnostic must match an expectation on its exact line, and every
 // expectation must be matched by a diagnostic; //lint:allow suppressions are
-// honored exactly as in the real driver, so negative fixtures can exercise
-// them.
+// honored exactly as when the repository itself is checked (driver.Analyze
+// applies them), so negative fixtures can exercise them.
 //
 // Fixtures are type-checked for real — against the repository's own packages
 // (griphon/internal/obs, .../inventory, .../ems) and the standard library —

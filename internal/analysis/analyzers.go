@@ -1,6 +1,6 @@
 package analysis
 
-// All returns the full griphon-lint suite, in stable order.
+// All returns the full suite, in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
@@ -14,14 +14,4 @@ func All() []*Analyzer {
 		Txnrollback,
 		Wallclock,
 	}
-}
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }

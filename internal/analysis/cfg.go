@@ -51,14 +51,7 @@ type CFG struct {
 	// Defers lists every defer statement in the body, in source order. Their
 	// payloads run at function exit, not at the registration point.
 	Defers []*ast.DeferStmt
-
-	follow map[ast.Stmt]*Block
 }
-
-// Follow returns the join/exit block of a control statement (the block
-// execution continues in after an if, for, range, switch or select), or nil
-// if the statement is not part of this graph.
-func (g *CFG) Follow(s ast.Stmt) *Block { return g.follow[s] }
 
 // Locate finds the block and node index holding n (or the smallest block
 // node positionally containing n, for sub-expressions). Returns (nil, -1)
@@ -96,7 +89,7 @@ func (g *CFG) Reachable(b *Block) bool {
 
 // BuildCFG constructs the control-flow graph of one function body.
 func BuildCFG(body *ast.BlockStmt) *CFG {
-	g := &CFG{follow: make(map[ast.Stmt]*Block)}
+	g := &CFG{}
 	b := &cfgBuilder{g: g}
 	g.Entry = b.newBlock()
 	g.Exit = b.newBlock()
@@ -209,7 +202,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.add(s.Cond)
 		condBlk := b.cur
 		follow := b.newBlock()
-		b.g.follow[s] = follow
 
 		then := b.newBlock()
 		condBlk.Cond = s.Cond
@@ -241,7 +233,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.add(s.Cond)
 		}
 		follow := b.newBlock()
-		b.g.follow[s] = follow
 		post := head
 		if s.Post != nil {
 			post = b.newBlock()
@@ -269,7 +260,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.startBlock(head)
 		head.Nodes = append(head.Nodes, s.X)
 		follow := b.newBlock()
-		b.g.follow[s] = follow
 		body := b.newBlock()
 		b.edge(head, body)
 		b.edge(head, follow) // range exhausted
@@ -358,7 +348,6 @@ func (b *cfgBuilder) switchBody(s ast.Stmt, label string, clauses []ast.Stmt) {
 		b.cur = head
 	}
 	follow := b.newBlock()
-	b.g.follow[s] = follow
 
 	// Pre-create clause entry blocks so fallthrough can target clause i+1.
 	entries := make([]*Block, len(clauses))

@@ -1,7 +1,7 @@
 package analysis
 
-// Path queries and def-use chains over the CFGs built in cfg.go. Three
-// primitives carry the flow-sensitive analyzers:
+// Path queries over the CFGs built in cfg.go. Two primitives carry the
+// flow-sensitive analyzers:
 //
 //   - PathTo: can execution get from node A to node B without passing a
 //     barrier? (determinism: loop exit -> sink avoiding sort.*)
@@ -9,7 +9,6 @@ package analysis
 //     given kind without passing a barrier? (journaled: mutation -> non-error
 //     return avoiding journalCommit; leakpath: claim -> error return avoiding
 //     rollback/commit; spanpair: Start -> any exit avoiding End)
-//   - defUse: which objects does a function assign and read, where?
 //
 // Traversal is block-level breadth-first with the barrier predicate applied
 // to every executable sub-node (nodeScan); cycles terminate because each
@@ -210,49 +209,6 @@ func returnsNonNilError(info *types.Info, ret *ast.ReturnStmt, conservative bool
 		}
 	}
 	return false
-}
-
-// defUse records where a function reads and writes program objects.
-type defUse struct {
-	// writes maps an object to the nodes that assign it (AssignStmt LHS,
-	// IncDecStmt, range key/value).
-	writes map[types.Object][]ast.Node
-	// reads maps an object to the identifiers that use it.
-	reads map[types.Object][]*ast.Ident
-}
-
-// defUseOf builds the def-use chains of one function body. Nested function
-// literals are included: a closure reading or appending to an outer variable
-// is exactly the flow the determinism analyzer must see.
-func defUseOf(info *types.Info, body *ast.BlockStmt) *defUse {
-	du := &defUse{
-		writes: map[types.Object][]ast.Node{},
-		reads:  map[types.Object][]*ast.Ident{},
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-					if obj := objOf(info, id); obj != nil {
-						du.writes[obj] = append(du.writes[obj], n)
-					}
-				}
-			}
-		case *ast.IncDecStmt:
-			if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
-				if obj := objOf(info, id); obj != nil {
-					du.writes[obj] = append(du.writes[obj], n)
-				}
-			}
-		case *ast.Ident:
-			if obj := info.Uses[n]; obj != nil {
-				du.reads[obj] = append(du.reads[obj], n)
-			}
-		}
-		return true
-	})
-	return du
 }
 
 // objOf resolves an identifier to its object whether the site is a

@@ -1,7 +1,9 @@
-// Package driver loads and type-checks Go packages for the griphon-lint
-// analyzers using only the standard library and the go command — no
+// Package driver loads and type-checks Go packages for the analyzers in
+// internal/analysis using only the standard library and the go command — no
 // golang.org/x/tools dependency, so the suite runs in hermetic build
-// environments with an empty module cache.
+// environments with an empty module cache. It has two callers, both tests:
+// analysis_test.TestRepoIsClean loads the repository itself, analysistest
+// loads fixture packages.
 //
 // Loading works the way the real analysis drivers do under the hood:
 // `go list -e -export -deps -test -json` enumerates every package in the
@@ -229,7 +231,6 @@ func Analyze(fset *token.FileSet, pkg *Package, analyzers []*analysis.Analyzer) 
 			}
 			out = append(out, Diagnostic{
 				Analyzer: a.Name,
-				Package:  pkg.Path,
 				Position: fset.Position(d.Pos),
 				Message:  d.Message,
 			})
@@ -242,7 +243,6 @@ func Analyze(fset *token.FileSet, pkg *Package, analyzers []*analysis.Analyzer) 
 // Diagnostic is one rendered finding.
 type Diagnostic struct {
 	Analyzer string
-	Package  string
 	Position token.Position
 	Message  string
 }

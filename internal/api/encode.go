@@ -1,26 +1,30 @@
 package api
 
 // Response-path machinery: pooled replies, pooled request-body buffers and
-// pre-encoded static bodies, and the two ends of a mutation (begin, ack)
-// between which the server lock is held. The API fronts a single-threaded
-// simulation, so every byte saved on the marshal path is throughput; bench/
-// drives this path over real HTTP against a running griphond (workload
-// portal-read).
+// pre-encoded static bodies, and the two ends of every request (begin, ack)
+// between which the server lock is held. A handler renders its answer into a
+// reply and never touches the ResponseWriter: ack sends it once the lock is
+// released, so a client that stops reading stalls its own goroutine and nobody
+// else's request. The API fronts a single-threaded simulation, so every byte
+// saved on the marshal path is throughput; bench/ drives this path over real
+// HTTP against a running griphond (workload portal-read).
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"sync"
 )
 
 // reply is a pooled response: a reusable buffer with a JSON encoder bound to
 // it, and the status and bytes send puts on the wire. json.Encoder.Encode
 // emits exactly json.Marshal's bytes plus a trailing newline — the same wire
-// format the marshal path produced. A GET renders and sends in one step; a
-// mutation renders under the server lock and is parked here, beside the
+// format the marshal path produced. Every answer is rendered under the server
+// lock and parked here until the lock is released — a mutation's beside the
 // journal sequence numbers it must not overtake, until they are durable.
 type reply struct {
 	buf    bytes.Buffer
@@ -36,6 +40,14 @@ var replyPool = sync.Pool{New: func() any {
 	rep.enc = json.NewEncoder(&rep.buf)
 	return rep
 }}
+
+// release returns rep to the pool, unless it grew past maxRequestBody (a long
+// audit log): that much capacity is not kept pinned for 300-byte answers.
+func (rep *reply) release() {
+	if rep.buf.Cap() <= maxRequestBody {
+		replyPool.Put(rep)
+	}
+}
 
 // maxRequestBody bounds a request body. Real requests are under 300 bytes;
 // the bound keeps one oversized POST from being buffered whole and its
@@ -55,8 +67,10 @@ var (
 // The shared Content-Type header values — assigned, never mutated, so hot
 // responses skip the per-call slice Header().Set allocates.
 var (
-	jsonContentType  = []string{"application/json"}
-	plainContentType = []string{"text/plain; charset=utf-8"}
+	jsonContentType    = []string{"application/json"}
+	plainContentType   = []string{"text/plain; charset=utf-8"}
+	metricsContentType = []string{"text/plain; version=0.0.4; charset=utf-8"}
+	jsonlContentType   = []string{"application/x-ndjson"}
 )
 
 // static renders a pre-encoded JSON body.
@@ -110,21 +124,20 @@ func (s *Server) renderErr(rep *reply, status int, err error) {
 	s.render(rep, status, ErrorJSON{Error: err.Error()})
 }
 
-// writeJSON renders v and sends it, under the server lock.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	rep := replyPool.Get().(*reply)
-	defer replyPool.Put(rep)
-	s.render(rep, status, v)
-	if err := rep.send(w); err != nil {
-		s.encodeErrs.Inc() // client gone; record it and move on
+// export renders into the reply what one of the network's exporters (metrics,
+// a trace) writes, whole before any of it is sent: an exporter that fails
+// yields a well-formed 500, not a truncated 200.
+func (s *Server) export(rep *reply, ctype []string, to func(io.Writer) error) {
+	rep.buf.Reset()
+	if err := to(&rep.buf); err != nil {
+		s.encodeErrs.Inc()
+		s.renderErr(rep, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
 	}
+	rep.status, rep.ctype, rep.body = http.StatusOK, ctype, rep.buf.Bytes()
 }
 
-func (s *Server) writeErr(w http.ResponseWriter, status int, err error) {
-	s.writeJSON(w, status, ErrorJSON{Error: err.Error()})
-}
-
-// begin opens a mutation: it takes the server lock, and the reply the handler
+// begin opens a request: it takes the server lock, and the reply the handler
 // renders its answer into instead of writing it. Pair it with a deferred ack.
 func (s *Server) begin() *reply {
 	rep := replyPool.Get().(*reply)
@@ -133,14 +146,14 @@ func (s *Server) begin() *reply {
 	return rep
 }
 
-// ack closes a mutation: it collects the journal sequence numbers the request
+// ack closes a request: it collects the journal sequence numbers the request
 // wrote, releases the server lock, waits until an fsync covers them — one per
-// shard the request touched, however many commits it made — and only then
-// touches the ResponseWriter. If a commit could not be written or synced, the
-// change stands in memory but would not survive a restart: the answer is 503,
-// whatever the handler rendered.
+// shard the request touched, however many commits it made, none for a read —
+// and only then touches the ResponseWriter. If a commit could not be written
+// or synced, the change stands in memory but would not survive a restart: the
+// answer is 503, whatever the handler rendered.
 func (s *Server) ack(w http.ResponseWriter, rep *reply) {
-	defer replyPool.Put(rep)
+	defer rep.release()
 	set := s.net.ShardSet()
 	var lost error
 	rep.seqs, lost = set.TakeUnsynced(rep.seqs[:0])
@@ -150,10 +163,10 @@ func (s *Server) ack(w http.ResponseWriter, rep *reply) {
 	}
 	var shard int
 	var err error
-	if s.testSync != nil {
-		err = s.testSync()
-	} else {
+	if s.testSync == nil {
 		shard, err = set.WaitDurable(rep.seqs)
+	} else if slices.ContainsFunc(rep.seqs, func(seq uint64) bool { return seq > 0 }) {
+		err = s.testSync()
 	}
 	if err != nil || lost != nil {
 		s.mu.Lock()
@@ -175,7 +188,8 @@ func (s *Server) ack(w http.ResponseWriter, rep *reply) {
 // readJSON decodes the request body through a pooled buffer, keeping the
 // strict unknown-field rejection of the original decoder path. A body over
 // maxRequestBody is refused with 413 before it is buffered. It runs before
-// the handler takes the server lock, and takes it only to refuse.
+// the handler takes the server lock, and takes it only to refuse — a request
+// of its own, answered like any other.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := bufPool.Get().(*bytes.Buffer)
 	defer bufPool.Put(buf)
@@ -195,9 +209,9 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		err = dec.Decode(v)
 	}
 	if err != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.writeErr(w, status, fmt.Errorf("bad request body: %w", err))
+		rep := s.begin()
+		defer s.ack(w, rep)
+		s.renderErr(rep, status, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true

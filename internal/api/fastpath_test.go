@@ -25,6 +25,17 @@ func newNet(t *testing.T) *griphon.Network {
 	return net
 }
 
+// writeJSON renders v and sends it: what a handler and its ack do with a value,
+// minus the lock.
+func writeJSON(t *testing.T, s *Server, w http.ResponseWriter, status int, v any) {
+	rep := replyPool.Get().(*reply)
+	defer rep.release()
+	s.render(rep, status, v)
+	if err := rep.send(w); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWriteJSONTerminalFallback pins the fix for the silent error-path
 // recursion: when even the error envelope cannot be encoded, the response
 // must degrade to plain text — never an empty 500 body.
@@ -32,7 +43,7 @@ func TestWriteJSONTerminalFallback(t *testing.T) {
 	s := NewServer(newNet(t))
 	s.testEncodeErr = func(any) error { return fmt.Errorf("boom") }
 	rec := httptest.NewRecorder()
-	s.writeJSON(rec, http.StatusOK, map[string]string{"fine": "value"})
+	writeJSON(t, s, rec, http.StatusOK, map[string]string{"fine": "value"})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}
@@ -272,12 +283,12 @@ func TestWriteJSONAllocGate(t *testing.T) {
 	s := NewServer(newNet(t))
 	w := &discardResponseWriter{}
 	v := &StatsJSON{Now: "t", Active: 3, ChannelsInUse: 7}
-	s.writeJSON(w, http.StatusOK, v) // warm the pool
+	writeJSON(t, s, w, http.StatusOK, v) // warm the pool
 	allocs := testing.AllocsPerRun(200, func() {
-		s.writeJSON(w, http.StatusOK, v)
+		writeJSON(t, s, w, http.StatusOK, v)
 	})
 	if allocs > 2 {
-		t.Fatalf("writeJSON allocates %.1f objects per response, want <= 2", allocs)
+		t.Fatalf("render and send allocate %.1f objects per response, want <= 2", allocs)
 	}
 }
 

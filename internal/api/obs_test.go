@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -33,7 +34,7 @@ func TestWriteJSONEncodeError(t *testing.T) {
 	}
 	s := NewServer(net)
 	rec := httptest.NewRecorder()
-	s.writeJSON(rec, http.StatusOK, map[string]float64{"oops": math.NaN()})
+	writeJSON(t, s, rec, http.StatusOK, map[string]float64{"oops": math.NaN()})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}
@@ -100,7 +101,7 @@ var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-
 // Prometheus rendering: valid text format, at least 10 distinct instruments,
 // and exact values for the counters the script must have moved.
 func TestMetricsEndpoint(t *testing.T) {
-	c, _ := newTestServer(t)
+	c, net := newTestServer(t)
 	resp, err := c.Connect(ConnectRequest{Customer: "acme", From: "DC-A", To: "DC-C", Rate: "10G"})
 	if err != nil {
 		t.Fatal(err)
@@ -114,6 +115,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	text, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The endpoint serves the network's own rendering, byte for byte.
+	var direct strings.Builder
+	if err := net.MetricsTo(&direct); err != nil || text != direct.String() {
+		t.Errorf("GET /metrics differs from Network.MetricsTo (%v)", err)
 	}
 
 	// Structural validity: every line is a comment or a sample, every sample
@@ -172,13 +178,17 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestTraceEndpoint(t *testing.T) {
-	c, _ := newTracingServer(t)
+	c, net := newTracingServer(t)
 	if _, err := c.Connect(ConnectRequest{Customer: "acme", From: "DC-A", To: "DC-C", Rate: "10G"}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := c.Trace("")
 	if err != nil {
 		t.Fatal(err)
+	}
+	var direct bytes.Buffer
+	if err := net.TraceTo(&direct); err != nil || !bytes.Equal(raw, direct.Bytes()) {
+		t.Errorf("GET /trace differs from Network.TraceTo (%v)", err)
 	}
 	var doc struct {
 		TraceEvents []struct {
@@ -202,6 +212,10 @@ func TestTraceEndpoint(t *testing.T) {
 	lines, err := c.Trace("jsonl")
 	if err != nil {
 		t.Fatal(err)
+	}
+	direct.Reset()
+	if err := net.TraceJSONLTo(&direct); err != nil || !bytes.Equal(lines, direct.Bytes()) {
+		t.Errorf("GET /trace?format=jsonl differs from Network.TraceJSONLTo (%v)", err)
 	}
 	n := 0
 	for _, line := range strings.Split(strings.TrimSpace(string(lines)), "\n") {

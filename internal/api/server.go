@@ -21,12 +21,15 @@ import (
 // listing, bill or report — so its cost does not grow with the history the
 // controller holds.
 //
-// The mutex covers a mutation's apply, its journal writes and the rendering
-// of its reply, not the disk: the handler's goroutine releases it, waits for
-// the fsync that covers what it wrote, and only then answers (begin and ack
-// in encode.go). Reads are served from applied state, so a GET can list a
-// connection whose POST has not been answered yet; only the answer promises
-// that the connection survives a restart.
+// The mutex covers a request's work on the network — a mutation's apply and
+// journal writes, a read's listing — and the rendering of its reply, never the
+// disk or the client's socket: every handler is begin, render, ack (encode.go),
+// and ack releases the mutex, waits for the fsync that covers what the request
+// wrote, and only then answers. No ResponseWriter method runs with the mutex
+// held, so a client that stops reading delays nobody else. Reads are served
+// from applied state, so a GET can list a connection whose POST has not been
+// answered yet; only the answer promises that the connection survives a
+// restart.
 type Server struct {
 	mu  sync.Mutex
 	net *griphon.Network
@@ -36,8 +39,8 @@ type Server struct {
 	encodeErrs *obs.Counter
 
 	// Test seams, nil in production. testEncodeErr overrides response
-	// encoding (the terminal plain-text fallback test); testSync replaces a
-	// mutation's wait for the disk.
+	// encoding (the terminal plain-text fallback test); testSync replaces the
+	// wait for the disk of a request that wrote to the journal.
 	testEncodeErr func(v any) error
 	testSync      func() error
 }
@@ -85,18 +88,18 @@ func (s *Server) now() sim.Time { return sim.Time(s.net.Now()) }
 func (s *Server) graph() *topo.Graph { return s.net.Controller().Graph() }
 
 func (s *Server) handleConnections(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	cust := r.URL.Query().Get("customer")
 	if cust == "" {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("customer query parameter required"))
+		s.renderErr(rep, http.StatusBadRequest, fmt.Errorf("customer query parameter required"))
 		return
 	}
 	var out []ConnectionJSON
 	for _, c := range s.net.Connections(cust) {
 		out = append(out, FromConnection(c, s.now(), s.graph()))
 	}
-	s.writeJSON(w, http.StatusOK, ConnectResponse{Connections: out})
+	s.render(rep, http.StatusOK, ConnectResponse{Connections: out})
 }
 
 func (s *Server) handleConnect(w http.ResponseWriter, r *http.Request) {
@@ -307,8 +310,8 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	st := s.net.Stats()
 	out := StatsJSON{
 		Now:           s.net.Now().String(),
@@ -328,12 +331,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, l := range st.DownLinks {
 		out.DownLinks = append(out.DownLinks, string(l))
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.render(rep, http.StatusOK, out)
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	q := r.URL.Query()
 
 	// With a since cursor the response is a page ({events, next}); resuming
@@ -342,12 +345,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// the combination rather than silently mis-paginate).
 	if sinceStr := q.Get("since"); sinceStr != "" {
 		if q.Get("conn") != "" {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("since and conn cannot be combined"))
+			s.renderErr(rep, http.StatusBadRequest, fmt.Errorf("since and conn cannot be combined"))
 			return
 		}
 		since, err := strconv.Atoi(sinceStr)
 		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad since cursor %q", sinceStr))
+			s.renderErr(rep, http.StatusBadRequest, fmt.Errorf("bad since cursor %q", sinceStr))
 			return
 		}
 		evs, next := s.net.EventsSince(since)
@@ -357,7 +360,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				At: e.At.String(), Conn: string(e.Conn), Kind: e.Kind, Text: e.Text,
 			})
 		}
-		s.writeJSON(w, http.StatusOK, page)
+		s.render(rep, http.StatusOK, page)
 		return
 	}
 
@@ -374,18 +377,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			At: e.At.String(), Conn: string(e.Conn), Kind: e.Kind, Text: e.Text,
 		})
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.render(rep, http.StatusOK, out)
 }
 
 func (s *Server) handleAlarms(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	q := r.URL.Query()
 	var since uint64
 	if sinceStr := q.Get("since"); sinceStr != "" {
 		v, err := strconv.ParseUint(sinceStr, 10, 64)
 		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad since cursor %q", sinceStr))
+			s.renderErr(rep, http.StatusBadRequest, fmt.Errorf("bad since cursor %q", sinceStr))
 			return
 		}
 		since = v
@@ -395,18 +398,18 @@ func (s *Server) handleAlarms(w http.ResponseWriter, r *http.Request) {
 	for _, g := range groups {
 		out.Groups = append(out.Groups, FromGroup(g))
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.render(rep, http.StatusOK, out)
 }
 
 func (s *Server) handleSLA(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.writeJSON(w, http.StatusOK, FromSLAReport(s.net.SLA(r.URL.Query().Get("customer"))))
+	rep := s.begin()
+	defer s.ack(w, rep)
+	s.render(rep, http.StatusOK, FromSLAReport(s.net.SLA(r.URL.Query().Get("customer"))))
 }
 
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	set := s.net.ShardSet()
 	out := ShardsResponse{Shards: set.Len()}
 	for i := 0; i < set.Len(); i++ {
@@ -420,56 +423,47 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 			Pipes:         st.Pipes,
 		})
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.render(rep, http.StatusOK, out)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.net.MetricsTo(w); err != nil {
-		s.encodeErrs.Inc()
-	}
+	rep := s.begin()
+	defer s.ack(w, rep)
+	s.export(rep, metricsContentType, s.net.MetricsTo)
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	if !s.net.Tracer().Enabled() {
-		s.writeErr(w, http.StatusConflict,
+		s.renderErr(rep, http.StatusConflict,
 			fmt.Errorf("tracing is off; start the network with tracing enabled"))
 		return
 	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "chrome":
-		w.Header().Set("Content-Type", "application/json")
-		if err := s.net.TraceTo(w); err != nil {
-			s.encodeErrs.Inc()
-		}
+		s.export(rep, jsonContentType, s.net.TraceTo)
 	case "jsonl":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := s.net.TraceJSONLTo(w); err != nil {
-			s.encodeErrs.Inc()
-		}
+		s.export(rep, jsonlContentType, s.net.TraceJSONLTo)
 	default:
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown trace format %q", format))
+		s.renderErr(rep, http.StatusBadRequest, fmt.Errorf("unknown trace format %q", format))
 	}
 }
 
 func (s *Server) handleBill(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	cust := r.URL.Query().Get("customer")
 	if cust == "" {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("customer query parameter required"))
+		s.renderErr(rep, http.StatusBadRequest, fmt.Errorf("customer query parameter required"))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, BillJSON{Customer: cust, GbHours: s.net.BillGbHours(cust)})
+	s.render(rep, http.StatusOK, BillJSON{Customer: cust, GbHours: s.net.BillGbHours(cust)})
 }
 
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rep := s.begin()
+	defer s.ack(w, rep)
 	g := s.net.Controller().Graph()
 	out := TopologyJSON{}
 	for _, n := range g.Nodes() {
@@ -481,5 +475,5 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	for _, site := range g.Sites() {
 		out.Sites = append(out.Sites, fmt.Sprintf("%s @ %s (%.0fG access)", site.ID, site.Home, site.AccessGbps))
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.render(rep, http.StatusOK, out)
 }

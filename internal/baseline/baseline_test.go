@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -70,23 +69,6 @@ func TestCostModelOrdering(t *testing.T) {
 	// Sub-wavelength circuits are cheap.
 	if c.CircuitMonthly(1, 1) >= work {
 		t.Error("one ODU0 slot-hop costs as much as a wavelength")
-	}
-}
-
-func TestUtilizationCost(t *testing.T) {
-	// A static 10G circuit 10% utilized costs 10x per delivered bit vs
-	// a fully used BoD wavelength.
-	if got := UtilizationCost(100, 0.1); got != 1000 {
-		t.Errorf("cost at 10%% = %v", got)
-	}
-	if got := UtilizationCost(100, 1); got != 100 {
-		t.Errorf("cost at 100%% = %v", got)
-	}
-	if !math.IsInf(UtilizationCost(100, 0), 1) {
-		t.Error("zero utilization should be infinite cost")
-	}
-	if got := UtilizationCost(100, 2); got != 100 {
-		t.Error("utilization above 1 not clamped")
 	}
 }
 

@@ -8,7 +8,6 @@ package baseline
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"griphon/internal/bw"
@@ -112,17 +111,4 @@ func (c Costs) SharedRestoreMonthly(km float64, regens int, shareRatio float64) 
 // hops pipes (each slot-hop bills one ODU0 unit).
 func (c Costs) CircuitMonthly(slots, pipeHops int) float64 {
 	return float64(slots*pipeHops) * c.ODU0Monthly
-}
-
-// UtilizationCost returns the effective cost per delivered bit-month for a
-// circuit of the given monthly cost and average utilization in [0,1]. Static
-// peak provisioning has low utilization; BoD approaches 1.
-func UtilizationCost(monthly, utilization float64) float64 {
-	if utilization <= 0 {
-		return math.Inf(1)
-	}
-	if utilization > 1 {
-		utilization = 1
-	}
-	return monthly / utilization
 }

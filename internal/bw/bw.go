@@ -37,9 +37,6 @@ func GbpsOf(g float64) Rate { return Rate(math.Round(g * 1e9)) }
 // Gbps returns the rate as a floating-point number of Gb/s.
 func (r Rate) Gbps() float64 { return float64(r) / 1e9 }
 
-// Bps returns the rate in bits per second.
-func (r Rate) Bps() float64 { return float64(r) }
-
 // String renders the rate compactly: "1G", "2.5G", "10G", "622M".
 func (r Rate) String() string {
 	switch {

@@ -377,9 +377,6 @@ func (c *Controller) FaultModel() *faults.Model { return c.faultModel }
 // Retry returns the retry policy in force.
 func (c *Controller) Retry() RetryPolicy { return c.retry }
 
-// SetupChoreography returns the choreography mode in force.
-func (c *Controller) SetupChoreography() Choreography { return c.choreo }
-
 // Latencies returns the EMS latency table in force.
 func (c *Controller) Latencies() ems.Latencies { return c.lat }
 
@@ -431,10 +428,6 @@ func (c *Controller) SetOnEvent(fn func(index int)) { c.onEvent = fn }
 // SetOnAlarmGroup installs an observer called after every alarm-group append
 // (nil detaches).
 func (c *Controller) SetOnAlarmGroup(fn func(alarms.Group)) { c.onAlarmGroup = fn }
-
-// Shard returns this controller's placement in its ShardSet (zero when
-// unsharded).
-func (c *Controller) Shard() ShardInfo { return c.shard }
 
 // NowTime returns the controller's kernel clock.
 func (c *Controller) NowTime() sim.Time { return c.k.Now() }

@@ -141,38 +141,6 @@ func TestOnePlusOneBothLegsDown(t *testing.T) {
 	}
 }
 
-func TestRevertProtect(t *testing.T) {
-	k, c := newTestbed(t, 35)
-	conn := mustConnect(t, k, c, Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate10G, Protect: OnePlusOne})
-	cutLink := conn.path.route.Path.Links[0]
-	c.CutFiber(cutLink)
-	k.Run()
-	if !conn.onProtect {
-		t.Fatal("not on protect leg")
-	}
-	// Revert before repair must fail (working leg still dark).
-	if _, err := c.RevertProtect("x", conn.ID); err == nil {
-		t.Error("revert onto a dead working leg accepted")
-	}
-	c.RepairFiber(cutLink)
-	k.Run()
-	job, err := c.RevertProtect("x", conn.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Run()
-	if job.Err() != nil || conn.onProtect {
-		t.Errorf("revert failed: err=%v onProtect=%v", job.Err(), conn.onProtect)
-	}
-	// Authorization and state checks.
-	if _, err := c.RevertProtect("y", conn.ID); err == nil {
-		t.Error("cross-customer revert accepted")
-	}
-	if _, err := c.RevertProtect("x", conn.ID); err == nil {
-		t.Error("revert while on working leg accepted")
-	}
-}
-
 func TestSharedMeshRestorationSubSecond(t *testing.T) {
 	k, c := newTestbed(t, 36)
 	// Pre-build a triangle of pipes for disjoint backup paths.

@@ -219,35 +219,3 @@ func (c *Controller) regroom(conn *Connection) (bool, *sim.Job, error) {
 	c.log(conn, "regroom", "weight %.0f -> %.0f (%v)", curW, newW, m)
 	return true, job, nil
 }
-
-// RevertProtect switches a 1+1 connection's traffic back to its working leg
-// after repair (fast tail-end switch, no bridge needed).
-func (c *Controller) RevertProtect(cust inventory.Customer, id ConnID) (*sim.Job, error) {
-	conn := c.conns.get(id)
-	if conn == nil {
-		return nil, fmt.Errorf("core: unknown connection %s", id)
-	}
-	if err := c.ledger.Verify(cust, connKey(id)); err != nil {
-		return nil, err
-	}
-	if conn.Protect != OnePlusOne || !conn.onProtect {
-		return nil, fmt.Errorf("core: connection %s is not riding its protect leg", id)
-	}
-	if conn.State != StateActive {
-		return nil, fmt.Errorf("core: connection %s is %v", id, conn.State)
-	}
-	if conn.path == nil || !c.plant.PathUp(conn.path.route.Path) {
-		return nil, fmt.Errorf("core: working leg of %s is not healthy", id)
-	}
-	out := c.k.NewJob()
-	hit := c.jit(c.lat.ProtectionSwitch)
-	c.connDown(conn, slo.CauseRoll, "", "revert to repaired working leg", "hit")
-	c.k.After(hit, func() {
-		c.connUp(conn, "revert-done")
-		conn.onProtect = false
-		c.log(conn, "revert", "traffic back on working leg (hit %v)", hit)
-		c.journalCommit(commitSet{reason: "revert-protect", conns: []*Connection{conn}})
-		out.Complete(nil)
-	})
-	return out, nil
-}

@@ -29,9 +29,6 @@ func (c *Controller) SLAReport(customer string) slo.CustomerReport {
 	return c.sla.Report(customer, c.k.Now())
 }
 
-// AlarmLog returns the correlated alarm-group log (always non-nil).
-func (c *Controller) AlarmLog() *alarms.Log { return c.alarmLog }
-
 // AlarmsSince returns alarm groups after the seq cursor, projected onto one
 // customer's view ("" = operator). The returned next cursor resumes the
 // stream with no gaps or repeats.

@@ -157,9 +157,6 @@ func NewModel(k *sim.Kernel, p Profile) *Model {
 	return &Model{k: k, p: p, ems: make(map[string]*emsState)}
 }
 
-// Profile returns the profile in force.
-func (m *Model) Profile() Profile { return m.p }
-
 // Stats returns decision counts so far.
 func (m *Model) Stats() Stats { return m.stats }
 

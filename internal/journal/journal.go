@@ -342,9 +342,6 @@ func (s *Store) Seq() uint64 {
 	return s.seq
 }
 
-// Dir returns the state directory.
-func (s *Store) Dir() string { return s.dir }
-
 // AppendsSinceSnapshot returns how many WAL records the latest snapshot does
 // not cover — the caller's snapshot-cadence trigger.
 func (s *Store) AppendsSinceSnapshot() int {

@@ -45,16 +45,6 @@ func (f *Fabric) AddSwitch(node topo.NodeID) { f.switches[node] = true }
 // HasSwitch reports whether node hosts an OTN switch.
 func (f *Fabric) HasSwitch(node topo.NodeID) bool { return f.switches[node] }
 
-// Switches returns all switch locations, sorted.
-func (f *Fabric) Switches() []topo.NodeID {
-	out := make([]topo.NodeID, 0, len(f.switches))
-	for n := range f.switches {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // AddPipe creates a new pipe between two switches and returns it. The ID is
 // generated; both endpoints must host switches.
 func (f *Fabric) AddPipe(a, b topo.NodeID, level Level) (*Pipe, error) {
@@ -153,18 +143,6 @@ func (f *Fabric) Pipes() []*Pipe {
 // PipesAt returns the pipes at node, sorted by ID.
 func (f *Fabric) PipesAt(node topo.NodeID) []*Pipe {
 	out := append([]*Pipe(nil), f.adj[node]...)
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
-// PipesBetween returns pipes directly joining a and b, sorted by ID.
-func (f *Fabric) PipesBetween(a, b topo.NodeID) []*Pipe {
-	var out []*Pipe
-	for _, p := range f.adj[a] {
-		if p.Has(b) {
-			out = append(out, p)
-		}
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }

@@ -53,9 +53,6 @@ func (p *Pipe) ID() PipeID { return p.id }
 // Ends returns the two OTN switches the pipe joins.
 func (p *Pipe) Ends() (topo.NodeID, topo.NodeID) { return p.a, p.b }
 
-// Has reports whether n is one of the pipe's endpoints.
-func (p *Pipe) Has(n topo.NodeID) bool { return n == p.a || n == p.b }
-
 // Other returns the far end from n; it panics if n is not an endpoint.
 func (p *Pipe) Other(n topo.NodeID) topo.NodeID {
 	switch n {

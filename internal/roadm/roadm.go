@@ -73,9 +73,6 @@ func NewNode(id topo.NodeID, degrees []topo.LinkID, addDropPorts int) (*Node, er
 	return n, nil
 }
 
-// ID returns the node's identity.
-func (n *Node) ID() topo.NodeID { return n.id }
-
 // Degree returns the number of fiber degrees.
 func (n *Node) Degree() int { return len(n.degrees) }
 

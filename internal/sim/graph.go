@@ -85,9 +85,6 @@ func (g *Graph) Edge(from, to NodeID) {
 	g.nodes[to].waiting++
 }
 
-// Job returns the job that completes when every node is done or skipped.
-func (g *Graph) Job() *Job { return g.job }
-
 // Go validates the graph is acyclic, starts every root node (in creation
 // order, synchronously) and returns the graph's job. An empty graph completes
 // at the current instant.

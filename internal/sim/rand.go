@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 )
 
@@ -43,16 +42,6 @@ func (r *Rand) Exp(mean float64) float64 {
 		panic("sim: Exp mean must be positive")
 	}
 	return r.r.ExpFloat64() * mean
-}
-
-// Pareto returns a bounded Pareto-ish heavy-tailed value with the given
-// minimum and shape alpha. Used for bulk-transfer size distributions.
-func (r *Rand) Pareto(min, alpha float64) float64 {
-	u := r.r.Float64()
-	for u == 0 {
-		u = r.r.Float64()
-	}
-	return min / math.Pow(u, 1/alpha)
 }
 
 // Jitter returns base scaled by a normally distributed factor with relative

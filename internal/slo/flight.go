@@ -2,9 +2,7 @@ package slo
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 
 	"griphon/internal/alarms"
 	"griphon/internal/obs"
@@ -159,17 +157,4 @@ func (d Dump) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(d)
-}
-
-// WriteFile writes the dump to path, creating or truncating it.
-func (d Dump) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("flight dump: %w", err)
-	}
-	if err := d.WriteJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("flight dump: %w", err)
-	}
-	return f.Close()
 }

@@ -3,7 +3,6 @@ package slo
 import (
 	"bytes"
 	"encoding/json"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -58,11 +57,6 @@ func TestFlightRecorderBoundedAndDump(t *testing.T) {
 	}
 	if back.Reason != "audit finding" || len(back.Events) != 3 {
 		t.Errorf("round trip = %+v", back)
-	}
-
-	path := filepath.Join(t.TempDir(), "flight.json")
-	if err := d.WriteFile(path); err != nil {
-		t.Fatal(err)
 	}
 
 	var prom strings.Builder

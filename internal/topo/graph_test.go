@@ -303,36 +303,6 @@ func TestPathValidate(t *testing.T) {
 	}
 }
 
-func TestDOTRendering(t *testing.T) {
-	out := DOT(Testbed())
-	for _, want := range []string{
-		"graph griphon", `"I" --`, "320 km", "DC-A", "40G access", "+OTN", "3-degree",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT output missing %q", want)
-		}
-	}
-	// Every link appears exactly once.
-	if got := strings.Count(out, " km"); got != Testbed().NumLinks() {
-		t.Errorf("DOT has %d link labels, want %d", got, Testbed().NumLinks())
-	}
-}
-
-func TestSummaryRendering(t *testing.T) {
-	out := Summary(Testbed())
-	for _, want := range []string{
-		"4 PoPs, 5 fiber links, 3 sites",
-		"3-degree: I, III",
-		"2-degree: II, IV",
-		"site DC-A @ I",
-		"1500 km total",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestGrid(t *testing.T) {
 	g, err := Grid(4, 5, 200)
 	if err != nil {

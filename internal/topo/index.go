@@ -102,17 +102,8 @@ func (ix *Index) NodeIDAt(i int32) NodeID { return ix.nodes[i].ID }
 // LinkIDAt returns the ID of the link at dense index i.
 func (ix *Index) LinkIDAt(i int32) LinkID { return ix.links[i].ID }
 
-// NodeAt returns the node at dense index i.
-func (ix *Index) NodeAt(i int32) *Node { return ix.nodes[i] }
-
-// LinkAt returns the link at dense index i.
-func (ix *Index) LinkAt(i int32) *Link { return ix.links[i] }
-
 // LinkKM returns the span length of the link at dense index i.
 func (ix *Index) LinkKM(i int32) float64 { return ix.linkKM[i] }
-
-// Endpoints returns the dense node indices of link i's endpoints (A, B).
-func (ix *Index) Endpoints(i int32) (int32, int32) { return ix.linkA[i], ix.linkB[i] }
 
 // Adjacency returns the links incident to node n and the corresponding far
 // endpoints, ordered by LinkID. The slices alias the index's storage: do not

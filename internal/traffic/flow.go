@@ -47,9 +47,6 @@ func NewFlow(k *sim.Kernel, id string, sizeBytes float64) (*Flow, error) {
 	}, nil
 }
 
-// ID returns the flow's identifier.
-func (f *Flow) ID() string { return f.id }
-
 // Done returns the job that completes when the transfer finishes.
 func (f *Flow) Done() *sim.Job { return f.done }
 

@@ -171,40 +171,3 @@ func TestDiurnal(t *testing.T) {
 		t.Errorf("not 24 h periodic: %v vs %v", a, b)
 	}
 }
-
-func TestNightWindow(t *testing.T) {
-	// Window 22:00-04:00 wraps midnight.
-	cases := []struct {
-		hour float64
-		want bool
-	}{
-		{23, true}, {1, true}, {3.5, true}, {4, false}, {12, false}, {21.9, false}, {22, true},
-	}
-	for _, c := range cases {
-		at := sim.Time(c.hour * float64(time.Hour))
-		if got := NightWindow(at, 22, 6); got != c.want {
-			t.Errorf("NightWindow(%vh) = %v, want %v", c.hour, got, c.want)
-		}
-	}
-	// Non-wrapping window.
-	if !NightWindow(sim.Time(10*time.Hour), 9, 2) || NightWindow(sim.Time(12*time.Hour), 9, 2) {
-		t.Error("non-wrapping window wrong")
-	}
-}
-
-func TestDatasetBytes(t *testing.T) {
-	rng := sim.NewRand(3)
-	for i := 0; i < 5000; i++ {
-		v := DatasetBytes(rng, TB, 1000*TB)
-		if v < TB || v > 1000*TB {
-			t.Fatalf("dataset %v outside bounds", v)
-		}
-	}
-	// Degenerate bounds.
-	if v := DatasetBytes(rng, 10, 5); v < 10 {
-		t.Errorf("max<min handling: %v", v)
-	}
-	if v := DatasetBytes(rng, -1, 100); v < 1 {
-		t.Errorf("min<=0 handling: %v", v)
-	}
-}

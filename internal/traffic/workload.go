@@ -44,34 +44,6 @@ func Diurnal(t sim.Time, peakHour float64, trough float64) float64 {
 	return trough + (1-trough)*raw
 }
 
-// NightWindow reports whether t falls inside the nightly bulk-transfer window
-// [startHour, startHour+lenHours) local time (wrapping midnight).
-func NightWindow(t sim.Time, startHour, lenHours float64) bool {
-	h := math.Mod(t.Seconds()/3600, 24)
-	end := math.Mod(startHour+lenHours, 24)
-	if startHour <= end {
-		return h >= startHour && h < end
-	}
-	return h >= startHour || h < end
-}
-
-// DatasetBytes draws a bulk replication dataset size: heavy-tailed (bounded
-// Pareto) between minBytes and maxBytes, matching the paper's "several
-// terabytes to petabytes" spread.
-func DatasetBytes(rng *sim.Rand, minBytes, maxBytes float64) float64 {
-	if minBytes <= 0 {
-		minBytes = 1
-	}
-	if maxBytes < minBytes {
-		maxBytes = minBytes
-	}
-	v := rng.Pareto(minBytes, 1.2)
-	if v > maxBytes {
-		v = maxBytes
-	}
-	return v
-}
-
 // Day is one simulated day.
 const Day = 24 * time.Hour
 

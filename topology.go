@@ -81,9 +81,3 @@ func Continental(n, sites int, seed int64) (*Topology, error) {
 	}
 	return &Topology{g: g}, nil
 }
-
-// DOT renders the topology in Graphviz format.
-func (t *Topology) DOT() string { return topo.DOT(t.g) }
-
-// Summary renders a compact text description of the topology.
-func (t *Topology) Summary() string { return topo.Summary(t.g) }
