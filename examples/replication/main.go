@@ -25,7 +25,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	k := net.Controller().Kernel()
+	// The transfers run on the control plane's clock: one shard, so its kernel.
+	k := net.ShardSet().Shard(0).Kernel
 
 	fmt.Println("Nightly 30 TB replication DC-SEA -> DC-CHI, three nights")
 	fmt.Println()
@@ -49,7 +50,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		flow, err := traffic.NewFlow(k, fmt.Sprintf("night-%d", night), datasetBytes)
+		flow, err := traffic.NewFlow(k, datasetBytes)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,8 +71,7 @@ func main() {
 	// Cost comparison: BoD pays for the hours used; static pays 24/7.
 	total := net.Now()
 	costs := baseline.DefaultCosts()
-	g := net.Controller().Graph()
-	km := interactive.Route().KM(g)
+	km := interactive.Route().KM(net.Graph())
 	if km == 0 {
 		km = 2800 // OTN circuits ride pipes; use the SEA-CHI span
 	}

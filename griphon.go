@@ -174,14 +174,16 @@ func WithShards(n int) Option {
 
 // Network is a GRIPhoN deployment: the photonic plant, the OTN overlay, the
 // vendor EMSes and the GRIPhoN controller, all running on one virtual clock.
-// With WithShards the control plane is partitioned per customer into N such
-// controllers coordinated over the shared plant (see DESIGN.md §15); without
-// it everything runs on one controller, byte-compatible with earlier
-// versions. Network is not safe for concurrent use; the simulation is
-// single-threaded by design (determinism).
+// The control plane is a set of N controllers, one per shard of customers,
+// coordinated over the shared plant (WithShards, DESIGN.md §15); the default
+// is N = 1, the same code, and every method here answers for the whole set.
+// What one shard formats differently (connection IDs, state directory, shard
+// label and field in metrics and traces) is listed at core.ShardSet. Network
+// is not safe for concurrent use; the simulation is single-threaded by design
+// (determinism).
 type Network struct {
-	set  *core.ShardSet
-	ctrl *core.Controller // shard 0, the whole plane when unsharded
+	set *core.ShardSet
+	g   *topo.Graph
 	// hoisted: the caller waits for the disk itself (see HoistSync).
 	hoisted bool
 }
@@ -209,7 +211,7 @@ func New(t *Topology, opts ...Option) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Network{set: set, ctrl: set.Shard(0).Ctrl}, nil
+	return &Network{set: set, g: t.g}, nil
 }
 
 // settle ends every mutating method: the controllers write their commits to
@@ -236,9 +238,16 @@ func (n *Network) HoistSync() { n.hoisted = true }
 // network is unusable for durable operations afterwards.
 func (n *Network) Close() error { return n.set.Close() }
 
-// Controller exposes the underlying GRIPhoN controller — shard 0's when
-// sharded — for advanced use (benchmark harnesses drive it directly).
-func (n *Network) Controller() *core.Controller { return n.ctrl }
+// Controller returns shard 0's controller.
+//
+// Deprecated: nothing that answers for the network may read one shard. It
+// survives because bench/client.go calls Controller().Graph() and only a
+// benchmark PR may edit bench/; that PR moves the call to Graph and deletes
+// this. Name a shard on purpose with ShardSet().Shard(i).
+func (n *Network) Controller() *core.Controller { return n.set.Shard(0).Ctrl }
+
+// Graph returns the topology the network was built over, read-only.
+func (n *Network) Graph() *topo.Graph { return n.g }
 
 // ShardSet exposes the sharded control plane itself: per-shard controllers
 // (Len, Shard), the cross-shard coordinator, and the journal hand-over the API
@@ -516,39 +525,33 @@ func (n *Network) SetQuota(customer string, maxConns int, maxBandwidth Rate) {
 // Stats returns a resource snapshot (summed across shards).
 func (n *Network) Stats() Stats { return n.set.Snapshot() }
 
-// Tracer returns the network's span recorder (nil unless WithTracing).
-func (n *Network) Tracer() *obs.Tracer { return n.ctrl.Tracer() }
+// Metrics returns the registry of process-level instruments (always
+// non-nil): what counts for the whole network rather than one shard, such as
+// the API server's counters. MetricsTo renders it beside every shard's own.
+func (n *Network) Metrics() *obs.Registry { return n.set.Metrics() }
 
-// Metrics returns the network's instrument registry (always non-nil); its
-// Prometheus rendering is what GET /api/v1/metrics serves.
-func (n *Network) Metrics() *obs.Registry { return n.ctrl.Metrics() }
+// Tracing reports whether the network records spans (WithTracing).
+func (n *Network) Tracing() bool { return n.set.Tracers() != nil }
 
-// TraceTo writes the recorded spans in Chrome trace_event JSON — loadable in
-// chrome://tracing or ui.perfetto.dev, with one track per EMS so a setup
-// renders as the paper's step ladder. Fails unless WithTracing was set.
-//
-// Known limitation: when sharded, only shard 0's tracer is exported; spans
-// recorded by shards 1..N-1 are dropped (ROADMAP "Wall-clock observability").
-func (n *Network) TraceTo(w io.Writer) error {
-	tr := n.ctrl.Tracer()
-	if !tr.Enabled() {
+// TraceTo writes every shard's recorded spans in Chrome trace_event JSON —
+// loadable in chrome://tracing or ui.perfetto.dev, with one track per EMS so
+// a setup renders as the paper's step ladder, and when sharded one process
+// per shard. Fails unless WithTracing was set.
+func (n *Network) TraceTo(w io.Writer) error { return n.trace(w, obs.WriteChromeTrace) }
+
+// TraceJSONLTo writes every shard's recorded spans as JSON Lines (one span
+// per line, tagged with its shard when sharded).
+func (n *Network) TraceJSONLTo(w io.Writer) error { return n.trace(w, obs.WriteJSONL) }
+
+func (n *Network) trace(w io.Writer, export func(io.Writer, ...*obs.Tracer) error) error {
+	if !n.Tracing() {
 		return fmt.Errorf("griphon: tracing is off; construct the network with WithTracing")
 	}
-	return tr.WriteChromeTrace(w)
+	return export(w, n.set.Tracers()...)
 }
 
-// TraceJSONLTo writes the recorded spans as JSON Lines (one span per line).
-// It has TraceTo's limitation: shard 0's spans only.
-func (n *Network) TraceJSONLTo(w io.Writer) error {
-	tr := n.ctrl.Tracer()
-	if !tr.Enabled() {
-		return fmt.Errorf("griphon: tracing is off; construct the network with WithTracing")
-	}
-	return tr.WriteJSONL(w)
-}
-
-// MetricsTo writes every instrument in Prometheus text format. When sharded,
-// the per-shard registries are merged under an injected shard label.
+// MetricsTo writes every instrument in Prometheus text format: the
+// process-level registry, and every shard's under a shard label when sharded.
 func (n *Network) MetricsTo(w io.Writer) error {
 	return n.set.WriteMetrics(w)
 }
@@ -576,10 +579,10 @@ func (n *Network) Alarms(since uint64, customer string) ([]AlarmGroup, uint64) {
 // connection on every shard).
 func (n *Network) SLA(customer string) SLAReport { return n.set.SLAReport(customer) }
 
-// DumpFlight snapshots the flight recorder (ok=false without
-// WithFlightRecorder), folding findings into the dump.
-func (n *Network) DumpFlight(reason string, findings []string) (FlightDump, bool) {
-	return n.ctrl.DumpFlight(reason, findings)
+// DumpFlight snapshots every shard's flight recorder, folding findings into
+// each dump: one per shard, in shard order (nil without WithFlightRecorder).
+func (n *Network) DumpFlight(reason string, findings []string) []FlightDump {
+	return n.set.DumpFlight(reason, findings)
 }
 
 // DefragmentSpectrum retunes active wavelengths down to the lowest free

@@ -3,6 +3,7 @@ package griphon
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -48,12 +49,12 @@ func TestFaultVisibilityFacade(t *testing.T) {
 		t.Errorf("cause = %v", rep.Conns[0].Outages[0].Cause)
 	}
 
-	dump, ok := n.DumpFlight("facade-test", []string{"demo"})
-	if !ok {
-		t.Fatal("no flight recorder despite WithFlightRecorder")
+	dumps := n.DumpFlight("facade-test", []string{"demo"})
+	if len(dumps) != 1 {
+		t.Fatalf("%d flight dumps from one shard with WithFlightRecorder, want 1", len(dumps))
 	}
 	var buf bytes.Buffer
-	if err := dump.WriteJSON(&buf); err != nil {
+	if err := dumps[0].WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var round map[string]any
@@ -66,7 +67,53 @@ func TestFaultVisibilityFacade(t *testing.T) {
 
 	// Without the option there is no recorder.
 	n2 := newNet(t, WithSeed(45))
-	if _, ok := n2.DumpFlight("x", nil); ok {
+	if dumps := n2.DumpFlight("x", nil); dumps != nil {
 		t.Error("flight recorder present without WithFlightRecorder")
 	}
+
+	// Sharded: one dump per shard, each holding its own shard's history and
+	// nothing of its neighbour's.
+	t.Run("shards=2", func(t *testing.T) {
+		n := newNet(t, WithSeed(44), WithShards(2), WithFlightRecorder(64))
+		for shard, cust := range customersOnShards(t, n, 2) {
+			if _, err := n.Connect(cust, "DC-A", "DC-C", Rate10G); err != nil {
+				t.Fatalf("shard %d: %v", shard, err)
+			}
+		}
+		dumps := n.DumpFlight("sharded", nil)
+		if len(dumps) != 2 {
+			t.Fatalf("%d flight dumps from two shards, want 2", len(dumps))
+		}
+		for shard, d := range dumps {
+			own, other := fmt.Sprintf("S%d.C0000", shard), fmt.Sprintf("S%d.C0000", 1-shard)
+			if len(d.Commits) == 0 {
+				t.Errorf("dump %d holds no commits", shard)
+			}
+			var buf bytes.Buffer
+			if err := d.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(buf.Bytes(), []byte(own)) || bytes.Contains(buf.Bytes(), []byte(other)) {
+				t.Errorf("dump %d: want %s in it and %s not:\n%s", shard, own, other, buf.Bytes())
+			}
+		}
+	})
+}
+
+// customersOnShards returns one customer name per shard of n, element i
+// owned by shard i, found by probing the placement hash.
+func customersOnShards(t *testing.T, n *Network, shards int) []string {
+	t.Helper()
+	out := make([]string, shards)
+	for i, found := 0, 0; found < shards; i++ {
+		if i > 10000 {
+			t.Fatal("could not find a customer for every shard")
+		}
+		cust := fmt.Sprintf("tenant-%d", i)
+		if sh := n.ShardFor(cust); out[sh] == "" {
+			out[sh] = cust
+			found++
+		}
+	}
+	return out
 }

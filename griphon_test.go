@@ -336,7 +336,7 @@ func TestReachForRateOptionViaFacade(t *testing.T) {
 	}
 	// DC-A (I) to DC-B (III): I-III is 310 km > 300 km 40G reach, so the
 	// route must regenerate or detour.
-	if conn.Route().KM(n.Controller().Graph()) <= 300 {
+	if conn.Route().KM(n.Graph()) <= 300 {
 		return // a short path existed; nothing to check
 	}
 	if conn.SetupTime() == 0 {

@@ -20,7 +20,7 @@ import (
 // the set of live connections.
 func checkConservation(t *testing.T, net *griphon.Network, phase string) {
 	t.Helper()
-	ctrl := net.Controller()
+	ctrl := net.ShardSet().Shard(0).Ctrl
 	g := ctrl.Graph()
 
 	type expect struct {
@@ -83,7 +83,7 @@ func checkEmpty(t *testing.T, net *griphon.Network, phase string) {
 	if s.ChannelsInUse != 0 || s.OTsInUse != 0 || s.RegensInUse != 0 || s.SlotsInUse != 0 {
 		t.Errorf("%s: resources leaked: %+v", phase, s)
 	}
-	ctrl := net.Controller()
+	ctrl := net.ShardSet().Shard(0).Ctrl
 	for _, n := range ctrl.Graph().Nodes() {
 		if used := ctrl.ROADMs().Node(n.ID).AddDropUsed(); used != 0 {
 			t.Errorf("%s: ROADM %s still holds %d terminations", phase, n.ID, used)
@@ -104,7 +104,7 @@ func TestIntegrationMonthOfChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := net.Controller()
+	ctrl := net.ShardSet().Shard(0).Ctrl
 	rng := ctrl.Kernel().Rand()
 	sites := []string{"DC-SEA", "DC-PAO", "DC-HOU", "DC-CHI", "DC-NYC", "DC-ATL"}
 	customers := []string{"acme", "initech", "globex"}

@@ -3,9 +3,11 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -13,9 +15,9 @@ import (
 	"griphon"
 )
 
-func newTracingServer(t *testing.T) (*Client, *griphon.Network) {
+func newTracingServer(t *testing.T, opts ...griphon.Option) (*Client, *griphon.Network) {
 	t.Helper()
-	net, err := griphon.New(griphon.Testbed(), griphon.WithSeed(5), griphon.WithTracing())
+	net, err := griphon.New(griphon.Testbed(), append(opts, griphon.WithSeed(5), griphon.WithTracing())...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +50,8 @@ func TestWriteJSONEncodeError(t *testing.T) {
 	if got := s.encodeErrs.Value(); got != 1 {
 		t.Errorf("griphon_api_encode_errors_total = %v, want 1", got)
 	}
-	// The counter is the controller's instrument, so the failure shows up in
-	// the metrics export too.
+	// The counter is in the network's process-level registry, so the failure
+	// shows up in the metrics export too.
 	var b strings.Builder
 	if err := net.MetricsTo(&b); err != nil {
 		t.Fatal(err)
@@ -57,6 +59,35 @@ func TestWriteJSONEncodeError(t *testing.T) {
 	if !strings.Contains(b.String(), "griphon_api_encode_errors_total 1") {
 		t.Error("encode error not visible in metrics export")
 	}
+
+	// Sharded, it is still one counter of the process: one sample, no shard
+	// label, not one per shard of which all but one read zero.
+	t.Run("shards=4", func(t *testing.T) {
+		net, err := griphon.New(griphon.Testbed(), griphon.WithSeed(5), griphon.WithShards(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewServer(net)
+		srv := httptest.NewServer(s.Handler())
+		defer srv.Close()
+		writeJSON(t, s, httptest.NewRecorder(), http.StatusOK, map[string]float64{"oops": math.NaN()})
+		text, err := NewClient(srv.URL).Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var samples []string
+		for _, line := range strings.Split(text, "\n") {
+			if strings.HasPrefix(line, "griphon_api_encode_errors_total") {
+				samples = append(samples, line)
+			}
+		}
+		if len(samples) != 1 || samples[0] != "griphon_api_encode_errors_total 1" {
+			t.Errorf("encode-error samples = %q, want exactly one, unlabelled, reading 1", samples)
+		}
+		if !strings.Contains(text, `griphon_setups_total{shard="3",`) {
+			t.Error("per-shard instruments lost their shard label")
+		}
+	})
 }
 
 func TestEventsEndpoint(t *testing.T) {
@@ -232,6 +263,73 @@ func TestTraceEndpoint(t *testing.T) {
 	if _, err := c.Trace("bogus"); err == nil || !strings.Contains(err.Error(), "unknown trace format") {
 		t.Errorf("bogus format err = %v", err)
 	}
+
+	// Sharded: both exports hold every shard's spans, told apart by process
+	// (Chrome) and by a shard field (JSONL).
+	t.Run("shards=4", func(t *testing.T) {
+		c, net := newTracingServer(t, griphon.WithShards(4))
+		owners := map[int]bool{}
+		for i := 0; len(owners) < 3; i++ {
+			cust := fmt.Sprintf("tenant-%d", i)
+			if shard := net.ShardFor(cust); !owners[shard] {
+				owners[shard] = true
+				if _, err := c.Connect(ConnectRequest{Customer: cust, From: "DC-A", To: "DC-C", Rate: "1G"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		raw, err := c.Trace("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var direct bytes.Buffer
+		if err := net.TraceTo(&direct); err != nil || !bytes.Equal(raw, direct.Bytes()) {
+			t.Errorf("GET /trace differs from Network.TraceTo (%v)", err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+				PID  int    `json:"pid"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("trace is not valid JSON: %v", err)
+		}
+		pids := map[int]bool{}
+		for _, ev := range doc.TraceEvents {
+			if ev.Name == "op:setup" {
+				pids[ev.PID-1] = true
+			}
+		}
+		if !reflect.DeepEqual(pids, owners) {
+			t.Errorf("op:setup spans under shards %v, customers on shards %v", pids, owners)
+		}
+
+		lines, err := c.Trace("jsonl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct.Reset()
+		if err := net.TraceJSONLTo(&direct); err != nil || !bytes.Equal(lines, direct.Bytes()) {
+			t.Errorf("GET /trace?format=jsonl differs from Network.TraceJSONLTo (%v)", err)
+		}
+		tagged := map[int]bool{}
+		for _, line := range strings.Split(strings.TrimSpace(string(lines)), "\n") {
+			var span struct {
+				Shard *int   `json:"shard"`
+				Name  string `json:"name"`
+			}
+			if err := json.Unmarshal([]byte(line), &span); err != nil || span.Shard == nil {
+				t.Fatalf("JSONL line %q carries no shard (%v)", line, err)
+			}
+			if span.Name == "op:setup" {
+				tagged[*span.Shard] = true
+			}
+		}
+		if !reflect.DeepEqual(tagged, owners) {
+			t.Errorf("JSONL op:setup spans tagged with shards %v, customers on shards %v", tagged, owners)
+		}
+	})
 }
 
 func TestTraceEndpointRequiresTracing(t *testing.T) {

@@ -33,9 +33,10 @@ import (
 type Server struct {
 	mu  sync.Mutex
 	net *griphon.Network
-	// encodeErrs counts responses that failed to encode or write — the same
-	// instrument the controller registers, fetched from the shared registry.
-	// It is a plain counter /metrics reads under mu, so count under mu.
+	// encodeErrs counts responses that failed to encode or write. It belongs
+	// to the process, not to a shard, so it lives in the network's
+	// process-level registry. It is a plain counter /metrics reads under mu,
+	// so count under mu.
 	encodeErrs *obs.Counter
 
 	// Test seams, nil in production. testEncodeErr overrides response
@@ -85,7 +86,7 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) now() sim.Time { return sim.Time(s.net.Now()) }
 
-func (s *Server) graph() *topo.Graph { return s.net.Controller().Graph() }
+func (s *Server) graph() *topo.Graph { return s.net.Graph() }
 
 func (s *Server) handleConnections(w http.ResponseWriter, r *http.Request) {
 	rep := s.begin()
@@ -435,7 +436,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rep := s.begin()
 	defer s.ack(w, rep)
-	if !s.net.Tracer().Enabled() {
+	if !s.net.Tracing() {
 		s.renderErr(rep, http.StatusConflict,
 			fmt.Errorf("tracing is off; start the network with tracing enabled"))
 		return
@@ -464,7 +465,7 @@ func (s *Server) handleBill(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	rep := s.begin()
 	defer s.ack(w, rep)
-	g := s.net.Controller().Graph()
+	g := s.graph()
 	out := TopologyJSON{}
 	for _, n := range g.Nodes() {
 		out.PoPs = append(out.PoPs, string(n.ID))

@@ -71,10 +71,6 @@ type Config struct {
 	// Tracer records virtual-time spans around every controller operation
 	// and EMS command. Nil (the default) disables tracing at zero cost.
 	Tracer *obs.Tracer
-	// Metrics is the instrument registry the controller populates. Nil
-	// means a fresh private registry; pass one to share instruments with
-	// an embedding harness.
-	Metrics *obs.Registry
 	// Journal, when non-nil, makes every committed state change durable:
 	// one WAL record per commit point plus periodic full snapshots. Use
 	// Rehydrate to rebuild a controller from a journal's contents.
@@ -256,7 +252,7 @@ func New(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 		degradeToOTN: cfg.DegradeToOTN,
 		choreo:       cfg.Choreography,
 		tr:           cfg.Tracer,
-		reg:          cfg.Metrics,
+		reg:          obs.NewRegistry(),
 	}
 	if cfg.Shard.Coordinator != nil {
 		// Installed before any reservation so rehydration's spectrum
@@ -271,9 +267,6 @@ func New(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 	}
 	if cfg.PreArm.enabled() {
 		c.prearm = newPrearmPools(cfg.PreArm, g)
-	}
-	if c.reg == nil {
-		c.reg = obs.NewRegistry()
 	}
 	c.jrnl = cfg.Journal
 	c.snapshotEvery = cfg.SnapshotEvery
@@ -341,9 +334,6 @@ func (c *Controller) SetQuota(cust inventory.Customer, q inventory.Quota) {
 	c.ledger.SetQuota(cust, q)
 	c.journalCommit(commitSet{reason: "quota", quotas: true})
 }
-
-// Journal returns the journal store (nil when durability is disabled).
-func (c *Controller) Journal() *journal.Store { return c.jrnl }
 
 // Booking returns cust's booking by ID. Booking IDs are small guessable
 // integers, so the lookup itself is the isolation gate: a booking owned by a
@@ -419,15 +409,6 @@ func (c *Controller) log(conn *Connection, kind, format string, args ...any) {
 		c.onEvent(c.events.len() - 1)
 	}
 }
-
-// SetOnEvent installs an observer called after every audit-log append with the
-// new entry's index in this controller's log (nil detaches). A ShardSet uses
-// it to keep the merged cross-shard order.
-func (c *Controller) SetOnEvent(fn func(index int)) { c.onEvent = fn }
-
-// SetOnAlarmGroup installs an observer called after every alarm-group append
-// (nil detaches).
-func (c *Controller) SetOnAlarmGroup(fn func(alarms.Group)) { c.onAlarmGroup = fn }
 
 // NowTime returns the controller's kernel clock.
 func (c *Controller) NowTime() sim.Time { return c.k.Now() }

@@ -34,7 +34,6 @@ type instruments struct {
 	pipeBuilds       *obs.Counter
 	cuts             *obs.Counter
 	repairs          *obs.Counter
-	apiEncodeErrs    *obs.Counter
 	emsRetries       *obs.Counter
 	setupRerouted    *obs.Counter
 	setupGroomed     *obs.Counter
@@ -55,9 +54,6 @@ type instruments struct {
 	prearmRearmOK          *obs.Counter
 	prearmRearmFailed      *obs.Counter
 }
-
-// Tracer returns the controller's tracer (nil when tracing is disabled).
-func (c *Controller) Tracer() *obs.Tracer { return c.tr }
 
 // Metrics returns the controller's instrument registry. It is always
 // non-nil; the HTTP API serves it at GET /api/v1/metrics and the experiments
@@ -104,8 +100,6 @@ func (c *Controller) initObs() {
 		"Carrier wavelengths lit to create OTN overlay pipes.")
 	c.ins.cuts = r.Counter("griphon_fiber_cuts_total", "Fiber cuts observed.")
 	c.ins.repairs = r.Counter("griphon_fiber_repairs_total", "Fiber repairs completed.")
-	c.ins.apiEncodeErrs = r.Counter("griphon_api_encode_errors_total",
-		"HTTP API responses that failed to encode or write.")
 	c.ins.emsRetries = r.Counter("griphon_ems_retries_total",
 		"EMS steps resubmitted after a transient fault.")
 	c.ins.setupRerouted = r.Counter("griphon_setup_degraded_total",

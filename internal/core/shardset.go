@@ -5,15 +5,15 @@ package core
 // replica of the photonic plant and device pools — serving the customers that
 // hash to it. The only state shared between shards is the Coordinator
 // (spectrum on shared fibers) and the merged operator event/alarm logs, all
-// mutex-guarded and never blocking on the simulation.
+// mutex-guarded and never blocking on the simulation. There is one code path
+// for every shard count: a one-shard set routes, merges, reports and renders
+// through the same code with N = 1, and differs in formatting only (ShardSet).
 //
 // Two drive modes:
 //
 //   - Lockstep (Step/Await/Advance/Drain): the globally earliest pending
 //     event executes next, ties broken by shard index. Fully deterministic —
-//     the mode every test and the serial facade use. A single-shard set
-//     degenerates to exactly the pre-sharding controller: no coordinator, no
-//     broker gates, plain connection IDs, byte-identical journals.
+//     the mode every test and the serial facade use.
 //
 //   - Parallel (DrainParallel): one goroutine per shard. Shard clocks
 //     advance independently; cross-shard effects serialize only on the
@@ -27,9 +27,10 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"sync"
 
 	"griphon/internal/alarms"
@@ -48,8 +49,8 @@ type ShardSetConfig struct {
 	Shards int
 	// Seed seeds shard i's kernel with Seed+i.
 	Seed int64
-	// Core is the per-shard controller template. Journal, Metrics, Tracer
-	// and Shard are managed per shard; everything else applies verbatim.
+	// Core is the per-shard controller template. Journal, Tracer and Shard
+	// are managed per shard; everything else applies verbatim.
 	Core Config
 	// StateDir, when non-empty, makes every shard durable: shard i journals
 	// under StateDir/shard-<i>, except a single-shard set which uses
@@ -68,25 +69,45 @@ type Shard struct {
 	Store  *journal.Store // nil without StateDir
 }
 
-// ShardSet is a sharded control plane: N shards plus the cross-shard
-// coordinator. See the package comment on drive modes and ownership rules.
+// ShardSet is a sharded control plane: N shards plus what they share. See the
+// package comment on drive modes and ownership rules.
+//
+// Every method runs the same code for every N. A one-shard set differs in
+// what it writes, never in how it works, and in exactly four ways, which keep
+// it byte-compatible with deployments that predate sharding:
+//
+//  1. connection IDs are plain C%04d, not S<shard>.C%04d (newConnID);
+//  2. its journal lives in StateDir itself, not StateDir/shard-0;
+//  3. its metrics carry no shard label (WriteMetrics);
+//  4. its JSONL spans carry no shard field and its Chrome trace names one
+//     unnumbered process (obs.WriteJSONL, obs.WriteChromeTrace).
+//
+// It has no Coordinator either: one shard has nothing to broker against.
 type ShardSet struct {
-	shards []*Shard
-	coord  *Coordinator // nil for a single shard
+	shards  []*Shard
+	coord   *Coordinator  // nil for a single shard
+	tracers []*obs.Tracer // every shard's, in index order; nil without Tracing
+	// reg holds the instruments that belong to the process rather than to a
+	// shard (the API server's counters), rendered without a shard label.
+	reg *obs.Registry
 
 	// mu guards the merged logs, which observers append to from whichever
 	// shard (and, under parallel drive, whichever goroutine) produced them.
 	mu sync.Mutex
-	// events is the merged audit log's order: each entry names the shard
-	// that logged it and its index in that shard's own log, which holds the
-	// entry itself. Read it between drives, like the shards' own logs.
-	events   []eventRef
+	// runs is the merged audit log's order, nEvents its length. The entries
+	// stay in their shards' own logs; read them between drives, like those.
+	runs     []eventRun
+	nEvents  int
 	alarmLog *alarms.Log
 }
 
-// eventRef locates one merged-log entry in its shard's audit log.
-type eventRef struct {
-	shard, index uint32
+// eventRun is a maximal stretch of consecutive merged-log entries logged by
+// one shard: merged entry start+j is entry first+j of that shard's log. A
+// run ends where the next one starts, the last at nEvents. A one-shard set
+// holds one run however long its log; N shards in lockstep hold one per burst.
+type eventRun struct {
+	shard, first uint32
+	start        int
 }
 
 // NewShardSet builds (or, with StateDir holding prior state, rehydrates)
@@ -96,14 +117,13 @@ func NewShardSet(g *topo.Graph, cfg ShardSetConfig) (*ShardSet, error) {
 	if n < 1 {
 		n = 1
 	}
-	s := &ShardSet{}
+	s := &ShardSet{reg: obs.NewRegistry(), alarmLog: alarms.NewLog(alarmLogSize * n)}
 	if n > 1 {
 		ch := cfg.Core.Optics.Channels
 		if ch <= 0 {
 			ch = optics.DefaultConfig().Channels
 		}
 		s.coord = NewCoordinator(ch)
-		s.alarmLog = alarms.NewLog(alarmLogSize * n)
 	}
 	for i := 0; i < n; i++ {
 		k := sim.NewKernel(cfg.Seed + int64(i))
@@ -115,11 +135,9 @@ func NewShardSet(g *topo.Graph, cfg ShardSetConfig) (*ShardSet, error) {
 		}
 		ccfg := cfg.Core
 		ccfg.Shard = ShardInfo{Index: i, Count: n, Coordinator: s.coord}
-		if n > 1 {
-			ccfg.Metrics = nil // per-shard registries; merged at render time
-		}
 		if cfg.Tracing {
 			ccfg.Tracer = obs.NewTracer(k)
+			s.tracers = append(s.tracers, ccfg.Tracer)
 		}
 		var store *journal.Store
 		if cfg.StateDir != "" {
@@ -150,28 +168,30 @@ func NewShardSet(g *topo.Graph, cfg ShardSetConfig) (*ShardSet, error) {
 			return nil, err
 		}
 		s.shards = append(s.shards, &Shard{Kernel: k, Ctrl: ctrl, Store: store})
-	}
-	if n > 1 {
-		s.attachObservers()
+		s.observe(uint32(i), ctrl)
 	}
 	return s, nil
 }
 
-// attachObservers wires every shard's event and alarm streams into the
-// merged operator logs.
-func (s *ShardSet) attachObservers() {
-	for i, sh := range s.shards {
-		shard := uint32(i)
-		sh.Ctrl.SetOnEvent(func(index int) {
-			s.mu.Lock()
-			s.events = append(s.events, eventRef{shard: shard, index: uint32(index)})
-			s.mu.Unlock()
-		})
-		sh.Ctrl.SetOnAlarmGroup(func(g alarms.Group) {
-			s.mu.Lock()
-			s.alarmLog.Append(g)
-			s.mu.Unlock()
-		})
+// observe wires a shard's event and alarm streams into the merged logs, after
+// seeding the merged order with what the shard logged while it was rehydrated.
+func (s *ShardSet) observe(shard uint32, ctrl *Controller) {
+	onEvent := func(index int) {
+		s.mu.Lock()
+		if n := len(s.runs); n == 0 || s.runs[n-1].shard != shard {
+			s.runs = append(s.runs, eventRun{shard: shard, first: uint32(index), start: s.nEvents})
+		}
+		s.nEvents++
+		s.mu.Unlock()
+	}
+	for i := 0; i < ctrl.events.len(); i++ {
+		onEvent(i)
+	}
+	ctrl.onEvent = onEvent
+	ctrl.onAlarmGroup = func(g alarms.Group) {
+		s.mu.Lock()
+		s.alarmLog.Append(g)
+		s.mu.Unlock()
 	}
 }
 
@@ -187,14 +207,15 @@ func (s *ShardSet) Shards() []*Shard { return s.shards }
 // Coordinator returns the cross-shard coordinator (nil for a single shard).
 func (s *ShardSet) Coordinator() *Coordinator { return s.coord }
 
-// ShardFor returns the index of the shard owning a customer.
+// ShardFor returns the index of the shard owning a customer: the customer's
+// FNV-1a hash (hash/fnv's New32a, inlined so that routing allocates nothing)
+// modulo the shard count. Placement is persisted, so it may never change.
 func (s *ShardSet) ShardFor(cust inventory.Customer) int {
-	if len(s.shards) == 1 {
-		return 0
+	h := uint32(2166136261)
+	for i := 0; i < len(cust); i++ {
+		h = (h ^ uint32(cust[i])) * 16777619
 	}
-	h := fnv.New32a()
-	h.Write([]byte(cust)) //lint:allow errcheck fnv never fails
-	return int(h.Sum32() % uint32(len(s.shards)))
+	return int(h % uint32(len(s.shards)))
 }
 
 // For returns the controller owning a customer's state.
@@ -300,58 +321,53 @@ func (s *ShardSet) DrainParallel() {
 	wg.Wait()
 }
 
-// Events returns the operator's merged audit log: arrival order across
-// shards under lockstep drive (deterministic), goroutine order under
-// parallel drive. A single-shard set reads the controller's log directly.
+// Events returns the operator's merged audit log: arrival order across shards
+// under lockstep drive (deterministic), goroutine order under parallel drive.
 func (s *ShardSet) Events() []Event {
 	evs, _ := s.EventsSince(0)
 	return evs
 }
 
-// EventsFor returns the merged audit entries mentioning a connection.
+// EventsFor returns the audit entries mentioning a connection. They are all
+// in the log of the shard that owns it, so like Conn this asks each shard.
 func (s *ShardSet) EventsFor(id ConnID) []Event {
-	if len(s.shards) == 1 {
-		return s.shards[0].Ctrl.EventsFor(id)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Event
-	for _, ref := range s.events {
-		if e := s.at(ref); e.Conn == id {
-			out = append(out, e)
+	for _, sh := range s.shards {
+		if evs := sh.Ctrl.EventsFor(id); len(evs) > 0 {
+			return evs
 		}
 	}
-	return out
-}
-
-// at reads one merged-log entry out of its shard's log.
-func (s *ShardSet) at(ref eventRef) Event {
-	return s.shards[ref.shard].Ctrl.events.at(int(ref.index))
+	return nil
 }
 
 // EventsSince returns merged audit entries from index cursor on, plus the
 // cursor to resume from.
 func (s *ShardSet) EventsSince(cursor int) ([]Event, int) {
-	if len(s.shards) == 1 {
-		return s.shards[0].Ctrl.EventsSince(cursor)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cursor = max(0, min(cursor, len(s.events)))
-	var out []Event
-	for _, ref := range s.events[cursor:] {
-		out = append(out, s.at(ref))
+	cursor = max(0, min(cursor, s.nEvents))
+	if cursor == s.nEvents {
+		return nil, s.nEvents
 	}
-	return out, len(s.events)
+	out := make([]Event, 0, s.nEvents-cursor)
+	// The run holding cursor is the last one starting at or before it.
+	ri := sort.Search(len(s.runs), func(i int) bool { return s.runs[i].start > cursor }) - 1
+	for ; ri < len(s.runs); ri++ {
+		run, end := s.runs[ri], s.nEvents
+		if ri+1 < len(s.runs) {
+			end = s.runs[ri+1].start
+		}
+		log := &s.shards[run.shard].Ctrl.events
+		for i := max(cursor, run.start); i < end; i++ {
+			out = append(out, log.at(int(run.first)+i-run.start))
+		}
+	}
+	return out, s.nEvents
 }
 
 // AlarmsSince returns alarm groups after the seq cursor. A customer query
 // routes to the owning shard (cursors live in that shard's seq space); the
 // operator view ("") reads the merged log.
 func (s *ShardSet) AlarmsSince(seq uint64, customer string) ([]alarms.Group, uint64) {
-	if len(s.shards) == 1 {
-		return s.shards[0].Ctrl.AlarmsSince(seq, customer)
-	}
 	if customer != "" {
 		return s.For(inventory.Customer(customer)).AlarmsSince(seq, customer)
 	}
@@ -369,7 +385,7 @@ func (s *ShardSet) AlarmsSince(seq uint64, customer string) ([]alarms.Group, uin
 // SLAReport assembles a customer's availability report from the owning
 // shard's ledger. The operator view ("") spans every shard's ledger.
 func (s *ShardSet) SLAReport(customer string) slo.CustomerReport {
-	if customer != "" || len(s.shards) == 1 {
+	if customer != "" {
 		return s.For(inventory.Customer(customer)).SLAReport(customer)
 	}
 	reps := make([]slo.CustomerReport, len(s.shards))
@@ -393,9 +409,6 @@ func (s *ShardSet) Conn(id ConnID) *Connection {
 // device pools are its own inventory allocation); DownLinks come from shard
 // 0, whose fiber state every shard replicates.
 func (s *ShardSet) Snapshot() Stats {
-	if len(s.shards) == 1 {
-		return s.shards[0].Ctrl.Snapshot()
-	}
 	var out Stats
 	for i, sh := range s.shards {
 		st := sh.Ctrl.Snapshot()
@@ -432,21 +445,39 @@ func (s *ShardSet) MaxChannelInUse() int {
 	return top
 }
 
-// WriteMetrics renders the set's instruments in Prometheus text format: one
-// shard's registry verbatim for a single-shard set (byte-compatible with the
-// unsharded controller), the per-shard registries merged under an injected
-// shard label otherwise.
+// Metrics returns the registry of process-level instruments (always non-nil):
+// register there what counts for the whole set, not for one shard.
+func (s *ShardSet) Metrics() *obs.Registry { return s.reg }
+
+// WriteMetrics renders the set's instruments in Prometheus text format: the
+// process-level registry unlabelled, merged by name with the per-shard
+// registries, each under its shard label unless it is the only one.
 func (s *ShardSet) WriteMetrics(w io.Writer) error {
-	if len(s.shards) == 1 {
-		return s.shards[0].Ctrl.Metrics().WritePrometheus(w)
-	}
-	regs := make([]*obs.Registry, len(s.shards))
-	labels := make([]string, len(s.shards))
+	regs, labels := []*obs.Registry{s.reg}, []string{""}
 	for i, sh := range s.shards {
-		regs[i] = sh.Ctrl.Metrics()
-		labels[i] = fmt.Sprintf("%d", i)
+		label := ""
+		if len(s.shards) > 1 {
+			label = strconv.Itoa(i)
+		}
+		regs, labels = append(regs, sh.Ctrl.Metrics()), append(labels, label)
 	}
 	return obs.WriteMergedPrometheus(w, "shard", labels, regs)
+}
+
+// Tracers returns every shard's span tracer in index order, nil unless the
+// set was built with Tracing.
+func (s *ShardSet) Tracers() []*obs.Tracer { return s.tracers }
+
+// DumpFlight snapshots every shard's flight recorder, folding the findings
+// into each dump: dump i is shard i's; nil without Config.FlightRecorder.
+func (s *ShardSet) DumpFlight(reason string, findings []string) []slo.Dump {
+	var dumps []slo.Dump
+	for _, sh := range s.shards {
+		if d, ok := sh.Ctrl.DumpFlight(reason, findings); ok {
+			dumps = append(dumps, d)
+		}
+	}
+	return dumps
 }
 
 // CutFiber fails a fiber on every shard's plant replica; each shard restores

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -624,6 +625,115 @@ func TestShardSetBookingCycles(t *testing.T) {
 					t.Errorf("audit: %s", f)
 				}
 			})
+		}
+	}
+}
+
+// TestMergedLogSeesRehydrateEvents: what a shard logs while it is rebuilt from
+// its journal — before the set can observe it — is in the merged log all the
+// same, for one shard and for four: the merged log holds exactly what the
+// shards hold.
+func TestMergedLogSeesRehydrateEvents(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			s := newShardSet(t, shards, ShardSetConfig{StateDir: dir})
+			shardConnect(t, s, "acme", "DC-A", "DC-C", bw.Rate10G)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			s2 := newShardSet(t, shards, ShardSetConfig{StateDir: dir})
+			defer s2.Close()
+			evs := s2.Events()
+			recovered := 0
+			for _, e := range evs {
+				if e.Kind == "recovered" {
+					recovered++
+				}
+			}
+			if recovered != 1 {
+				t.Errorf("merged log shows %d recovered entries, want the owning shard's one: %v", recovered, evs)
+			}
+			if got := s2.Snapshot().Events; len(evs) != got || got == 0 {
+				t.Errorf("merged log holds %d entries, the shards %d", len(evs), got)
+			}
+		})
+	}
+}
+
+// TestShardForMatchesFNV: placement is persisted, so the inlined hash must
+// pick the shard hash/fnv's New32a picked, for every shard count — and pick
+// it without allocating, since every request routes through it.
+func TestShardForMatchesFNV(t *testing.T) {
+	rng := sim.NewKernel(1).Rand()
+	names := make([]inventory.Customer, 1000)
+	for i := range names {
+		b := make([]byte, rng.Intn(24))
+		for j := range b {
+			b[j] = byte(rng.Intn(256))
+		}
+		names[i] = inventory.Customer(fmt.Sprintf("tenant-%04d-%s", i, b))
+	}
+	for _, n := range []int{1, 2, 4, 8} {
+		s := newShardSet(t, n, ShardSetConfig{})
+		for _, cust := range names {
+			h := fnv.New32a()
+			h.Write([]byte(cust))
+			if got, want := s.ShardFor(cust), int(h.Sum32()%uint32(n)); got != want {
+				t.Fatalf("ShardFor(%q) of %d = %d, fnv says %d", cust, n, got, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { s.ShardFor(names[0]) }); allocs != 0 {
+			t.Errorf("ShardFor allocates %v times at %d shards", allocs, n)
+		}
+	}
+}
+
+// TestMergedLogRuns interleaves bursts of appends from three shards — some
+// logged before the set observes them, as rehydration's are, and enough to
+// cross an event-log chunk — and holds EventsSince against a flat copy of the
+// merged order for every cursor. The order is stored as one run per burst,
+// not one reference per entry.
+func TestMergedLogRuns(t *testing.T) {
+	rng := sim.NewKernel(7).Rand()
+	s := &ShardSet{}
+	var ref []Event
+	appendTo := func(shard int, c *Controller) {
+		e := Event{At: sim.Time(len(ref)), Kind: fmt.Sprintf("k%d", shard), Text: fmt.Sprintf("shard %d entry %d", shard, c.events.len())}
+		c.events.append(e.At, nil, e.Kind, "%s", e.Text)
+		ref = append(ref, e)
+		if c.onEvent != nil {
+			c.onEvent(c.events.len() - 1)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		c := &Controller{}
+		for j := 0; j < i; j++ { // shard i comes with i entries already logged
+			appendTo(i, c)
+		}
+		s.shards = append(s.shards, &Shard{Ctrl: c})
+		s.observe(uint32(i), c)
+	}
+	bursts, last := len(s.runs), 2
+	for len(ref) < 2*eventChunkRows {
+		shard := rng.Intn(4) % 3 // shard 0 twice as often: it crosses a chunk
+		if shard != last {
+			bursts, last = bursts+1, shard
+		}
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			appendTo(shard, s.shards[shard].Ctrl)
+		}
+	}
+	if len(s.runs) != bursts {
+		t.Errorf("merged order holds %d runs for %d bursts (%d entries)", len(s.runs), bursts, len(ref))
+	}
+	for cursor := -2; cursor <= len(ref)+2; cursor++ {
+		from := max(0, min(cursor, len(ref)))
+		got, next := s.EventsSince(cursor)
+		if next != len(ref) || len(got) != len(ref)-from || (len(got) > 0 && !reflect.DeepEqual(got, ref[from:])) {
+			t.Fatalf("EventsSince(%d) = %d entries, next %d; want %d entries, next %d, equal to the flat log",
+				cursor, len(got), next, len(ref)-from, len(ref))
 		}
 	}
 }

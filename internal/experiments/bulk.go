@@ -35,7 +35,7 @@ func Bulk(seed int64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	flow, err := traffic.NewFlow(k, "bulk", sizeBytes)
+	flow, err := traffic.NewFlow(k, sizeBytes)
 	if err != nil {
 		return Result{}, err
 	}

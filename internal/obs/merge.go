@@ -1,13 +1,18 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
-// injectLabel prepends key="val" to a rendered label block.
+// injectLabel prepends key="val" to a rendered label block. An empty val
+// injects nothing: the block stays as its registry renders it alone.
 func injectLabel(labels, key, val string) string {
+	if val == "" {
+		return labels
+	}
 	head := fmt.Sprintf("{%s=%q", key, val)
 	if labels == "" {
 		return head + "}"
@@ -15,27 +20,31 @@ func injectLabel(labels, key, val string) string {
 	return head + "," + labels[1:]
 }
 
+// WritePrometheus exports the registry in Prometheus text format (0.0.4).
+// Families appear in name order; children in label order — deterministic for
+// golden tests.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	return WriteMergedPrometheus(w, "", []string{""}, []*Registry{r})
+}
+
 // WriteMergedPrometheus exports several registries as one Prometheus text
-// stream, distinguishing their samples with an injected label (e.g.
-// shard="2"). Families sharing a name across registries are folded into one
-// HELP/TYPE header; within a family, samples appear registry by registry in
-// the given order, children in label order — deterministic, like
-// WritePrometheus. Registries and labelVals pair up by index.
+// stream — the package's only renderer. A registry's samples are told apart
+// by an injected label (e.g. shard="2"), or rendered unlabelled where its
+// value is empty. Families sharing a name across registries are folded into
+// one HELP/TYPE header; within a family, samples appear registry by registry
+// in the given order, children in label order. Registries and labelVals pair
+// up by index.
 func WriteMergedPrometheus(w io.Writer, labelKey string, labelVals []string, regs []*Registry) error {
 	if len(labelVals) != len(regs) {
 		return fmt.Errorf("obs: %d label values for %d registries", len(labelVals), len(regs))
 	}
-	seen := map[string]bool{}
 	var names []string
 	for _, r := range regs {
-		for _, name := range r.names {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
+		names = append(names, r.names...)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
+	names = slices.Compact(names)
+	var b bytes.Buffer // rendered whole, then written: one place for w to fail
 	for _, name := range names {
 		headerDone := false
 		for ri, r := range regs {
@@ -45,9 +54,7 @@ func WriteMergedPrometheus(w io.Writer, labelKey string, labelVals []string, reg
 			}
 			if !headerDone {
 				headerDone = true
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, f.help, name, f.kind); err != nil {
-					return err
-				}
+				fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, f.help, name, f.kind)
 			}
 			for _, i := range sortedChildren(f) {
 				ch := f.children[i]
@@ -58,34 +65,21 @@ func WriteMergedPrometheus(w io.Writer, labelKey string, labelVals []string, reg
 					cum := uint64(0)
 					for bi, bound := range h.bounds {
 						cum += h.counts[bi]
-						le := fmtFloat(bound)
-						if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, mergeLE(labels, le), cum); err != nil {
-							return err
-						}
+						fmt.Fprintf(&b, "%s_bucket%s %d\n", name, mergeLE(labels, fmtFloat(bound)), cum)
 					}
 					cum += h.counts[len(h.bounds)]
-					if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, mergeLE(labels, "+Inf"), cum); err != nil {
-						return err
-					}
-					if _, err := fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n",
-						name, labels, fmtFloat(h.sum), name, labels, h.n); err != nil {
-						return err
-					}
+					fmt.Fprintf(&b, "%s_bucket%s %d\n%s_sum%s %s\n%s_count%s %d\n",
+						name, mergeLE(labels, "+Inf"), cum, name, labels, fmtFloat(h.sum), name, labels, h.n)
 				case ch.fn != nil:
-					if _, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, fmtFloat(ch.fn())); err != nil {
-						return err
-					}
+					fmt.Fprintf(&b, "%s%s %s\n", name, labels, fmtFloat(ch.fn()))
 				case ch.c != nil:
-					if _, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, fmtFloat(ch.c.Value())); err != nil {
-						return err
-					}
+					fmt.Fprintf(&b, "%s%s %s\n", name, labels, fmtFloat(ch.c.Value()))
 				case ch.g != nil:
-					if _, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, fmtFloat(ch.g.Value())); err != nil {
-						return err
-					}
+					fmt.Fprintf(&b, "%s%s %s\n", name, labels, fmtFloat(ch.g.Value()))
 				}
 			}
 		}
 	}
-	return nil
+	_, err := w.Write(b.Bytes())
+	return err
 }

@@ -202,6 +202,94 @@ z_total{layer="otn"} 1
 	}
 }
 
+// mergedFixture is one shard's worth of instruments for TestMergedPrometheus:
+// a counter, a labelled gauge and a histogram, their values offset by base.
+func mergedFixture(base float64) *Registry {
+	r := NewRegistry()
+	r.Counter("ops_total", "operations").Add(base)
+	r.Gauge("pool_in_use", "occupancy", "pool", "ot").Set(base + 1)
+	h := r.Histogram("lat_seconds", "latency", []float64{1, 10})
+	h.Observe(base)
+	h.Observe(20)
+	return r
+}
+
+// TestMergedPrometheus pins the merged writer byte for byte: registries whose
+// samples carry an injected label fold into one HELP/TYPE header per family,
+// registry by registry; a registry with an empty label value is rendered as it
+// renders alone, and merges by name with the labelled ones.
+func TestMergedPrometheus(t *testing.T) {
+	render := func(vals []string, regs ...*Registry) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := WriteMergedPrometheus(&buf, "shard", vals, regs); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	t.Run("labelled", func(t *testing.T) {
+		got := render([]string{"0", "1"}, mergedFixture(0.5), mergedFixture(5))
+		want := `# HELP lat_seconds latency
+# TYPE lat_seconds histogram
+lat_seconds_bucket{shard="0",le="1"} 1
+lat_seconds_bucket{shard="0",le="10"} 1
+lat_seconds_bucket{shard="0",le="+Inf"} 2
+lat_seconds_sum{shard="0"} 20.5
+lat_seconds_count{shard="0"} 2
+lat_seconds_bucket{shard="1",le="1"} 0
+lat_seconds_bucket{shard="1",le="10"} 1
+lat_seconds_bucket{shard="1",le="+Inf"} 2
+lat_seconds_sum{shard="1"} 25
+lat_seconds_count{shard="1"} 2
+# HELP ops_total operations
+# TYPE ops_total counter
+ops_total{shard="0"} 0.5
+ops_total{shard="1"} 5
+# HELP pool_in_use occupancy
+# TYPE pool_in_use gauge
+pool_in_use{shard="0",pool="ot"} 1.5
+pool_in_use{shard="1",pool="ot"} 6
+`
+		if got != want {
+			t.Errorf("merged output:\n%s\nwant:\n%s", got, want)
+		}
+	})
+	t.Run("mixed", func(t *testing.T) {
+		proc := NewRegistry()
+		proc.Counter("encode_errors_total", "process-level").Inc()
+		proc.Counter("ops_total", "operations").Add(9)
+		got := render([]string{"", "0", "1"}, proc, mergedFixture(0.5), mergedFixture(5))
+		want := `# HELP encode_errors_total process-level
+# TYPE encode_errors_total counter
+encode_errors_total 1
+# HELP lat_seconds latency
+# TYPE lat_seconds histogram
+lat_seconds_bucket{shard="0",le="1"} 1
+lat_seconds_bucket{shard="0",le="10"} 1
+lat_seconds_bucket{shard="0",le="+Inf"} 2
+lat_seconds_sum{shard="0"} 20.5
+lat_seconds_count{shard="0"} 2
+lat_seconds_bucket{shard="1",le="1"} 0
+lat_seconds_bucket{shard="1",le="10"} 1
+lat_seconds_bucket{shard="1",le="+Inf"} 2
+lat_seconds_sum{shard="1"} 25
+lat_seconds_count{shard="1"} 2
+# HELP ops_total operations
+# TYPE ops_total counter
+ops_total 9
+ops_total{shard="0"} 0.5
+ops_total{shard="1"} 5
+# HELP pool_in_use occupancy
+# TYPE pool_in_use gauge
+pool_in_use{shard="0",pool="ot"} 1.5
+pool_in_use{shard="1",pool="ot"} 6
+`
+		if got != want {
+			t.Errorf("merged output:\n%s\nwant:\n%s", got, want)
+		}
+	})
+}
+
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "b").Add(3)
@@ -234,7 +322,7 @@ func TestWriteJSONL(t *testing.T) {
 	sp.End()
 
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := WriteJSONL(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	var rec jsonlSpan
@@ -257,7 +345,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	root.End()
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -323,52 +322,4 @@ func mergeLE(labels, le string) string {
 		return `{le="` + le + `"}`
 	}
 	return labels[:len(labels)-1] + `,le="` + le + `"}`
-}
-
-// WritePrometheus exports the registry in Prometheus text format (0.0.4).
-// Families appear in name order; children in label order — deterministic for
-// golden tests.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	for _, name := range r.names {
-		f := r.families[name]
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, f.help, name, f.kind); err != nil {
-			return err
-		}
-		for _, i := range sortedChildren(f) {
-			ch := f.children[i]
-			switch {
-			case ch.h != nil:
-				h := ch.h
-				cum := uint64(0)
-				for bi, bound := range h.bounds {
-					cum += h.counts[bi]
-					le := fmtFloat(bound)
-					if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, mergeLE(ch.labels, le), cum); err != nil {
-						return err
-					}
-				}
-				cum += h.counts[len(h.bounds)]
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, mergeLE(ch.labels, "+Inf"), cum); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n",
-					name, ch.labels, fmtFloat(h.sum), name, ch.labels, h.n); err != nil {
-					return err
-				}
-			case ch.fn != nil:
-				if _, err := fmt.Fprintf(w, "%s%s %s\n", name, ch.labels, fmtFloat(ch.fn())); err != nil {
-					return err
-				}
-			case ch.c != nil:
-				if _, err := fmt.Fprintf(w, "%s%s %s\n", name, ch.labels, fmtFloat(ch.c.Value())); err != nil {
-					return err
-				}
-			case ch.g != nil:
-				if _, err := fmt.Fprintf(w, "%s%s %s\n", name, ch.labels, fmtFloat(ch.g.Value())); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -253,6 +253,7 @@ func (t *Tracer) export(i int) Span {
 
 // jsonlSpan is the JSONL export schema: one object per line per span.
 type jsonlSpan struct {
+	Shard    *int   `json:"shard,omitempty"`
 	ID       int    `json:"id"`
 	Parent   int    `json:"parent,omitempty"`
 	Name     string `json:"name"`
@@ -266,24 +267,33 @@ type jsonlSpan struct {
 	Outcome  string `json:"outcome"`
 }
 
-// WriteJSONL writes every span as one JSON object per line.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
+// WriteJSONL writes every span as one JSON object per line, tracer by tracer.
+// Span ids count per tracer, so with several tracers — one per shard — every
+// line carries its tracer's index as "shard".
+func WriteJSONL(w io.Writer, tracers ...*Tracer) error {
 	enc := json.NewEncoder(w)
-	for _, s := range t.Spans() {
-		if err := enc.Encode(jsonlSpan{
-			ID:       s.ID,
-			Parent:   s.Parent,
-			Name:     s.Name,
-			Track:    s.Track,
-			StartNS:  int64(s.Start),
-			DurNS:    int64(s.Duration()),
-			WaitNS:   int64(s.Wait),
-			Conn:     s.Conn,
-			Customer: s.Customer,
-			Layer:    s.Layer,
-			Outcome:  s.Outcome,
-		}); err != nil {
-			return err
+	for ti, t := range tracers {
+		var shard *int
+		if len(tracers) > 1 {
+			shard = &ti
+		}
+		for _, s := range t.Spans() {
+			if err := enc.Encode(jsonlSpan{
+				Shard:    shard,
+				ID:       s.ID,
+				Parent:   s.Parent,
+				Name:     s.Name,
+				Track:    s.Track,
+				StartNS:  int64(s.Start),
+				DurNS:    int64(s.Duration()),
+				WaitNS:   int64(s.Wait),
+				Conn:     s.Conn,
+				Customer: s.Customer,
+				Layer:    s.Layer,
+				Outcome:  s.Outcome,
+			}); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -302,10 +312,9 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// WriteChromeTrace writes the spans in Chrome trace_event JSON, loadable in
-// chrome://tracing or https://ui.perfetto.dev. Timestamps are virtual
-// microseconds since the simulation epoch.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
+// chromeEvents renders the tracer's spans as one process of a Chrome trace:
+// the metadata naming the process and its tracks, then one slice per span.
+func (t *Tracer) chromeEvents(pid int, process string) []chromeEvent {
 	spans := t.Spans()
 
 	// Assign stable tids: controller first, then tracks by first use.
@@ -320,16 +329,16 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 
 	events := make([]chromeEvent, 0, len(spans)+len(order)+1)
 	events = append(events, chromeEvent{
-		Name: "process_name", Ph: "M", PID: 1,
-		Args: map[string]any{"name": "griphon (virtual time)"},
+		Name: "process_name", Ph: "M", PID: pid,
+		Args: map[string]any{"name": process},
 	})
 	for _, track := range order {
 		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: 1, TID: tids[track],
+			Name: "thread_name", Ph: "M", PID: pid, TID: tids[track],
 			Args: map[string]any{"name": track},
 		})
 		events = append(events, chromeEvent{
-			Name: "thread_sort_index", Ph: "M", PID: 1, TID: tids[track],
+			Name: "thread_sort_index", Ph: "M", PID: pid, TID: tids[track],
 			Args: map[string]any{"sort_index": tids[track]},
 		})
 	}
@@ -353,10 +362,26 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			Ph:   "X",
 			TS:   float64(s.Start) / 1e3, // ns -> µs
 			Dur:  float64(s.Duration()) / 1e3,
-			PID:  1,
+			PID:  pid,
 			TID:  tids[s.Track],
 			Args: args,
 		})
+	}
+	return events
+}
+
+// WriteChromeTrace writes the spans in Chrome trace_event JSON, loadable in
+// chrome://tracing or https://ui.perfetto.dev. Timestamps are virtual
+// microseconds since the simulation epoch. Each tracer is one process (pid =
+// its index + 1) with its own tracks, named for its shard when one of several.
+func WriteChromeTrace(w io.Writer, tracers ...*Tracer) error {
+	var events []chromeEvent
+	for ti, t := range tracers {
+		process := "griphon (virtual time)"
+		if len(tracers) > 1 {
+			process = fmt.Sprintf("griphon shard %d (virtual time)", ti)
+		}
+		events = append(events, t.chromeEvents(ti+1, process)...)
 	}
 	// Perfetto nests same-track slices by time containment; keep events in
 	// (ts, -dur) order so parents precede children deterministically.

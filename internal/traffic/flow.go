@@ -19,7 +19,6 @@ import (
 // lands.
 type Flow struct {
 	k    *sim.Kernel
-	id   string
 	size float64 // total bits
 	left float64 // bits remaining
 	rate bw.Rate
@@ -32,13 +31,12 @@ type Flow struct {
 }
 
 // NewFlow creates a transfer of sizeBytes bytes, initially at rate zero.
-func NewFlow(k *sim.Kernel, id string, sizeBytes float64) (*Flow, error) {
+func NewFlow(k *sim.Kernel, sizeBytes float64) (*Flow, error) {
 	if sizeBytes <= 0 {
 		return nil, fmt.Errorf("traffic: non-positive size %v", sizeBytes)
 	}
 	return &Flow{
 		k:       k,
-		id:      id,
 		size:    sizeBytes * 8,
 		left:    sizeBytes * 8,
 		last:    k.Now(),

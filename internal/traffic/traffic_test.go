@@ -13,7 +13,7 @@ import (
 func TestFlowConstantRate(t *testing.T) {
 	k := sim.NewKernel(1)
 	// 10 Gb/s for 1 TB = 8e12 bits / 1e10 bps = 800 s.
-	f, err := NewFlow(k, "f1", TB)
+	f, err := NewFlow(k, TB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestFlowConstantRate(t *testing.T) {
 
 func TestFlowRateChangeMidway(t *testing.T) {
 	k := sim.NewKernel(1)
-	f, _ := NewFlow(k, "f", TB) // 8e12 bits
+	f, _ := NewFlow(k, TB)      // 8e12 bits
 	f.SetRate(bw.Rate10G)       // would finish at 800 s
 	k.RunFor(400 * time.Second) // half done
 	if rem := f.RemainingBytes(); math.Abs(rem-TB/2) > 1e6 {
@@ -52,7 +52,7 @@ func TestFlowRateChangeMidway(t *testing.T) {
 
 func TestFlowPauseResume(t *testing.T) {
 	k := sim.NewKernel(1)
-	f, _ := NewFlow(k, "f", TB)
+	f, _ := NewFlow(k, TB)
 	f.SetRate(bw.Rate10G)
 	k.RunFor(100 * time.Second)
 	f.SetRate(0) // outage
@@ -79,7 +79,7 @@ func TestFlowPauseResume(t *testing.T) {
 
 func TestFlowDoneJobFires(t *testing.T) {
 	k := sim.NewKernel(1)
-	f, _ := NewFlow(k, "f", 1e9)
+	f, _ := NewFlow(k, 1e9)
 	fired := false
 	f.Done().OnDone(func(error) { fired = true })
 	f.SetRate(bw.Rate1G)
@@ -91,13 +91,13 @@ func TestFlowDoneJobFires(t *testing.T) {
 
 func TestFlowValidation(t *testing.T) {
 	k := sim.NewKernel(1)
-	if _, err := NewFlow(k, "f", 0); err == nil {
+	if _, err := NewFlow(k, 0); err == nil {
 		t.Error("zero size accepted")
 	}
-	if _, err := NewFlow(k, "f", -5); err == nil {
+	if _, err := NewFlow(k, -5); err == nil {
 		t.Error("negative size accepted")
 	}
-	f, _ := NewFlow(k, "f", 100)
+	f, _ := NewFlow(k, 100)
 	f.SetRate(-5) // clamps to pause
 	if f.Rate() != 0 {
 		t.Errorf("negative rate = %v, want 0", f.Rate())
@@ -109,7 +109,7 @@ func TestFlowValidation(t *testing.T) {
 func TestFlowResetInvariance(t *testing.T) {
 	prop := func(nResets uint8) bool {
 		k := sim.NewKernel(4)
-		f, _ := NewFlow(k, "f", 1e9) // 8e9 bits at 1G = 8 s
+		f, _ := NewFlow(k, 1e9) // 8e9 bits at 1G = 8 s
 		f.SetRate(bw.Rate1G)
 		resets := int(nResets%7) + 1
 		for i := 1; i <= resets; i++ {

@@ -197,7 +197,7 @@ func TestMutationsDurableOnReturn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	store := net.Controller().Journal()
+	store := net.ShardSet().Shard(0).Store
 	var prev struct{ appends, fsyncs uint64 }
 	settled := func(what string) {
 		t.Helper()
