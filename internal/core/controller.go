@@ -140,6 +140,12 @@ type Controller struct {
 
 	jrnl          *journal.Store
 	snapshotEvery int
+	// nextSnapshot is the journal's AppendsSinceSnapshot at which
+	// journalCommit next snapshots: snapshotEvery after the last attempt.
+	nextSnapshot int
+	// encBuf is the record encoder's buffer, reused by every commit and
+	// snapshot: the journal copies what it is handed into its frame.
+	encBuf []byte
 	// What journalCommit has left for TakeUnsynced: the last sequence number
 	// written and not yet handed to a Sync, and the first commit that failed.
 	unsynced  uint64
@@ -273,6 +279,7 @@ func New(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 	if c.snapshotEvery == 0 {
 		c.snapshotEvery = 256
 	}
+	c.nextSnapshot = c.snapshotEvery
 	c.retry = DefaultRetryPolicy()
 	if cfg.Faults != nil {
 		c.faultModel = faults.NewModel(k, *cfg.Faults)

@@ -190,6 +190,9 @@ func checkScanAgainstJSON(t *testing.T, data []byte) {
 	}
 }
 
+// FuzzScanState holds the snapshot scanner to encoding/json on arbitrary
+// bytes. The seeds are what the record appenders (appendState, recenc.go)
+// write, the one writer of snapshots, which the scanner must always accept.
 func FuzzScanState(f *testing.F) {
 	for _, seed := range scanSeeds(f) {
 		f.Add(seed)

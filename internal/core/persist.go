@@ -4,8 +4,10 @@ package core
 // database (paper §2.2, Fig. 3) and the journal plumbing that keeps it on
 // disk. Every committed mutation appends one commit record to the WAL at the
 // end of the kernel event that performed it; a full snapshot is written every
-// Config.SnapshotEvery appends. Rehydrate (rehydrate.go) folds snapshot+WAL
-// back into a live controller.
+// Config.SnapshotEvery appends, and one that fails is tried again that many
+// appends later. Records are written by the appenders in recenc.go, the one
+// encoder for these types, into a buffer the controller reuses. Rehydrate
+// (rehydrate.go) folds snapshot+WAL back into a live controller.
 //
 // What is durable is exactly the *committed* state: resources held by an
 // in-flight choreography (a Pending setup, a Restoring re-provision, a
@@ -18,11 +20,14 @@ package core
 // representation that is byte-comparable against a live shadow.
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
 	"sort"
+	"strings"
 
 	"griphon/internal/journal"
 	"griphon/internal/obs"
@@ -328,24 +333,44 @@ func (c *Controller) captureHeader() stateRec {
 	return st
 }
 
+// connRecs returns an iterator over the committed connection records in ID
+// order, straight off the index: each call returns the next record in one
+// reused connRec, nil after the last.
+func (c *Controller) connRecs() func() *connRec {
+	all, i := c.conns.all, 0
+	var rec connRec
+	return func() *connRec {
+		for i < len(all) {
+			r, ok := c.connRecOf(all[i])
+			i++
+			if ok {
+				rec = r
+				return &rec
+			}
+		}
+		return nil
+	}
+}
+
 // captureState serializes the whole committed state.
 func (c *Controller) captureState() stateRec {
 	st := c.captureHeader()
-	for _, conn := range c.conns.all {
-		if r, ok := c.connRecOf(conn); ok {
-			st.Conns = append(st.Conns, r)
-		}
+	next := c.connRecs()
+	for r := next(); r != nil; r = next() {
+		st.Conns = append(st.Conns, *r)
 	}
 	return st
 }
 
 // DurableState returns the canonical serialization of the committed state
 // with the clock zeroed — the byte-comparable form the crash-injection
-// harness diffs between a recovered controller and its live shadow.
+// harness diffs between a recovered controller and its live shadow. It
+// encodes into a fresh buffer, never the controller's: the harness calls it
+// from the journal's append hook, while the commit record is still in use.
 func (c *Controller) DurableState() ([]byte, error) {
-	st := c.captureState()
-	st.Now = 0
-	return json.Marshal(&st)
+	hdr := c.captureHeader()
+	hdr.Now = 0
+	return appendState(nil, nil, &hdr, c.connRecs())
 }
 
 // foldState folds a snapshot and subsequent WAL entries into one stateRec:
@@ -454,7 +479,7 @@ func ReplayDurable(snapshot []byte, entries []journal.Entry) ([]byte, error) {
 		return nil, err
 	}
 	st.Now = 0
-	return json.Marshal(&st)
+	return appendState(nil, nil, &st, nil)
 }
 
 // commitSet names the entities one commit point touched.
@@ -500,7 +525,7 @@ func (c *Controller) journalCommit(cs commitSet) {
 			rec.Conns = append(rec.Conns, r)
 		}
 	}
-	sort.Slice(rec.Conns, func(i, j int) bool { return rec.Conns[i].ID < rec.Conns[j].ID })
+	slices.SortFunc(rec.Conns, func(a, b connRec) int { return strings.Compare(a.ID, b.ID) })
 	seenPipe := map[otn.PipeID]bool{}
 	for _, p := range cs.pipes {
 		if p == nil || seenPipe[p.ID()] {
@@ -514,7 +539,7 @@ func (c *Controller) journalCommit(cs commitSet) {
 		}
 		rec.Pipes = append(rec.Pipes, c.pipeRecOf(p))
 	}
-	sort.Slice(rec.Pipes, func(i, j int) bool { return rec.Pipes[i].ID < rec.Pipes[j].ID })
+	slices.SortFunc(rec.Pipes, func(a, b pipeRec) int { return strings.Compare(a.ID, b.ID) })
 	for _, id := range cs.delPipes {
 		if !seenPipe[id] {
 			seenPipe[id] = true
@@ -525,7 +550,7 @@ func (c *Controller) journalCommit(cs commitSet) {
 	for _, b := range cs.bookings {
 		rec.Bookings = append(rec.Bookings, bookingRecOf(b))
 	}
-	sort.Slice(rec.Bookings, func(i, j int) bool { return rec.Bookings[i].ID < rec.Bookings[j].ID })
+	slices.SortFunc(rec.Bookings, func(a, b bookingRec) int { return cmp.Compare(a.ID, b.ID) })
 	if cs.links {
 		dl := c.downLinkRecs()
 		rec.DownLinks = &dl
@@ -534,13 +559,11 @@ func (c *Controller) journalCommit(cs commitSet) {
 		q := c.quotaRecs()
 		rec.Quotas = &q
 	}
-	data, err := json.Marshal(&rec)
-	if err != nil {
-		c.commitLost(fmt.Errorf("encoding %s commit: %w", cs.reason, err))
-		return
-	}
+	c.encBuf = appendCommitRec(c.encBuf[:0], &rec)
+	data := c.encBuf
 	if c.flight != nil {
-		c.flight.Commit(c.k.Now(), cs.reason, data)
+		// The recorder keeps what it is given; the buffer is the next commit's.
+		c.flight.Commit(c.k.Now(), cs.reason, bytes.Clone(data))
 	}
 	if c.jrnl == nil {
 		return
@@ -551,7 +574,7 @@ func (c *Controller) journalCommit(cs commitSet) {
 		return
 	}
 	c.unsynced = seq
-	if c.snapshotEvery > 0 && c.jrnl.AppendsSinceSnapshot() >= c.snapshotEvery {
+	if c.snapshotEvery > 0 && c.jrnl.AppendsSinceSnapshot() >= c.nextSnapshot {
 		c.snapshotNow()
 	}
 }
@@ -580,11 +603,16 @@ func (c *Controller) TakeUnsynced() (seq uint64, err error) {
 	return seq, err
 }
 
-// snapshotNow streams a full state snapshot, record by record, after which
-// the journal rotates the WAL and compacts the covered segments. Connections
-// are serialized one at a time straight off the index, so the snapshot's
-// memory cost is one connection record plus the small entity sets, not a
-// second copy of the database.
+// snapshotNow writes a full state snapshot, after which the journal rotates
+// the WAL and compacts the covered segments. Connections are encoded one at a
+// time straight off the index into the controller's encode buffer, which goes
+// to the journal a chunk at a time: the snapshot's memory cost is one chunk
+// plus the small entity sets, not a second copy of the database.
+//
+// Whatever the outcome, the next snapshot is due snapshotEvery appends after
+// this one: after a success that is the usual cadence, after a failure it
+// spares every commit in between a full re-encode under the caller's lock and
+// a journal-error event.
 func (c *Controller) snapshotNow() {
 	if c.jrnl == nil {
 		return
@@ -593,22 +621,12 @@ func (c *Controller) snapshotNow() {
 	hdr := c.captureHeader()
 	w, err := c.jrnl.BeginSnapshot()
 	if err == nil {
-		all, i := c.conns.all, 0
-		var rec connRec
-		serr := streamStateFrom(w, &hdr, func() *connRec {
-			for i < len(all) {
-				r, ok := c.connRecOf(all[i])
-				i++
-				if ok {
-					rec = r
-					return &rec
-				}
-			}
-			return nil
-		})
-		if serr != nil {
+		c.encBuf, err = appendState(c.encBuf[:0], w, &hdr, c.connRecs())
+		if err == nil {
+			_, err = w.Write(c.encBuf)
+		}
+		if err != nil {
 			w.Abort()
-			err = serr
 		} else {
 			err = w.Commit()
 		}
@@ -617,83 +635,16 @@ func (c *Controller) snapshotNow() {
 	if err != nil {
 		c.journalFailed(fmt.Errorf("snapshot: %w", err))
 	}
+	c.nextSnapshot = c.jrnl.AppendsSinceSnapshot() + c.snapshotEvery
 }
 
-// streamState writes st's canonical serialization to w one record at a time,
-// byte-identical to json.Marshal(&st).
+// streamState writes st's canonical serialization to w a chunk at a time,
+// through the same appenders as the snapshot: byte-identical to what
+// encoding/json marshals for st.
 func streamState(w io.Writer, st *stateRec) error {
-	return streamStateFrom(w, st, sliceIter(st.Conns))
-}
-
-// streamStateFrom is streamState with the connections pulled from nextConn
-// (nil ends them) instead of st.Conns: the scalar header first, then each
-// entity array element-by-element in struct field order.
-func streamStateFrom(w io.Writer, st *stateRec, nextConn func() *connRec) error {
-	hdr := *st
-	hdr.Quotas, hdr.DownLinks, hdr.Conns, hdr.Pipes, hdr.Bookings = nil, nil, nil, nil, nil
-	b, err := json.Marshal(&hdr)
-	if err != nil {
-		return err
+	b, err := appendState(nil, w, st, nil)
+	if err == nil {
+		_, err = w.Write(b)
 	}
-	// Hold the closing brace: the arrays splice in before it.
-	if _, err := w.Write(b[:len(b)-1]); err != nil {
-		return err
-	}
-	if err := streamField(w, "quotas", sliceIter(st.Quotas)); err != nil {
-		return err
-	}
-	if err := streamField(w, "down_links", sliceIter(st.DownLinks)); err != nil {
-		return err
-	}
-	if err := streamField(w, "conns", nextConn); err != nil {
-		return err
-	}
-	if err := streamField(w, "pipes", sliceIter(st.Pipes)); err != nil {
-		return err
-	}
-	if err := streamField(w, "bookings", sliceIter(st.Bookings)); err != nil {
-		return err
-	}
-	_, err = w.Write([]byte{'}'})
-	return err
-}
-
-// sliceIter walks s by element address; nil ends it.
-func sliceIter[T any](s []T) func() *T {
-	i := 0
-	return func() *T {
-		if i == len(s) {
-			return nil
-		}
-		i++
-		return &s[i-1]
-	}
-}
-
-// streamField writes one omitempty JSON array field, one element per marshal;
-// next returns nil after the last element.
-func streamField[T any](w io.Writer, name string, next func() *T) error {
-	n := 0
-	for elem := next(); elem != nil; elem = next() {
-		sep := ","
-		if n == 0 {
-			sep = `,"` + name + `":[`
-		}
-		if _, err := io.WriteString(w, sep); err != nil {
-			return err
-		}
-		b, err := json.Marshal(elem)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	_, err := io.WriteString(w, "]")
 	return err
 }

@@ -2,8 +2,9 @@ package core
 
 // Snapshot decoding. A state snapshot is mostly its conns array — one record
 // per connection ever made — and recovery time is mostly decoding it, so that
-// array is read by a scanner for exactly the bytes streamState (equivalently
-// json.Marshal of a stateRec) writes:
+// array is read by a scanner for exactly the bytes the record appenders
+// (recenc.go: appendState, appendConnRec; equivalently encoding/json's Marshal
+// of a stateRec) write:
 //
 //	conns  = "[" rec { "," rec } "]"
 //	rec    = "{" [ field { "," field } ] "}"     fields in connRec order, each at most once
@@ -18,7 +19,7 @@ package core
 // with the conns member cut out. Anything outside this grammar is a corrupt
 // snapshot. encoding/json on the whole snapshot is the reference the scanner
 // is fuzzed against (FuzzScanState): whatever the scanner accepts, json decodes
-// to the same stateRec, and whatever json.Marshal writes, the scanner accepts.
+// to the same stateRec, and whatever the appenders write, the scanner accepts.
 
 import (
 	"bytes"

@@ -9,6 +9,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -112,7 +113,7 @@ func (g *Graph) AddNode(n Node) error {
 }
 
 // AddLink adds a fiber link. Both endpoints must already exist; self-loops
-// and duplicate IDs are errors. The span length must be positive.
+// and duplicate IDs are errors. The span length must be positive and finite.
 func (g *Graph) AddLink(l Link) error {
 	if l.ID == "" {
 		return fmt.Errorf("topo: empty link ID")
@@ -129,8 +130,8 @@ func (g *Graph) AddLink(l Link) error {
 	if _, ok := g.nodes[l.B]; !ok {
 		return fmt.Errorf("topo: link %s references unknown node %s", l.ID, l.B)
 	}
-	if l.KM <= 0 {
-		return fmt.Errorf("topo: link %s has non-positive length %.1f km", l.ID, l.KM)
+	if !(l.KM > 0) || math.IsInf(l.KM, 1) {
+		return fmt.Errorf("topo: link %s has non-positive or non-finite length %.1f km", l.ID, l.KM)
 	}
 	c := l
 	g.links[l.ID] = &c

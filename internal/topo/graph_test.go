@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -47,6 +48,8 @@ func TestAddLinkValidation(t *testing.T) {
 		{"unknown B", Link{ID: "x", A: "A", B: "Z", KM: 1}},
 		{"zero length", Link{ID: "x", A: "A", B: "B", KM: 0}},
 		{"negative length", Link{ID: "x", A: "A", B: "B", KM: -5}},
+		{"NaN length", Link{ID: "x", A: "A", B: "B", KM: math.NaN()}},
+		{"infinite length", Link{ID: "x", A: "A", B: "B", KM: math.Inf(1)}},
 	}
 	for _, c := range cases {
 		if err := g.AddLink(c.l); err == nil {
