@@ -17,7 +17,9 @@ vet:
 
 # Static invariants (DESIGN.md §9): wallclock, txnrollback, emslayer,
 # metricname, suppress, determinism, journaled, leakpath, loopblock, spanpair,
-# run over the whole module by TestRepoIsClean — `make test` runs it too.
+# run over the whole module by TestRepoIsClean, and the four dead-state checks
+# (unreachable and test-only functions, write-only fields, unturned knobs) —
+# `make test` runs them too.
 lint:
 	$(GO) test -count=1 ./internal/analysis/...
 

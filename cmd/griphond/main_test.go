@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -79,8 +81,13 @@ func TestServedShardedNetwork(t *testing.T) {
 			t.Errorf("%s: state = %s", cust, resp.Connections[0].State)
 		}
 	}
-	sh, err := client.Shards()
+	res, err := http.Get(srv.URL + "/api/v1/shards")
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var sh api.ShardsResponse
+	if err := json.NewDecoder(res.Body).Decode(&sh); err != nil {
 		t.Fatal(err)
 	}
 	if sh.Shards != 4 || len(sh.PerShard) != 4 {

@@ -1,6 +1,7 @@
 package griphon
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -264,6 +265,46 @@ func TestAdvanceAndNow(t *testing.T) {
 	n.Advance(2 * time.Minute)
 	if conn.State.String() != "active" {
 		t.Errorf("state after 2 min = %v", conn.State)
+	}
+}
+
+// TestAdvanceSaturatesAtForever: a duration that would carry the clock past
+// the last representable instant runs it to that instant, with every event on
+// the way, instead of wrapping into the past and doing nothing.
+func TestAdvanceSaturatesAtForever(t *testing.T) {
+	n := newNet(t)
+	n.Advance(time.Second)
+	conn, err := n.ConnectAsync("acme", "DC-A", "DC-C", Rate10G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Advance(math.MaxInt64)
+	if n.Now() != math.MaxInt64 {
+		t.Errorf("Now = %v, want the last instant %v", n.Now(), time.Duration(math.MaxInt64))
+	}
+	if conn.State.String() != "active" {
+		t.Errorf("pending connection is %v after advancing past every event", conn.State)
+	}
+	for _, f := range n.AuditInvariants() {
+		t.Error(f)
+	}
+}
+
+// TestConnectNearForever: an operation whose events would land past the last
+// instant completes at it instead of scheduling into the past.
+func TestConnectNearForever(t *testing.T) {
+	n := newNet(t)
+	n.Advance(time.Second)
+	n.Advance(math.MaxInt64 - 2*time.Second)
+	conn, err := n.Connect("acme", "DC-A", "DC-C", Rate10G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conn.State.String() != "active" {
+		t.Errorf("state = %v, want active", conn.State)
+	}
+	for _, f := range n.AuditInvariants() {
+		t.Error(f)
 	}
 }
 

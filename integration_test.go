@@ -16,64 +16,51 @@ import (
 )
 
 // checkConservation asserts the global accounting invariants: spectrum,
-// transponders, regens, FXC ports and ROADM terminations all reconcile with
-// the set of live connections.
-func checkConservation(t *testing.T, net *griphon.Network, phase string) {
+// transponders, regens, OTN slots, FXC ports, ROADM terminations, access
+// pipes and ledger claims all reconcile with the set of live connections
+// (AuditInvariants), and the customers' working wavelengths hold at least
+// their channels and transponders.
+func checkConservation(t *testing.T, net *griphon.Network, phase string, customers ...string) {
 	t.Helper()
-	ctrl := net.ShardSet().Shard(0).Ctrl
-	g := ctrl.Graph()
-
+	for _, f := range net.AuditInvariants() {
+		t.Errorf("%s: audit: %s", phase, f)
+	}
 	type expect struct {
 		channelLinks int
 		ots          int
-		regens       int
-		terminations int
 	}
 	var want expect
-	for _, conn := range ctrl.Connections() {
-		switch conn.State.String() {
-		case "released":
-			continue
-		case "pending", "active", "down", "restoring", "tearing-down":
-		default:
-			t.Fatalf("%s: unknown state %v", phase, conn.State)
+	for _, cust := range customers {
+		for _, conn := range net.Connections(cust) {
+			switch conn.State.String() {
+			case "released":
+				continue
+			case "pending", "active", "down", "restoring", "tearing-down":
+			default:
+				t.Fatalf("%s: unknown state %v", phase, conn.State)
+			}
+			if conn.Layer.String() != "dwdm" {
+				continue
+			}
+			// Working leg contributions; protect legs and carrier pipes
+			// only add to the totals, so the bound is from below.
+			want.channelLinks += len(conn.Route().Links)
+			want.ots += 2
 		}
-		if conn.Layer.String() != "dwdm" {
-			continue
-		}
-		legs := 1
-		if conn.Protect.String() == "1+1" {
-			legs = 2
-		}
-		_ = legs
-		// Working leg contributions (the protect leg is counted via
-		// the snapshot instead; we just bound below).
-		route := conn.Route()
-		want.channelLinks += len(route.Links)
-		want.ots += 2
-		want.terminations += 2
 	}
 
 	s := net.Stats()
-	// Exact equality only holds without 1+1/regens/mid-operation bridges,
-	// so the scenarios below avoid asserting during transients and use
-	// schemes where the bound is exact; otherwise we assert >=.
 	if s.ChannelsInUse < want.channelLinks {
 		t.Errorf("%s: channel-links %d < working demand %d", phase, s.ChannelsInUse, want.channelLinks)
 	}
 	if s.OTsInUse < want.ots {
 		t.Errorf("%s: OTs %d < working demand %d", phase, s.OTsInUse, want.ots)
 	}
-	totalAD := 0
-	for _, n := range g.Nodes() {
-		totalAD += ctrl.ROADMs().Node(n.ID).AddDropUsed()
-	}
-	if totalAD < want.terminations {
-		t.Errorf("%s: ROADM terminations %d < working demand %d", phase, totalAD, want.terminations)
-	}
 }
 
-// checkEmpty asserts a fully drained network holds nothing at all.
+// checkEmpty asserts a fully drained network holds nothing at all: no live
+// connection and no pooled resource in use, so by the audit no ROADM, FXC,
+// access-pipe or ledger state either.
 func checkEmpty(t *testing.T, net *griphon.Network, phase string) {
 	t.Helper()
 	s := net.Stats()
@@ -83,19 +70,8 @@ func checkEmpty(t *testing.T, net *griphon.Network, phase string) {
 	if s.ChannelsInUse != 0 || s.OTsInUse != 0 || s.RegensInUse != 0 || s.SlotsInUse != 0 {
 		t.Errorf("%s: resources leaked: %+v", phase, s)
 	}
-	ctrl := net.ShardSet().Shard(0).Ctrl
-	for _, n := range ctrl.Graph().Nodes() {
-		if used := ctrl.ROADMs().Node(n.ID).AddDropUsed(); used != 0 {
-			t.Errorf("%s: ROADM %s still holds %d terminations", phase, n.ID, used)
-		}
-		if conns := ctrl.FXC(n.ID).Connections(); conns != 0 {
-			t.Errorf("%s: FXC %s still holds %d cross-connects", phase, n.ID, conns)
-		}
-	}
-	for _, site := range ctrl.Graph().Sites() {
-		if used := ctrl.AccessUsed(site.ID); used != 0 {
-			t.Errorf("%s: site %s access still used: %v", phase, site.ID, used)
-		}
+	for _, f := range net.AuditInvariants() {
+		t.Errorf("%s: audit: %s", phase, f)
 	}
 }
 
@@ -104,8 +80,8 @@ func TestIntegrationMonthOfChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := net.ShardSet().Shard(0).Ctrl
-	rng := ctrl.Kernel().Rand()
+	sh := net.ShardSet().Shard(0)
+	rng := sh.Kernel.Rand()
 	sites := []string{"DC-SEA", "DC-PAO", "DC-HOU", "DC-CHI", "DC-NYC", "DC-ATL"}
 	customers := []string{"acme", "initech", "globex"}
 	rates := []griphon.Rate{griphon.Rate1G, griphon.Rate2G5, griphon.Rate10G}
@@ -144,16 +120,16 @@ func TestIntegrationMonthOfChurn(t *testing.T) {
 		}
 		// Occasional fiber cut (auto-repaired hours later).
 		if day%7 == 3 {
-			links := ctrl.Graph().Links()
+			links := net.Graph().Links()
 			link := links[rng.Intn(len(links))]
-			if ctrl.Plant().LinkUp(link.ID) {
+			if sh.Ctrl.Plant().LinkUp(link.ID) {
 				if err := net.CutFiber(string(link.ID)); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		net.Advance(24 * time.Hour)
-		checkConservation(t, net, fmt.Sprintf("day %d", day))
+		checkConservation(t, net, fmt.Sprintf("day %d", day), customers...)
 	}
 	if connects < 30 {
 		t.Errorf("only %d connects in a month (blocked %d)", connects, blocks)
@@ -225,7 +201,7 @@ func TestIntegrationFailureStorm(t *testing.T) {
 		}
 	}
 	net.Drain()
-	checkConservation(t, net, "after repairs")
+	checkConservation(t, net, "after repairs", "acme")
 }
 
 func TestIntegrationMixedLayersUnderMaintenance(t *testing.T) {
@@ -270,7 +246,7 @@ func TestIntegrationMixedLayersUnderMaintenance(t *testing.T) {
 			}
 		}
 	}
-	checkConservation(t, net, "after maintenance")
+	checkConservation(t, net, "after maintenance", "acme", "initech")
 
 	// Full teardown leaves a clean network.
 	for _, cust := range []string{"acme", "initech"} {

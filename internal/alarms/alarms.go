@@ -90,12 +90,6 @@ func (c *Correlator) Observe(a Alarm) {
 	}
 }
 
-// Pending returns the number of alarms waiting in the open window.
-func (c *Correlator) Pending() int { return len(c.pending) }
-
-// Batches returns the number of batches emitted so far.
-func (c *Correlator) Batches() int { return c.batches }
-
 func (c *Correlator) flush() {
 	batch := c.pending
 	c.pending = nil

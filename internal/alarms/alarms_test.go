@@ -30,8 +30,8 @@ func TestCorrelatorBatchesWindow(t *testing.T) {
 	if len(batches[1]) != 1 {
 		t.Errorf("second batch = %d alarms, want 1", len(batches[1]))
 	}
-	if c.Batches() != 2 || c.Pending() != 0 {
-		t.Errorf("Batches=%d Pending=%d", c.Batches(), c.Pending())
+	if c.batches != 2 || len(c.pending) != 0 {
+		t.Errorf("batches=%d pending=%d", c.batches, len(c.pending))
 	}
 }
 

@@ -54,22 +54,6 @@ type Group struct {
 	Children []Alarm
 }
 
-// Customers returns the distinct customers affected by the group, sorted.
-func (g Group) Customers() []string {
-	set := map[string]bool{}
-	for _, a := range g.Children {
-		if a.Customer != "" {
-			set[a.Customer] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ForCustomer projects the group onto one customer's view: children owned by
 // other tenants are hidden, and ok reports whether anything remains. An empty
 // customer is the operator view and sees everything. Equipment groups carry no
@@ -212,6 +196,3 @@ func (l *Log) NextSeq() uint64 { return l.next }
 
 // Len returns the number of retained groups.
 func (l *Log) Len() int { return len(l.groups) }
-
-// Dropped returns how many groups have been evicted by the ring bound.
-func (l *Log) Dropped() uint64 { return l.dropped }

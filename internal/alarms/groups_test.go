@@ -27,10 +27,6 @@ func TestGroupBatchFiberCut(t *testing.T) {
 	if len(g.Children) != 3 {
 		t.Errorf("children = %d", len(g.Children))
 	}
-	custs := g.Customers()
-	if len(custs) != 2 || custs[0] != "acme" || custs[1] != "bob" {
-		t.Errorf("customers = %v", custs)
-	}
 }
 
 // Connection-less equipment alarms landing in the same correlation window as
@@ -118,8 +114,8 @@ func TestLogSeqAndEviction(t *testing.T) {
 			t.Errorf("seq = %d, want %d", g.Seq, i+1)
 		}
 	}
-	if l.Len() != 2 || l.Dropped() != 2 {
-		t.Errorf("len=%d dropped=%d", l.Len(), l.Dropped())
+	if l.Len() != 2 || l.dropped != 2 {
+		t.Errorf("len=%d dropped=%d", l.Len(), l.dropped)
 	}
 	all := l.Since(0)
 	if len(all) != 2 || all[0].Seq != 3 || all[1].Seq != 4 {

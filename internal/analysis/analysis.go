@@ -31,14 +31,13 @@ import (
 
 // Analyzer describes one invariant checker. It mirrors the x/tools
 // go/analysis Analyzer surface that the suite needs: a name (used in
-// diagnostics and //lint:allow suppressions), one paragraph of doc, and a Run
-// function invoked once per package.
+// diagnostics and //lint:allow suppressions) and a Run function invoked once
+// per package. The invariant it checks is stated on its variable's doc
+// comment.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and suppressions.
 	// It must be a valid identifier.
 	Name string
-	// Doc states the invariant, first line summary style.
-	Doc string
 	// Run performs the check and reports findings via pass.Report.
 	Run func(*Pass) error
 }
@@ -47,8 +46,6 @@ func (a *Analyzer) String() string { return a.Name }
 
 // Pass carries one type-checked package through one analyzer.
 type Pass struct {
-	// Analyzer is the checker this pass runs.
-	Analyzer *Analyzer
 	// Fset maps token positions for every file in the pass.
 	Fset *token.FileSet
 	// Files are the package's parsed files, comments included.

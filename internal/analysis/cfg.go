@@ -28,7 +28,6 @@ import (
 
 // Block is one straight-line run of nodes with explicit control edges.
 type Block struct {
-	Index int
 	Nodes []ast.Node
 	Succs []*Block
 	Preds []*Block
@@ -66,25 +65,6 @@ func (g *CFG) Locate(n ast.Node) (*Block, int) {
 		}
 	}
 	return nil, -1
-}
-
-// Reachable reports whether b can be reached from Entry.
-func (g *CFG) Reachable(b *Block) bool {
-	seen := make(map[*Block]bool, len(g.Blocks))
-	stack := []*Block{g.Entry}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		if cur == b {
-			return true
-		}
-		stack = append(stack, cur.Succs...)
-	}
-	return false
 }
 
 // BuildCFG constructs the control-flow graph of one function body.
@@ -131,7 +111,7 @@ type cfgBuilder struct {
 }
 
 func (b *cfgBuilder) newBlock() *Block {
-	blk := &Block{Index: len(b.g.Blocks)}
+	blk := &Block{}
 	b.g.Blocks = append(b.g.Blocks, blk)
 	return blk
 }

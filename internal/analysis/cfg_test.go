@@ -326,11 +326,10 @@ func f() {
 	if deadBlk == nil {
 		t.Fatalf("dead code should still be located in the graph")
 	}
-	if w.cfg.Reachable(deadBlk) {
-		t.Errorf("code after return must be unreachable")
+	if len(deadBlk.Preds) != 0 || deadBlk == w.cfg.Entry {
+		t.Errorf("code after return must be unreachable: %d predecessors", len(deadBlk.Preds))
 	}
-	liveBlk, _ := w.cfg.Locate(w.call("work", 0))
-	if liveBlk == nil || !w.cfg.Reachable(liveBlk) {
-		t.Errorf("entry statements must be reachable")
+	if liveBlk, _ := w.cfg.Locate(w.call("work", 0)); liveBlk != w.cfg.Entry {
+		t.Errorf("entry statements must be in the entry block")
 	}
 }

@@ -19,9 +19,7 @@ import (
 // only count, sum or look up are order-insensitive and never flagged.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc: "map iteration feeding a return value, json-tagged record or marshal " +
-		"call must sort on all paths; map order is randomized and breaks replay",
-	Run: runDeterminism,
+	Run:  runDeterminism,
 }
 
 func runDeterminism(pass *Pass) error {

@@ -214,7 +214,6 @@ func Analyze(fset *token.FileSet, pkg *Package, analyzers []*analysis.Analyzer) 
 	var out []Diagnostic
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
-			Analyzer:  a,
 			Fset:      fset,
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,

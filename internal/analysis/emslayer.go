@@ -25,9 +25,7 @@ var emsAllowed = []string{
 // submit to an ems.Manager.
 var Emslayer = &Analyzer{
 	Name: "emslayer",
-	Doc: "only internal/core and internal/ems may construct or enqueue EMS " +
-		"commands; device packages stay device-side",
-	Run: runEmslayer,
+	Run:  runEmslayer,
 }
 
 func runEmslayer(pass *Pass) error {

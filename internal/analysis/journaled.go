@@ -31,9 +31,7 @@ const (
 // where no caller can commit for them.
 var Journaled = &Analyzer{
 	Name: "journaled",
-	Doc: "durable controller state mutations must reach journalCommit on all " +
-		"non-error paths; un-journaled commits diverge the WAL from memory",
-	Run: runJournaled,
+	Run:  runJournaled,
 }
 
 // journaledExemptFiles are the journal's own consumers: replay applies
@@ -49,7 +47,6 @@ type jmutation struct {
 
 // jfunc is one executable scope (declaration or literal) with its CFG.
 type jfunc struct {
-	fb        funcBody
 	cfg       *CFG
 	mutations []jmutation
 	calls     []*ast.CallExpr
@@ -75,7 +72,7 @@ func runJournaled(pass *Pass) error {
 			continue
 		}
 		for _, fb := range funcBodies(f) {
-			jf := &jfunc{fb: fb, cfg: BuildCFG(fb.body)}
+			jf := &jfunc{cfg: BuildCFG(fb.body)}
 			jf.mutations = durableMutations(pass, fb)
 			ownStmts(fb.body, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {

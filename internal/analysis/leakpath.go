@@ -17,9 +17,7 @@ import (
 // explicit Rollback or Commit before it.
 var Leakpath = &Analyzer{
 	Name: "leakpath",
-	Doc: "a Txn claim must not reach a `return err` without Rollback/Commit " +
-		"on that path; stranded reservations leak pool capacity",
-	Run: runLeakpath,
+	Run:  runLeakpath,
 }
 
 func runLeakpath(pass *Pass) error {

@@ -20,14 +20,12 @@ import (
 // it. Unreachable code is not flagged.
 var Loopblock = &Analyzer{
 	Name: "loopblock",
-	Doc: "no blocking operations (channels, select, sync waits, kernel " +
-		"re-entry, goroutines) inside controller event-loop code",
-	Run: runLoopblock,
+	Run:  runLoopblock,
 }
 
 // loopblockExemptRecv names the cross-shard layer that sits above the
 // per-shard event loops rather than on them: the ShardSet drives the shard
-// kernels from outside (its parallel mode is goroutine-per-shard by design),
+// kernels from outside and takes its own mutex around the merged logs,
 // and the Coordinator — with its per-shard broker views — is the one
 // mutex-guarded structure shared between shard drivers. Methods on these
 // receivers, including closures nested inside them, are the deliberate

@@ -15,7 +15,6 @@ const obsPkg = "griphon/internal/obs"
 var registryMethods = map[string]string{
 	"Counter":     "counter",
 	"CounterFunc": "counter",
-	"Gauge":       "gauge",
 	"GaugeFunc":   "gauge",
 	"Histogram":   "histogram",
 }
@@ -35,9 +34,7 @@ var histogramUnits = []string{"_seconds", "_bytes"}
 // suffix, and gauges never masquerade as counters.
 var Metricname = &Analyzer{
 	Name: "metricname",
-	Doc: "obs registry instrument names must be griphon_-prefixed snake_case " +
-		"string literals with _total/_seconds unit-suffix conventions",
-	Run: runMetricname,
+	Run:  runMetricname,
 }
 
 func runMetricname(pass *Pass) error {
@@ -117,8 +114,8 @@ func checkMetricName(pass *Pass, call *ast.CallExpr, method, kind string) {
 // checkLabelKeys validates the variadic "k1", "v1", ... tail: keys must be
 // snake_case string constants. Values may be computed (layer names, states).
 func checkLabelKeys(pass *Pass, call *ast.CallExpr, method string) {
-	// The labels tail starts after (name, help) for Counter/Gauge and their
-	// Func variants (fn sits between), and after (name, help, buckets) for
+	// The labels tail starts after (name, help) for Counter and the Func
+	// variants (fn sits between), and after (name, help, buckets) for
 	// Histogram. Rather than hard-coding positions, walk from the end: the
 	// variadic tail is whatever trailing arguments are typed string — keys
 	// at even offsets within that tail.

@@ -27,9 +27,7 @@ import (
 // call on that span.
 var Spanpair = &Analyzer{
 	Name: "spanpair",
-	Doc: "a span returned by obs.Tracer Start/StartTrack must be ended on " +
-		"all paths (defer, capturing closure, or an End before every exit)",
-	Run: runSpanpair,
+	Run:  runSpanpair,
 }
 
 var spanEndMethods = map[string]bool{

@@ -27,8 +27,6 @@ type Allow struct {
 	Reason string
 	// Line is the 1-based line the directive appears on.
 	Line int
-	// Pos is the directive comment's position.
-	Pos token.Pos
 }
 
 // KnownSuppressTargets lists the names //lint:allow may name: every analyzer
@@ -82,7 +80,6 @@ func allowsInFile(fset *token.FileSet, f *ast.File) []Allow {
 				Analyzer: an,
 				Reason:   reason,
 				Line:     fset.Position(c.Pos()).Line,
-				Pos:      c.Pos(),
 			})
 		}
 	}
@@ -124,9 +121,7 @@ func Suppressed(fset *token.FileSet, files []*ast.File, analyzer string, diag Di
 // analyzer or omits a reason.
 var Suppress = &Analyzer{
 	Name: "suppress",
-	Doc: "suppressions must be `//lint:allow <analyzer> <reason>`: bare or " +
-		"unjustified //nolint comments are reported",
-	Run: runSuppress,
+	Run:  runSuppress,
 }
 
 func runSuppress(pass *Pass) error {

@@ -7,7 +7,6 @@ import "griphon/internal/obs"
 func register(r *obs.Registry) {
 	r.Counter("griphon_setups_total", "Connection setups.", "layer", "och")
 	r.CounterFunc("griphon_sim_events_total", "Kernel events.", func() float64 { return 0 })
-	r.Gauge("griphon_queue_depth", "EMS queue depth.")
 	r.GaugeFunc("griphon_connections", "Connections in service.", func() float64 { return 0 })
 	r.Histogram("griphon_setup_seconds", "Setup latency.", obs.DefaultLatencyBuckets())
 	r.Histogram("griphon_frame_bytes", "Frame sizes.", []float64{64, 1500})

@@ -7,5 +7,5 @@ import "griphon/internal/obs"
 // apply there.
 func register(r *obs.Registry) {
 	r.Counter("c_total", "mechanics")
-	r.Gauge("g", "mechanics")
+	r.GaugeFunc("g", "mechanics", func() float64 { return 0 })
 }

@@ -21,7 +21,6 @@ const (
 // check.
 var Txnrollback = &Analyzer{
 	Name: "txnrollback",
-	Doc:  "inventory.Reserve needs a live Txn and a non-nil rollback closure",
 	Run:  runTxnrollback,
 }
 

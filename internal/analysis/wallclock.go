@@ -39,9 +39,7 @@ var bannedRandImports = map[string]bool{
 // randomness outside internal/sim.
 var Wallclock = &Analyzer{
 	Name: "wallclock",
-	Doc: "no time.Now/Sleep/After/Since (or math/rand imports) outside " +
-		"internal/sim: all time and randomness flow through the virtual kernel",
-	Run: runWallclock,
+	Run:  runWallclock,
 }
 
 func runWallclock(pass *Pass) error {

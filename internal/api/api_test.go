@@ -2,10 +2,12 @@ package api
 
 import (
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"griphon"
 	"griphon/internal/journal"
@@ -52,6 +54,35 @@ func TestConnectDisconnectRoundTrip(t *testing.T) {
 	list, _ = c.Connections("acme")
 	if len(list) != 1 || list[0].State != "released" {
 		t.Errorf("after disconnect: %+v", list)
+	}
+}
+
+// TestAdvanceNearForeverThenConnect: /advance takes any non-negative
+// duration. Two that together pass the clock's last instant stop it there,
+// and the daemon still answers /connect, with clean books.
+func TestAdvanceNearForeverThenConnect(t *testing.T) {
+	c, net := newTestServer(t)
+	for i := 0; i < 2; i++ {
+		if err := c.Advance("2562047h"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := time.Duration(math.MaxInt64).String(); st.Now != want {
+		t.Errorf("now = %s, want the last instant %s", st.Now, want)
+	}
+	resp, err := c.Connect(ConnectRequest{Customer: "acme", From: "DC-A", To: "DC-C", Rate: "10G"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Connections) != 1 || resp.Connections[0].State != "active" {
+		t.Errorf("connect answered %+v", resp.Connections)
+	}
+	for _, f := range net.AuditInvariants() {
+		t.Error(f)
 	}
 }
 

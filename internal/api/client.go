@@ -135,13 +135,6 @@ func (c *Client) Stats() (StatsJSON, error) {
 	return out, err
 }
 
-// Shards describes the control-plane sharding and per-shard load.
-func (c *Client) Shards() (ShardsResponse, error) {
-	var out ShardsResponse
-	err := c.do(http.MethodGet, "/api/v1/shards", nil, &out)
-	return out, err
-}
-
 // Events fetches the audit log, optionally filtered by connection.
 func (c *Client) Events(conn string) ([]EventJSON, error) {
 	path := "/api/v1/events"

@@ -66,10 +66,6 @@ func TestCostModelOrdering(t *testing.T) {
 	if c.SharedRestoreMonthly(km, 0, -1) != work {
 		t.Error("negative share ratio not clamped")
 	}
-	// Sub-wavelength circuits are cheap.
-	if c.CircuitMonthly(1, 1) >= work {
-		t.Error("one ODU0 slot-hop costs as much as a wavelength")
-	}
 }
 
 func TestManualRestoreBounds(t *testing.T) {

@@ -69,19 +69,15 @@ type Costs struct {
 	// WavelengthKmMonthly is the monthly cost of one wavelength over one
 	// km of fiber.
 	WavelengthKmMonthly float64
-	// ODU0Monthly is the monthly cost of one 1.25G OTN tributary.
-	ODU0Monthly float64
 }
 
 // DefaultCosts returns ratios in line with published transport-economics
-// studies: transponders dominate, regens cost roughly a transponder pair,
-// and sub-wavelength grooming is cheap per unit.
+// studies: transponders dominate and regens cost roughly a transponder pair.
 func DefaultCosts() Costs {
 	return Costs{
 		OTMonthly:           10,
 		RegenMonthly:        18,
 		WavelengthKmMonthly: 0.01,
-		ODU0Monthly:         1.5,
 	}
 }
 
@@ -105,10 +101,4 @@ func (c Costs) SharedRestoreMonthly(km float64, regens int, shareRatio float64) 
 		shareRatio = 0
 	}
 	return c.WavelengthMonthly(km, regens) * (1 + shareRatio)
-}
-
-// CircuitMonthly returns the monthly cost of an n-slot OTN circuit across
-// hops pipes (each slot-hop bills one ODU0 unit).
-func (c Costs) CircuitMonthly(slots, pipeHops int) float64 {
-	return float64(slots*pipeHops) * c.ODU0Monthly
 }

@@ -35,10 +35,10 @@ func TestAdjustCircuitGrow(t *testing.T) {
 		t.Errorf("grow caused outage %v", conn.TotalOutage)
 	}
 	// Accounting followed.
-	if c.AccessUsed("DC-A") != bw.Rate2G5 {
-		t.Errorf("access = %v", c.AccessUsed("DC-A"))
+	if c.accessUsed["DC-A"] != bw.Rate2G5 {
+		t.Errorf("access = %v", c.accessUsed["DC-A"])
 	}
-	if u := c.Ledger().UsageOf("x"); u.Bandwidth != bw.Rate2G5 {
+	if u := c.ledger.UsageOf("x"); u.Bandwidth != bw.Rate2G5 {
 		t.Errorf("ledger = %+v", u)
 	}
 }
@@ -61,8 +61,8 @@ func TestAdjustCircuitShrink(t *testing.T) {
 	if pipe.UsedSlots() != 1 {
 		t.Errorf("pipe slots after shrink = %d", pipe.UsedSlots())
 	}
-	if c.AccessUsed("DC-A") != bw.Rate1G {
-		t.Errorf("access = %v", c.AccessUsed("DC-A"))
+	if c.accessUsed["DC-A"] != bw.Rate1G {
+		t.Errorf("access = %v", c.accessUsed["DC-A"])
 	}
 	// Freed slots are usable by someone else immediately (2.5G = 2 slots
 	// fits the 7 now free).
@@ -87,8 +87,8 @@ func TestAdjustCircuitGrowBlockedByFullPipe(t *testing.T) {
 	if conn.Rate != bw.Rate1G || pipe.FreeSlots() != free {
 		t.Errorf("failed grow mutated state: rate=%v free=%d", conn.Rate, pipe.FreeSlots())
 	}
-	if c.AccessUsed("DC-A") != bw.Rate1G+5*bw.Gbps {
-		t.Errorf("access leaked: %v", c.AccessUsed("DC-A"))
+	if c.accessUsed["DC-A"] != bw.Rate1G+5*bw.Gbps {
+		t.Errorf("access leaked: %v", c.accessUsed["DC-A"])
 	}
 }
 
@@ -180,8 +180,8 @@ func TestAdjustAccessPipeLimit(t *testing.T) {
 	if _, err := c.AdjustRate("x", conn.ID, bw.Rate2G5); err == nil {
 		t.Error("grow beyond access pipe accepted")
 	}
-	if conn.Rate != bw.Rate1G || c.AccessUsed("DC-TINY") != bw.Rate1G {
-		t.Errorf("failed grow mutated state: rate=%v access=%v", conn.Rate, c.AccessUsed("DC-TINY"))
+	if conn.Rate != bw.Rate1G || c.accessUsed["DC-TINY"] != bw.Rate1G {
+		t.Errorf("failed grow mutated state: rate=%v access=%v", conn.Rate, c.accessUsed["DC-TINY"])
 	}
 }
 
@@ -210,9 +210,10 @@ func TestAdjustResizesSharedBackup(t *testing.T) {
 	if job.Err() != nil {
 		t.Fatal(job.Err())
 	}
+	// Activating the backup (as restoration would) takes the resized demand.
 	for _, p := range conn.backup {
-		if p.SharedDemand() != 2 {
-			t.Errorf("backup shared demand = %d, want 2 after resize", p.SharedDemand())
+		if slots, err := p.Activate(string(conn.ID)); err != nil || len(slots) != 2 {
+			t.Errorf("backup activates %d slots (%v), want 2 after resize", len(slots), err)
 		}
 	}
 }

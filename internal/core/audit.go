@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"griphon/internal/bw"
+	"griphon/internal/topo"
 )
 
 // Finding is one invariant violation reported by AuditInvariants.
@@ -98,10 +99,20 @@ func (c *Controller) AuditInvariants() []Finding {
 		}
 	}
 
-	// 4. Access pipes never oversubscribed or negative.
+	// 4. Each access pipe carries exactly the live customer connections
+	// that end at its site, within its size.
+	wantAccess := map[topo.SiteID]bw.Rate{}
+	for _, conn := range c.conns.live {
+		if !conn.Internal {
+			wantAccess[conn.From] += conn.Rate
+			wantAccess[conn.To] += conn.Rate
+		}
+	}
 	for _, site := range c.g.Sites() {
-		if used := c.accessUsed[site.ID]; used > bw.GbpsOf(site.AccessGbps) || used < 0 {
-			report("access", "site %s access used %v of %dG", site.ID, used, site.AccessGbps)
+		used := c.accessUsed[site.ID]
+		if used != wantAccess[site.ID] || used > bw.GbpsOf(site.AccessGbps) || used < 0 {
+			report("access", "site %s access used %v of %gG, live connections hold %v",
+				site.ID, used, site.AccessGbps, wantAccess[site.ID])
 		}
 	}
 

@@ -58,7 +58,7 @@ func TestAuditInvariantsDetectsLeaks(t *testing.T) {
 	c.Plant().OTs("II").Release(ot) //lint:allow errcheck undoing the planted leak
 
 	// 3. OTN tributary slots held by a dead owner.
-	pipe := c.Fabric().Pipes()[0]
+	pipe := c.fabric.Pipes()[0]
 	if _, err := pipe.Reserve("ghost", 2); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestAuditInvariantsDetectsLeaks(t *testing.T) {
 	}
 
 	// 4. An FXC cross-connect with no connection behind it.
-	sw := c.FXC("I")
+	sw := c.fxcs["I"]
 	cp, err := sw.FreePort(fxc.Client)
 	if err != nil {
 		t.Fatal(err)
@@ -84,11 +84,11 @@ func TestAuditInvariantsDetectsLeaks(t *testing.T) {
 	sw.Disconnect(cp) //lint:allow errcheck undoing the planted leak
 
 	// 5. A ledger claim whose connection is gone.
-	if err := c.Ledger().Claim("x", "conn:ghost"); err != nil {
+	if err := c.ledger.Claim("x", "conn:ghost"); err != nil {
 		t.Fatal(err)
 	}
 	expectFinding("ledger-claim")
-	c.Ledger().Release("x", "conn:ghost") //lint:allow errcheck undoing the planted leak
+	c.ledger.Release("x", "conn:ghost") //lint:allow errcheck undoing the planted leak
 
 	// Every leak undone: the books balance again.
 	auditClean(t, c)

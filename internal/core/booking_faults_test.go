@@ -32,7 +32,7 @@ func TestBookingCloseErrorSurfaced(t *testing.T) {
 	conn := b.Conns[0]
 	// Sabotage the close: steal the ledger claim so Disconnect persistently
 	// refuses (models an operator or API consumer racing the window).
-	if err := c.Ledger().Release("x", connKey(conn.ID)); err != nil {
+	if err := c.ledger.Release("x", connKey(conn.ID)); err != nil {
 		t.Fatal(err)
 	}
 	before := c.ins.bookingCloseErrs.Value()
@@ -46,15 +46,15 @@ func TestBookingCloseErrorSurfaced(t *testing.T) {
 	if b.phase != bookingClosed {
 		t.Errorf("phase = %d, want closed", b.phase)
 	}
-	if got := c.ins.bookingCloseErrs.Value() - before; got != float64(c.Retry().MaxAttempts) {
-		t.Errorf("close error counter advanced by %v, want %d (one per attempt)", got, c.Retry().MaxAttempts)
+	if got := c.ins.bookingCloseErrs.Value() - before; got != float64(c.retry.MaxAttempts) {
+		t.Errorf("close error counter advanced by %v, want %d (one per attempt)", got, c.retry.MaxAttempts)
 	}
 	// The leak is real and visible: the component still holds its resources.
 	if conn.State != StateActive {
 		t.Errorf("sabotaged component = %v, want still active", conn.State)
 	}
 	// An operator can repair the books and release it normally.
-	if err := c.Ledger().Claim("x", connKey(conn.ID)); err != nil {
+	if err := c.ledger.Claim("x", connKey(conn.ID)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Disconnect("x", conn.ID); err != nil {
@@ -80,7 +80,7 @@ func TestBookingSetupFailureReleasesSiblings(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.RunUntil(at.Add(-time.Second))
-	c.ROADMEMS().InjectFailures(1, errors.New("vendor EMS rejected add-drop"))
+	c.roadmEMS.InjectFailures(1, errors.New("vendor EMS rejected add-drop"))
 	k.Run()
 	if b.Done.Err() == nil || b.SetupErr == nil {
 		t.Fatal("booking reported success despite component setup failure")
@@ -93,7 +93,7 @@ func TestBookingSetupFailureReleasesSiblings(t *testing.T) {
 			t.Errorf("component %s = %v after failed window, want released", conn.ID, conn.State)
 		}
 	}
-	if u := c.Ledger().UsageOf("x"); u.Connections != 0 || u.Bandwidth != 0 {
+	if u := c.ledger.UsageOf("x"); u.Connections != 0 || u.Bandwidth != 0 {
 		t.Errorf("failed booking still billing the customer: %+v", u)
 	}
 	s := c.Snapshot()

@@ -37,7 +37,7 @@ var oneHop = Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate10G}
 func TestSerialChoreographyMatchesTable2(t *testing.T) {
 	k, c := newChoreoTestbed(t, 1, Config{})
 	conn := mustConnect(t, k, c, oneHop)
-	if want := c.Latencies().WavelengthSetupMean(1, 0); conn.SetupTime() != want {
+	if want := c.lat.WavelengthSetupMean(1, 0); conn.SetupTime() != want {
 		t.Errorf("serial setup = %v, want exactly %v", conn.SetupTime(), want)
 	}
 }
@@ -45,11 +45,11 @@ func TestSerialChoreographyMatchesTable2(t *testing.T) {
 func TestGraphChoreographyCriticalPath(t *testing.T) {
 	k, c := newChoreoTestbed(t, 1, Config{Choreography: ChoreoGraph})
 	conn := mustConnect(t, k, c, oneHop)
-	want := c.Latencies().WavelengthSetupGraphMean(1, 0)
+	want := c.lat.WavelengthSetupGraphMean(1, 0)
 	if conn.SetupTime() != want {
 		t.Errorf("graph setup = %v, want exactly %v (the critical path)", conn.SetupTime(), want)
 	}
-	serial := c.Latencies().WavelengthSetupMean(1, 0)
+	serial := c.lat.WavelengthSetupMean(1, 0)
 	if 2*conn.SetupTime() >= 3*serial {
 		t.Errorf("graph setup %v is not meaningfully below serial %v", conn.SetupTime(), serial)
 	}
@@ -64,18 +64,18 @@ func TestGraphChoreographyWithPreArm(t *testing.T) {
 	// Warm session skips EMS-session establishment; two warm ends skip
 	// laser tuning entirely: overhead + elements + power + equalize + verify
 	// = 2 + 7 + 3.2 + 9 + 8 s.
-	lat := c.Latencies()
+	lat := c.lat
 	want := lat.ControllerOverhead + lat.ROADMAddDrop +
 		lat.PowerBalancePerHop + lat.LinkEqualize + lat.VerifyEndToEnd
 	if conn.SetupTime() != want {
 		t.Errorf("pre-armed graph setup = %v, want exactly %v", conn.SetupTime(), want)
 	}
 	// Background re-arming refilled the pools before the kernel drained.
-	if got := c.WarmSessions(); got != 2 {
+	if got := c.prearm.sessions; got != 2 {
 		t.Errorf("warm sessions after drain = %d, want 2 (re-armed)", got)
 	}
 	for _, n := range []topo.NodeID{"I", "IV"} {
-		if got := c.WarmOTs(n); got != 2 {
+		if got := c.prearm.warmOTs[n]; got != 2 {
 			t.Errorf("warm OTs at %s = %d, want 2 (re-armed)", n, got)
 		}
 	}
@@ -99,7 +99,7 @@ func TestGraphTeardownHalvesTeardownTime(t *testing.T) {
 		t.Fatal(job.Err())
 	}
 	// ctl 1 s, then max(FXC disconnects 1.5 s, session 2 s + releases 2 s).
-	lat := c.Latencies()
+	lat := c.lat
 	want := lat.TeardownController + lat.TeardownEMSSession + lat.ROADMRelease
 	if job.Elapsed() != want {
 		t.Errorf("graph teardown = %v, want exactly %v", job.Elapsed(), want)
@@ -151,8 +151,8 @@ func TestGraphChoreographySpanTiling(t *testing.T) {
 	if covered != sp.End {
 		t.Errorf("children cover up to %v, setup ends at %v", covered, sp.End)
 	}
-	if sp.Duration() != c.Latencies().WavelengthSetupGraphMean(1, 0) {
-		t.Errorf("setup span duration = %v, want %v", sp.Duration(), c.Latencies().WavelengthSetupGraphMean(1, 0))
+	if sp.Duration() != c.lat.WavelengthSetupGraphMean(1, 0) {
+		t.Errorf("setup span duration = %v, want %v", sp.Duration(), c.lat.WavelengthSetupGraphMean(1, 0))
 	}
 }
 
@@ -188,7 +188,7 @@ func TestGraphChoreographyMultiHop(t *testing.T) {
 	if conn.Route().String() != "I-II-III" {
 		t.Fatalf("route = %s, want I-II-III", conn.Route())
 	}
-	if want := c.Latencies().WavelengthSetupGraphMean(2, 0); conn.SetupTime() != want {
+	if want := c.lat.WavelengthSetupGraphMean(2, 0); conn.SetupTime() != want {
 		t.Errorf("2-hop graph setup = %v, want exactly %v", conn.SetupTime(), want)
 	}
 }
@@ -201,7 +201,7 @@ func TestSerialChoreographyPreArmStillSerial(t *testing.T) {
 		PreArm: PreArm{WarmOTsPerNode: 1, WarmSessions: 1},
 	})
 	conn := mustConnect(t, k, c, oneHop)
-	lat := c.Latencies()
+	lat := c.lat
 	// Serial sum minus the skipped EMS session and laser tune (two warm
 	// ends -> no tuning at all).
 	want := lat.WavelengthSetupMean(1, 0) - lat.EMSSession - lat.LaserTune

@@ -28,15 +28,9 @@ type Config struct {
 	Optics optics.Config
 	// Latencies is the EMS latency table (ems.Default if zero).
 	Latencies ems.Latencies
-	// RWA tunes route search.
-	RWA rwa.Options
 	// AutoRepair dispatches a repair crew automatically on every fiber
 	// cut (crew time drawn from Latencies.FiberRepair).
 	AutoRepair bool
-	// AutoRevert re-grooms restored connections back onto their best path
-	// after a repair, via bridge-and-roll (the paper's "reversion
-	// following a failure restoration").
-	AutoRevert bool
 	// FXCClientPorts and FXCLinePorts size each PoP's fiber
 	// cross-connect (defaults 16/16; groom ports always 16).
 	FXCClientPorts int
@@ -153,7 +147,6 @@ type Controller struct {
 
 	correlator *alarms.Correlator
 	autoRepair bool
-	autoRevert bool
 	repairing  map[topo.LinkID]bool
 	// maint marks links being cut by a maintenance window, so the hits they
 	// cause attribute to planned work rather than a plant failure.
@@ -217,10 +210,6 @@ func New(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 	if nLine <= 0 {
 		nLine = 16
 	}
-	rwaOpt := cfg.RWA
-	if rwaOpt.Rand == nil {
-		rwaOpt.Rand = k.Rand()
-	}
 	addDrop := cfg.AddDropPorts
 	if addDrop <= 0 {
 		addDrop = ocfg.OTsPerNode + 2*ocfg.RegensPerNode
@@ -241,7 +230,7 @@ func New(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 		roadms:       roadms,
 		fxcs:         make(map[topo.NodeID]*fxc.Switch),
 		lat:          lat,
-		rwaOpt:       rwaOpt,
+		rwaOpt:       rwa.Options{Rand: k.Rand()},
 		ledger:       inventory.NewLedger(),
 		roadmEMS:     ems.NewManager("roadm-ems", k),
 		otnEMS:       ems.NewManager("otn-ems", k),
@@ -249,7 +238,6 @@ func New(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 		bookings:     make(map[int]*Booking),
 		accessUsed:   make(map[topo.SiteID]bw.Rate),
 		autoRepair:   cfg.AutoRepair,
-		autoRevert:   cfg.AutoRevert,
 		repairing:    make(map[topo.LinkID]bool),
 		maint:        make(map[topo.LinkID]bool),
 		pipeCarrier:  make(map[otn.PipeID]ConnID),
@@ -310,30 +298,11 @@ func New(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Kernel returns the controller's simulation kernel.
-func (c *Controller) Kernel() *sim.Kernel { return c.k }
-
 // Graph returns the topology.
 func (c *Controller) Graph() *topo.Graph { return c.g }
 
 // Plant returns the photonic plant.
 func (c *Controller) Plant() *optics.Plant { return c.plant }
-
-// Fabric returns the OTN overlay.
-func (c *Controller) Fabric() *otn.Fabric { return c.fabric }
-
-// ROADMs returns the ROADM-layer switching state.
-func (c *Controller) ROADMs() *roadm.Layer { return c.roadms }
-
-// ROADMEMS returns the ROADM vendor EMS (exposed for queue inspection and
-// fault injection).
-func (c *Controller) ROADMEMS() *ems.Manager { return c.roadmEMS }
-
-// OTNEMS returns the OTN vendor EMS.
-func (c *Controller) OTNEMS() *ems.Manager { return c.otnEMS }
-
-// Ledger returns the customer ledger (quotas, isolation).
-func (c *Controller) Ledger() *inventory.Ledger { return c.ledger }
 
 // SetQuota installs a customer quota through the controller so the change is
 // journaled. Callers holding the Ledger directly bypass durability.
@@ -371,35 +340,19 @@ func (c *Controller) AllBookings() []*Booking { return c.sortedBookings() }
 // FaultModel returns the EMS fault model (nil when chaos is disabled).
 func (c *Controller) FaultModel() *faults.Model { return c.faultModel }
 
-// Retry returns the retry policy in force.
-func (c *Controller) Retry() RetryPolicy { return c.retry }
-
-// Latencies returns the EMS latency table in force.
-func (c *Controller) Latencies() ems.Latencies { return c.lat }
-
-// FXC returns the fiber cross-connect at a PoP (nil if unknown).
-func (c *Controller) FXC(n topo.NodeID) *fxc.Switch { return c.fxcs[n] }
-
 // Conn returns a connection by ID, or nil.
 func (c *Controller) Conn(id ConnID) *Connection { return c.conns.get(id) }
-
-// Connections returns all connections (including released and internal),
-// sorted by ID. The slice is the controller's own, as of this call: read it,
-// do not write to it.
-func (c *Controller) Connections() []*Connection { return view(c.conns.all) }
 
 // liveConns returns the connections that are not released, sorted by ID. It
 // is a copy: callers change connection states while they iterate.
 func (c *Controller) liveConns() []*Connection { return slices.Clone(c.conns.live) }
 
 // CustomerConnections returns cust's non-internal connections sorted by ID —
-// what the customer GUI shows. Like Connections, it is a read-only view.
+// what the customer GUI shows. The slice is the controller's own, as of this
+// call: read it, do not write to it.
 func (c *Controller) CustomerConnections(cust inventory.Customer) []*Connection {
 	return view(c.conns.byCust[cust])
 }
-
-// Events returns the audit log (oldest first).
-func (c *Controller) Events() []Event { return c.events.since(0) }
 
 // EventsFor returns the audit entries mentioning a connection.
 func (c *Controller) EventsFor(id ConnID) []Event { return c.events.forConn(id) }
@@ -419,12 +372,6 @@ func (c *Controller) log(conn *Connection, kind, format string, args ...any) {
 
 // NowTime returns the controller's kernel clock.
 func (c *Controller) NowTime() sim.Time { return c.k.Now() }
-
-// EventsSince returns audit entries from index cursor on, plus the cursor to
-// resume from — the incremental form of Events for polling clients.
-func (c *Controller) EventsSince(cursor int) ([]Event, int) {
-	return c.events.since(cursor), c.events.len()
-}
 
 func (c *Controller) newConnID() ConnID {
 	var id ConnID
@@ -462,10 +409,6 @@ func (c *Controller) ProbeRoute(a, b topo.NodeID, rate bw.Rate) (rwa.Route, erro
 	opt.Rate = rate
 	return rwa.FindRoute(c.plant, a, b, opt)
 }
-
-// AccessUsed returns the bandwidth currently consumed on a site's access
-// pipe.
-func (c *Controller) AccessUsed(s topo.SiteID) bw.Rate { return c.accessUsed[s] }
 
 // jit applies the configured jitter to a latency table entry.
 func (c *Controller) jit(d sim.Duration) sim.Duration {

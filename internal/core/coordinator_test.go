@@ -110,8 +110,8 @@ func TestCoordinatorShardClaims(t *testing.T) {
 }
 
 // TestCoordinatorConcurrentShards drives two shards' claim/mask/release
-// cycles on disjoint channels of one link from two goroutines, the access
-// pattern DrainParallel produces; run under -race.
+// cycles on disjoint channels of one link from two goroutines: the broker is
+// safe for shards on goroutines of their own. Run under -race.
 func TestCoordinatorConcurrentShards(t *testing.T) {
 	co := NewCoordinator(80)
 	var wg sync.WaitGroup

@@ -62,10 +62,10 @@ func TestPipeBuildFailsWhenNoSpectrum(t *testing.T) {
 	if conn.State != StateReleased {
 		t.Errorf("state = %v", conn.State)
 	}
-	if c.AccessUsed("DC-A") != 0 {
+	if c.accessUsed["DC-A"] != 0 {
 		t.Error("access leaked")
 	}
-	if u := c.Ledger().UsageOf("x"); u.Connections != 0 {
+	if u := c.ledger.UsageOf("x"); u.Connections != 0 {
 		t.Errorf("ledger leaked: %+v", u)
 	}
 }
@@ -91,13 +91,13 @@ func TestProbeRouteIsPure(t *testing.T) {
 
 func TestAccessorsAndStrings(t *testing.T) {
 	k, c := newTestbed(t, 143)
-	if c.Kernel() != k {
+	if c.k != k {
 		t.Error("Kernel accessor")
 	}
-	if c.Latencies().LaserTune == 0 {
+	if c.lat.LaserTune == 0 {
 		t.Error("Latencies accessor")
 	}
-	if c.OTNEMS() == nil || c.ROADMEMS() == nil {
+	if c.otnEMS == nil || c.roadmEMS == nil {
 		t.Error("EMS accessors")
 	}
 	conn := mustConnect(t, k, c, Request{Customer: "x", From: "DC-A", To: "DC-B", Rate: bw.Rate1G})
@@ -194,7 +194,7 @@ func TestDisconnectDuringRestoration(t *testing.T) {
 	}
 	total := 0
 	for _, n := range c.Graph().Nodes() {
-		total += c.ROADMs().Node(n.ID).AddDropUsed()
+		total += c.roadms.Node(n.ID).AddDropUsed()
 	}
 	if total != 0 {
 		t.Errorf("ROADM state leaked: %d", total)

@@ -66,7 +66,7 @@ func TestDefragmentSpectrum(t *testing.T) {
 	// ROADM state moved with the channel.
 	ch := conn.Channels()[0]
 	link := conn.Route().Links[0]
-	if owner := c.ROADMs().Node(conn.Route().Src()).OwnerAt(ch, link); owner == "" {
+	if !terminatedAt(c.roadms.Node(conn.Route().Src()), ch, link) {
 		t.Error("ROADM termination not re-pointed to the new channel")
 	}
 	// A second sweep is a no-op.

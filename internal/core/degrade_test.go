@@ -37,7 +37,7 @@ func TestSetupDegradesToGroomedCircuit(t *testing.T) {
 		t.Fatal(pj.Err())
 	}
 
-	c.ROADMEMS().InjectFailures(1000, &faults.Error{
+	c.roadmEMS.InjectFailures(1000, &faults.Error{
 		EMS: "roadm-ems", Cmd: "add-drop", Class: faults.Persistent, Reason: "config-rejected",
 	})
 	conn := mustConnect(t, k, c, Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate10G})
@@ -89,7 +89,7 @@ func TestSetupDegradesWhenNoWavelengthAvailable(t *testing.T) {
 // route fallback and the request fails cleanly.
 func TestNoDegradeWithoutOptIn(t *testing.T) {
 	k, c := newTestbed(t, 403)
-	c.ROADMEMS().InjectFailures(1000, &faults.Error{
+	c.roadmEMS.InjectFailures(1000, &faults.Error{
 		EMS: "roadm-ems", Cmd: "add-drop", Class: faults.Persistent, Reason: "config-rejected",
 	})
 	conn, job, err := c.Connect(Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate10G})
@@ -121,7 +121,7 @@ func TestNoDegradeFor40G(t *testing.T) {
 	if pj.Err() != nil {
 		t.Fatal(pj.Err())
 	}
-	c.ROADMEMS().InjectFailures(1000, &faults.Error{
+	c.roadmEMS.InjectFailures(1000, &faults.Error{
 		EMS: "roadm-ems", Cmd: "add-drop", Class: faults.Persistent, Reason: "config-rejected",
 	})
 	conn, job, err := c.Connect(Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate40G})

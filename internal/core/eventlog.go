@@ -84,19 +84,6 @@ func (l *eventLog) at(i int) Event {
 	return e
 }
 
-// since returns entries from index cursor on (clamped to the log).
-func (l *eventLog) since(cursor int) []Event {
-	cursor = max(0, min(cursor, l.n))
-	if cursor == l.n {
-		return nil
-	}
-	out := make([]Event, 0, l.n-cursor)
-	for i := cursor; i < l.n; i++ {
-		out = append(out, l.at(i))
-	}
-	return out
-}
-
 // forConn returns the entries mentioning a connection.
 func (l *eventLog) forConn(id ConnID) []Event {
 	var out []Event

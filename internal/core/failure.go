@@ -302,23 +302,7 @@ func (c *Controller) RepairFiber(link topo.LinkID) error {
 		}
 	}
 
-	if c.autoRevert {
-		// Reversion: restored connections sitting on detour paths move
-		// back to the best route via bridge-and-roll (paper §2.2).
-		for _, conn := range c.liveConns() {
-			if conn.Layer != LayerDWDM || conn.State != StateActive || conn.Protect != Restore {
-				continue
-			}
-			if conn.Restorations == 0 && conn.Rolls == 0 {
-				continue // never moved; nothing to revert
-			}
-			if moved, _, err := c.regroom(conn); err == nil && moved {
-				c.log(conn, "revert", "moving back after repair of %s", link)
-			}
-		}
-	}
-	// One commit for the synchronous revival sweep (reversion rolls commit on
-	// their own schedule as their bridge-and-roll events resolve).
+	// One commit for the synchronous revival sweep.
 	c.journalCommit(commitSet{reason: "repair", conns: c.conns.live, pipes: c.fabric.Pipes(), links: true})
 	return nil
 }

@@ -261,7 +261,7 @@ func TestMultipleConnectionsRestoredAfterOneCut(t *testing.T) {
 	}
 	// One correlation batch served all alarms.
 	found := false
-	for _, e := range c.Events() {
+	for _, e := range logged(&c.events) {
 		if e.Kind == "localized" {
 			found = true
 			if !contains(e.Text, "SEA-CHI") {

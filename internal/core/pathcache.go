@@ -102,12 +102,3 @@ func (c *Controller) pcacheStore(key pathKey, route rwa.Route) {
 	}
 	c.pcache.entries[key] = pathEntry{path: route.Path, plan: route.Plan}
 }
-
-// PathCacheSize returns the number of cached routes (0 when the cache is
-// disabled). Exposed for tests and the experiments harness.
-func (c *Controller) PathCacheSize() int {
-	if c.pcache == nil {
-		return 0
-	}
-	return len(c.pcache.entries)
-}

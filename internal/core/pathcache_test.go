@@ -33,8 +33,8 @@ func TestPathCacheHitSkipsSearchAndCutsOverhead(t *testing.T) {
 	if got := metricValue(t, c, "griphon_pathcache_lookups_total", `result="miss"`); got != 1 {
 		t.Fatalf("misses after first setup = %v, want 1", got)
 	}
-	if c.PathCacheSize() != 1 {
-		t.Fatalf("cache size = %d, want 1", c.PathCacheSize())
+	if len(c.pcache.entries) != 1 {
+		t.Fatalf("cache size = %d, want 1", len(c.pcache.entries))
 	}
 
 	second := mustConnect(t, k, c, oneHop)
@@ -46,7 +46,7 @@ func TestPathCacheHitSkipsSearchAndCutsOverhead(t *testing.T) {
 	}
 	// A hit pays the reduced cached controller overhead instead of the full
 	// path-computation overhead.
-	lat := c.Latencies()
+	lat := c.lat
 	want := first.SetupTime() - lat.ControllerOverhead + lat.ControllerOverheadCached
 	if second.SetupTime() != want {
 		t.Errorf("cache-hit setup = %v, want %v", second.SetupTime(), want)
@@ -57,16 +57,16 @@ func TestPathCacheHitSkipsSearchAndCutsOverhead(t *testing.T) {
 func TestPathCacheInvalidatedOnCutAndRepair(t *testing.T) {
 	k, c := newCacheTestbed(t, 1, Config{})
 	connectAndRelease(t, k, c, oneHop)
-	if c.PathCacheSize() != 1 {
-		t.Fatalf("cache size = %d, want 1", c.PathCacheSize())
+	if len(c.pcache.entries) != 1 {
+		t.Fatalf("cache size = %d, want 1", len(c.pcache.entries))
 	}
 
 	if err := c.CutFiber("I-IV"); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
-	if c.PathCacheSize() != 0 {
-		t.Errorf("cache size after cut = %d, want 0 (flushed)", c.PathCacheSize())
+	if len(c.pcache.entries) != 0 {
+		t.Errorf("cache size after cut = %d, want 0 (flushed)", len(c.pcache.entries))
 	}
 	if got := metricValue(t, c, "griphon_pathcache_invalidations_total", ""); got != 1 {
 		t.Errorf("invalidations = %v, want 1", got)
@@ -78,8 +78,8 @@ func TestPathCacheInvalidatedOnCutAndRepair(t *testing.T) {
 	if r := detour.Route().String(); r == "I-IV" {
 		t.Fatalf("route = %s uses the cut fiber", r)
 	}
-	if c.PathCacheSize() != 1 {
-		t.Fatalf("cache size after detour = %d, want 1", c.PathCacheSize())
+	if len(c.pcache.entries) != 1 {
+		t.Fatalf("cache size after detour = %d, want 1", len(c.pcache.entries))
 	}
 
 	// Repair flushes again: the cached detour is stale once the short path
@@ -88,8 +88,8 @@ func TestPathCacheInvalidatedOnCutAndRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Run()
-	if c.PathCacheSize() != 0 {
-		t.Errorf("cache size after repair = %d, want 0 (restores invalidate too)", c.PathCacheSize())
+	if len(c.pcache.entries) != 0 {
+		t.Errorf("cache size after repair = %d, want 0 (restores invalidate too)", len(c.pcache.entries))
 	}
 	back := mustConnect(t, k, c, oneHop)
 	if back.Route().String() != "I-IV" {
@@ -101,8 +101,8 @@ func TestPathCacheInvalidatedOnCutAndRepair(t *testing.T) {
 func TestPathCacheInvalidatedOnTopologyMutation(t *testing.T) {
 	k, c := newCacheTestbed(t, 1, Config{})
 	connectAndRelease(t, k, c, oneHop)
-	if c.PathCacheSize() != 1 {
-		t.Fatalf("cache size = %d, want 1", c.PathCacheSize())
+	if len(c.pcache.entries) != 1 {
+		t.Fatalf("cache size = %d, want 1", len(c.pcache.entries))
 	}
 
 	// Growing the fiber plant bumps the topology version; the next lookup
@@ -245,8 +245,8 @@ func TestPathCacheKeyedByProtection(t *testing.T) {
 	connectAndRelease(t, k, c, prot)
 	// The 1+1 primary is cache-eligible (protect leg is not: it carries an
 	// avoid set), so two entries coexist.
-	if c.PathCacheSize() != 2 {
-		t.Errorf("cache size = %d, want 2 (keyed by protection)", c.PathCacheSize())
+	if len(c.pcache.entries) != 2 {
+		t.Errorf("cache size = %d, want 2 (keyed by protection)", len(c.pcache.entries))
 	}
 	auditClean(t, c)
 }

@@ -97,7 +97,7 @@ func runJournaledOps(t *testing.T, k *sim.Kernel, c *Controller, steps int) {
 			if a == b {
 				break
 			}
-			at := c.Kernel().Now().Add(time.Duration(rng.Intn(60)) * time.Minute)
+			at := c.k.Now().Add(time.Duration(rng.Intn(60)) * time.Minute)
 			hold := time.Duration(1+rng.Intn(120)) * time.Minute
 			rate := rates[rng.Intn(len(rates))]
 			if rng.Intn(4) == 0 {

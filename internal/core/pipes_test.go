@@ -54,8 +54,8 @@ func TestSecondCircuitGroomsIntoExistingPipe(t *testing.T) {
 	second := mustConnect(t, k, c, Request{Customer: "x", From: "DC-A", To: "DC-B", Rate: bw.Rate2G5})
 
 	// Grooming: both circuits share the single pipe.
-	if len(c.Fabric().Pipes()) != 1 {
-		t.Fatalf("pipes = %d, want 1 (groomed)", len(c.Fabric().Pipes()))
+	if len(c.fabric.Pipes()) != 1 {
+		t.Fatalf("pipes = %d, want 1 (groomed)", len(c.fabric.Pipes()))
 	}
 	if second.pipes[0] != first.pipes[0] {
 		t.Error("second circuit not groomed into the same pipe")
@@ -136,8 +136,8 @@ func TestCompositeFailureUnwindsSiblings(t *testing.T) {
 	if s.OTsInUse != 0 || s.ChannelsInUse != 0 {
 		t.Errorf("composite failure leaked: %+v", s)
 	}
-	if c.AccessUsed("DC-A") != 0 {
-		t.Errorf("access leaked: %v", c.AccessUsed("DC-A"))
+	if c.accessUsed["DC-A"] != 0 {
+		t.Errorf("access leaked: %v", c.accessUsed["DC-A"])
 	}
 }
 
@@ -151,7 +151,7 @@ func TestEnsurePipe(t *testing.T) {
 	if job.Err() != nil {
 		t.Fatal(job.Err())
 	}
-	pipes := c.Fabric().Pipes()
+	pipes := c.fabric.Pipes()
 	if len(pipes) != 1 || pipes[0].TotalSlots() != 32 {
 		t.Fatalf("pipes = %v", pipes)
 	}
@@ -230,7 +230,7 @@ func TestCircuitTeardownFreesSlots(t *testing.T) {
 		t.Errorf("circuit teardown = %v", job.Elapsed())
 	}
 	// The pipe itself survives for future circuits.
-	if len(c.Fabric().Pipes()) != 1 {
+	if len(c.fabric.Pipes()) != 1 {
 		t.Error("pipe retired with the circuit")
 	}
 }

@@ -134,20 +134,3 @@ func (c *Controller) rearmOT(n topo.NodeID) {
 		}
 	})
 }
-
-// WarmSessions returns the current warm-session pool level (0 when
-// pre-arming is disabled). Exposed for tests.
-func (c *Controller) WarmSessions() int {
-	if c.prearm == nil {
-		return 0
-	}
-	return c.prearm.sessions
-}
-
-// WarmOTs returns the current warm-transponder pool level at a PoP.
-func (c *Controller) WarmOTs(n topo.NodeID) int {
-	if c.prearm == nil {
-		return 0
-	}
-	return c.prearm.warmOTs[n]
-}

@@ -34,7 +34,7 @@ func auditClean(t *testing.T, c *Controller) {
 // comes up on its original path.
 func TestSetupRetriesTransientFailure(t *testing.T) {
 	k, c := newTestbed(t, 301)
-	c.ROADMEMS().InjectFailures(1, &faults.Error{
+	c.roadmEMS.InjectFailures(1, &faults.Error{
 		EMS: "roadm-ems", Cmd: "ems-session", Class: faults.Transient, Reason: "vendor-timeout",
 	})
 	conn := mustConnect(t, k, c, Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate10G})
@@ -55,7 +55,7 @@ func TestSetupRetriesTransientFailure(t *testing.T) {
 // the request.
 func TestPersistentFaultFallsBackToAlternateRoute(t *testing.T) {
 	k, c := newTestbed(t, 302)
-	c.ROADMEMS().InjectFailures(1, &faults.Error{
+	c.roadmEMS.InjectFailures(1, &faults.Error{
 		EMS: "roadm-ems", Cmd: "add-drop", Class: faults.Persistent, Reason: "config-rejected",
 	})
 	conn := mustConnect(t, k, c, Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate10G})
@@ -77,7 +77,7 @@ func TestPersistentFaultFallsBackToAlternateRoute(t *testing.T) {
 // degradation is off, the request fails cleanly with nothing leaked.
 func TestPersistentFaultsExhaustAllRoutes(t *testing.T) {
 	k, c := newTestbed(t, 303)
-	c.ROADMEMS().InjectFailures(1000, &faults.Error{
+	c.roadmEMS.InjectFailures(1000, &faults.Error{
 		EMS: "roadm-ems", Cmd: "add-drop", Class: faults.Persistent, Reason: "config-rejected",
 	})
 	_, job, err := c.Connect(Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate10G})
@@ -102,7 +102,7 @@ func TestPersistentFaultsExhaustAllRoutes(t *testing.T) {
 // walks the ladder like any other fault.
 func TestTransientFaultsExhaustRetryBudget(t *testing.T) {
 	k, c := newTestbed(t, 304)
-	c.ROADMEMS().InjectFailures(1000, &faults.Error{
+	c.roadmEMS.InjectFailures(1000, &faults.Error{
 		EMS: "roadm-ems", Cmd: "ems-session", Class: faults.Transient, Reason: "vendor-timeout",
 	})
 	conn, job, err := c.Connect(Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate10G})
@@ -119,7 +119,7 @@ func TestTransientFaultsExhaustRetryBudget(t *testing.T) {
 	// Each failing ROADM step burns MaxAttempts-1 retries; the initial path
 	// plus the single link-disjoint alternate each hit one failing step
 	// (cumulative avoidance leaves no third candidate).
-	want := float64((c.Retry().MaxAttempts - 1) * 2)
+	want := float64((c.retry.MaxAttempts - 1) * 2)
 	if got := metricValue(t, c, "griphon_ems_retries_total", ""); got != want {
 		t.Errorf("retries = %v, want %v", got, want)
 	}
@@ -133,7 +133,7 @@ func TestTransientFaultsExhaustRetryBudget(t *testing.T) {
 // walked straight back onto the already-poisoned direct path.
 func TestRerouteAvoidAccumulates(t *testing.T) {
 	k, c := newTestbed(t, 305)
-	c.ROADMEMS().InjectFailures(1000, &faults.Error{
+	c.roadmEMS.InjectFailures(1000, &faults.Error{
 		EMS: "roadm-ems", Cmd: "add-drop", Class: faults.Persistent, Reason: "config-rejected",
 	})
 	_, job, err := c.Connect(Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate10G})
@@ -147,7 +147,7 @@ func TestRerouteAvoidAccumulates(t *testing.T) {
 	// Every attempted path shows up as one setup-fallback event; with
 	// cumulative avoidance no path can be attempted twice.
 	seen := map[string]int{}
-	for _, e := range c.Events() {
+	for _, e := range logged(&c.events) {
 		if e.Kind == "setup-fallback" {
 			seen[e.Text]++
 		}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"griphon/internal/bw"
+	"griphon/internal/optics"
+	"griphon/internal/roadm"
 	"griphon/internal/sim"
 	"griphon/internal/topo"
 )
@@ -13,20 +16,20 @@ func TestROADMStateTracksLightpaths(t *testing.T) {
 	conn := mustConnect(t, k, c, Request{Customer: "x", From: "DC-A", To: "DC-B", Rate: bw.Rate10G})
 	// DC-A home I, DC-B home III: route I-III (1 hop): terminations at
 	// both ends, no expresses.
-	if got := c.ROADMs().Node("I").AddDropUsed(); got != 1 {
+	if got := c.roadms.Node("I").AddDropUsed(); got != 1 {
 		t.Errorf("I add/drop used = %d", got)
 	}
-	if got := c.ROADMs().Node("III").AddDropUsed(); got != 1 {
+	if got := c.roadms.Node("III").AddDropUsed(); got != 1 {
 		t.Errorf("III add/drop used = %d", got)
 	}
 	ch := conn.Channels()[0]
 	link := conn.Route().Links[0]
-	if owner := c.ROADMs().Node("I").OwnerAt(ch, link); owner == "" {
+	if !terminatedAt(c.roadms.Node("I"), ch, link) {
 		t.Error("no termination owner at I")
 	}
 	c.Disconnect("x", conn.ID)
 	k.Run()
-	if c.ROADMs().Node("I").AddDropUsed() != 0 || c.ROADMs().Node("III").AddDropUsed() != 0 {
+	if c.roadms.Node("I").AddDropUsed() != 0 || c.roadms.Node("III").AddDropUsed() != 0 {
 		t.Error("ROADM state leaked after disconnect")
 	}
 }
@@ -40,13 +43,13 @@ func TestROADMExpressOnMultiHop(t *testing.T) {
 		t.Fatalf("route = %s", conn.Route())
 	}
 	ch := conn.Channels()[0]
-	if got := c.ROADMs().Node("II").ExpressedBy(ch, "I-II", "II-III"); got == "" {
+	if !expressedAt(c.roadms.Node("II"), ch, "I-II", "II-III") {
 		t.Error("no express at II")
 	}
-	if got := c.ROADMs().Node("III").ExpressedBy(ch, "II-III", "III-IV"); got == "" {
+	if !expressedAt(c.roadms.Node("III"), ch, "II-III", "III-IV") {
 		t.Error("no express at III")
 	}
-	if c.ROADMs().Node("II").AddDropUsed() != 0 {
+	if c.roadms.Node("II").AddDropUsed() != 0 {
 		t.Error("express consumed add/drop at II")
 	}
 }
@@ -64,7 +67,7 @@ func TestAddDropExhaustionBlocks(t *testing.T) {
 		t.Error("connect beyond the add/drop bank accepted")
 	}
 	// Failure must not leak partial ROADM state.
-	if used := c.ROADMs().Node("I").AddDropUsed(); used != 1 {
+	if used := c.roadms.Node("I").AddDropUsed(); used != 1 {
 		t.Errorf("I add/drop used = %d after blocked request", used)
 	}
 	s := c.Snapshot()
@@ -90,12 +93,12 @@ func TestRegenUsesTwoSegmentTerminations(t *testing.T) {
 	}
 	rn := conn.path.regens[0].Node
 	// The regen node terminates both adjacent segments: two ports.
-	if got := c.ROADMs().Node(rn).AddDropUsed(); got != 2 {
+	if got := c.roadms.Node(rn).AddDropUsed(); got != 2 {
 		t.Errorf("regen node %s add/drop used = %d, want 2", rn, got)
 	}
 	c.Disconnect("x", conn.ID)
 	k.Run()
-	if got := c.ROADMs().Node(rn).AddDropUsed(); got != 0 {
+	if got := c.roadms.Node(rn).AddDropUsed(); got != 0 {
 		t.Errorf("regen node state leaked: %d", got)
 	}
 }
@@ -116,9 +119,24 @@ func TestBridgeAndRollReleasesOldROADMState(t *testing.T) {
 	// the one live path).
 	total := 0
 	for _, n := range c.Graph().Nodes() {
-		total += c.ROADMs().Node(n.ID).AddDropUsed()
+		total += c.roadms.Node(n.ID).AddDropUsed()
 	}
 	if total != 2 {
 		t.Errorf("layer-wide add/drop used = %d, want 2 after roll off %s", total, oldRoute)
 	}
+}
+
+// terminatedAt reports whether n terminates ch on deg: a second termination
+// of it is refused as one. A probe that succeeds leaves state behind, so call
+// it where the test ends on a false result.
+func terminatedAt(n *roadm.Node, ch optics.Channel, deg topo.LinkID) bool {
+	err := n.Terminate(ch, deg, "probe")
+	return err != nil && strings.Contains(err.Error(), "already terminated")
+}
+
+// expressedAt reports whether n expresses ch between degrees a and b, the
+// way terminatedAt probes a termination.
+func expressedAt(n *roadm.Node, ch optics.Channel, a, b topo.LinkID) bool {
+	err := n.Express(ch, a, b, "probe")
+	return err != nil && strings.Contains(err.Error(), "already expressed")
 }

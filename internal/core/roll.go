@@ -206,7 +206,7 @@ func (c *Controller) regroom(conn *Connection) (bool, *sim.Job, error) {
 	if err != nil {
 		return false, c.k.CompletedJob(nil), nil // no disjoint path: nothing to do
 	}
-	m := c.rwaOpt.Metric
+	m := rwa.ByHops
 	curW := rwa.PathWeight(c.g, old.route.Path, m)
 	newW := rwa.PathWeight(c.g, cand.Path, m)
 	if newW >= curW {

@@ -26,7 +26,7 @@ func TestBridgeAndRollNearHitless(t *testing.T) {
 	if conn.Route().Equal(oldRoute) {
 		t.Error("route unchanged after roll")
 	}
-	if !conn.Route().LinkDisjoint(oldRoute) {
+	if !linkDisjoint(conn.Route(), oldRoute) {
 		t.Errorf("new route %s shares links with old %s (paper requires disjoint)", conn.Route(), oldRoute)
 	}
 	if conn.Rolls != 1 {

@@ -141,37 +141,8 @@ func TestScheduleConnectBlockedWindow(t *testing.T) {
 	}
 }
 
-func TestAutoRevertAfterRepair(t *testing.T) {
-	k := sim.NewKernel(84)
-	c, err := New(k, topo.Testbed(), Config{AutoRevert: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn := mustConnect(t, k, c, Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate10G})
-	if conn.Route().String() != "I-IV" {
-		t.Fatalf("route = %s", conn.Route())
-	}
-	c.CutFiber("I-IV")
-	k.Run()
-	if conn.Route().String() == "I-IV" || conn.Restorations != 1 {
-		t.Fatalf("restoration missing: route=%s restores=%d", conn.Route(), conn.Restorations)
-	}
-	// Repair: auto-revert moves it back almost hitlessly.
-	outageBefore := conn.TotalOutage
-	c.RepairFiber("I-IV")
-	k.Run()
-	if conn.Route().String() != "I-IV" {
-		t.Errorf("route after repair = %s, want reverted to I-IV", conn.Route())
-	}
-	if conn.Rolls != 1 {
-		t.Errorf("rolls = %d, want 1 (the reversion)", conn.Rolls)
-	}
-	hit := conn.TotalOutage - outageBefore
-	if hit > 100*time.Millisecond {
-		t.Errorf("reversion hit = %v", hit)
-	}
-}
-
+// TestNoAutoRevertByDefault: a repair revives a restored connection where it
+// is; moving it back to its best path is Regroom's, on request.
 func TestNoAutoRevertByDefault(t *testing.T) {
 	k, c := newTestbed(t, 85)
 	conn := mustConnect(t, k, c, Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate10G})
@@ -181,14 +152,14 @@ func TestNoAutoRevertByDefault(t *testing.T) {
 	c.RepairFiber("I-IV")
 	k.Run()
 	if conn.Route().String() != restored {
-		t.Errorf("route moved without AutoRevert: %s -> %s", restored, conn.Route())
+		t.Errorf("route moved on repair: %s -> %s", restored, conn.Route())
 	}
 }
 
 func TestEMSFailureUnwindsSetup(t *testing.T) {
 	k, c := newTestbed(t, 86)
 	boom := errors.New("vendor EMS timeout")
-	c.ROADMEMS().InjectFailures(1, boom)
+	c.roadmEMS.InjectFailures(1, boom)
 	conn, job, err := c.Connect(Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate10G})
 	if err != nil {
 		t.Fatal(err)
@@ -204,16 +175,16 @@ func TestEMSFailureUnwindsSetup(t *testing.T) {
 	if s.ChannelsInUse != 0 || s.OTsInUse != 0 {
 		t.Errorf("EMS failure leaked resources: %+v", s)
 	}
-	if c.AccessUsed("DC-A") != 0 {
+	if c.accessUsed["DC-A"] != 0 {
 		t.Error("access leaked")
 	}
-	if u := c.Ledger().UsageOf("x"); u.Connections != 0 {
+	if u := c.ledger.UsageOf("x"); u.Connections != 0 {
 		t.Errorf("ledger leaked: %+v", u)
 	}
 	// ROADM layer clean too.
 	total := 0
 	for _, n := range c.Graph().Nodes() {
-		total += c.ROADMs().Node(n.ID).AddDropUsed()
+		total += c.roadms.Node(n.ID).AddDropUsed()
 	}
 	if total != 0 {
 		t.Errorf("ROADM state leaked: %d terminations", total)
@@ -227,13 +198,13 @@ func TestEMSFailureDuringRestorationLeavesConnDown(t *testing.T) {
 	conn := mustConnect(t, k, c, Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate10G})
 	// Fail the restoration's EMS batch.
 	c.CutFiber(conn.Route().Links[0])
-	c.ROADMEMS().InjectFailures(20, errors.New("EMS down"))
+	c.roadmEMS.InjectFailures(20, errors.New("EMS down"))
 	k.Run()
 	if conn.State != StateDown {
 		t.Fatalf("state = %v, want down after failed restoration", conn.State)
 	}
 	// Repair revives it on the original path.
-	c.ROADMEMS().InjectFailures(0, nil)
+	c.roadmEMS.InjectFailures(0, nil)
 	c.RepairFiber(conn.Route().Links[0])
 	k.Run()
 	if conn.State != StateActive {

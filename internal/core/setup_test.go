@@ -11,6 +11,15 @@ import (
 	"griphon/internal/topo"
 )
 
+// logged materialises an audit log, oldest first.
+func logged(l *eventLog) []Event {
+	out := make([]Event, l.len())
+	for i := range out {
+		out[i] = l.at(i)
+	}
+	return out
+}
+
 func newTestbed(t *testing.T, seed int64) (*sim.Kernel, *Controller) {
 	t.Helper()
 	k := sim.NewKernel(seed)
@@ -77,7 +86,7 @@ func TestConnectWavelengthSetupTime(t *testing.T) {
 		t.Error("OTs not allocated at both ends")
 	}
 	// FXC client/line pair connected at both ends.
-	if c.FXC("I").Connections() != 1 || c.FXC("IV").Connections() != 1 {
+	if len(c.fxcs["I"].Owners()) != 1 || len(c.fxcs["IV"].Owners()) != 1 {
 		t.Error("FXC cross-connects missing")
 	}
 }
@@ -128,13 +137,13 @@ func TestDisconnectReleasesEverything(t *testing.T) {
 	if s.ChannelsInUse != 0 || s.OTsInUse != 0 {
 		t.Errorf("leaked resources: %+v", s)
 	}
-	if c.FXC("I").Connections() != 0 || c.FXC("III").Connections() != 0 {
+	if len(c.fxcs["I"].Owners()) != 0 || len(c.fxcs["III"].Owners()) != 0 {
 		t.Error("FXC ports leaked")
 	}
-	if c.AccessUsed("DC-A") != 0 || c.AccessUsed("DC-B") != 0 {
+	if c.accessUsed["DC-A"] != 0 || c.accessUsed["DC-B"] != 0 {
 		t.Error("access capacity leaked")
 	}
-	if u := c.Ledger().UsageOf("csp1"); u.Connections != 0 || u.Bandwidth != 0 {
+	if u := c.ledger.UsageOf("csp1"); u.Connections != 0 || u.Bandwidth != 0 {
 		t.Errorf("ledger leaked: %+v", u)
 	}
 }
@@ -179,10 +188,10 @@ func TestConnectValidation(t *testing.T) {
 		}
 	}
 	// Nothing may leak from rejected requests.
-	if u := c.Ledger().UsageOf("x"); u.Connections != 0 || u.Bandwidth != 0 {
+	if u := c.ledger.UsageOf("x"); u.Connections != 0 || u.Bandwidth != 0 {
 		t.Errorf("rejected requests leaked ledger usage: %+v", u)
 	}
-	if c.AccessUsed("DC-A") != 0 {
+	if c.accessUsed["DC-A"] != 0 {
 		t.Error("rejected requests leaked access capacity")
 	}
 }
@@ -233,7 +242,7 @@ func TestPlaceRate(t *testing.T) {
 
 func TestQuotaEnforcedAtConnect(t *testing.T) {
 	k, c := newTestbed(t, 5)
-	c.Ledger().SetQuota("csp1", inventory.Quota{MaxConnections: 1})
+	c.ledger.SetQuota("csp1", inventory.Quota{MaxConnections: 1})
 	mustConnect(t, k, c, Request{Customer: "csp1", From: "DC-A", To: "DC-B", Rate: bw.Rate10G})
 	if _, _, err := c.Connect(Request{Customer: "csp1", From: "DC-A", To: "DC-C", Rate: bw.Rate10G}); !errors.Is(err, inventory.ErrQuota) {
 		t.Errorf("second connect err = %v, want quota error", err)
@@ -248,10 +257,10 @@ func TestAccessPipeExhaustion(t *testing.T) {
 		t.Error("connect over a full access pipe accepted")
 	}
 	// The uninvolved site's pipe is untouched.
-	if used := c.AccessUsed("DC-C"); used != 0 {
+	if used := c.accessUsed["DC-C"]; used != 0 {
 		t.Errorf("DC-C access used = %v, want 0", used)
 	}
-	if used := c.AccessUsed("DC-A"); used != bw.Rate40G {
+	if used := c.accessUsed["DC-A"]; used != bw.Rate40G {
 		t.Errorf("DC-A access used = %v, want 40G", used)
 	}
 }
@@ -285,7 +294,7 @@ func TestConnectOnePlusOneReservesDisjointPair(t *testing.T) {
 	if conn.protect == nil {
 		t.Fatal("no protect leg")
 	}
-	if !conn.path.route.Path.LinkDisjoint(conn.protect.route.Path) {
+	if !linkDisjoint(conn.path.route.Path, conn.protect.route.Path) {
 		t.Errorf("legs not disjoint: %s / %s", conn.path.route.Path, conn.protect.route.Path)
 	}
 	// 1+1 burns two OT pairs: that is its cost (paper Table 1).
@@ -340,7 +349,7 @@ func TestEventsLog(t *testing.T) {
 	if evs[0].Kind != "request" || evs[len(evs)-1].Kind != "active" {
 		t.Errorf("event kinds = %v", evs)
 	}
-	if len(c.Events()) < len(evs) {
+	if len(logged(&c.events)) < len(evs) {
 		t.Error("global log shorter than per-conn log")
 	}
 }
@@ -404,4 +413,14 @@ func TestBackboneLongHaulUsesRegens(t *testing.T) {
 	if c.Snapshot().RegensInUse != 0 {
 		t.Error("regens leaked")
 	}
+}
+
+// linkDisjoint reports whether p and q share no link.
+func linkDisjoint(p, q topo.Path) bool {
+	for _, l := range q.Links {
+		if p.HasLink(l) {
+			return false
+		}
+	}
+	return true
 }

@@ -9,15 +9,10 @@ package core
 // for every shard count: a one-shard set routes, merges, reports and renders
 // through the same code with N = 1, and differs in formatting only (ShardSet).
 //
-// Two drive modes:
-//
-//   - Lockstep (Step/Await/Advance/Drain): the globally earliest pending
-//     event executes next, ties broken by shard index. Fully deterministic —
-//     the mode every test and the serial facade use.
-//
-//   - Parallel (DrainParallel): one goroutine per shard. Shard clocks
-//     advance independently; cross-shard effects serialize only on the
-//     coordinator's mutex.
+// One drive mode, lockstep (Step/Await/Advance/Drain): the globally earliest
+// pending event executes next, ties broken by shard index, so a set is as
+// deterministic as one kernel. Shards partition state and journals (recovery,
+// isolation, audit scope), not CPU.
 //
 // Shard ownership rules: connections, bookings, quotas, SLA ledgers, alarm
 // streams and billing are wholly owned by the customer's shard. Fiber state
@@ -92,7 +87,8 @@ type ShardSet struct {
 	reg *obs.Registry
 
 	// mu guards the merged logs, which observers append to from whichever
-	// shard (and, under parallel drive, whichever goroutine) produced them.
+	// shard produced them. Lockstep drive appends from one goroutine at a
+	// time; the lock is what lets a reader on another goroutine see them.
 	mu sync.Mutex
 	// runs is the merged audit log's order, nEvents its length. The entries
 	// stay in their shards' own logs; read them between drives, like those.
@@ -130,7 +126,7 @@ func NewShardSet(g *topo.Graph, cfg ShardSetConfig) (*ShardSet, error) {
 		gi := g
 		if i > 0 {
 			// Each shard clones the topology: Graph.Index lazily builds a
-			// compiled cache, which would race under parallel drive.
+			// compiled cache, so shards share no mutable graph state.
 			gi = g.Clone()
 		}
 		ccfg := cfg.Core
@@ -299,30 +295,8 @@ func (s *ShardSet) Drain() {
 	}
 }
 
-// DrainParallel drains every shard concurrently, one goroutine per shard.
-// Determinism is traded for wall-clock scaling: shard clocks advance
-// independently and merged-log order follows goroutine scheduling.
-//
-// Known limitation: two shards' setups can read the coordinator's
-// foreign-channel mask, pick the same wavelength, and the loser's claim then
-// fails its whole setup ("cross-shard spectrum conflict") instead of trying
-// the next channel. Lockstep drive, the only mode griphond uses, cannot
-// interleave there; the fix belongs to ROADMAP "Make sharding pay in
-// wall-clock" (lock per shard). TestShardSetBookingCycles pins both sides.
-func (s *ShardSet) DrainParallel() {
-	var wg sync.WaitGroup
-	for _, sh := range s.shards {
-		wg.Add(1)
-		go func(sh *Shard) {
-			defer wg.Done()
-			sh.Kernel.Run()
-		}(sh)
-	}
-	wg.Wait()
-}
-
-// Events returns the operator's merged audit log: arrival order across shards
-// under lockstep drive (deterministic), goroutine order under parallel drive.
+// Events returns the operator's merged audit log in arrival order across
+// shards, which lockstep drive makes deterministic.
 func (s *ShardSet) Events() []Event {
 	evs, _ := s.EventsSince(0)
 	return evs

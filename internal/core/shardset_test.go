@@ -288,33 +288,6 @@ func TestShardSetLockstepDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardSetParallelDrain: the goroutine-per-shard drive mode reaches the
-// same steady state (all setups active, audits clean) as lockstep.
-func TestShardSetParallelDrain(t *testing.T) {
-	s := newShardSet(t, 4, ShardSetConfig{})
-	custs := customersByShard(t, s, 2)
-	var conns []*Connection
-	for _, cc := range custs {
-		for _, cust := range cc {
-			c := s.For(inventory.Customer(cust))
-			conn, _, err := c.Connect(Request{
-				Customer: inventory.Customer(cust), From: "DC-A", To: "DC-C", Rate: bw.Rate10G,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			conns = append(conns, conn)
-		}
-	}
-	s.DrainParallel()
-	for _, conn := range conns {
-		if conn.State != StateActive {
-			t.Errorf("connection %s state = %v after parallel drain, want active", conn.ID, conn.State)
-		}
-	}
-	auditSetClean(t, s)
-}
-
 // TestShardSetQuotaLandsOnOwningShard pins the SetQuota routing fix: the
 // quota is applied and journaled by exactly the customer's shard, is safe to
 // change while another shard's choreography is in flight, and survives
@@ -540,7 +513,7 @@ func TestShardSetMergedLogReads(t *testing.T) {
 	all := s.Events()
 	total := 0
 	for _, sh := range s.Shards() {
-		total += len(sh.Ctrl.Events())
+		total += sh.Ctrl.events.len()
 	}
 	if len(all) == 0 || len(all) != total {
 		t.Errorf("merged log holds %d entries, the shards %d", len(all), total)
@@ -567,13 +540,8 @@ func TestShardSetMergedLogReads(t *testing.T) {
 
 // TestShardSetBookingCycles pushes 48 tenants through one full bandwidth
 // calendar cycle each — a booked window that provisions, holds and releases —
-// with windows spaced per shard so admission never blocks. Under lockstep
-// drive, the only mode griphond uses, every cycle completes cleanly. Under
-// DrainParallel every cycle still ends and the books still balance, but two
-// shards' booking timers can read the coordinator's foreign-channel mask,
-// pick the same wavelength, and the loser's claim fails its whole setup
-// instead of trying the next channel: that conflict is the one setup error
-// parallel drive may report (see DrainParallel).
+// with windows spaced per shard so admission never blocks. Every cycle
+// completes cleanly and the books balance.
 func TestShardSetBookingCycles(t *testing.T) {
 	book := func(t *testing.T, s *ShardSet) []*Booking {
 		t.Helper()
@@ -602,30 +570,23 @@ func TestShardSetBookingCycles(t *testing.T) {
 		return bookings
 	}
 	for _, shards := range []int{1, 3} {
-		for _, parallel := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards=%d/parallel=%v", shards, parallel), func(t *testing.T) {
-				s := newShardSet(t, shards, ShardSetConfig{})
-				defer s.Close()
-				bookings := book(t, s)
-				if parallel {
-					s.DrainParallel()
-				} else {
-					s.Drain()
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s := newShardSet(t, shards, ShardSetConfig{})
+			defer s.Close()
+			bookings := book(t, s)
+			s.Drain()
+			for _, b := range bookings {
+				if !b.Done.Done() || b.CloseErr != nil {
+					t.Errorf("%s: done=%v close=%v", b.Req.Customer, b.Done.Done(), b.CloseErr)
 				}
-				for _, b := range bookings {
-					if !b.Done.Done() || b.CloseErr != nil {
-						t.Errorf("%s: done=%v close=%v", b.Req.Customer, b.Done.Done(), b.CloseErr)
-					}
-					known := parallel && b.SetupErr != nil && strings.Contains(b.SetupErr.Error(), "cross-shard spectrum conflict")
-					if b.SetupErr != nil && !known {
-						t.Errorf("%s: setup failed: %v", b.Req.Customer, b.SetupErr)
-					}
+				if b.SetupErr != nil {
+					t.Errorf("%s: setup failed: %v", b.Req.Customer, b.SetupErr)
 				}
-				for _, f := range s.AuditInvariants() {
-					t.Errorf("audit: %s", f)
-				}
-			})
-		}
+			}
+			for _, f := range s.AuditInvariants() {
+				t.Errorf("audit: %s", f)
+			}
+		})
 	}
 }
 

@@ -41,10 +41,6 @@ func (c *Controller) AlarmsSince(seq uint64, customer string) (groups []alarms.G
 	return groups, c.alarmLog.NextSeq() - 1
 }
 
-// FlightRecorder returns the flight recorder (nil unless Config.FlightRecorder
-// enabled it).
-func (c *Controller) FlightRecorder() *slo.FlightRecorder { return c.flight }
-
 // DumpFlight snapshots the flight recorder, folding audit findings (or soak
 // failure lines) into the dump. ok is false when no recorder is attached.
 func (c *Controller) DumpFlight(reason string, findings []string) (slo.Dump, bool) {

@@ -219,9 +219,6 @@ func TestAlarmStreamGroupsAndFilters(t *testing.T) {
 	if len(g.Children) != 4 {
 		t.Errorf("children = %d, want 4 (two LOS per circuit)", len(g.Children))
 	}
-	if got := g.Customers(); len(got) != 2 || got[0] != "x" || got[1] != "y" {
-		t.Errorf("customers = %v", got)
-	}
 
 	// Per-tenant isolation: each customer sees only its own children.
 	forX, _ := c.AlarmsSince(0, "x")
@@ -246,25 +243,25 @@ func TestAlarmStreamGroupsAndFilters(t *testing.T) {
 }
 
 func TestEventsSinceCursor(t *testing.T) {
-	k, c := newTestbed(t, 64)
-	mustConnect(t, k, c, Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate10G})
-	all, next := c.EventsSince(0)
-	if len(all) == 0 || len(all) != len(c.Events()) {
-		t.Fatalf("EventsSince(0) = %d events, Events() = %d", len(all), len(c.Events()))
+	s := newShardSet(t, 1, ShardSetConfig{Seed: 64})
+	shardConnect(t, s, "x", "DC-A", "DC-C", bw.Rate10G)
+	all, next := s.EventsSince(0)
+	if len(all) == 0 || len(all) != len(s.Events()) {
+		t.Fatalf("EventsSince(0) = %d events, Events() = %d", len(all), len(s.Events()))
 	}
 	if next != len(all) {
 		t.Errorf("next = %d, want %d", next, len(all))
 	}
 	// Nothing new yet.
-	if more, _ := c.EventsSince(next); len(more) != 0 {
+	if more, _ := s.EventsSince(next); len(more) != 0 {
 		t.Errorf("caught-up cursor returned %d events", len(more))
 	}
 	// New activity appears after the cursor only.
-	if err := c.CutFiber("I-IV"); err != nil {
+	if err := s.CutFiber("I-IV"); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
-	more, next2 := c.EventsSince(next)
+	s.Drain()
+	more, next2 := s.EventsSince(next)
 	if len(more) == 0 {
 		t.Fatal("no events after a cut+restore")
 	}
@@ -275,10 +272,10 @@ func TestEventsSinceCursor(t *testing.T) {
 		t.Errorf("first resumed event = %q, want fiber-cut", more[0].Kind)
 	}
 	// Out-of-range cursors clamp instead of panicking.
-	if got, _ := c.EventsSince(1 << 30); len(got) != 0 {
+	if got, _ := s.EventsSince(1 << 30); len(got) != 0 {
 		t.Errorf("huge cursor returned %d events", len(got))
 	}
-	if got, _ := c.EventsSince(-5); len(got) != len(c.Events()) {
+	if got, _ := s.EventsSince(-5); len(got) != len(s.Events()) {
 		t.Errorf("negative cursor returned %d events", len(got))
 	}
 }
@@ -290,7 +287,7 @@ func TestFlightRecorderCapturesAndDumps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.FlightRecorder() == nil {
+	if c.flight == nil {
 		t.Fatal("flight recorder not attached")
 	}
 	mustConnect(t, k, c, Request{Customer: "x", From: "DC-A", To: "DC-C", Rate: bw.Rate10G})

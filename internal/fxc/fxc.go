@@ -104,9 +104,6 @@ func Standard(node topo.NodeID, nClient, nLine, nGroom int) *Switch {
 	return s
 }
 
-// Node returns the PoP this FXC lives at.
-func (s *Switch) Node() topo.NodeID { return s.node }
-
 // Connect maps ports a and b to each other on behalf of owner. Both ports
 // must exist, be free, and have different roles: a client-to-client
 // cross-connect would bypass the carrier network entirely and is rejected.
@@ -152,15 +149,6 @@ func (s *Switch) Disconnect(p PortID) error {
 	return nil
 }
 
-// PeerOf returns the port p is connected to, and whether it is connected.
-func (s *Switch) PeerOf(p PortID) (PortID, bool) {
-	q, ok := s.peer[p]
-	return q, ok
-}
-
-// OwnerOf returns the owner of the connection involving p, or "".
-func (s *Switch) OwnerOf(p PortID) string { return s.owner[p] }
-
 // FreePort returns the lowest-ID free port with the given role, or an error
 // when the bank of that role is exhausted.
 func (s *Switch) FreePort(role PortRole) (PortID, error) {
@@ -171,9 +159,6 @@ func (s *Switch) FreePort(role PortRole) (PortID, error) {
 	}
 	return "", fmt.Errorf("fxc: no free %v port at %s", role, s.node)
 }
-
-// Connections returns the number of active cross-connects.
-func (s *Switch) Connections() int { return len(s.peer) / 2 }
 
 // Owners returns the distinct owners of active cross-connects, sorted —
 // the enumeration invariant auditors sweep.
@@ -189,6 +174,3 @@ func (s *Switch) Owners() []string {
 	sort.Strings(out)
 	return out
 }
-
-// NumPorts returns the number of ports with the given role.
-func (s *Switch) NumPorts(role PortRole) int { return len(s.byRole[role]) }

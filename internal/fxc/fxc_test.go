@@ -21,11 +21,11 @@ func TestNewValidation(t *testing.T) {
 
 func TestStandardShape(t *testing.T) {
 	s := std(t)
-	if s.Node() != "I" {
-		t.Errorf("node = %s", s.Node())
+	if s.node != "I" {
+		t.Errorf("node = %s", s.node)
 	}
-	if s.NumPorts(Client) != 4 || s.NumPorts(Line) != 4 || s.NumPorts(Groom) != 2 {
-		t.Errorf("ports = %d/%d/%d", s.NumPorts(Client), s.NumPorts(Line), s.NumPorts(Groom))
+	if len(s.byRole[Client]) != 4 || len(s.byRole[Line]) != 4 || len(s.byRole[Groom]) != 2 {
+		t.Errorf("ports = %d/%d/%d", len(s.byRole[Client]), len(s.byRole[Line]), len(s.byRole[Groom]))
 	}
 }
 
@@ -34,22 +34,22 @@ func TestConnectDisconnect(t *testing.T) {
 	if err := s.Connect("C0", "L0", "conn1"); err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := s.PeerOf("C0"); !ok || p != "L0" {
+	if p, ok := s.peer["C0"]; !ok || p != "L0" {
 		t.Errorf("PeerOf(C0) = %s,%v", p, ok)
 	}
-	if p, ok := s.PeerOf("L0"); !ok || p != "C0" {
+	if p, ok := s.peer["L0"]; !ok || p != "C0" {
 		t.Errorf("PeerOf(L0) = %s,%v", p, ok)
 	}
-	if s.OwnerOf("C0") != "conn1" || s.OwnerOf("L0") != "conn1" {
+	if s.owner["C0"] != "conn1" || s.owner["L0"] != "conn1" {
 		t.Error("owner not recorded on both ends")
 	}
-	if s.Connections() != 1 {
-		t.Errorf("connections = %d", s.Connections())
+	if len(s.peer)/2 != 1 {
+		t.Errorf("connections = %d", len(s.peer)/2)
 	}
 	if err := s.Disconnect("L0"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.PeerOf("C0"); ok {
+	if _, ok := s.peer["C0"]; ok {
 		t.Error("C0 still connected after disconnecting via peer")
 	}
 	if err := s.Disconnect("L0"); err == nil {
@@ -126,8 +126,8 @@ func TestConnectSymmetryProperty(t *testing.T) {
 			}
 			// Symmetry invariant.
 			for _, p := range []PortID{c, l} {
-				if q, ok := s.PeerOf(p); ok {
-					if r, ok2 := s.PeerOf(q); !ok2 || r != p {
+				if q, ok := s.peer[p]; ok {
+					if r, ok2 := s.peer[q]; !ok2 || r != p {
 						return false
 					}
 				}

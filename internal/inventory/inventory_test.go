@@ -17,15 +17,15 @@ func TestTxnCommitKeepsSteps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if txn.Steps() != 3 {
-		t.Errorf("steps = %d", txn.Steps())
+	if len(txn.undos) != 3 {
+		t.Errorf("steps = %d", len(txn.undos))
 	}
 	txn.Commit()
 	txn.Rollback() // no-op after commit
 	if undone != 0 {
 		t.Errorf("undos ran after commit: %d", undone)
 	}
-	if !txn.Finished() {
+	if !txn.done {
 		t.Error("committed txn not finished")
 	}
 }
@@ -54,7 +54,7 @@ func TestTxnDoFailureRecordsNothing(t *testing.T) {
 	if err := txn.Do(func() error { return boom }, func() { ran = true }); err != boom {
 		t.Fatalf("err = %v", err)
 	}
-	if txn.Steps() != 0 {
+	if len(txn.undos) != 0 {
 		t.Error("failed step recorded an undo")
 	}
 	txn.Rollback()
@@ -114,7 +114,7 @@ func TestReserveHelper(t *testing.T) {
 	if _, err := Reserve(txn2, alloc, release); err == nil {
 		t.Error("Reserve from empty pool succeeded")
 	}
-	if txn2.Steps() != 0 {
+	if len(txn2.undos) != 0 {
 		t.Error("failed Reserve recorded an undo")
 	}
 }
@@ -218,8 +218,8 @@ func TestLedgerIsolation(t *testing.T) {
 	if err := l.Verify("csp1", "ot:missing"); err == nil {
 		t.Error("unknown resource verify passed")
 	}
-	if l.OwnerOf("ot:OT-I-00") != "csp1" {
-		t.Errorf("OwnerOf = %s", l.OwnerOf("ot:OT-I-00"))
+	if l.owners["ot:OT-I-00"] != "csp1" {
+		t.Errorf("OwnerOf = %s", l.owners["ot:OT-I-00"])
 	}
 	if err := l.Release("csp2", "ot:OT-I-00"); err == nil {
 		t.Error("non-owner release accepted")
@@ -227,7 +227,7 @@ func TestLedgerIsolation(t *testing.T) {
 	if err := l.Release("csp1", "ot:OT-I-00"); err != nil {
 		t.Fatal(err)
 	}
-	if l.OwnerOf("ot:OT-I-00") != "" {
+	if l.owners["ot:OT-I-00"] != "" {
 		t.Error("release did not clear owner")
 	}
 	if err := l.Claim("", "k"); err == nil {

@@ -99,9 +99,6 @@ func (l *Ledger) Claim(c Customer, key string) error {
 	return nil
 }
 
-// OwnerOf returns the owner of a resource key, or "".
-func (l *Ledger) OwnerOf(key string) Customer { return l.owners[key] }
-
 // Verify checks that customer c owns key — the isolation gate every
 // customer-initiated mutation goes through.
 func (l *Ledger) Verify(c Customer, key string) error {

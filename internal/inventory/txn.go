@@ -80,11 +80,5 @@ func (t *Txn) Commit() {
 	t.undos = nil
 }
 
-// Steps returns the number of recorded undo steps (for tests/diagnostics).
-func (t *Txn) Steps() int { return len(t.undos) }
-
-// Finished reports whether the transaction was committed or rolled back.
-func (t *Txn) Finished() bool { return t.done }
-
 // ErrQuota is wrapped by ledger admission failures.
 var ErrQuota = fmt.Errorf("inventory: quota exceeded")

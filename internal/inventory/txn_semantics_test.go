@@ -48,7 +48,7 @@ func TestTxnCommittedNeverInvokesRollbacks(t *testing.T) {
 	if fired != 0 {
 		t.Errorf("committed transaction fired %d undos, want 0", fired)
 	}
-	if !txn.Finished() {
+	if !txn.done {
 		t.Error("committed transaction does not report Finished")
 	}
 }
@@ -134,7 +134,7 @@ func TestReserveFailedAllocLeavesTxnUsable(t *testing.T) {
 	if _, err := Reserve(txn, func() (int, error) { return 0, boom }, func(int) {}); !errors.Is(err, boom) {
 		t.Fatalf("Reserve error = %v, want %v", err, boom)
 	}
-	if txn.Finished() {
+	if txn.done {
 		t.Error("failed Reserve finished the transaction")
 	}
 	// The transaction must still accept and roll back further steps.

@@ -24,9 +24,6 @@ func (s *Sample) Add(v float64) { s.vals = append(s.vals, v) }
 // AddDuration appends a duration observation in seconds.
 func (s *Sample) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
 
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.vals) }
-
 // Mean returns the arithmetic mean (0 for an empty sample).
 func (s *Sample) Mean() float64 {
 	if len(s.vals) == 0 {
@@ -106,9 +103,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
 // MeanDuration returns the mean as a duration (observations in seconds).
 func (s *Sample) MeanDuration() time.Duration {
 	return time.Duration(s.Mean() * float64(time.Second))
@@ -139,9 +133,6 @@ func (t *Table) Row(cells ...any) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table.
 func (t *Table) String() string {

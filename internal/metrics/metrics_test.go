@@ -19,8 +19,8 @@ func sampleOf(vals ...float64) *Sample {
 
 func TestSampleBasics(t *testing.T) {
 	s := sampleOf(1, 2, 3, 4, 5)
-	if s.N() != 5 {
-		t.Errorf("N = %d", s.N())
+	if len(s.vals) != 5 {
+		t.Errorf("N = %d", len(s.vals))
 	}
 	if s.Mean() != 3 {
 		t.Errorf("Mean = %v", s.Mean())
@@ -31,8 +31,8 @@ func TestSampleBasics(t *testing.T) {
 	if s.Min() != 1 || s.Max() != 5 {
 		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
 	}
-	if s.Median() != 3 {
-		t.Errorf("Median = %v", s.Median())
+	if s.Percentile(50) != 3 {
+		t.Errorf("Median = %v", s.Percentile(50))
 	}
 }
 
@@ -106,7 +106,7 @@ func TestMeanBoundedProperty(t *testing.T) {
 			}
 			s.Add(v)
 		}
-		if s.N() == 0 {
+		if len(s.vals) == 0 {
 			return true
 		}
 		return s.Mean() >= s.Min()-1e-6 && s.Mean() <= s.Max()+1e-6
@@ -120,8 +120,8 @@ func TestMedianIsMiddle(t *testing.T) {
 	vals := []float64{7, 1, 9, 3, 5}
 	s := sampleOf(vals...)
 	sort.Float64s(vals)
-	if s.Median() != vals[2] {
-		t.Errorf("Median = %v, want %v", s.Median(), vals[2])
+	if s.Percentile(50) != vals[2] {
+		t.Errorf("Median = %v, want %v", s.Percentile(50), vals[2])
 	}
 }
 
@@ -130,8 +130,8 @@ func TestTableRendering(t *testing.T) {
 	tb.Row(1, 62.48)
 	tb.Row(2, 65.67)
 	tb.Row(3, 70.94)
-	if tb.NumRows() != 3 {
-		t.Errorf("rows = %d", tb.NumRows())
+	if len(tb.rows) != 3 {
+		t.Errorf("rows = %d", len(tb.rows))
 	}
 	out := tb.String()
 	for _, want := range []string{"Table 2", "Path length", "62.48", "70.94", "---"} {

@@ -20,13 +20,6 @@ func injectLabel(labels, key, val string) string {
 	return head + "," + labels[1:]
 }
 
-// WritePrometheus exports the registry in Prometheus text format (0.0.4).
-// Families appear in name order; children in label order — deterministic for
-// golden tests.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return WriteMergedPrometheus(w, "", []string{""}, []*Registry{r})
-}
-
 // WriteMergedPrometheus exports several registries as one Prometheus text
 // stream — the package's only renderer. A registry's samples are told apart
 // by an injected label (e.g. shard="2"), or rendered unlabelled where its
@@ -74,8 +67,6 @@ func WriteMergedPrometheus(w io.Writer, labelKey string, labelVals []string, reg
 					fmt.Fprintf(&b, "%s%s %s\n", name, labels, fmtFloat(ch.fn()))
 				case ch.c != nil:
 					fmt.Fprintf(&b, "%s%s %s\n", name, labels, fmtFloat(ch.c.Value()))
-				case ch.g != nil:
-					fmt.Fprintf(&b, "%s%s %s\n", name, labels, fmtFloat(ch.g.Value()))
 				}
 			}
 		}

@@ -16,9 +16,9 @@ import (
 // experiments harness reads the controller's own tallies instead of keeping
 // ad-hoc ones.
 //
-// Instrument updates never allocate: counters and gauges are field updates,
-// histograms index a fixed bucket array. Only registration (done once, at
-// construction) allocates.
+// Instrument updates never allocate: counters are field updates, histograms
+// index a fixed bucket array, and gauges are functions read at export. Only
+// registration (done once, at construction) allocates.
 type Registry struct {
 	families map[string]*family
 	names    []string
@@ -26,15 +26,14 @@ type Registry struct {
 
 // family groups every child (label combination) of one metric name.
 type family struct {
-	name, help, kind string
-	children         []child
-	byLabels         map[string]int
+	help, kind string
+	children   []child
+	byLabels   map[string]int
 }
 
 type child struct {
 	labels string // rendered {k="v",...} block, "" for unlabeled
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	fn     func() float64
 }
@@ -67,7 +66,7 @@ func labelBlock(labels []string) string {
 func (r *Registry) family(name, help, kind string) *family {
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, kind: kind, byLabels: map[string]int{}}
+		f = &family{help: help, kind: kind, byLabels: map[string]int{}}
 		r.families[name] = f
 		r.names = append(r.names, name)
 		sort.Strings(r.names)
@@ -140,45 +139,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...s
 	f.add(lb, child{fn: fn})
 }
 
-// Gauge is a value that can go up and down. A nil *Gauge is valid and inert.
-type Gauge struct {
-	v float64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Add adjusts the value by d.
-func (g *Gauge) Add(d float64) {
-	if g != nil {
-		g.v += d
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// Gauge returns (creating if needed) the gauge with the given name and labels.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	f := r.family(name, help, "gauge")
-	lb := labelBlock(labels)
-	if i, ok := f.child(lb); ok {
-		return f.children[i].g
-	}
-	g := &Gauge{}
-	f.add(lb, child{g: g})
-	return g
-}
-
 // GaugeFunc registers a gauge computed at export time — occupancy figures the
 // controller can derive from live state (spectrum usage, pool occupancy,
 // queue depth) without bookkeeping on the hot path.
@@ -240,14 +200,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Mean returns the mean observation in seconds (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
 // Histogram returns (creating if needed) a histogram with the given bucket
 // upper bounds (nil ⇒ DefaultLatencyBuckets) and labels.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
@@ -286,8 +238,6 @@ func (r *Registry) Snapshot() []MetricPoint {
 			switch {
 			case ch.c != nil:
 				p.Value = ch.c.Value()
-			case ch.g != nil:
-				p.Value = ch.g.Value()
 			case ch.h != nil:
 				p.Value = ch.h.Sum()
 				p.Count = ch.h.Count()
@@ -299,9 +249,6 @@ func (r *Registry) Snapshot() []MetricPoint {
 	}
 	return out
 }
-
-// NumInstruments returns the number of distinct metric names registered.
-func (r *Registry) NumInstruments() int { return len(r.names) }
 
 func sortedChildren(f *family) []int {
 	idx := make([]int, len(f.children))

@@ -74,9 +74,6 @@ func NewTracer(clock Clock) *Tracer {
 	return &Tracer{clock: clock}
 }
 
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Len returns the number of spans recorded so far.
 func (t *Tracer) Len() int {
 	if t == nil {

@@ -74,17 +74,6 @@ func (b *OTBank) InUse() int { return len(b.pool.inUse) }
 // Total returns the bank size.
 func (b *OTBank) Total() int { return b.Free() + b.InUse() }
 
-// FreeAtRate returns how many free transponders can carry rate.
-func (b *OTBank) FreeAtRate(rate bw.Rate) int {
-	n := 0
-	for _, ot := range b.pool.free {
-		if ot.MaxRate >= rate {
-			n++
-		}
-	}
-	return n
-}
-
 // Alloc takes the smallest free transponder whose line rate can carry rate
 // (best fit, so a 1G request does not burn a 40G OT while a 10G one idles).
 func (b *OTBank) Alloc(rate bw.Rate) (*OT, error) {

@@ -9,8 +9,7 @@ import (
 // transparent segment — the result of Plant.CommonFree. Bit ch-1 set means
 // channel ch is free on the whole segment. The zero value is an empty set.
 type FreeSet struct {
-	words    []uint64
-	channels int
+	words []uint64
 }
 
 // wordsPool recycles continuity buffers; a segment query on the warm path

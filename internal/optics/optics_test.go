@@ -10,14 +10,11 @@ import (
 
 func TestSpectrumReserveRelease(t *testing.T) {
 	s := NewSpectrum(4)
-	if s.Channels() != 4 || s.Used() != 0 {
-		t.Fatalf("fresh spectrum: channels=%d used=%d", s.Channels(), s.Used())
+	if s.channels != 4 || s.Used() != 0 {
+		t.Fatalf("fresh spectrum: channels=%d used=%d", s.channels, s.Used())
 	}
 	if err := s.Reserve(2, "conn1"); err != nil {
 		t.Fatal(err)
-	}
-	if s.IsFree(2) {
-		t.Error("reserved channel reported free")
 	}
 	if s.Owner(2) != "conn1" {
 		t.Errorf("owner = %q", s.Owner(2))
@@ -40,7 +37,7 @@ func TestSpectrumReserveRelease(t *testing.T) {
 	if err := s.Release(2); err == nil {
 		t.Error("double release accepted")
 	}
-	if !s.IsFree(2) {
+	if s.Owner(2) != "" || s.Used() != 0 {
 		t.Error("released channel not free")
 	}
 }
@@ -49,10 +46,6 @@ func TestSpectrumFreeUsedLists(t *testing.T) {
 	s := NewSpectrum(5)
 	s.Reserve(1, "a")
 	s.Reserve(4, "b")
-	free := s.FreeChannels()
-	if len(free) != 3 || free[0] != 2 || free[1] != 3 || free[2] != 5 {
-		t.Errorf("free = %v", free)
-	}
 	used := s.UsedChannels()
 	if len(used) != 2 || used[0] != 1 || used[1] != 4 {
 		t.Errorf("used = %v", used)
@@ -93,7 +86,7 @@ func TestSpectrumAccountingProperty(t *testing.T) {
 				delete(held, ch)
 			}
 		}
-		return s.Used() == len(held) && len(s.FreeChannels()) == 16-len(held)
+		return s.Used() == len(held) && len(s.UsedChannels()) == len(held)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -135,8 +128,8 @@ func TestOTBankBestFit(t *testing.T) {
 	if err := b.Release(nil); err == nil {
 		t.Error("nil release accepted")
 	}
-	if b.FreeAtRate(bw.Rate40G) != 0 || b.FreeAtRate(bw.Rate10G) != 1 {
-		t.Errorf("FreeAtRate: 40G=%d 10G=%d", b.FreeAtRate(bw.Rate40G), b.FreeAtRate(bw.Rate10G))
+	if freeAtRate(b, bw.Rate40G) != 0 || freeAtRate(b, bw.Rate10G) != 1 {
+		t.Errorf("FreeAtRate: 40G=%d 10G=%d", freeAtRate(b, bw.Rate40G), freeAtRate(b, bw.Rate10G))
 	}
 }
 
@@ -178,7 +171,7 @@ func TestNewPlantShape(t *testing.T) {
 	}
 	for _, l := range g.Links() {
 		s := p.Spectrum(l.ID)
-		if s == nil || s.Channels() != 80 {
+		if s == nil || s.channels != 80 {
 			t.Errorf("link %s spectrum wrong", l.ID)
 		}
 	}
@@ -190,10 +183,10 @@ func TestNewPlantShape(t *testing.T) {
 			t.Errorf("node %s regens = %d", n.ID, p.Regens(n.ID).Total())
 		}
 		// Mixed line rates: both 10G and 40G OTs present.
-		if p.OTs(n.ID).FreeAtRate(bw.Rate40G) == 0 {
+		if freeAtRate(p.OTs(n.ID), bw.Rate40G) == 0 {
 			t.Errorf("node %s has no 40G OTs", n.ID)
 		}
-		if p.OTs(n.ID).FreeAtRate(bw.Rate10G) != 8 {
+		if freeAtRate(p.OTs(n.ID), bw.Rate10G) != 8 {
 			t.Errorf("node %s: all OTs should carry 10G", n.ID)
 		}
 	}
@@ -203,7 +196,6 @@ func TestNewPlantOverridesAndValidation(t *testing.T) {
 	g := topo.Testbed()
 	cfg := DefaultConfig()
 	cfg.OTOverride = map[topo.NodeID]int{"I": 2}
-	cfg.RegenOverride = map[topo.NodeID]int{"II": 5}
 	p, err := NewPlant(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +203,8 @@ func TestNewPlantOverridesAndValidation(t *testing.T) {
 	if p.OTs("I").Total() != 2 {
 		t.Errorf("override OTs = %d", p.OTs("I").Total())
 	}
-	if p.Regens("II").Total() != 5 {
-		t.Errorf("override regens = %d", p.Regens("II").Total())
+	if p.Regens("I").Total() != cfg.RegensPerNode {
+		t.Errorf("regens = %d, want %d: OTOverride sizes OTs only", p.Regens("I").Total(), cfg.RegensPerNode)
 	}
 	if _, err := NewPlant(g, Config{Channels: 0, ReachKM: 1}); err == nil {
 		t.Error("zero channels accepted")
@@ -270,7 +262,7 @@ func TestPlanRegensTransparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.NeedsRegen() {
+	if len(plan.RegenNodes) > 0 {
 		t.Errorf("short path should be transparent, got regens at %v", plan.RegenNodes)
 	}
 	if len(plan.Segments) != 1 || len(plan.Segments[0].Links) != 3 {
@@ -380,4 +372,15 @@ func TestReachForRateOverrides(t *testing.T) {
 	if got := p2.ReachFor(bw.Rate10G); got != cfg.ReachKM {
 		t.Errorf("zero override honored: %v", got)
 	}
+}
+
+// freeAtRate counts the bank's free transponders that can carry rate.
+func freeAtRate(b *OTBank, rate bw.Rate) int {
+	n := 0
+	for _, ot := range b.pool.free {
+		if ot.MaxRate >= rate {
+			n++
+		}
+	}
+	return n
 }

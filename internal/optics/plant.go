@@ -27,8 +27,6 @@ type Config struct {
 	RegensPerNode int
 	// OTOverride sets a specific pool size for individual nodes.
 	OTOverride map[topo.NodeID]int
-	// RegenOverride sets a specific regen pool size for individual nodes.
-	RegenOverride map[topo.NodeID]int
 }
 
 // DefaultConfig returns the plant sizing used by the experiments: an 80
@@ -118,12 +116,8 @@ func NewPlant(g *topo.Graph, cfg Config) (*Plant, error) {
 		}
 		p.ots[n.ID] = NewOTBank(n.ID, ots)
 
-		nRg := cfg.RegensPerNode
-		if v, ok := cfg.RegenOverride[n.ID]; ok {
-			nRg = v
-		}
 		var rgs []*Regen
-		for i := 0; i < nRg; i++ {
+		for i := 0; i < cfg.RegensPerNode; i++ {
 			rgs = append(rgs, &Regen{
 				ID:      fmt.Sprintf("RG-%s-%02d", n.ID, i),
 				Node:    n.ID,
@@ -137,9 +131,6 @@ func NewPlant(g *topo.Graph, cfg Config) (*Plant, error) {
 
 // Graph returns the underlying topology.
 func (p *Plant) Graph() *topo.Graph { return p.g }
-
-// Config returns the plant sizing.
-func (p *Plant) Config() Config { return p.cfg }
 
 // ReachFor returns the optical reach for a line rate: the per-rate override
 // when configured, the default otherwise. A zero rate always gets the
@@ -287,5 +278,5 @@ func (p *Plant) CommonFree(links []topo.LinkID) (FreeSet, bool) {
 	if tail := p.cfg.Channels & 63; tail != 0 {
 		buf[nw-1] &= (1 << uint(tail)) - 1
 	}
-	return FreeSet{words: buf, channels: p.cfg.Channels}, true
+	return FreeSet{words: buf}, true
 }

@@ -24,9 +24,6 @@ type RegenPlan struct {
 	RegenNodes []topo.NodeID
 }
 
-// NeedsRegen reports whether the plan uses any regenerators.
-func (rp RegenPlan) NeedsRegen() bool { return len(rp.RegenNodes) > 0 }
-
 // PlanRegens splits path into transparent segments no longer than reachKM,
 // placing regenerators greedily at the latest node that keeps each segment
 // within reach (the standard first-fit regenerator placement). It fails if a

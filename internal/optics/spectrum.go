@@ -50,19 +50,8 @@ func NewSpectrum(channels int) *Spectrum {
 	}
 }
 
-// Channels returns the grid size.
-func (s *Spectrum) Channels() int { return s.channels }
-
 // Used returns the number of occupied channels.
 func (s *Spectrum) Used() int { return s.used }
-
-// IsFree reports whether ch is within the grid and unoccupied.
-func (s *Spectrum) IsFree(ch Channel) bool {
-	if ch < 1 || int(ch) > s.channels {
-		return false
-	}
-	return s.words[(ch-1)>>6]&(1<<uint((ch-1)&63)) == 0
-}
 
 // Owner returns the owner of ch, or "" if free or out of range.
 func (s *Spectrum) Owner(ch Channel) string { return s.owner[ch] }
@@ -116,23 +105,6 @@ func (s *Spectrum) Release(ch Channel) error {
 	return nil
 }
 
-// FreeChannels returns all free channels in ascending order.
-func (s *Spectrum) FreeChannels() []Channel {
-	out := make([]Channel, 0, s.channels-s.used)
-	for w, word := range s.words {
-		free := ^word
-		if tail := s.channels - w*64; tail < 64 {
-			free &= (1 << uint(tail)) - 1
-		}
-		for free != 0 {
-			b := bits.TrailingZeros64(free)
-			out = append(out, Channel(w*64+b+1))
-			free &= free - 1
-		}
-	}
-	return out
-}
-
 // UsedChannels returns all occupied channels in ascending order.
 func (s *Spectrum) UsedChannels() []Channel {
 	out := make([]Channel, 0, s.used)
@@ -149,7 +121,7 @@ func (s *Spectrum) UsedChannels() []Channel {
 // IntersectFree returns the channels free on every spectrum in the slice, in
 // ascending order — the wavelength-continuity constraint for a transparent
 // segment. With no spectra it returns nil. Spectra may differ in grid size;
-// channels beyond a spectrum's grid count as not free, matching IsFree.
+// channels beyond a spectrum's grid count as not free.
 func IntersectFree(spectra []*Spectrum) []Channel {
 	if len(spectra) == 0 {
 		return nil

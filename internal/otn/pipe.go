@@ -233,16 +233,6 @@ func (p *Pipe) SharedOwners() []string {
 	return out
 }
 
-// SharedDemand returns the total slots all shared reservations would need if
-// activated simultaneously.
-func (p *Pipe) SharedDemand() int {
-	n := 0
-	for _, v := range p.shared {
-		n += v
-	}
-	return n
-}
-
 // Activate converts owner's shared reservation into a real slot allocation,
 // returning the slot indices. It fails if the reservation does not exist or
 // the free pool cannot satisfy it right now (restoration blocking).

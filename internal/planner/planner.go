@@ -63,9 +63,6 @@ func (d Demand) Set(a, b topo.SiteID, erlangs float64) {
 	d[canonPair(a, b)] = erlangs
 }
 
-// Get returns the load for a pair.
-func (d Demand) Get(a, b topo.SiteID) float64 { return d[canonPair(a, b)] }
-
 func canonPair(a, b topo.SiteID) [2]topo.SiteID {
 	if b < a {
 		a, b = b, a

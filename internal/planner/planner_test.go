@@ -81,7 +81,7 @@ func TestServersFor(t *testing.T) {
 func TestDemandBasics(t *testing.T) {
 	d := Demand{}
 	d.Set("DC-A", "DC-B", 2)
-	if d.Get("DC-B", "DC-A") != 2 {
+	if d[canonPair("DC-B", "DC-A")] != 2 {
 		t.Error("pair canonicalization broken")
 	}
 	d.Set("DC-A", "DC-C", 1)

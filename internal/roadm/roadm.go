@@ -73,17 +73,11 @@ func NewNode(id topo.NodeID, degrees []topo.LinkID, addDropPorts int) (*Node, er
 	return n, nil
 }
 
-// Degree returns the number of fiber degrees.
-func (n *Node) Degree() int { return len(n.degrees) }
-
 // AddDropFree returns the number of free add/drop ports.
 func (n *Node) AddDropFree() int { return n.addDropTotal - n.addDropUsed }
 
 // AddDropUsed returns the number of add/drop ports in use.
 func (n *Node) AddDropUsed() int { return n.addDropUsed }
-
-// Reconfigs returns the number of configuration operations performed.
-func (n *Node) Reconfigs() int { return n.reconfigs }
 
 // Terminate configures an add/drop termination: channel ch arriving/leaving
 // on the given degree is dropped to (and added from) a colorless,
@@ -164,16 +158,6 @@ func (n *Node) ReleaseOwner(owner string) int {
 	}
 	delete(n.byOwner, owner)
 	return len(entries)
-}
-
-// OwnerAt reports who terminates ch on deg ("" if nobody).
-func (n *Node) OwnerAt(ch optics.Channel, deg topo.LinkID) string {
-	return n.adds[termKey{ch, deg}]
-}
-
-// ExpressedBy reports who expresses ch between the two degrees.
-func (n *Node) ExpressedBy(ch optics.Channel, a, b topo.LinkID) string {
-	return n.expresses[canonExpr(ch, a, b)]
 }
 
 // Owners returns every owner with state at this node, sorted.
@@ -258,13 +242,4 @@ func (l *Layer) ReleaseSegment(nodes []topo.NodeID, owner string) {
 			n.ReleaseOwner(owner)
 		}
 	}
-}
-
-// TotalReconfigs sums configuration operations across the layer.
-func (l *Layer) TotalReconfigs() int {
-	total := 0
-	for _, n := range l.nodes {
-		total += n.Reconfigs()
-	}
-	return total
 }

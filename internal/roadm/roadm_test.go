@@ -31,8 +31,8 @@ func TestNewNodeValidation(t *testing.T) {
 
 func TestTerminate(t *testing.T) {
 	n := node3(t, 2)
-	if n.Degree() != 3 {
-		t.Errorf("degree = %d", n.Degree())
+	if len(n.degrees) != 3 {
+		t.Errorf("degree = %d", len(n.degrees))
 	}
 	if err := n.Terminate(1, "I-IV", "c1"); err != nil {
 		t.Fatal(err)
@@ -40,8 +40,8 @@ func TestTerminate(t *testing.T) {
 	if n.AddDropUsed() != 1 || n.AddDropFree() != 1 {
 		t.Errorf("ports: used=%d free=%d", n.AddDropUsed(), n.AddDropFree())
 	}
-	if n.OwnerAt(1, "I-IV") != "c1" {
-		t.Errorf("owner = %q", n.OwnerAt(1, "I-IV"))
+	if n.adds[termKey{1, "I-IV"}] != "c1" {
+		t.Errorf("owner = %q", n.adds[termKey{1, "I-IV"}])
 	}
 	// Same channel+degree conflicts; same channel on another degree fine.
 	if err := n.Terminate(1, "I-IV", "c2"); err == nil {
@@ -69,7 +69,7 @@ func TestExpress(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Order-insensitive lookup and conflict.
-	if n.ExpressedBy(5, "I-III", "I-II") != "c1" {
+	if n.expresses[canonExpr(5, "I-III", "I-II")] != "c1" {
 		t.Error("express lookup not symmetric")
 	}
 	if err := n.Express(5, "I-III", "I-II", "c2"); err == nil {
@@ -118,7 +118,7 @@ func TestReleaseOwner(t *testing.T) {
 	if n.AddDropUsed() != 1 {
 		t.Errorf("ports used after release = %d, want 1 (c2)", n.AddDropUsed())
 	}
-	if n.OwnerAt(4, "I-IV") != "c2" {
+	if n.adds[termKey{4, "I-IV"}] != "c2" {
 		t.Error("release disturbed another owner")
 	}
 	if got := n.ReleaseOwner("c1"); got != 0 {
@@ -147,14 +147,14 @@ func TestLayerConfigureSegment(t *testing.T) {
 	if l.Node("II").AddDropUsed() != 0 {
 		t.Error("intermediate consumed an add/drop port")
 	}
-	if l.Node("II").ExpressedBy(1, "I-II", "II-III") != "c1#seg0" {
+	if l.Node("II").expresses[canonExpr(1, "I-II", "II-III")] != "c1#seg0" {
 		t.Error("express missing at II")
 	}
-	if l.TotalReconfigs() != 4 {
-		t.Errorf("reconfigs = %d, want 4", l.TotalReconfigs())
+	if got := l.Node("I").reconfigs + l.Node("II").reconfigs + l.Node("III").reconfigs + l.Node("IV").reconfigs; got != 4 {
+		t.Errorf("reconfigs = %d, want 4", got)
 	}
 	l.ReleaseSegment(nodes, "c1#seg0")
-	if l.Node("I").AddDropUsed() != 0 || l.Node("II").ExpressedBy(1, "I-II", "II-III") != "" {
+	if l.Node("I").AddDropUsed() != 0 || l.Node("II").expresses[canonExpr(1, "I-II", "II-III")] != "" {
 		t.Error("release incomplete")
 	}
 }

@@ -33,7 +33,7 @@ func BenchmarkShortestPath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ShortestPath(g, "G0000", "G0707", ByKM, Constraints{}); err != nil {
+			if _, err := shortestPath(g, "G0000", "G0707", ByKM, Constraints{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -43,37 +43,7 @@ func BenchmarkShortestPath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ShortestPath(g, "P000", "P059", ByKM, Constraints{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// The warm path: a recycled result path and the pooled scratch arena
-	// mean repeated searches allocate nothing at all.
-	b.Run("grid64-warm", func(b *testing.B) {
-		g := benchGrid(b)
-		var p topo.Path
-		if err := ShortestPathInto(g, "G0000", "G0707", ByKM, Constraints{}, &p); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ShortestPathInto(g, "G0000", "G0707", ByKM, Constraints{}, &p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("continental-warm", func(b *testing.B) {
-		g := benchContinental(b)
-		var p topo.Path
-		if err := ShortestPathInto(g, "P000", "P059", ByKM, Constraints{}, &p); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ShortestPathInto(g, "P000", "P059", ByKM, Constraints{}, &p); err != nil {
+			if _, err := shortestPath(g, "P000", "P059", ByKM, Constraints{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -108,20 +78,21 @@ func BenchmarkKShortest(b *testing.B) {
 func BenchmarkContinuityChannels(b *testing.B) {
 	bench := func(b *testing.B, g *topo.Graph, src, dst topo.NodeID) {
 		b.Helper()
-		plant, err := optics.NewPlant(g, optics.DefaultConfig())
+		cfg := optics.DefaultConfig()
+		plant, err := optics.NewPlant(g, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		// Load every third channel on every link so the intersection does
 		// real work instead of returning the full grid.
 		for _, l := range g.Links() {
-			for ch := optics.Channel(1); int(ch) <= plant.Config().Channels; ch += 3 {
+			for ch := optics.Channel(1); int(ch) <= cfg.Channels; ch += 3 {
 				if err := plant.Spectrum(l.ID).Reserve(ch, "bg"); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
-		p, err := ShortestPath(g, src, dst, ByKM, Constraints{})
+		p, err := shortestPath(g, src, dst, ByKM, Constraints{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +116,7 @@ func BenchmarkShortestPathBackbone(b *testing.B) {
 	g := topo.Backbone()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ShortestPath(g, "SEA", "ATL", ByKM, Constraints{}); err != nil {
+		if _, err := shortestPath(g, "SEA", "ATL", ByKM, Constraints{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,53 +50,6 @@ type Constraints struct {
 	AvoidNodes map[topo.NodeID]bool
 }
 
-// ShortestPath returns the minimum-weight path from src to dst under the
-// metric and constraints. Ties break deterministically (lowest node/link ID).
-func ShortestPath(g *topo.Graph, src, dst topo.NodeID, m Metric, c Constraints) (topo.Path, error) {
-	var p topo.Path
-	if err := ShortestPathInto(g, src, dst, m, c, &p); err != nil {
-		return topo.Path{}, err
-	}
-	return p, nil
-}
-
-// ShortestPathInto is ShortestPath writing its result into p, reusing p's
-// backing arrays. With a recycled path this is the zero-allocation warm path
-// of the compiled engine: the search itself runs on a pooled scratch arena
-// and allocates nothing.
-func ShortestPathInto(g *topo.Graph, src, dst topo.NodeID, m Metric, c Constraints, p *topo.Path) error {
-	ix := g.Index()
-	si, ok := ix.NodeIndex(src)
-	if !ok {
-		return fmt.Errorf("rwa: unknown source %s", src)
-	}
-	di, ok := ix.NodeIndex(dst)
-	if !ok {
-		return fmt.Errorf("rwa: unknown destination %s", dst)
-	}
-	if src == dst {
-		return fmt.Errorf("rwa: source equals destination %s", src)
-	}
-
-	s := getScratch(ix.NumNodes(), ix.NumLinks())
-	defer putScratch(s)
-	s.applyConstraints(ix, c)
-
-	if !dijkstra(ix, si, di, m, s) {
-		return ErrNoPath
-	}
-	nodes, links := s.extractPath(si, di)
-	p.Nodes = p.Nodes[:0]
-	p.Links = p.Links[:0]
-	for _, n := range nodes {
-		p.Nodes = append(p.Nodes, ix.NodeIDAt(n))
-	}
-	for _, l := range links {
-		p.Links = append(p.Links, ix.LinkIDAt(l))
-	}
-	return nil
-}
-
 // PathWeight returns the path's total weight under the metric.
 func PathWeight(g *topo.Graph, p topo.Path, m Metric) float64 {
 	var w float64

@@ -406,7 +406,7 @@ func TestCompiledEngineEquivalence(t *testing.T) {
 				m := Metric(rng.Intn(2))
 				c := randConstraints(rng, g, src, dst)
 
-				gp, gerr := ShortestPath(g, src, dst, m, c)
+				gp, gerr := shortestPath(g, src, dst, m, c)
 				rp, rerr := refShortestPath(g, src, dst, m, c)
 				samePathErr(t, fmt.Sprintf("ShortestPath %s->%s %v", src, dst, m), gp, gerr, rp, rerr)
 
@@ -443,7 +443,8 @@ func TestCompiledEngineEquivalence(t *testing.T) {
 // reserve/release workload.
 func TestAssignEquivalence(t *testing.T) {
 	g := topo.Backbone()
-	plant, err := optics.NewPlant(g, optics.DefaultConfig())
+	cfg := optics.DefaultConfig()
+	plant, err := optics.NewPlant(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,8 +457,8 @@ func TestAssignEquivalence(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		// Random churn on the spectra.
 		l := links[rng.Intn(len(links))].ID
-		ch := optics.Channel(1 + rng.Intn(plant.Config().Channels))
-		if plant.Spectrum(l).IsFree(ch) {
+		ch := optics.Channel(1 + rng.Intn(cfg.Channels))
+		if plant.Spectrum(l).Owner(ch) == "" {
 			if err := plant.Spectrum(l).Reserve(ch, "eq"); err != nil {
 				t.Fatal(err)
 			}
@@ -476,7 +477,7 @@ func TestAssignEquivalence(t *testing.T) {
 		}
 		// Usage counters must equal a full rescan at every step.
 		usage := refChannelUsage(plant)
-		for ch := 1; ch <= plant.Config().Channels; ch++ {
+		for ch := 1; ch <= cfg.Channels; ch++ {
 			if got, want := plant.ChannelUsage(optics.Channel(ch)), usage[optics.Channel(ch)]; got != want {
 				t.Fatalf("step %d: usage[%d] = %d, rescan = %d", step, ch, got, want)
 			}
@@ -490,7 +491,7 @@ func TestAssignEquivalence(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		p, err := ShortestPath(g, src, dst, ByHops, Constraints{})
+		p, err := shortestPath(g, src, dst, ByHops, Constraints{})
 		if err != nil {
 			continue
 		}
@@ -657,7 +658,7 @@ func TestScratchPoolRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ShortestPath(g, "G0000", "G0505", ByKM, Constraints{})
+	want, err := shortestPath(g, "G0000", "G0505", ByKM, Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,11 +673,11 @@ func TestScratchPoolRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var p topo.Path
 			for i := 0; i < 200; i++ {
 				switch i % 3 {
 				case 0:
-					if err := ShortestPathInto(g2, "G0000", "G0505", ByKM, Constraints{}, &p); err != nil {
+					p, err := shortestPath(g2, "G0000", "G0505", ByKM, Constraints{})
+					if err != nil {
 						t.Errorf("worker %d: %v", w, err)
 						return
 					}
@@ -716,7 +717,7 @@ func TestIndexInvalidation(t *testing.T) {
 	if err := g.AddLink(topo.Link{ID: "B-C", A: "B", B: "C", KM: 10}); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ShortestPath(g, "A", "C", ByHops, Constraints{})
+	p, err := shortestPath(g, "A", "C", ByHops, Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -726,7 +727,7 @@ func TestIndexInvalidation(t *testing.T) {
 	if err := g.AddLink(topo.Link{ID: "A-C", A: "A", B: "C", KM: 10}); err != nil {
 		t.Fatal(err)
 	}
-	p, err = ShortestPath(g, "A", "C", ByHops, Constraints{})
+	p, err = shortestPath(g, "A", "C", ByHops, Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,10 @@ type Route struct {
 	Channels []optics.Channel
 }
 
-// Options tunes FindRoute. The zero value means: 4 candidate paths, hop
-// metric, first-fit assignment, no extra constraints.
+// Options tunes FindRoute, which always ranks paths by hop count. The zero
+// value means: 4 candidate paths, first-fit assignment, no extra constraints.
 type Options struct {
 	K      int
-	Metric Metric
 	Policy AssignPolicy
 	// Constraints restricts the fiber path; failed links are always
 	// avoided regardless.
@@ -62,7 +61,7 @@ func FindRoute(plant *optics.Plant, src, dst topo.NodeID, opt Options) (Route, e
 		cons = Constraints{AvoidLinks: avoid, AvoidNodes: opt.Constraints.AvoidNodes}
 	}
 
-	paths, err := KShortest(g, src, dst, k, opt.Metric, cons)
+	paths, err := KShortest(g, src, dst, k, ByHops, cons)
 	if err != nil {
 		return Route{}, err
 	}

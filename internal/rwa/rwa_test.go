@@ -12,7 +12,7 @@ import (
 
 func TestShortestPathByHops(t *testing.T) {
 	g := topo.Testbed()
-	p, err := ShortestPath(g, "I", "IV", ByHops, Constraints{})
+	p, err := shortestPath(g, "I", "IV", ByHops, Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestShortestPathByHops(t *testing.T) {
 
 func TestShortestPathByKM(t *testing.T) {
 	g := topo.Backbone()
-	p, err := ShortestPath(g, "SEA", "NYC", ByKM, Constraints{})
+	p, err := shortestPath(g, "SEA", "NYC", ByKM, Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestShortestPathByKM(t *testing.T) {
 
 func TestShortestPathAvoidsLinksAndNodes(t *testing.T) {
 	g := topo.Testbed()
-	p, err := ShortestPath(g, "I", "IV", ByHops, Constraints{
+	p, err := shortestPath(g, "I", "IV", ByHops, Constraints{
 		AvoidLinks: map[topo.LinkID]bool{"I-IV": true},
 	})
 	if err != nil {
@@ -47,7 +47,7 @@ func TestShortestPathAvoidsLinksAndNodes(t *testing.T) {
 	if p.String() != "I-III-IV" {
 		t.Errorf("path = %s, want I-III-IV", p)
 	}
-	p, err = ShortestPath(g, "I", "IV", ByHops, Constraints{
+	p, err = shortestPath(g, "I", "IV", ByHops, Constraints{
 		AvoidLinks: map[topo.LinkID]bool{"I-IV": true},
 		AvoidNodes: map[topo.NodeID]bool{"III": true},
 	})
@@ -61,25 +61,25 @@ func TestShortestPathAvoidsLinksAndNodes(t *testing.T) {
 
 func TestShortestPathValidation(t *testing.T) {
 	g := topo.Testbed()
-	if _, err := ShortestPath(g, "Z", "IV", ByHops, Constraints{}); err == nil {
+	if _, err := shortestPath(g, "Z", "IV", ByHops, Constraints{}); err == nil {
 		t.Error("unknown src accepted")
 	}
-	if _, err := ShortestPath(g, "I", "Z", ByHops, Constraints{}); err == nil {
+	if _, err := shortestPath(g, "I", "Z", ByHops, Constraints{}); err == nil {
 		t.Error("unknown dst accepted")
 	}
-	if _, err := ShortestPath(g, "I", "I", ByHops, Constraints{}); err == nil {
+	if _, err := shortestPath(g, "I", "I", ByHops, Constraints{}); err == nil {
 		t.Error("src==dst accepted")
 	}
 }
 
 func TestShortestPathDeterministic(t *testing.T) {
 	g := topo.Backbone()
-	first, err := ShortestPath(g, "SEA", "ATL", ByHops, Constraints{})
+	first, err := shortestPath(g, "SEA", "ATL", ByHops, Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		p, err := ShortestPath(g, "SEA", "ATL", ByHops, Constraints{})
+		p, err := shortestPath(g, "SEA", "ATL", ByHops, Constraints{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestDisjointPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.LinkDisjoint(b) {
+	if !linkDisjoint(p, b) {
 		t.Fatalf("pair not disjoint: %s / %s", p, b)
 	}
 	if p.String() != "I-IV" {
@@ -196,7 +196,7 @@ func TestDisjointPairOnRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.LinkDisjoint(b) {
+	if !linkDisjoint(p, b) {
 		t.Fatal("ring pair not disjoint")
 	}
 	if p.Hops()+b.Hops() != 8 {
@@ -294,7 +294,7 @@ func TestFindRouteSimple(t *testing.T) {
 	if len(r.Channels) != 1 || r.Channels[0] != 1 {
 		t.Errorf("channels = %v", r.Channels)
 	}
-	if r.Plan.NeedsRegen() {
+	if len(r.Plan.RegenNodes) > 0 {
 		t.Error("testbed route should not need regen")
 	}
 }
@@ -339,11 +339,11 @@ func TestFindRouteWithRegens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := FindRoute(plant, "SEA", "ATL", Options{Metric: ByKM})
+	r, err := FindRoute(plant, "SEA", "ATL", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Path.KM(g) > 3000 && !r.Plan.NeedsRegen() {
+	if r.Path.KM(g) > 3000 && len(r.Plan.RegenNodes) == 0 {
 		t.Error("long path without regens")
 	}
 	if len(r.Channels) != len(r.Plan.Segments) {
@@ -418,4 +418,24 @@ func TestPropagationDelay(t *testing.T) {
 	if d < want*0.99 || d > want*1.01 {
 		t.Errorf("delay = %v, want ~%v", d, want)
 	}
+}
+
+// shortestPath is the first of KShortest's paths: the compiled engine's
+// Dijkstra, which every route search starts from.
+func shortestPath(g *topo.Graph, src, dst topo.NodeID, m Metric, c Constraints) (topo.Path, error) {
+	ps, err := KShortest(g, src, dst, 1, m, c)
+	if err != nil {
+		return topo.Path{}, err
+	}
+	return ps[0], nil
+}
+
+// linkDisjoint reports whether p and q share no link.
+func linkDisjoint(p, q topo.Path) bool {
+	for _, l := range q.Links {
+		if p.HasLink(l) {
+			return false
+		}
+	}
+	return true
 }

@@ -33,13 +33,10 @@ func (j *Job) Done() bool { return j.done }
 // Err returns the job's error. It is only meaningful once Done is true.
 func (j *Job) Err() error { return j.err }
 
-// Start returns the virtual time the job was created.
-func (j *Job) Start() Time { return j.start }
-
 // End returns the virtual time the job completed. Zero until Done.
 func (j *Job) End() Time { return j.end }
 
-// Elapsed returns End-Start for a completed job.
+// Elapsed returns how long a completed job ran: from its creation to End.
 func (j *Job) Elapsed() Duration { return j.end.Sub(j.start) }
 
 // Complete marks the job done with err and fires pending callbacks in
@@ -141,9 +138,6 @@ func (s *Sequence) ThenWait(d Duration) *Sequence {
 func (s *Sequence) ThenDo(fn func() error) *Sequence {
 	return s.Then(func() *Job { return s.k.CompletedJob(fn()) })
 }
-
-// Job returns the job that completes when the whole sequence finishes.
-func (s *Sequence) Job() *Job { return s.job }
 
 // Go starts the sequence and returns its job.
 func (s *Sequence) Go() *Job {

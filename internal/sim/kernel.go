@@ -23,8 +23,14 @@ type Time int64
 // units (sim.Duration(3*time.Second) etc.) without importing both packages.
 type Duration = time.Duration
 
-// Add returns the time t+d.
-func (t Time) Add(d Duration) Time { return t + Time(d) }
+// Add returns the time t+d, saturating at Forever: a duration from outside
+// (an API request, a flag) cannot wrap the clock into the past.
+func (t Time) Add(d Duration) Time {
+	if d > 0 && t > Forever-Time(d) {
+		return Forever
+	}
+	return t + Time(d)
+}
 
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
@@ -41,7 +47,7 @@ func (t Time) String() string { return Duration(t).String() }
 // Seconds returns t as a floating-point number of seconds since the epoch.
 func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 
-// Forever is a Time far enough in the future that no experiment reaches it.
+// Forever is the last instant the clock can show; Add stops there.
 const Forever Time = math.MaxInt64
 
 // event is a scheduled callback. Events at the same instant fire in the order
@@ -104,9 +110,6 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// When returns the virtual time at which the timer fires.
-func (t *Timer) When() Time { return t.ev.at }
-
 // Kernel is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; all simulated components run in event callbacks on one
 // goroutine, which is what makes runs deterministic.
@@ -134,9 +137,6 @@ func (k *Kernel) Rand() *Rand { return k.rng }
 
 // Processed returns the number of events executed so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
-
-// Pending returns the number of events waiting in the queue.
-func (k *Kernel) Pending() int { return k.queue.Len() }
 
 // At schedules fn to run at virtual time at. Scheduling in the past panics:
 // it would silently reorder causality.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -68,6 +69,28 @@ func TestKernelPastSchedulingPanics(t *testing.T) {
 		}
 	}()
 	k.At(Time(0), func() {})
+}
+
+// TestTimeAddSaturates: the clock stops at Forever instead of wrapping, so an
+// event scheduled past it fires at it and never lands in the past.
+func TestTimeAddSaturates(t *testing.T) {
+	if got := Time(time.Second).Add(math.MaxInt64); got != Forever {
+		t.Errorf("1s + MaxInt64 = %v, want Forever", got)
+	}
+	if got := (Forever - 1).Add(time.Hour); got != Forever {
+		t.Errorf("Forever-1 + 1h = %v, want Forever", got)
+	}
+	if got := Time(5).Add(-3); got != 2 {
+		t.Errorf("5 - 3 = %v", got)
+	}
+	k := NewKernel(1)
+	k.RunUntil(Forever - Time(time.Second))
+	fired := false
+	k.After(time.Minute, func() { fired = true })
+	k.Run()
+	if !fired || k.Now() != Forever {
+		t.Errorf("event past the end: fired=%v now=%v", fired, k.Now())
+	}
 }
 
 func TestTimerStop(t *testing.T) {
@@ -242,11 +265,11 @@ func TestTimeArithmetic(t *testing.T) {
 func TestKernelAccessors(t *testing.T) {
 	k := NewKernel(1)
 	tm := k.After(time.Second, func() {})
-	if tm.When() != Time(time.Second) {
-		t.Errorf("When = %v", tm.When())
+	if tm.ev.at != Time(time.Second) {
+		t.Errorf("When = %v", tm.ev.at)
 	}
-	if k.Pending() != 1 {
-		t.Errorf("Pending = %d", k.Pending())
+	if k.queue.Len() != 1 {
+		t.Errorf("Pending = %d", k.queue.Len())
 	}
 	k.Run()
 	if k.Processed() != 1 {
@@ -301,8 +324,8 @@ func TestJobStartEndAccessors(t *testing.T) {
 	k := NewKernel(1)
 	k.RunFor(time.Minute)
 	j := k.AfterJob(time.Second, nil)
-	if j.Start() != Time(time.Minute) {
-		t.Errorf("Start = %v", j.Start())
+	if j.start != Time(time.Minute) {
+		t.Errorf("Start = %v", j.start)
 	}
 	k.Run()
 	if j.End() != Time(time.Minute+time.Second) {
@@ -313,12 +336,12 @@ func TestJobStartEndAccessors(t *testing.T) {
 func TestSequenceJobAccessor(t *testing.T) {
 	k := NewKernel(1)
 	s := NewSequence(k).ThenWait(time.Second)
-	if s.Job() == nil || s.Job().Done() {
+	if s.job == nil || s.job.Done() {
 		t.Error("Job accessor wrong before Go")
 	}
 	s.Go()
 	k.Run()
-	if !s.Job().Done() {
+	if !s.job.Done() {
 		t.Error("sequence job not done")
 	}
 }

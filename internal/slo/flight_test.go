@@ -60,7 +60,7 @@ func TestFlightRecorderBoundedAndDump(t *testing.T) {
 	}
 
 	var prom strings.Builder
-	if err := reg.WritePrometheus(&prom); err != nil {
+	if err := obs.WriteMergedPrometheus(&prom, "", []string{""}, []*obs.Registry{reg}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{

@@ -144,7 +144,7 @@ func TestLedgerInstruments(t *testing.T) {
 	l.Up("c2", at(2*time.Second), "restored")
 
 	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
+	if err := obs.WriteMergedPrometheus(&buf, "", []string{""}, []*obs.Registry{reg}); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()

@@ -252,12 +252,6 @@ func (g *Graph) Sites() []*Site {
 	return out
 }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
-
-// NumLinks returns the link count.
-func (g *Graph) NumLinks() int { return len(g.links) }
-
 // Connected reports whether every node can reach every other node.
 func (g *Graph) Connected() bool {
 	if len(g.nodes) == 0 {

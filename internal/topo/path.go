@@ -53,16 +53,6 @@ func (p Path) HasLink(id LinkID) bool {
 	return false
 }
 
-// HasNode reports whether the path visits the given node.
-func (p Path) HasNode(id NodeID) bool {
-	for _, n := range p.Nodes {
-		if n == id {
-			return true
-		}
-	}
-	return false
-}
-
 // Intermediate returns the nodes strictly between source and destination —
 // the ROADMs that express (or regenerate) the signal.
 func (p Path) Intermediate() []NodeID {
@@ -70,20 +60,6 @@ func (p Path) Intermediate() []NodeID {
 		return nil
 	}
 	return append([]NodeID(nil), p.Nodes[1:len(p.Nodes)-1]...)
-}
-
-// LinkDisjoint reports whether p and q share no links.
-func (p Path) LinkDisjoint(q Path) bool {
-	set := make(map[LinkID]bool, len(p.Links))
-	for _, l := range p.Links {
-		set[l] = true
-	}
-	for _, l := range q.Links {
-		if set[l] {
-			return false
-		}
-	}
-	return true
 }
 
 // Equal reports whether p and q traverse identical node and link sequences.

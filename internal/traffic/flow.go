@@ -45,14 +45,8 @@ func NewFlow(k *sim.Kernel, sizeBytes float64) (*Flow, error) {
 	}, nil
 }
 
-// Done returns the job that completes when the transfer finishes.
-func (f *Flow) Done() *sim.Job { return f.done }
-
 // Completed reports whether the transfer has finished.
 func (f *Flow) Completed() bool { return f.done.Done() }
-
-// Rate returns the current transfer rate.
-func (f *Flow) Rate() bw.Rate { return f.rate }
 
 // SetRate changes the transfer rate from now on (0 pauses the flow). Progress
 // made at the previous rate is settled first.
@@ -107,17 +101,6 @@ func (f *Flow) finish() {
 	}
 	f.finished = f.k.Now()
 	f.done.Complete(nil)
-}
-
-// RemainingBytes returns the unsent byte count as of now.
-func (f *Flow) RemainingBytes() float64 {
-	f.settle()
-	return f.left / 8
-}
-
-// TransferredBytes returns the bytes delivered so far.
-func (f *Flow) TransferredBytes() float64 {
-	return f.size/8 - f.RemainingBytes()
 }
 
 // Elapsed returns the transfer duration: start to finish for completed flows,

@@ -26,10 +26,10 @@ func TestFlowConstantRate(t *testing.T) {
 	if d := f.Elapsed(); d < want || d > want+time.Millisecond {
 		t.Errorf("elapsed = %v, want ~%v", d, want)
 	}
-	if f.RemainingBytes() != 0 {
-		t.Errorf("remaining = %v", f.RemainingBytes())
+	if remaining(f) != 0 {
+		t.Errorf("remaining = %v", remaining(f))
 	}
-	if got := f.TransferredBytes(); math.Abs(got-TB) > 1 {
+	if got := f.size/8 - remaining(f); math.Abs(got-TB) > 1 {
 		t.Errorf("transferred = %v", got)
 	}
 }
@@ -39,7 +39,7 @@ func TestFlowRateChangeMidway(t *testing.T) {
 	f, _ := NewFlow(k, TB)      // 8e12 bits
 	f.SetRate(bw.Rate10G)       // would finish at 800 s
 	k.RunFor(400 * time.Second) // half done
-	if rem := f.RemainingBytes(); math.Abs(rem-TB/2) > 1e6 {
+	if rem := remaining(f); math.Abs(rem-TB/2) > 1e6 {
 		t.Fatalf("remaining at midpoint = %v, want ~%v", rem, TB/2)
 	}
 	f.SetRate(bw.Rate40G) // 4x speed for the rest: 100 s more
@@ -60,9 +60,9 @@ func TestFlowPauseResume(t *testing.T) {
 	if f.Completed() {
 		t.Fatal("paused flow completed")
 	}
-	before := f.RemainingBytes()
+	before := remaining(f)
 	k.RunFor(time.Hour)
-	if f.RemainingBytes() != before {
+	if remaining(f) != before {
 		t.Error("paused flow made progress")
 	}
 	f.SetRate(bw.Rate10G)
@@ -81,7 +81,7 @@ func TestFlowDoneJobFires(t *testing.T) {
 	k := sim.NewKernel(1)
 	f, _ := NewFlow(k, 1e9)
 	fired := false
-	f.Done().OnDone(func(error) { fired = true })
+	f.done.OnDone(func(error) { fired = true })
 	f.SetRate(bw.Rate1G)
 	k.Run()
 	if !fired {
@@ -99,8 +99,8 @@ func TestFlowValidation(t *testing.T) {
 	}
 	f, _ := NewFlow(k, 100)
 	f.SetRate(-5) // clamps to pause
-	if f.Rate() != 0 {
-		t.Errorf("negative rate = %v, want 0", f.Rate())
+	if f.rate != 0 {
+		t.Errorf("negative rate = %v, want 0", f.rate)
 	}
 }
 
@@ -170,4 +170,10 @@ func TestDiurnal(t *testing.T) {
 	if math.Abs(a-b) > 1e-9 {
 		t.Errorf("not 24 h periodic: %v vs %v", a, b)
 	}
+}
+
+// remaining settles f and returns its unsent byte count.
+func remaining(f *Flow) float64 {
+	f.settle()
+	return f.left / 8
 }
