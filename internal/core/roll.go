@@ -194,14 +194,10 @@ func (c *Controller) regroom(conn *Connection) (bool, *sim.Job, error) {
 	// candidate is the best route that avoids the current links; move only
 	// when that candidate actually improves the path weight.
 	opt := c.rwaOpt
-	avoid := map[topo.LinkID]bool{}
-	for l := range opt.Constraints.AvoidLinks {
-		avoid[l] = true
-	}
+	opt.Constraints.AvoidLinks = make(map[topo.LinkID]bool, len(old.route.Path.Links))
 	for _, l := range old.route.Path.Links {
-		avoid[l] = true
+		opt.Constraints.AvoidLinks[l] = true
 	}
-	opt.Constraints.AvoidLinks = avoid
 	cand, err := rwa.FindRoute(c.plant, a, b, opt)
 	if err != nil {
 		return false, c.k.CompletedJob(nil), nil // no disjoint path: nothing to do

@@ -376,14 +376,7 @@ func (c *Controller) reserveLightpath(id ConnID, a, b topo.NodeID, rate bw.Rate,
 
 	opt := c.rwaOpt
 	opt.Rate = rate
-	merged := map[topo.LinkID]bool{}
-	for l := range opt.Constraints.AvoidLinks {
-		merged[l] = true
-	}
-	for l := range avoid {
-		merged[l] = true
-	}
-	opt.Constraints.AvoidLinks = merged
+	opt.Constraints.AvoidLinks = avoid
 
 	sp := c.tr.Start(parent, "rwa:search")
 	route, err := rwa.FindRoute(c.plant, a, b, opt)

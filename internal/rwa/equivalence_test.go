@@ -16,10 +16,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
+	"griphon/internal/bw"
 	"griphon/internal/optics"
 	"griphon/internal/sim"
 	"griphon/internal/topo"
@@ -321,6 +324,59 @@ func refAssignWavelength(plant *optics.Plant, links []topo.LinkID, policy Assign
 	}
 }
 
+// refFindRoute is the seed's eager FindRoute: all k paths first, then the
+// first that plans and assigns. It also reports which path won, counting
+// from 1 (0 when none did).
+func refFindRoute(plant *optics.Plant, src, dst topo.NodeID, opt Options) (Route, int, error) {
+	g := plant.Graph()
+	k := opt.K
+	if k <= 0 {
+		k = 4
+	}
+	cons := opt.Constraints
+	if down := plant.DownLinks(); len(down) > 0 {
+		avoid := make(map[topo.LinkID]bool, len(opt.Constraints.AvoidLinks)+len(down))
+		for id := range opt.Constraints.AvoidLinks {
+			avoid[id] = true
+		}
+		for _, id := range down {
+			avoid[id] = true
+		}
+		cons = Constraints{AvoidLinks: avoid, AvoidNodes: opt.Constraints.AvoidNodes}
+	}
+	paths, err := refKShortest(g, src, dst, k, ByHops, cons)
+	if err != nil {
+		return Route{}, 0, err
+	}
+	var lastErr error
+	reach := plant.ReachFor(opt.Rate)
+	for i, p := range paths {
+		plan, err := optics.PlanRegens(g, p, reach)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		channels := make([]optics.Channel, 0, len(plan.Segments))
+		ok := true
+		for _, seg := range plan.Segments {
+			ch, err := refAssignWavelength(plant, seg.Links, opt.Policy, opt.Rand)
+			if err != nil {
+				lastErr = err
+				ok = false
+				break
+			}
+			channels = append(channels, ch)
+		}
+		if ok {
+			return Route{Path: p, Plan: plan, Channels: channels}, i + 1, nil
+		}
+	}
+	if lastErr == nil {
+		lastErr = ErrNoPath
+	}
+	return Route{}, 0, fmt.Errorf("rwa: no assignable route %s->%s: %w", src, dst, lastErr)
+}
+
 // ---- equivalence over seeded random topologies ----
 
 type eqTopo struct {
@@ -436,6 +492,91 @@ func TestCompiledEngineEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFindRouteMatchesEager holds the lazy FindRoute to the seed's eager one
+// on loaded plants: random down links, spectrum pre-filled link by link (some
+// links full, the rest at a random load), random constraints, K from 1 to 6
+// and every policy. Route, channels, error text and RandomFit's draws must all
+// agree, and the cases must include wins by a later path and refusals.
+func TestFindRouteMatchesEager(t *testing.T) {
+	var firstWins, laterWins, refusals int
+	for _, tc := range equivalenceTopologies(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			nodes := g.Nodes()
+			cfg := optics.DefaultConfig()
+			cfg.ReachByRate = map[bw.Rate]float64{bw.Rate40G: 1200}
+			rng := sim.NewRand(31)
+			for trial := 0; trial < 60; trial++ {
+				plant, err := optics.NewPlant(g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				load := rng.Float64() * 0.6
+				for _, l := range g.Links() {
+					if rng.Intn(16) == 0 {
+						plant.SetLinkUp(l.ID, false)
+					}
+					full := rng.Intn(5) == 0
+					for ch := 1; ch <= cfg.Channels; ch++ {
+						if full || rng.Float64() < load {
+							if err := plant.Spectrum(l.ID).Reserve(optics.Channel(ch), "bg"); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				src := nodes[rng.Intn(len(nodes))].ID
+				dst := nodes[rng.Intn(len(nodes))].ID
+				if src == dst {
+					continue
+				}
+				opt := Options{
+					K:           1 + rng.Intn(6),
+					Policy:      AssignPolicy(rng.Intn(4)),
+					Constraints: randConstraints(rng, g, src, dst),
+					Rate:        []bw.Rate{bw.Rate10G, bw.Rate40G}[rng.Intn(2)],
+				}
+				what := fmt.Sprintf("%s->%s k=%d %v %v", src, dst, opt.K, opt.Policy, opt.Rate)
+				seed := int64(rng.Intn(1 << 30))
+				lazyRand, eagerRand := sim.NewRand(seed), sim.NewRand(seed)
+
+				opt.Rand = lazyRand
+				got, gerr := FindRoute(plant, src, dst, opt)
+				opt.Rand = eagerRand
+				want, won, werr := refFindRoute(plant, src, dst, opt)
+
+				if (gerr == nil) != (werr == nil) {
+					t.Fatalf("%s: err = %v, eager err = %v", what, gerr, werr)
+				}
+				if werr != nil {
+					if gerr.Error() != werr.Error() || errors.Is(gerr, ErrNoPath) != errors.Is(werr, ErrNoPath) {
+						t.Fatalf("%s: err = %v, eager err = %v", what, gerr, werr)
+					}
+					if strings.Contains(werr.Error(), "no assignable route") {
+						refusals++
+					}
+				} else {
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: route = %s %v, eager = %s %v", what, got.Path, got.Channels, want.Path, want.Channels)
+					}
+					if won == 1 {
+						firstWins++
+					} else {
+						laterWins++
+					}
+				}
+				if a, b := lazyRand.Intn(1<<30), eagerRand.Intn(1<<30); a != b {
+					t.Fatalf("%s: random sources out of step after the search", what)
+				}
+			}
+		})
+	}
+	if laterWins == 0 || refusals == 0 {
+		t.Fatalf("vacuous: %d wins by a path after the first, %d refusals", laterWins, refusals)
+	}
+	t.Logf("wins by the first path %d, by a later one %d; refusals %d", firstWins, laterWins, refusals)
 }
 
 // TestAssignEquivalence drives the bitset spectra + incremental usage

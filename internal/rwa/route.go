@@ -22,6 +22,9 @@ type Route struct {
 // Options tunes FindRoute, which always ranks paths by hop count. The zero
 // value means: 4 candidate paths, first-fit assignment, no extra constraints.
 type Options struct {
+	// K caps how many paths FindRoute tries. It is a bound, not a cost:
+	// each path is searched for only once the one before it failed to plan
+	// or assign.
 	K      int
 	Policy AssignPolicy
 	// Constraints restricts the fiber path; failed links are always
@@ -35,40 +38,47 @@ type Options struct {
 }
 
 // FindRoute computes a lightpath from src to dst through the photonic plant:
-// it searches the K shortest fiber paths (skipping failed links), splits each
-// by optical reach, and tries to assign a wavelength to every transparent
-// segment. The first path that fully assigns wins — so a shorter path that is
-// wavelength-blocked is passed over for a longer one that is not, which is
-// exactly the behaviour a carrier's RWA exhibits under load.
+// it takes the shortest fiber paths one at a time (skipping failed links),
+// splits each by optical reach, and tries to assign a wavelength to every
+// transparent segment. The first path that fully assigns wins — so a shorter
+// path that is wavelength-blocked is passed over for a longer one that is
+// not, which is exactly the behaviour a carrier's RWA exhibits under load.
+// A path is searched for only when every path before it has failed, so an
+// unloaded plant costs one Dijkstra whatever K is; the paths tried are the
+// first K that KShortest returns, in its order.
 func FindRoute(plant *optics.Plant, src, dst topo.NodeID, opt Options) (Route, error) {
 	g := plant.Graph()
 	k := opt.K
 	if k <= 0 {
 		k = 4
 	}
-
-	// Merge failed links into the avoid set. With no failures the caller's
-	// constraints pass through untouched (KShortest never mutates them).
-	cons := opt.Constraints
-	if down := plant.DownLinks(); len(down) > 0 {
-		avoid := make(map[topo.LinkID]bool, len(opt.Constraints.AvoidLinks)+len(down))
-		for id := range opt.Constraints.AvoidLinks {
-			avoid[id] = true
-		}
-		for _, id := range down {
-			avoid[id] = true
-		}
-		cons = Constraints{AvoidLinks: avoid, AvoidNodes: opt.Constraints.AvoidNodes}
-	}
-
-	paths, err := KShortest(g, src, dst, k, ByHops, cons)
+	ix := g.Index()
+	si, di, err := endpoints(ix, src, dst)
 	if err != nil {
 		return Route{}, err
 	}
 
+	s := getScratch(ix.NumNodes(), ix.NumLinks())
+	defer putScratch(s)
+	s.applyConstraints(ix, opt.Constraints)
+	for _, id := range plant.DownLinks() {
+		if li, ok := ix.LinkIndex(id); ok {
+			s.avoidLink[li] = true
+		}
+	}
+
+	y := yen{ix: ix, s: s, src: si, dst: di, m: ByHops}
 	var lastErr error
 	reach := plant.ReachFor(opt.Rate)
-	for _, p := range paths {
+	for tried := 0; tried < k; tried++ {
+		ip, more := y.next()
+		if !more {
+			if tried == 0 {
+				return Route{}, ErrNoPath
+			}
+			break
+		}
+		p := ip.toPath(ix)
 		plan, err := optics.PlanRegens(g, p, reach)
 		if err != nil {
 			lastErr = err
@@ -88,9 +98,6 @@ func FindRoute(plant *optics.Plant, src, dst topo.NodeID, opt Options) (Route, e
 		if ok {
 			return Route{Path: p, Plan: plan, Channels: channels}, nil
 		}
-	}
-	if lastErr == nil {
-		lastErr = ErrNoPath
 	}
 	return Route{}, fmt.Errorf("rwa: no assignable route %s->%s: %w", src, dst, lastErr)
 }

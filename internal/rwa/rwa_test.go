@@ -394,6 +394,34 @@ func TestFindRoutePureProperty(t *testing.T) {
 	}
 }
 
+// TestFindRouteCostIndependentOfK pins that FindRoute searches only for the
+// paths it tries: on an unloaded plant the first path assigns, so a larger K
+// must cost nothing. Allocations count the work done whatever the host.
+func TestFindRouteCostIndependentOfK(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops arenas at random, so allocation counts vary")
+	}
+	g, err := topo.Continental(75, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant := newPlant(t, g)
+	sites := g.Sites()
+	src, dst := sites[0].Home, sites[len(sites)-1].Home
+	allocs := map[int]float64{}
+	for _, k := range []int{1, 4, 8} {
+		allocs[k] = testing.AllocsPerRun(50, func() {
+			if _, err := FindRoute(plant, src, dst, Options{K: k}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[4] != allocs[1] || allocs[8] != allocs[1] {
+		t.Fatalf("FindRoute %s->%s allocations by K: 1: %v, 4: %v, 8: %v; want equal", src, dst, allocs[1], allocs[4], allocs[8])
+	}
+	t.Logf("FindRoute %s->%s: %v allocations for K = 1, 4 and 8", src, dst, allocs[1])
+}
+
 func TestMetricAndPolicyStrings(t *testing.T) {
 	if ByHops.String() != "hops" || ByKM.String() != "km" {
 		t.Error("metric strings")

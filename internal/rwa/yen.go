@@ -91,106 +91,151 @@ func sharesRootIdx(p ipath, rootNodes, rootLinks []int32) bool {
 	return true
 }
 
-// kShortestIdx is Yen's algorithm in the integer domain. The scratch arena's
-// avoid sets must already hold the caller's base constraints; they are
-// restored to exactly that state before returning. Spur searches never
-// materialise per-spur avoid maps: the temporary additions are marked in the
-// arena and rolled back after each search.
-func kShortestIdx(ix *topo.Index, s *scratch, src, dst int32, k int, m Metric) ([]ipath, error) {
-	if !dijkstra(ix, src, dst, m, s) {
-		return nil, ErrNoPath
-	}
-	n0, l0 := s.extractPath(src, dst)
-	first := ipath{
-		nodes:  append([]int32(nil), n0...),
-		links:  append([]int32(nil), l0...),
-		weight: pathWeightIdx(ix, l0, m),
-	}
-	paths := []ipath{first}
-	var candidates []ipath
+// yen enumerates the loop-free paths from src to dst in Yen's order: weight
+// first, then node sequence. next runs only the searches the path it returns
+// needs — one Dijkstra for the first path, one spur search per node of the
+// previous path for each later one — so a caller that stops early pays for
+// nothing it did not take. Path i+1 is built from paths 1..i and the
+// candidates they produced alone, so the first k paths are the same list, in
+// the same order, however many are asked for.
+//
+// The arena's avoid sets must hold the caller's base constraints. A spur
+// search marks its temporary additions there and rolls them back when it is
+// done, so between calls the arena holds exactly the base constraints again
+// and the caller may run its own searches on it.
+type yen struct {
+	ix       *topo.Index
+	s        *scratch
+	src, dst int32
+	m        Metric
 
-	var addedLinks, addedNodes []int32
-	addLink := func(li int32) {
-		if !s.avoidLink[li] {
-			s.avoidLink[li] = true
-			addedLinks = append(addedLinks, li)
-		}
-	}
-	addNode := func(ni int32) {
-		if !s.avoidNode[ni] {
-			s.avoidNode[ni] = true
-			addedNodes = append(addedNodes, ni)
-		}
-	}
-	rollback := func() {
-		for _, li := range addedLinks {
-			s.avoidLink[li] = false
-		}
-		for _, ni := range addedNodes {
-			s.avoidNode[ni] = false
-		}
-		addedLinks = addedLinks[:0]
-		addedNodes = addedNodes[:0]
-	}
+	paths      []ipath // returned so far, in order
+	candidates []ipath // found by spur searches, not yet returned
 
-	for len(paths) < k {
-		prev := paths[len(paths)-1]
-		// For each node of the previous path except the last, branch.
-		for i := 0; i < len(prev.nodes)-1; i++ {
-			spurNode := prev.nodes[i]
-			rootNodes := prev.nodes[:i+1]
-			rootLinks := prev.links[:i]
+	// avoid bits the current spur search set, for rollback.
+	addedLinks, addedNodes []int32
+}
 
-			// Remove the links that previous accepted paths (and pending
-			// candidates) take out of this same root, so the spur diverges.
-			for _, p := range paths {
-				if sharesRootIdx(p, rootNodes, rootLinks) && i < len(p.links) {
-					addLink(p.links[i])
-				}
-			}
-			for _, cand := range candidates {
-				if sharesRootIdx(cand, rootNodes, rootLinks) && i < len(cand.links) {
-					addLink(cand.links[i])
-				}
-			}
-			// Exclude root nodes (other than the spur node) so the total
-			// path stays loop-free.
-			for _, n := range rootNodes[:i] {
-				addNode(n)
-			}
-
-			ok := dijkstra(ix, spurNode, dst, m, s)
-			rollback()
-			if !ok {
-				continue
-			}
-			spurNodes, spurLinks := s.extractPath(spurNode, dst)
-			total := ipath{
-				nodes: append(append(make([]int32, 0, len(rootNodes)+len(spurNodes)-1), rootNodes...), spurNodes[1:]...),
-				links: append(append(make([]int32, 0, len(rootLinks)+len(spurLinks)), rootLinks...), spurLinks...),
-			}
-			// The spur avoids all strict root nodes and is itself loop-free,
-			// so the concatenation is a valid loop-free path by construction
-			// (the seed's Validate call could never fire here either).
-			if containsIpath(paths, total) || containsIpath(candidates, total) {
-				continue
-			}
-			total.weight = pathWeightIdx(ix, total.links, m)
-			candidates = append(candidates, total)
+// next returns the next path, or false when there is none.
+func (y *yen) next() (ipath, bool) {
+	if len(y.paths) == 0 {
+		if !dijkstra(y.ix, y.src, y.dst, y.m, y.s) {
+			return ipath{}, false
 		}
-		if len(candidates) == 0 {
-			break
+		n0, l0 := y.s.extractPath(y.src, y.dst)
+		first := ipath{
+			nodes:  append([]int32(nil), n0...),
+			links:  append([]int32(nil), l0...),
+			weight: pathWeightIdx(y.ix, l0, y.m),
 		}
-		sort.Slice(candidates, func(a, b int) bool {
-			if candidates[a].weight != candidates[b].weight {
-				return candidates[a].weight < candidates[b].weight
-			}
-			return lessNodeSeq(candidates[a].nodes, candidates[b].nodes)
-		})
-		paths = append(paths, candidates[0])
-		candidates = candidates[1:]
+		y.paths = append(y.paths, first)
+		return first, true
 	}
-	return paths, nil
+	y.spur(y.paths[len(y.paths)-1])
+	if len(y.candidates) == 0 {
+		return ipath{}, false
+	}
+	sort.Slice(y.candidates, func(a, b int) bool {
+		ca, cb := y.candidates[a], y.candidates[b]
+		if ca.weight != cb.weight {
+			return ca.weight < cb.weight
+		}
+		return lessNodeSeq(ca.nodes, cb.nodes)
+	})
+	p := y.candidates[0]
+	y.paths = append(y.paths, p)
+	y.candidates = y.candidates[1:]
+	return p, true
+}
+
+// spur branches off every node of prev but the last and adds each new
+// loop-free path it finds to the candidates.
+func (y *yen) spur(prev ipath) {
+	s := y.s
+	for i := 0; i < len(prev.nodes)-1; i++ {
+		spurNode := prev.nodes[i]
+		rootNodes := prev.nodes[:i+1]
+		rootLinks := prev.links[:i]
+
+		// Remove the links that returned paths (and pending candidates)
+		// take out of this same root, so the spur diverges.
+		for _, p := range y.paths {
+			if sharesRootIdx(p, rootNodes, rootLinks) && i < len(p.links) {
+				y.avoidLink(p.links[i])
+			}
+		}
+		for _, cand := range y.candidates {
+			if sharesRootIdx(cand, rootNodes, rootLinks) && i < len(cand.links) {
+				y.avoidLink(cand.links[i])
+			}
+		}
+		// Exclude root nodes (other than the spur node) so the total path
+		// stays loop-free.
+		for _, n := range rootNodes[:i] {
+			y.avoidNode(n)
+		}
+
+		ok := dijkstra(y.ix, spurNode, y.dst, y.m, s)
+		y.rollback()
+		if !ok {
+			continue
+		}
+		spurNodes, spurLinks := s.extractPath(spurNode, y.dst)
+		total := ipath{
+			nodes: append(append(make([]int32, 0, len(rootNodes)+len(spurNodes)-1), rootNodes...), spurNodes[1:]...),
+			links: append(append(make([]int32, 0, len(rootLinks)+len(spurLinks)), rootLinks...), spurLinks...),
+		}
+		// The spur avoids all strict root nodes and is itself loop-free,
+		// so the concatenation is a valid loop-free path by construction
+		// (the seed's Validate call could never fire here either).
+		if containsIpath(y.paths, total) || containsIpath(y.candidates, total) {
+			continue
+		}
+		total.weight = pathWeightIdx(y.ix, total.links, y.m)
+		y.candidates = append(y.candidates, total)
+	}
+}
+
+func (y *yen) avoidLink(li int32) {
+	if !y.s.avoidLink[li] {
+		y.s.avoidLink[li] = true
+		y.addedLinks = append(y.addedLinks, li)
+	}
+}
+
+func (y *yen) avoidNode(ni int32) {
+	if !y.s.avoidNode[ni] {
+		y.s.avoidNode[ni] = true
+		y.addedNodes = append(y.addedNodes, ni)
+	}
+}
+
+func (y *yen) rollback() {
+	for _, li := range y.addedLinks {
+		y.s.avoidLink[li] = false
+	}
+	for _, ni := range y.addedNodes {
+		y.s.avoidNode[ni] = false
+	}
+	y.addedLinks = y.addedLinks[:0]
+	y.addedNodes = y.addedNodes[:0]
+}
+
+// endpoints resolves a search's end points to node indices, refusing
+// unknown and equal ones.
+func endpoints(ix *topo.Index, src, dst topo.NodeID) (si, di int32, err error) {
+	si, ok := ix.NodeIndex(src)
+	if !ok {
+		return 0, 0, fmt.Errorf("rwa: unknown source %s", src)
+	}
+	di, ok = ix.NodeIndex(dst)
+	if !ok {
+		return 0, 0, fmt.Errorf("rwa: unknown destination %s", dst)
+	}
+	if src == dst {
+		return 0, 0, fmt.Errorf("rwa: source equals destination %s", src)
+	}
+	return si, di, nil
 }
 
 // KShortest returns up to k loop-free paths from src to dst in non-decreasing
@@ -201,29 +246,26 @@ func KShortest(g *topo.Graph, src, dst topo.NodeID, k int, m Metric, c Constrain
 		k = 1
 	}
 	ix := g.Index()
-	si, ok := ix.NodeIndex(src)
-	if !ok {
-		return nil, fmt.Errorf("rwa: unknown source %s", src)
-	}
-	di, ok := ix.NodeIndex(dst)
-	if !ok {
-		return nil, fmt.Errorf("rwa: unknown destination %s", dst)
-	}
-	if src == dst {
-		return nil, fmt.Errorf("rwa: source equals destination %s", src)
+	si, di, err := endpoints(ix, src, dst)
+	if err != nil {
+		return nil, err
 	}
 
 	s := getScratch(ix.NumNodes(), ix.NumLinks())
 	defer putScratch(s)
 	s.applyConstraints(ix, c)
 
-	ips, err := kShortestIdx(ix, s, si, di, k, m)
-	if err != nil {
-		return nil, err
+	y := yen{ix: ix, s: s, src: si, dst: di, m: m}
+	var out []topo.Path
+	for len(out) < k {
+		p, ok := y.next()
+		if !ok {
+			break
+		}
+		out = append(out, p.toPath(ix))
 	}
-	out := make([]topo.Path, len(ips))
-	for i, p := range ips {
-		out[i] = p.toPath(ix)
+	if len(out) == 0 {
+		return nil, ErrNoPath
 	}
 	return out, nil
 }
@@ -239,41 +281,30 @@ func DisjointPair(g *topo.Graph, src, dst topo.NodeID, kPrimaries int, m Metric,
 		kPrimaries = 4
 	}
 	ix := g.Index()
-	si, ok := ix.NodeIndex(src)
-	if !ok {
-		return topo.Path{}, topo.Path{}, fmt.Errorf("rwa: unknown source %s", src)
-	}
-	di, ok := ix.NodeIndex(dst)
-	if !ok {
-		return topo.Path{}, topo.Path{}, fmt.Errorf("rwa: unknown destination %s", dst)
-	}
-	if src == dst {
-		return topo.Path{}, topo.Path{}, fmt.Errorf("rwa: source equals destination %s", src)
+	si, di, err := endpoints(ix, src, dst)
+	if err != nil {
+		return topo.Path{}, topo.Path{}, err
 	}
 
 	s := getScratch(ix.NumNodes(), ix.NumLinks())
 	defer putScratch(s)
 	s.applyConstraints(ix, c)
 
-	prims, err := kShortestIdx(ix, s, si, di, kPrimaries, m)
-	if err != nil {
-		return topo.Path{}, topo.Path{}, err
-	}
+	y := yen{ix: ix, s: s, src: si, dst: di, m: m}
 	best := -1.0
 	var bestPrim, bestBackup ipath
-	var added []int32
-	for _, p := range prims {
-		added = added[:0]
+	for n := 0; n < kPrimaries; n++ {
+		p, ok := y.next()
+		if !ok {
+			break
+		}
+		// The backup search borrows the enumerator's rollback: between
+		// calls to next the arena holds only the base constraints.
 		for _, li := range p.links {
-			if !s.avoidLink[li] {
-				s.avoidLink[li] = true
-				added = append(added, li)
-			}
+			y.avoidLink(li)
 		}
-		ok := dijkstra(ix, si, di, m, s)
-		for _, li := range added {
-			s.avoidLink[li] = false
-		}
+		ok = dijkstra(ix, si, di, m, s)
+		y.rollback()
 		if !ok {
 			continue
 		}
