@@ -14,6 +14,7 @@ import (
 	"griphon/internal/bw"
 	"griphon/internal/journal"
 	"griphon/internal/optics"
+	"griphon/internal/rwa"
 	"griphon/internal/sim"
 	"griphon/internal/topo"
 )
@@ -156,6 +157,16 @@ func scanSeeds(t testing.TB) [][]byte {
 			{ID: "C10000", Customer: "carrier", Rate: int64(bw.Rate10G), State: int(StateReleased), Internal: true,
 				Carries: "P000:I-III", RequestedAt: -5, ReleasedAt: 1 << 62},
 			{ID: "C9999", Customer: "", State: int(StateReleased)},
+			// Lightpaths the testbed never routes: nil route slices, which
+			// are written null, and lengths in the exponent form.
+			{ID: "C9999a", Customer: odd, State: int(StateActive), Path: &lightpathRec{
+				Route: rwa.Route{Plan: optics.RegenPlan{Segments: []optics.Segment{{KM: 1e-7}, {Links: []topo.LinkID{"II-III"}, KM: 1e21}}}},
+				OTs:   [2]string{"OT-I-00", ""}, Regens: []string{"RG-II-00"}, SegOwners: []string{odd, ""},
+			}, ProtectPath: &lightpathRec{Route: rwa.Route{
+				Path:     topo.Path{Nodes: []topo.NodeID{"I", "II"}, Links: []topo.LinkID{"I-II"}},
+				Plan:     optics.RegenPlan{Segments: []optics.Segment{{Links: []topo.LinkID{"I-II"}, KM: 0.5}}, RegenNodes: []topo.NodeID{}},
+				Channels: []optics.Channel{96},
+			}, PortsA: [2]string{"C0", "L0"}, PortsB: [2]string{odd, "L1"}}},
 		},
 		Pipes:    []pipeRec{{ID: "P000:I-III", A: "I", B: "III", Level: 2, Up: true, Carrier: "C10000"}},
 		Bookings: []bookingRec{{ID: 1, Customer: odd, From: "DC-A", To: "DC-B", Rate: 1, At: 5, Hold: 6}},
@@ -173,7 +184,7 @@ func scanSeeds(t testing.TB) [][]byte {
 // accepts, encoding/json decodes to the same state; whatever encoding/json
 // accepts and would write back byte for byte, the scanner accepts.
 func checkScanAgainstJSON(t *testing.T, data []byte) {
-	got, gerr := decodeSnapshot(data, 0)
+	got, gerr := newStateScanner().decodeState(data, 0)
 	var want stateRec
 	werr := json.Unmarshal(data, &want)
 	switch {
@@ -199,6 +210,8 @@ func FuzzScanState(f *testing.F) {
 	}
 	f.Add([]byte(`{"conns":[{"id":"a","rate":-0,"pipes":[]}],"conns":null}`))
 	f.Add([]byte(`{"now":1,"CONNS":[],"conns":[{}]}`))
+	f.Add([]byte(`{"conns":[{"id":"a","path":{"route":{"Path":{"Nodes":null},"Plan":{"Segments":[{"KM":-0.0e+0}]}},"ots":["a","b","c"]}}]}`))
+	f.Add([]byte(`{"conns":[{"id":"a","path":{"route":{"Channels":[1.5]},"ports_a":["x"]}}]}`))
 	f.Fuzz(checkScanAgainstJSON)
 }
 
@@ -206,7 +219,7 @@ func FuzzScanState(f *testing.F) {
 // plain `go test`, and requires the scanner to accept each of them.
 func TestScanStateSeeds(t *testing.T) {
 	for i, seed := range scanSeeds(t) {
-		if _, err := decodeSnapshot(seed, 0); err != nil {
+		if _, err := newStateScanner().decodeState(seed, 0); err != nil {
 			t.Errorf("seed %d rejected: %v\n%s", i, err, seed)
 		}
 		checkScanAgainstJSON(t, seed)
@@ -215,8 +228,12 @@ func TestScanStateSeeds(t *testing.T) {
 		``, `null`, `{`, `{"conns":[{"id":"a"}]} `, `{"conns":[{"id":"a",}]}`, `{"conns":[{"customer":"x","id":"a"}]}`,
 		`{"conns":[{"id":"a","rate":01}]}`, `{"conns":[{"id":"a","rate":1e3}]}`, `{"conns":[{"id":"a","rate":9223372036854775808}]}`,
 		`{"conns":[{"id":"a"}],"conns":[]}`, `{ "conns":[]}`, `{"conns":[{"id":"a","path":null}]}`,
+		`{"quotas":null}`, `{"conns":[{"id":"a","pipes":null}]}`, `{"conns":[{"id":"a","path":{"ots":["a"]}}]}`,
+		`{"conns":[{"id":"a","path":{"route":{"Plan":{"Segments":[{"KM":1e400}]}}}}]}`,
+		`{"conns":[{"id":"a","path":{"route":{"Plan":{"Segments":[{"KM":.5}]}}}}]}`,
+		`{"conns":[{"id":"a","path":{"route":{"Channels":[1.0]}}}]}`,
 	} {
-		if _, err := decodeSnapshot([]byte(bad), 0); err == nil {
+		if _, err := newStateScanner().decodeState([]byte(bad), 0); err == nil {
 			t.Errorf("scanner accepts %q", bad)
 		}
 		checkScanAgainstJSON(t, []byte(bad))

@@ -22,7 +22,6 @@ package core
 import (
 	"bytes"
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
@@ -272,7 +271,10 @@ func bookingRecOf(b *Booking) bookingRec {
 }
 
 func (c *Controller) quotaRecs() []quotaRec {
-	var out []quotaRec
+	// Non-nil even when empty, for the reason downLinkRecs gives: the commit
+	// that clears the last quota must read back as "no quotas", not as
+	// "unchanged".
+	out := []quotaRec{}
 	for _, cust := range c.ledger.Customers() {
 		q := c.ledger.QuotaOf(cust)
 		if q.MaxConnections == 0 && q.MaxBandwidth == 0 {
@@ -379,9 +381,10 @@ func (c *Controller) DurableState() ([]byte, error) {
 // in the snapshot's own ID order and take their upserts in place.
 func foldState(snapshot []byte, entries []journal.Entry) (stateRec, error) {
 	var st stateRec
+	s := newStateScanner()
 	if snapshot != nil {
 		var err error
-		if st, err = decodeSnapshot(snapshot, len(entries)); err != nil {
+		if st, err = s.decodeState(snapshot, len(entries)); err != nil {
 			return st, fmt.Errorf("core: corrupt state snapshot: %w", err)
 		}
 		for i := 1; i < len(st.Conns); i++ {
@@ -398,12 +401,12 @@ func foldState(snapshot []byte, entries []journal.Entry) (stateRec, error) {
 	for _, r := range st.Bookings {
 		books[r.ID] = r
 	}
+	var rec commitRec
 	for _, e := range entries {
 		if e.Kind != recKindCommit {
 			return st, fmt.Errorf("core: unknown journal record kind %q at seq %d", e.Kind, e.Seq)
 		}
-		var rec commitRec
-		if err := json.Unmarshal(e.Data, &rec); err != nil {
+		if err := s.decodeCommit(e.Data, &rec); err != nil {
 			return st, fmt.Errorf("core: corrupt commit record at seq %d: %w", e.Seq, err)
 		}
 		st.Now = rec.Now

@@ -7,9 +7,9 @@ package core
 // record types: fields in declaration order under their json names, omitempty
 // where the tag says so, null for a nil slice without omitempty (the route
 // types carry no tags at all), encoding/json's float format and its HTML-safe
-// string escaping. So no journal ever written changes meaning, and the
-// decoders (foldState, scanstate.go) stay on encoding/json. Its Marshal is the
-// oracle the appenders are held to in tests (FuzzRecordEncoding).
+// string escaping. So no journal ever written changes meaning. scanstate.go is
+// the read side, for the same bytes. encoding/json is the oracle both are held
+// to in tests (FuzzRecordEncoding, FuzzScanState, FuzzScanCommit).
 
 import (
 	"io"

@@ -107,7 +107,10 @@ type eventRun struct {
 }
 
 // NewShardSet builds (or, with StateDir holding prior state, rehydrates)
-// every shard.
+// every shard. What shards share is set up first, in index order: topology
+// clones, kernels, tracers. Then the shards are built concurrently (build),
+// and only then are their event and alarm streams wired into the merged logs,
+// in index order, so the merged order is what a one-by-one build made.
 func NewShardSet(g *topo.Graph, cfg ShardSetConfig) (*ShardSet, error) {
 	n := cfg.Shards
 	if n < 1 {
@@ -121,12 +124,14 @@ func NewShardSet(g *topo.Graph, cfg ShardSetConfig) (*ShardSet, error) {
 		}
 		s.coord = NewCoordinator(ch)
 	}
+	builds := make([]func() error, n)
 	for i := 0; i < n; i++ {
 		k := sim.NewKernel(cfg.Seed + int64(i))
 		gi := g
 		if i > 0 {
 			// Each shard clones the topology: Graph.Index lazily builds a
-			// compiled cache, so shards share no mutable graph state.
+			// compiled cache, so shards share no mutable graph state. Every
+			// clone is made before any shard is built.
 			gi = g.Clone()
 		}
 		ccfg := cfg.Core
@@ -135,38 +140,64 @@ func NewShardSet(g *topo.Graph, cfg ShardSetConfig) (*ShardSet, error) {
 			ccfg.Tracer = obs.NewTracer(k)
 			s.tracers = append(s.tracers, ccfg.Tracer)
 		}
-		var store *journal.Store
-		if cfg.StateDir != "" {
-			dir := cfg.StateDir
-			if n > 1 {
-				dir = filepath.Join(cfg.StateDir, fmt.Sprintf("shard-%d", i))
-			}
-			var err error
-			store, err = journal.Open(dir, journal.Options{Fsync: cfg.Fsync})
-			if err != nil {
-				s.Close() //lint:allow errcheck construction already failed
-				return nil, err
-			}
-			ccfg.Journal = store
+		dir := cfg.StateDir
+		if dir != "" && n > 1 {
+			dir = filepath.Join(cfg.StateDir, fmt.Sprintf("shard-%d", i))
 		}
-		var ctrl *Controller
-		var err error
-		if store != nil && store.HasState() {
-			ctrl, err = Rehydrate(k, gi, ccfg)
-		} else {
-			ctrl, err = New(k, gi, ccfg)
-		}
-		if err != nil {
-			if store != nil {
-				_ = store.Close() // construction already failed; surface that error
-			}
-			s.Close() //lint:allow errcheck construction already failed
-			return nil, err
-		}
-		s.shards = append(s.shards, &Shard{Kernel: k, Ctrl: ctrl, Store: store})
-		s.observe(uint32(i), ctrl)
+		sh := &Shard{Kernel: k}
+		s.shards = append(s.shards, sh)
+		builds[i] = func() error { return sh.build(gi, ccfg, dir, cfg.Fsync) }
+	}
+	if err := s.build(builds); err != nil {
+		return nil, err
+	}
+	for i, sh := range s.shards {
+		s.observe(uint32(i), sh.Ctrl)
 	}
 	return s, nil
+}
+
+// build runs every shard's build on a goroutine of its own and waits for them
+// all. The shards share nothing but the Coordinator, which takes its lock for
+// the claims they re-register. On any failure it closes every journal that
+// was opened and returns the first error in shard order.
+func (s *ShardSet) build(builds []func() error) error {
+	errs := make([]error, len(builds))
+	var wg sync.WaitGroup
+	for i, build := range builds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = build()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			s.Close() //lint:allow errcheck construction already failed
+			return err
+		}
+	}
+	return nil
+}
+
+// build opens the shard's journal in dir, unless dir is empty, and rebuilds
+// the shard from the state there or builds it fresh.
+func (sh *Shard) build(g *topo.Graph, cfg Config, dir string, fsync bool) error {
+	if dir != "" {
+		var err error
+		if sh.Store, err = journal.Open(dir, journal.Options{Fsync: fsync}); err != nil {
+			return err
+		}
+		cfg.Journal = sh.Store
+	}
+	var err error
+	if sh.Store != nil && sh.Store.HasState() {
+		sh.Ctrl, err = Rehydrate(sh.Kernel, g, cfg)
+	} else {
+		sh.Ctrl, err = New(sh.Kernel, g, cfg)
+	}
+	return err
 }
 
 // observe wires a shard's event and alarm streams into the merged logs, after

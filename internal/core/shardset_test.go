@@ -698,3 +698,151 @@ func TestMergedLogRuns(t *testing.T) {
 		}
 	}
 }
+
+// copyStateDir copies a state directory, shard subdirectories and all.
+func copyStateDir(t testing.TB, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), raw, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestShardSetRehydrateDeterministic: shards rehydrate concurrently, and what
+// they come back as must not depend on which finishes first. A 4-shard
+// continental set holds wavelengths on every shard — so the coordinator holds
+// claims from all four — a down link, bookings and a quota; then it closes and
+// is rebuilt from copies of its state ten times. Every shard's durable state
+// and the coordinator's claims must equal the live set's, the merged log must
+// come out the same each time, in shard order, and the cross-shard audit must
+// be clean.
+func TestShardSetRehydrateDeterministic(t *testing.T) {
+	build := func(dir string) *ShardSet {
+		t.Helper()
+		g, err := topo.Continental(75, 8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewShardSet(g, ShardSetConfig{Shards: 4, Seed: 1, StateDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	dir := t.TempDir()
+	s := build(dir)
+	var sites []topo.SiteID
+	for _, site := range s.Shard(0).Ctrl.Graph().Sites() {
+		sites = append(sites, site.ID)
+	}
+	classes := []struct {
+		rate    bw.Rate
+		protect Protection
+	}{{bw.Rate10G, Restore}, {bw.Rate40G, Restore}, {bw.Rate10G, OnePlusOne}}
+	custs := customersByShard(t, s, len(classes))
+	var held *Connection
+	for i, cc := range custs {
+		active := 0
+		for j, cust := range cc {
+			req := Request{Customer: inventory.Customer(cust), From: sites[(i+j)%len(sites)], To: sites[(i+j+3)%len(sites)],
+				Rate: classes[j].rate, Protect: classes[j].protect}
+			conn, job, err := s.For(req.Customer).Connect(req)
+			if err != nil {
+				continue // the carrier's no: a 1+1 pair with no disjoint route
+			}
+			if s.Await(job) == nil && conn.State == StateActive {
+				active++
+				held = conn
+			}
+		}
+		if active == 0 || len(s.Coordinator().shardClaims(i)) == 0 {
+			t.Fatalf("shard %d holds no wavelength", i)
+		}
+	}
+	owner := s.For(held.Customer)
+	if _, err := owner.ScheduleConnect(Request{Customer: held.Customer, From: sites[0], To: sites[1], Rate: bw.Rate10G}, s.Now().Add(time.Minute), time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CutFiber(held.Route().Links[0]); err != nil {
+		t.Fatal(err)
+	}
+	s.Drain()
+	if _, err := owner.ScheduleConnect(Request{Customer: held.Customer, From: sites[1], To: sites[2], Rate: bw.Rate10G}, s.Now().Add(time.Hour), time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	s.SetQuota(held.Customer, inventory.Quota{MaxConnections: 5})
+	auditSetClean(t, s)
+	want := make([][]byte, s.Len())
+	wantClaims := make([][]string, s.Len())
+	for i, sh := range s.Shards() {
+		var err error
+		if want[i], err = sh.Ctrl.DurableState(); err != nil {
+			t.Fatal(err)
+		}
+		wantClaims[i] = s.Coordinator().shardClaims(i)
+		if !bytes.Contains(want[i], []byte(`"down_links":`)) {
+			t.Fatalf("shard %d journaled no down link: %s", i, want[i])
+		}
+	}
+	if held := want[s.ShardFor(held.Customer)]; !bytes.Contains(held, []byte(`"quotas":`)) || !bytes.Contains(held, []byte(`"bookings":`)) {
+		t.Fatalf("owning shard journaled no quota or booking: %s", held)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var firstEvents []Event
+	for run := 0; run < 10; run++ {
+		s2 := build(copyStateDir(t, dir))
+		for i, sh := range s2.Shards() {
+			got, err := sh.Ctrl.DurableState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[i]) {
+				t.Errorf("run %d: shard %d rehydrated state differs from the live one", run, i)
+			}
+			if claims := s2.Coordinator().shardClaims(i); !reflect.DeepEqual(claims, wantClaims[i]) {
+				t.Errorf("run %d: shard %d claims %v, live %v", run, i, claims, wantClaims[i])
+			}
+		}
+		// The merged log is every shard's rehydration log in shard order.
+		var inOrder []Event
+		for _, sh := range s2.Shards() {
+			for j := 0; j < sh.Ctrl.events.len(); j++ {
+				inOrder = append(inOrder, sh.Ctrl.events.at(j))
+			}
+		}
+		evs := s2.Events()
+		if !reflect.DeepEqual(evs, inOrder) {
+			t.Errorf("run %d: merged log is not the shard logs in shard order:\n%v\nwant\n%v", run, evs, inOrder)
+		}
+		if run == 0 {
+			firstEvents = evs
+		} else if !reflect.DeepEqual(evs, firstEvents) {
+			t.Errorf("run %d: merged log differs from the first rebuild's", run)
+		}
+		auditSetClean(t, s2)
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

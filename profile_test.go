@@ -3,8 +3,11 @@ package griphon_test
 import (
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -54,18 +57,35 @@ func BenchmarkJournaledWavelengthChurn(b *testing.B) {
 }
 
 // benchJournaled times connect/disconnect cycles through the HTTP handler of
-// a journaled, fsynced network over topo, 64 tenants and every ordered site
-// pair taking turns. class gives each connect's rate and protection. When
-// primed, set-up first cycles a 1G circuit over each neighbouring pair of the
-// sorted sites, which builds the OTN pipes; then come 256 cycles of history.
-// A connect refused with a 409 whose text holds one of refusals is counted
-// as the carrier's no and gets no disconnect; any other refusal fails.
+// a journaled, fsynced network over topo (churnNetwork), after 256 cycles of
+// history.
 func benchJournaled(b *testing.B, topo *griphon.Topology, primed bool, class func() (rate, protect string), refusals ...string) {
-	net, err := griphon.New(topo, griphon.WithSeed(1), griphon.WithStateDir(b.TempDir()), griphon.WithFsync())
+	net, churn := churnNetwork(b, b.TempDir(), topo, 64, primed, class, refusals)
+	defer net.Close()
+	for i := 0; i < 256; i++ {
+		churn(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		churn(i)
+	}
+}
+
+// churnNetwork opens a journaled, fsynced network over topo in dir, with
+// opts, and returns it with churn: churn(i) is one connect and its disconnect
+// through the network's HTTP handler, tenants and every ordered site pair
+// taking turns. class gives each connect's rate and protection. When primed,
+// it first cycles a 1G circuit over each neighbouring pair of the sorted
+// sites, which builds the OTN pipes. A connect refused with a 409 whose text
+// holds one of refusals is counted as the carrier's no and gets no
+// disconnect; any other refusal fails.
+func churnNetwork(b *testing.B, dir string, topo *griphon.Topology, tenants int, primed bool, class func() (rate, protect string), refusals []string, opts ...griphon.Option) (*griphon.Network, func(int)) {
+	opts = append([]griphon.Option{griphon.WithSeed(1), griphon.WithStateDir(dir), griphon.WithFsync()}, opts...)
+	net, err := griphon.New(topo, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer net.Close()
 	h := api.NewServer(net).Handler()
 	post := func(path, body string) (int, []byte) {
 		rec := httptest.NewRecorder()
@@ -81,7 +101,7 @@ func benchJournaled(b *testing.B, topo *griphon.Topology, primed bool, class fun
 		return false
 	}
 	cycle := func(tenant int, from, to, rate, protect string) {
-		cust := fmt.Sprintf("tenant-%03d", tenant%64)
+		cust := fmt.Sprintf("tenant-%03d", tenant%tenants)
 		body := fmt.Sprintf(`{"customer":%q,"from":%q,"to":%q,"rate":%q,"protection":%q}`, cust, from, to, rate, protect)
 		code, reply := post("/api/v1/connect", body)
 		if code == http.StatusConflict && expected(reply) {
@@ -108,22 +128,88 @@ func benchJournaled(b *testing.B, topo *griphon.Topology, primed bool, class fun
 			}
 		}
 	}
-	churn := func(i int) {
-		rate, protect := class()
-		p := pairs[i%len(pairs)]
-		cycle(i, p[0], p[1], rate, protect)
-	}
 	if primed {
 		for i := 0; i+1 < len(sites); i++ {
 			cycle(0, sites[i], sites[i+1], "1G", "")
 		}
 	}
-	for i := 0; i < 256; i++ {
+	return net, func(i int) {
+		rate, protect := class()
+		p := pairs[i%len(pairs)]
+		cycle(i, p[0], p[1], rate, protect)
+	}
+}
+
+// BenchmarkRecover is griphond's restart on churn-groomed's history at that
+// workload's op cap, in one process:
+//
+//	go test -run=NONE -bench=Recover -cpuprofile cpu.prof .
+//
+// Set-up journals about 5 800 1G connect/disconnect cycles of 64 tenants on
+// the backbone, once. Each iteration copies the state dir, untimed, and times
+// griphon.New rebuilding the network from the copy.
+func BenchmarkRecover(b *testing.B) {
+	benchRecover(b, 1, 64, 5800)
+}
+
+// BenchmarkRecoverSharded is the same on sharded-tenants' history: about
+// 4 000 cycles of 256 tenants on 4 shards, each shard rebuilt from its own
+// journal.
+func BenchmarkRecoverSharded(b *testing.B) {
+	benchRecover(b, 4, 256, 4000)
+}
+
+func benchRecover(b *testing.B, shards, tenants, cycles int) {
+	dir := b.TempDir()
+	net, churn := churnNetwork(b, dir, griphon.Backbone(), tenants, true, func() (string, string) { return "1G", "" }, nil, griphon.WithShards(shards))
+	for i := 0; i < cycles; i++ {
 		churn(i)
 	}
+	if err := net.Close(); err != nil {
+		b.Fatal(err)
+	}
+	run := filepath.Join(b.TempDir(), "run")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		churn(i)
+		b.StopTimer()
+		if err := os.RemoveAll(run); err != nil {
+			b.Fatal(err)
+		}
+		if err := copyTree(run, dir); err != nil {
+			b.Fatal(err)
+		}
+		topo := griphon.Backbone()
+		b.StartTimer()
+		net, err := griphon.New(topo, griphon.WithSeed(1), griphon.WithStateDir(run), griphon.WithFsync(), griphon.WithShards(shards))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := net.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
+}
+
+// copyTree copies the directory tree at src to dst.
+func copyTree(dst, src string) error {
+	return filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), raw, 0o644)
+	})
 }
