@@ -14,9 +14,11 @@ import (
 // into a serialized record or an API response. The rule: a `range` over a
 // map whose body appends into a slice that then reaches an ordered sink — a
 // return value, a json-tagged record field (stateRec, commitRec, slo.Dump,
-// API responses), or an encoding/json call — must pass a sort (sort.*,
-// slices.Sort*) on every path between the append and the sink. Loops that
-// only count, sum or look up are order-insensitive and never flagged.
+// the API's wire types), an encoding/json call, or a call to one of the
+// hand-written JSON appenders (internal/jsonenc's, and the API's response
+// appenders) — must pass a sort (sort.*, slices.Sort*) on every path between
+// the append and the sink. Loops that only count, sum or look up are
+// order-insensitive and never flagged.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Run:  runDeterminism,
@@ -232,9 +234,9 @@ type taintSink struct {
 }
 
 // taintSinks finds the ordered sinks of one taint within the function body:
-// return statements mentioning the object, encoding/json calls consuming it,
-// and stores into json-tagged struct fields. Field taints sink at their own
-// append (the record field is itself the ordered output).
+// return statements mentioning the object, encoding/json and JSON appender
+// calls consuming it, and stores into json-tagged struct fields. Field taints
+// sink at their own append (the record field is itself the ordered output).
 func taintSinks(pass *Pass, fb funcBody, t mapTaint) []taintSink {
 	info := pass.TypesInfo
 	var out []taintSink
@@ -259,8 +261,8 @@ func taintSinks(pass *Pass, fb funcBody, t mapTaint) []taintSink {
 				out = append(out, taintSink{node: n, kind: "return", what: "a return value"})
 			}
 		case *ast.CallExpr:
-			if isMarshalCall(info, n) && nodeReadsObj(info, n, obj) {
-				out = append(out, taintSink{node: n, kind: "marshal", what: "a json encode call"})
+			if what := serializingCall(info, n); what != "" && nodeReadsObj(info, n, obj) {
+				out = append(out, taintSink{node: n, kind: "marshal", what: what})
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
@@ -327,18 +329,55 @@ func nodeReadsObj(info *types.Info, n ast.Node, obj types.Object) bool {
 	return found
 }
 
-// isMarshalCall matches encoding/json entry points: json.Marshal,
-// json.MarshalIndent and (*json.Encoder).Encode.
-func isMarshalCall(info *types.Info, call *ast.CallExpr) bool {
+// The packages whose JSON is written by hand: every function of jsonencPkg,
+// and every appender of apiPkg, writes its arguments out in order.
+const (
+	jsonencPkg = "griphon/internal/jsonenc"
+	apiPkg     = "griphon/internal/api"
+)
+
+// serializingCall describes call if it serializes its arguments in order, and
+// is "" otherwise. That is an encoding/json entry point (json.Marshal,
+// json.MarshalIndent, (*json.Encoder).Encode), any function of jsonencPkg, or
+// an appender of apiPkg: a function there whose first parameter and only
+// result are []byte. The rule goes by package and shape, so an appender
+// added later is a sink without being listed.
+func serializingCall(info *types.Info, call *ast.CallExpr) string {
 	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "encoding/json" {
+	if fn == nil || fn.Pkg() == nil {
+		return ""
+	}
+	switch fn.Pkg().Path() {
+	case "encoding/json":
+		switch fn.Name() {
+		case "Marshal", "MarshalIndent", "Encode":
+			return "a json encode call"
+		}
+	case jsonencPkg:
+		return "a JSON appender call"
+	case apiPkg:
+		if isAppender(fn) {
+			return "a JSON appender call"
+		}
+	}
+	return ""
+}
+
+// isAppender reports whether fn has an appender's shape: func([]byte, ...)
+// []byte.
+func isAppender(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Params().Len() > 0 && sig.Results().Len() == 1 &&
+		isByteSlice(sig.Params().At(0).Type()) && isByteSlice(sig.Results().At(0).Type())
+}
+
+func isByteSlice(t types.Type) bool {
+	s, ok := t.Underlying().(*types.Slice)
+	if !ok {
 		return false
 	}
-	switch fn.Name() {
-	case "Marshal", "MarshalIndent", "Encode":
-		return true
-	}
-	return false
+	b, ok := s.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Byte
 }
 
 // serializedField reports whether sel names a field that ends up in

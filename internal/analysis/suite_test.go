@@ -53,6 +53,11 @@ func TestMetricname(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, analysis.Determinism, "testdata/determinism/flag", "example/fixture")
 	analysistest.Run(t, analysis.Determinism, "testdata/determinism/clean", "example/fixture")
+	// The API's responses and the journal's records are appended by hand: a
+	// call into internal/jsonenc, or to an appender of internal/api, is an
+	// ordered sink like an encoding/json call.
+	analysistest.Run(t, analysis.Determinism, "testdata/determinism/apiflag", "griphon/internal/api")
+	analysistest.Run(t, analysis.Determinism, "testdata/determinism/apiclean", "griphon/internal/api")
 }
 
 func TestJournaled(t *testing.T) {

@@ -1,8 +1,10 @@
 package api
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
@@ -221,6 +223,49 @@ func TestMaintenanceEndpoint(t *testing.T) {
 	}
 	if _, err := c.Maintenance(resp.Connections[0].Route, "bogus", "1h"); err == nil {
 		t.Error("bogus duration accepted")
+	}
+}
+
+// TestMaintenanceInThePastRefused: a window that would open before now is
+// refused with a JSON 409, like a non-positive one, on one shard and on four —
+// it once reached the kernel, which panics at an event in the past, and the
+// client saw its connection dropped with no answer. Nothing is scheduled and
+// the books stay balanced.
+func TestMaintenanceInThePastRefused(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			net, err := griphon.New(griphon.Testbed(), griphon.WithSeed(5), griphon.WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := NewServer(net).Handler()
+			post := func(path, body string) *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+				return rec
+			}
+			if rec := post("/api/v1/connect", `{"customer":"acme","from":"DC-A","to":"DC-C","rate":"10G"}`); rec.Code != http.StatusOK {
+				t.Fatalf("connect = %d: %s", rec.Code, rec.Body)
+			}
+			if rec := post("/api/v1/advance", `{"duration":"1h"}`); rec.Code != http.StatusOK {
+				t.Fatalf("advance = %d: %s", rec.Code, rec.Body)
+			}
+			rec := post("/api/v1/maintenance", `{"link":"I-II","in":"-5h"}`)
+			var apiErr ErrorJSON
+			if rec.Code != http.StatusConflict || json.Unmarshal(rec.Body.Bytes(), &apiErr) != nil ||
+				!strings.Contains(apiErr.Error, "before now") {
+				t.Errorf("maintenance 5h in the past = %d %q, want a JSON 409 saying it is before now", rec.Code, rec.Body)
+			}
+			net.Advance(6 * time.Hour)
+			if findings := net.AuditInvariants(); len(findings) != 0 {
+				t.Errorf("audit after the refusal: %v", findings)
+			}
+			for _, e := range net.Events() {
+				if strings.HasPrefix(e.Kind, "maintenance") {
+					t.Errorf("refused maintenance left an event: %v", e)
+				}
+			}
+		})
 	}
 }
 

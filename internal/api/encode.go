@@ -6,7 +6,7 @@ package api
 // reply and never touches the ResponseWriter: ack sends it once the lock is
 // released, so a client that stops reading stalls its own goroutine and nobody
 // else's request. The API fronts a single-threaded simulation, so every byte
-// saved on the marshal path is throughput; bench/ drives this path over real
+// saved on the response path is throughput; bench/ drives this path over real
 // HTTP against a running griphond (workload portal-read).
 
 import (
@@ -18,35 +18,48 @@ import (
 	"net/http"
 	"slices"
 	"sync"
+	"sync/atomic"
+
+	"griphon/internal/obs"
 )
 
-// reply is a pooled response: a reusable buffer with a JSON encoder bound to
-// it, and the status and bytes send puts on the wire. json.Encoder.Encode
-// emits exactly json.Marshal's bytes plus a trailing newline — the same wire
-// format the marshal path produced. Every answer is rendered under the server
-// lock and parked here until the lock is released — a mutation's beside the
-// journal sequence numbers it must not overtake, until they are durable.
+// reply is a pooled response: a reusable buffer the handler's appenders
+// (respond.go) write into, and the status and bytes send puts on the wire.
+// Every answer is rendered under the server lock and parked here until the
+// lock is released — a mutation's beside the journal sequence numbers it must
+// not overtake, until they are durable.
 type reply struct {
-	buf    bytes.Buffer
-	enc    *json.Encoder
+	buf    []byte
 	status int // 0 until something is rendered
 	ctype  []string
-	body   []byte   // buf's bytes, or a pre-encoded static body
+	body   []byte   // buf, or a pre-encoded static body
+	route  *route   // whose counters ack moves
 	seqs   []uint64 // per shard, from ShardSet.TakeUnsynced
 }
 
-var replyPool = sync.Pool{New: func() any {
-	rep := &reply{}
-	rep.enc = json.NewEncoder(&rep.buf)
-	return rep
-}}
+var replyPool = sync.Pool{New: func() any { return new(reply) }}
 
 // release returns rep to the pool, unless it grew past maxRequestBody (a long
 // audit log): that much capacity is not kept pinned for 300-byte answers.
 func (rep *reply) release() {
-	if rep.buf.Cap() <= maxRequestBody {
+	if cap(rep.buf) <= maxRequestBody {
 		replyPool.Put(rep)
 	}
+}
+
+// Write appends p to the reply's buffer: what an exporter writes to.
+func (rep *reply) Write(p []byte) (int, error) {
+	rep.buf = append(rep.buf, p...)
+	return len(p), nil
+}
+
+// route is one endpoint's counters: the requests it answered, counted under
+// the server lock like every counter /metrics reads, and the body bytes the
+// ResponseWriter took, counted after the send without it (see ack) and
+// exported by a CounterFunc.
+type route struct {
+	requests *obs.Counter
+	sent     atomic.Uint64
 }
 
 // maxRequestBody bounds a request body. Real requests are under 300 bytes;
@@ -68,7 +81,6 @@ var (
 // responses skip the per-call slice Header().Set allocates.
 var (
 	jsonContentType    = []string{"application/json"}
-	plainContentType   = []string{"text/plain; charset=utf-8"}
 	metricsContentType = []string{"text/plain; version=0.0.4; charset=utf-8"}
 	jsonlContentType   = []string{"application/x-ndjson"}
 )
@@ -78,82 +90,88 @@ func (rep *reply) static(body []byte) {
 	rep.status, rep.ctype, rep.body = http.StatusOK, jsonContentType, body
 }
 
-// send puts the rendered reply on the wire. An error means the client is
-// gone; the caller counts it in encodeErrs, under the server lock.
-func (rep *reply) send(w http.ResponseWriter) error {
+// send puts the rendered reply on the wire and reports the body bytes
+// written. An error means the client is gone; the caller counts it in
+// encodeErrs, under the server lock.
+func (rep *reply) send(w http.ResponseWriter) (int, error) {
 	w.Header()["Content-Type"] = rep.ctype
 	w.WriteHeader(rep.status)
-	_, err := w.Write(rep.body)
-	return err
+	return w.Write(rep.body)
 }
 
-// encode renders v into rep's buffer (reset first).
-func (s *Server) encode(rep *reply, v any) error {
-	if s.testEncodeErr != nil {
-		if err := s.testEncodeErr(v); err != nil {
-			return err
-		}
-	}
-	rep.buf.Reset()
-	return rep.enc.Encode(v)
-}
-
-// render encodes v fully before anything touches the ResponseWriter, so an
-// encode failure still yields a well-formed 500 instead of a truncated 200
-// body. If even the error envelope refuses to encode, the terminal fallback
-// is plain text — the response is never silently empty. Encode failures
-// count in griphon_api_encode_errors_total, so the caller holds the server
-// lock.
-func (s *Server) render(rep *reply, status int, v any) {
-	rep.ctype = jsonContentType
-	if err := s.encode(rep, v); err != nil {
+// render answers status with the JSON value body appends, and a newline:
+// the bytes encoding/json's Encoder wrote for the matching wire type of
+// types.go, which is what clients decode. A float encoding/json refuses (NaN,
+// ±Inf) turns the answer into a JSON 500 carrying the error encoding/json
+// gives for it, counted in griphon_api_encode_errors_total, so the caller
+// holds the server lock.
+func (s *Server) render(rep *reply, status int, body func([]byte) []byte) {
+	b, err := appendBody(rep.buf[:0], body)
+	if err != nil {
 		s.encodeErrs.Inc()
 		status = http.StatusInternalServerError
-		if encErr := s.encode(rep, ErrorJSON{Error: fmt.Sprintf("encoding response: %s", err)}); encErr != nil {
-			// Terminal fallback: the error envelope itself would not encode.
-			s.encodeErrs.Inc()
-			rep.ctype = plainContentType
-			rep.buf.Reset()
-			fmt.Fprintf(&rep.buf, "encoding response: %s\n", err)
-		}
+		b = appendError(rep.buf[:0], "encoding response: "+err.Error())
 	}
-	rep.status, rep.body = status, rep.buf.Bytes()
+	rep.buf = append(b, '\n')
+	rep.status, rep.ctype, rep.body = status, jsonContentType, rep.buf
+}
+
+// appendBody runs body, turning the panic appendFloat raises on a float
+// encoding/json refuses back into that refusal, the way encoding/json's own
+// encoder unwinds. Any other panic goes on up.
+func appendBody(b []byte, body func([]byte) []byte) (_ []byte, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			f, ok := v.(unsupportedFloat)
+			if !ok {
+				panic(v)
+			}
+			err = f
+		}
+	}()
+	return body(b), nil
 }
 
 func (s *Server) renderErr(rep *reply, status int, err error) {
-	s.render(rep, status, ErrorJSON{Error: err.Error()})
+	s.render(rep, status, func(b []byte) []byte { return appendError(b, err.Error()) })
 }
 
 // export renders into the reply what one of the network's exporters (metrics,
 // a trace) writes, whole before any of it is sent: an exporter that fails
 // yields a well-formed 500, not a truncated 200.
 func (s *Server) export(rep *reply, ctype []string, to func(io.Writer) error) {
-	rep.buf.Reset()
-	if err := to(&rep.buf); err != nil {
+	rep.buf = rep.buf[:0]
+	if err := to(rep); err != nil {
 		s.encodeErrs.Inc()
 		s.renderErr(rep, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
 		return
 	}
-	rep.status, rep.ctype, rep.body = http.StatusOK, ctype, rep.buf.Bytes()
+	rep.status, rep.ctype, rep.body = http.StatusOK, ctype, rep.buf
 }
 
-// begin opens a request: it takes the server lock, and the reply the handler
-// renders its answer into instead of writing it. Pair it with a deferred ack.
-func (s *Server) begin() *reply {
+// begin opens a request on rt: it takes the server lock, and the reply the
+// handler renders its answer into instead of writing it. Pair it with a
+// deferred ack.
+func (s *Server) begin(rt *route) *reply {
 	rep := replyPool.Get().(*reply)
-	rep.status = 0
+	rep.status, rep.route = 0, rt
 	s.mu.Lock()
 	return rep
 }
 
-// ack closes a request: it collects the journal sequence numbers the request
-// wrote, releases the server lock, waits until an fsync covers them — one per
-// shard the request touched, however many commits it made, none for a read —
-// and only then touches the ResponseWriter. If a commit could not be written
-// or synced, the change stands in memory but would not survive a restart: the
-// answer is 503, whatever the handler rendered.
+// ack closes a request: it counts it on its route, collects the journal
+// sequence numbers the request wrote, releases the server lock, waits until
+// an fsync covers them — one per shard the request touched, however many
+// commits it made, none for a read — and only then touches the
+// ResponseWriter. If a commit could not be written or synced, the change
+// stands in memory but would not survive a restart: the answer is 503,
+// whatever the handler rendered. The bytes the ResponseWriter took are
+// counted once it returns, atomically: taking the lock again there would hold
+// the answer — net/http sends a small body when the handler returns — until
+// whichever request holds the lock is done.
 func (s *Server) ack(w http.ResponseWriter, rep *reply) {
 	defer rep.release()
+	rep.route.requests.Inc()
 	set := s.net.ShardSet()
 	var lost error
 	rep.seqs, lost = set.TakeUnsynced(rep.seqs[:0])
@@ -178,7 +196,9 @@ func (s *Server) ack(w http.ResponseWriter, rep *reply) {
 			fmt.Errorf("the change is applied but not durable, and would not survive a restart: %w", lost))
 		s.mu.Unlock()
 	}
-	if err := rep.send(w); err != nil {
+	n, err := rep.send(w)
+	rep.route.sent.Add(uint64(n))
+	if err != nil {
 		s.mu.Lock()
 		s.encodeErrs.Inc() // client gone; record it and move on
 		s.mu.Unlock()
@@ -189,8 +209,8 @@ func (s *Server) ack(w http.ResponseWriter, rep *reply) {
 // strict unknown-field rejection of the original decoder path. A body over
 // maxRequestBody is refused with 413 before it is buffered. It runs before
 // the handler takes the server lock, and takes it only to refuse — a request
-// of its own, answered like any other.
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// of its own on rt, answered like any other.
+func (s *Server) readJSON(rt *route, w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := bufPool.Get().(*bytes.Buffer)
 	defer bufPool.Put(buf)
 	buf.Reset()
@@ -209,7 +229,7 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		err = dec.Decode(v)
 	}
 	if err != nil {
-		rep := s.begin()
+		rep := s.begin(rt)
 		defer s.ack(w, rep)
 		s.renderErr(rep, status, fmt.Errorf("bad request body: %w", err))
 		return false

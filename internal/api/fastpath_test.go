@@ -25,36 +25,14 @@ func newNet(t *testing.T) *griphon.Network {
 	return net
 }
 
-// writeJSON renders v and sends it: what a handler and its ack do with a value,
-// minus the lock.
-func writeJSON(t *testing.T, s *Server, w http.ResponseWriter, status int, v any) {
+// writeJSON renders what body appends and sends it: what a handler and its
+// ack do with a value, minus the lock.
+func writeJSON(t *testing.T, s *Server, w http.ResponseWriter, status int, body func([]byte) []byte) {
 	rep := replyPool.Get().(*reply)
 	defer rep.release()
-	s.render(rep, status, v)
-	if err := rep.send(w); err != nil {
+	s.render(rep, status, body)
+	if _, err := rep.send(w); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestWriteJSONTerminalFallback pins the fix for the silent error-path
-// recursion: when even the error envelope cannot be encoded, the response
-// must degrade to plain text — never an empty 500 body.
-func TestWriteJSONTerminalFallback(t *testing.T) {
-	s := NewServer(newNet(t))
-	s.testEncodeErr = func(any) error { return fmt.Errorf("boom") }
-	rec := httptest.NewRecorder()
-	writeJSON(t, s, rec, http.StatusOK, map[string]string{"fine": "value"})
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("Content-Type = %q, want text/plain fallback", ct)
-	}
-	if body := rec.Body.String(); !strings.Contains(body, "encoding response: boom") {
-		t.Fatalf("terminal fallback body = %q", body)
-	}
-	if got := s.encodeErrs.Value(); got != 2 {
-		t.Errorf("encode errors = %v, want 2 (value + envelope)", got)
 	}
 }
 
@@ -273,22 +251,60 @@ func (d *discardResponseWriter) Header() http.Header {
 func (d *discardResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discardResponseWriter) WriteHeader(int)             {}
 
-// TestWriteJSONAllocGate gates the pooled response encoder. The exact figure
-// depends on encoding/json internals; what is pinned is the absence of
-// per-response buffer copies.
-func TestWriteJSONAllocGate(t *testing.T) {
+// TestListingAllocsIndependentOfLength: a customer's listing and SLA report,
+// through the handler, allocate the same number of objects whether the
+// customer holds 5 connections or 50 — nothing is allocated per connection
+// on the way from controller state to the wire. What is left is the request's
+// own (the query's parse) and, for the report, its one slice of rows: 3 and
+// 4, as measured when the gate was set.
+func TestListingAllocsIndependentOfLength(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	s := NewServer(newNet(t))
+	backbone := griphon.Backbone()
+	net, err := griphon.New(backbone, griphon.WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(net).Handler()
+	sites := backbone.Sites()
 	w := &discardResponseWriter{}
-	v := &StatsJSON{Now: "t", Active: 3, ChannelsInUse: 7}
-	writeJSON(t, s, w, http.StatusOK, v) // warm the pool
-	allocs := testing.AllocsPerRun(200, func() {
-		writeJSON(t, s, w, http.StatusOK, v)
-	})
-	if allocs > 2 {
-		t.Fatalf("render and send allocate %.1f objects per response, want <= 2", allocs)
+	allocs := func(path string) float64 {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		h.ServeHTTP(w, req) // warm the pool
+		return testing.AllocsPerRun(100, func() { h.ServeHTTP(w, req) })
+	}
+	counts := map[string][]float64{}
+	for _, n := range []int{5, 50} {
+		cust := fmt.Sprintf("tenant-%d", n)
+		for i := 0; i < n; i++ {
+			// A wavelength and groomed circuits: a route and a
+			// propagation delay, and none.
+			rate := griphon.Rate1G
+			if i == 0 {
+				rate = griphon.Rate10G
+			}
+			pair := 2 * (i % (len(sites) / 2))
+			from, to := sites[pair], sites[pair+1]
+			if _, err := net.Connect(cust, from, to, rate); err != nil {
+				t.Fatalf("connect %d of %d: %v", i, n, err)
+			}
+		}
+		if got := len(net.Connections(cust)); got != n {
+			t.Fatalf("%s holds %d connections, want %d", cust, got, n)
+		}
+		for _, route := range []string{"connections", "sla"} {
+			counts[route] = append(counts[route], allocs("/api/v1/"+route+"?customer="+cust))
+		}
+	}
+	bounds := map[string]float64{"connections": 3, "sla": 4}
+	for route, c := range counts {
+		if c[0] != c[1] {
+			t.Errorf("GET %s allocates %v objects for 5 connections and %v for 50, want the same", route, c[0], c[1])
+		}
+		if c[1] > bounds[route] {
+			t.Errorf("GET %s allocates %v objects, want <= %v", route, c[1], bounds[route])
+		}
 	}
 }
 
@@ -300,7 +316,7 @@ func TestWriteStaticAllocGate(t *testing.T) {
 	w.Header().Set("Content-Type", "application/json")
 	allocs := testing.AllocsPerRun(200, func() {
 		rep.static(bodyReleased)
-		if err := rep.send(w); err != nil {
+		if _, err := rep.send(w); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -26,9 +28,15 @@ func newTracingServer(t *testing.T, opts ...griphon.Option) (*Client, *griphon.N
 	return NewClient(srv.URL), net
 }
 
+// appendNaN appends {"oops":NaN}, as a value holding a float encoding/json
+// refuses would be appended.
+func appendNaN(b []byte) []byte {
+	return append(appendKeyFloat(b, `{"oops":`, math.NaN()), '}')
+}
+
 // TestWriteJSONEncodeError exercises the 500 path: a value json.Marshal cannot
-// encode must yield a well-formed error body (not a truncated 200) and bump
-// the encode-error counter.
+// encode must yield a well-formed error body (not a truncated 200), the one
+// encoding/json's refusal gave, and bump the encode-error counter.
 func TestWriteJSONEncodeError(t *testing.T) {
 	net, err := griphon.New(griphon.Testbed(), griphon.WithSeed(5))
 	if err != nil {
@@ -36,7 +44,7 @@ func TestWriteJSONEncodeError(t *testing.T) {
 	}
 	s := NewServer(net)
 	rec := httptest.NewRecorder()
-	writeJSON(t, s, rec, http.StatusOK, map[string]float64{"oops": math.NaN()})
+	writeJSON(t, s, rec, http.StatusOK, appendNaN)
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}
@@ -46,6 +54,10 @@ func TestWriteJSONEncodeError(t *testing.T) {
 	}
 	if !strings.Contains(apiErr.Error, "encoding response") {
 		t.Errorf("error = %q", apiErr.Error)
+	}
+	_, refusal := json.Marshal(math.NaN())
+	if want := `{"error":"encoding response: ` + refusal.Error() + "\"}\n"; rec.Body.String() != want {
+		t.Errorf("error body = %q, want %q", rec.Body, want)
 	}
 	if got := s.encodeErrs.Value(); got != 1 {
 		t.Errorf("griphon_api_encode_errors_total = %v, want 1", got)
@@ -70,7 +82,7 @@ func TestWriteJSONEncodeError(t *testing.T) {
 		s := NewServer(net)
 		srv := httptest.NewServer(s.Handler())
 		defer srv.Close()
-		writeJSON(t, s, httptest.NewRecorder(), http.StatusOK, map[string]float64{"oops": math.NaN()})
+		writeJSON(t, s, httptest.NewRecorder(), http.StatusOK, appendNaN)
 		text, err := NewClient(srv.URL).Metrics()
 		if err != nil {
 			t.Fatal(err)
@@ -147,10 +159,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The endpoint serves the network's own rendering, byte for byte.
+	// The endpoint serves the network's own rendering, byte for byte, as it
+	// stood before the request itself was counted: since then the metrics
+	// route's two samples have moved by that one request and its bytes.
 	var direct strings.Builder
-	if err := net.MetricsTo(&direct); err != nil || text != direct.String() {
-		t.Errorf("GET /metrics differs from Network.MetricsTo (%v)", err)
+	if err := net.MetricsTo(&direct); err != nil {
+		t.Fatal(err)
+	}
+	const reqSample = `griphon_api_requests_total{route="/api/v1/metrics"} `
+	const byteSample = `griphon_api_response_bytes_total{route="/api/v1/metrics"} `
+	served := strings.Replace(text, reqSample+"0\n", reqSample+"1\n", 1)
+	served = strings.Replace(served, byteSample+"0\n", fmt.Sprintf("%s%d\n", byteSample, len(text)), 1)
+	if served != direct.String() {
+		t.Errorf("GET /metrics differs from Network.MetricsTo:\n%s\nwant\n%s", served, direct.String())
 	}
 
 	// Structural validity: every line is a comment or a sample, every sample
@@ -336,5 +357,68 @@ func TestTraceEndpointRequiresTracing(t *testing.T) {
 	c, _ := newTestServer(t)
 	if _, err := c.Trace(""); err == nil || !strings.Contains(err.Error(), "tracing is off") {
 		t.Errorf("trace without tracing err = %v", err)
+	}
+}
+
+// TestRouteCounters: griphon_api_requests_total and
+// griphon_api_response_bytes_total count, per route, the requests answered
+// and the body bytes the client received — refusals included, and routes
+// never called reading zero.
+func TestRouteCounters(t *testing.T) {
+	net, err := griphon.New(griphon.Testbed(), griphon.WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(net).Handler())
+	defer srv.Close()
+	requests, received := map[string]int{}, map[string]int{}
+	do := func(method, path, body string) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		route, _, _ := strings.Cut(path, "?")
+		requests[route]++
+		received[route] += len(b)
+	}
+	do("POST", "/api/v1/connect", `{"customer":"acme","from":"DC-A","to":"DC-C","rate":"10G"}`)
+	do("POST", "/api/v1/connect", `{"customer":"acme","bogus":1}`) // refused before the lock
+	for i := 0; i < 3; i++ {
+		do("GET", "/api/v1/connections?customer=acme", "")
+	}
+	do("GET", "/api/v1/connections", "") // 400: no customer
+	do("GET", "/api/v1/topology", "")
+	do("GET", "/api/v1/sla?customer=acme", "")
+	do("POST", "/api/v1/advance", `{"duration":"1h"}`)
+
+	// Read through the endpoint, under the server lock the counters are
+	// moved under.
+	text, err := NewClient(srv.URL).Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]string{}
+	for _, line := range strings.Split(text, "\n") {
+		if name, value, ok := strings.Cut(line, "} "); ok && strings.HasPrefix(name, "griphon_api_") {
+			samples[name+"}"] = value
+		}
+	}
+	for _, route := range []string{"/api/v1/connect", "/api/v1/connections", "/api/v1/topology", "/api/v1/sla", "/api/v1/advance", "/api/v1/bill"} {
+		for name, want := range map[string]int{"griphon_api_requests_total": requests[route], "griphon_api_response_bytes_total": received[route]} {
+			key := fmt.Sprintf("%s{route=%q}", name, route)
+			if got := samples[key]; got != strconv.Itoa(want) {
+				t.Errorf("%s = %q, want %d", key, got, want)
+			}
+		}
 	}
 }

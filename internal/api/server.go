@@ -38,12 +38,16 @@ type Server struct {
 	// process-level registry. It is a plain counter /metrics reads under mu,
 	// so count under mu.
 	encodeErrs *obs.Counter
+	// topology is GET /topology's body, rendered once: the graph never
+	// changes.
+	topology []byte
+	// routes holds each endpoint's counters, in endpoints' order, resolved
+	// once: every Handler of the server counts into them.
+	routes []route
 
-	// Test seams, nil in production. testEncodeErr overrides response
-	// encoding (the terminal plain-text fallback test); testSync replaces the
-	// wait for the disk of a request that wrote to the journal.
-	testEncodeErr func(v any) error
-	testSync      func() error
+	// testSync, nil in production, replaces the wait for the disk of a
+	// request that wrote to the journal.
+	testSync func() error
 }
 
 // NewServer wraps a network, and takes over its wait for the disk: from here
@@ -51,64 +55,83 @@ type Server struct {
 // waiting after the server lock is released.
 func NewServer(net *griphon.Network) *Server {
 	net.HoistSync()
-	return &Server{
+	m := net.Metrics()
+	s := &Server{
 		net: net,
-		encodeErrs: net.Metrics().Counter("griphon_api_encode_errors_total",
+		encodeErrs: m.Counter("griphon_api_encode_errors_total",
 			"HTTP API responses that failed to encode or write."),
+		topology: append(appendTopology(nil, net.Graph()), '\n'),
+		routes:   make([]route, len(endpoints)),
 	}
+	for i, e := range endpoints {
+		rt := &s.routes[i]
+		rt.requests = m.Counter("griphon_api_requests_total",
+			"HTTP API requests answered, by route.", "route", e.path)
+		m.CounterFunc("griphon_api_response_bytes_total", "HTTP API response body bytes sent, by route.",
+			func() float64 { return float64(rt.sent.Load()) }, "route", e.path)
+	}
+	return s
 }
 
 // Handler returns the API's routing table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /api/v1/connections", s.handleConnections)
-	mux.HandleFunc("GET /api/v1/stats", s.handleStats)
-	mux.HandleFunc("GET /api/v1/events", s.handleEvents)
-	mux.HandleFunc("GET /api/v1/topology", s.handleTopology)
-	mux.HandleFunc("GET /api/v1/bill", s.handleBill)
-	mux.HandleFunc("GET /api/v1/metrics", s.handleMetrics)
-	mux.HandleFunc("GET /api/v1/trace", s.handleTrace)
-	mux.HandleFunc("GET /api/v1/alarms", s.handleAlarms)
-	mux.HandleFunc("GET /api/v1/sla", s.handleSLA)
-	mux.HandleFunc("GET /api/v1/shards", s.handleShards)
-	mux.HandleFunc("POST /api/v1/connect", s.handleConnect)
-	mux.HandleFunc("POST /api/v1/disconnect", s.handleDisconnect)
-	mux.HandleFunc("POST /api/v1/roll", s.handleRoll)
-	mux.HandleFunc("POST /api/v1/regroom", s.handleRegroom)
-	mux.HandleFunc("POST /api/v1/adjust", s.handleAdjust)
-	mux.HandleFunc("POST /api/v1/defrag", s.handleDefrag)
-	mux.HandleFunc("POST /api/v1/cut", s.handleCut)
-	mux.HandleFunc("POST /api/v1/repair", s.handleRepair)
-	mux.HandleFunc("POST /api/v1/maintenance", s.handleMaintenance)
-	mux.HandleFunc("POST /api/v1/advance", s.handleAdvance)
+	for i, e := range endpoints {
+		rt, handle := &s.routes[i], e.handle
+		mux.HandleFunc(e.method+" "+e.path, func(w http.ResponseWriter, r *http.Request) { handle(s, rt, w, r) })
+	}
 	return mux
+}
+
+// endpoints is the API's routing table.
+var endpoints = [...]struct {
+	method, path string
+	handle       func(*Server, *route, http.ResponseWriter, *http.Request)
+}{
+	{"GET", "/api/v1/connections", (*Server).handleConnections},
+	{"GET", "/api/v1/stats", (*Server).handleStats},
+	{"GET", "/api/v1/events", (*Server).handleEvents},
+	{"GET", "/api/v1/topology", (*Server).handleTopology},
+	{"GET", "/api/v1/bill", (*Server).handleBill},
+	{"GET", "/api/v1/metrics", (*Server).handleMetrics},
+	{"GET", "/api/v1/trace", (*Server).handleTrace},
+	{"GET", "/api/v1/alarms", (*Server).handleAlarms},
+	{"GET", "/api/v1/sla", (*Server).handleSLA},
+	{"GET", "/api/v1/shards", (*Server).handleShards},
+	{"POST", "/api/v1/connect", (*Server).handleConnect},
+	{"POST", "/api/v1/disconnect", (*Server).handleDisconnect},
+	{"POST", "/api/v1/roll", (*Server).handleRoll},
+	{"POST", "/api/v1/regroom", (*Server).handleRegroom},
+	{"POST", "/api/v1/adjust", (*Server).handleAdjust},
+	{"POST", "/api/v1/defrag", (*Server).handleDefrag},
+	{"POST", "/api/v1/cut", (*Server).handleCut},
+	{"POST", "/api/v1/repair", (*Server).handleRepair},
+	{"POST", "/api/v1/maintenance", (*Server).handleMaintenance},
+	{"POST", "/api/v1/advance", (*Server).handleAdvance},
 }
 
 func (s *Server) now() sim.Time { return sim.Time(s.net.Now()) }
 
 func (s *Server) graph() *topo.Graph { return s.net.Graph() }
 
-func (s *Server) handleConnections(w http.ResponseWriter, r *http.Request) {
-	rep := s.begin()
+func (s *Server) handleConnections(rt *route, w http.ResponseWriter, r *http.Request) {
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	cust := r.URL.Query().Get("customer")
 	if cust == "" {
 		s.renderErr(rep, http.StatusBadRequest, fmt.Errorf("customer query parameter required"))
 		return
 	}
-	var out []ConnectionJSON
-	for _, c := range s.net.Connections(cust) {
-		out = append(out, FromConnection(c, s.now(), s.graph()))
-	}
-	s.render(rep, http.StatusOK, ConnectResponse{Connections: out})
+	conns, now, g := s.net.Connections(cust), s.now(), s.graph()
+	s.render(rep, http.StatusOK, func(b []byte) []byte { return appendConnections(b, conns, now, g) })
 }
 
-func (s *Server) handleConnect(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleConnect(rt *route, w http.ResponseWriter, r *http.Request) {
 	var req ConnectRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readJSON(rt, w, r, &req) {
 		return
 	}
-	rep := s.begin()
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	rate, err := griphon.ParseRate(req.Rate)
 	if err != nil {
@@ -125,11 +148,8 @@ func (s *Server) handleConnect(w http.ResponseWriter, r *http.Request) {
 		s.renderErr(rep, http.StatusConflict, err)
 		return
 	}
-	out := make([]ConnectionJSON, 0, len(conns))
-	for _, c := range conns {
-		out = append(out, FromConnection(c, s.now(), s.graph()))
-	}
-	s.render(rep, http.StatusOK, ConnectResponse{Connections: out})
+	now, g := s.now(), s.graph()
+	s.render(rep, http.StatusOK, func(b []byte) []byte { return appendConnections(b, conns, now, g) })
 }
 
 func parseProtection(s string) (griphon.Protection, error) {
@@ -146,12 +166,12 @@ func parseProtection(s string) (griphon.Protection, error) {
 	return 0, fmt.Errorf("unknown protection %q", s)
 }
 
-func (s *Server) handleDisconnect(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDisconnect(rt *route, w http.ResponseWriter, r *http.Request) {
 	var req DisconnectRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readJSON(rt, w, r, &req) {
 		return
 	}
-	rep := s.begin()
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	if err := s.net.Disconnect(req.Customer, griphon.ConnID(req.ID)); err != nil {
 		s.renderErr(rep, http.StatusConflict, err)
@@ -160,43 +180,42 @@ func (s *Server) handleDisconnect(w http.ResponseWriter, r *http.Request) {
 	rep.static(bodyReleased)
 }
 
-func (s *Server) handleRoll(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRoll(rt *route, w http.ResponseWriter, r *http.Request) {
 	var req RollRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readJSON(rt, w, r, &req) {
 		return
 	}
-	rep := s.begin()
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	if err := s.net.BridgeAndRoll(req.Customer, griphon.ConnID(req.ID)); err != nil {
 		s.renderErr(rep, http.StatusConflict, err)
 		return
 	}
-	conn := s.net.Conn(griphon.ConnID(req.ID))
-	s.render(rep, http.StatusOK, FromConnection(conn, s.now(), s.graph()))
+	s.renderConn(rep, griphon.ConnID(req.ID))
 }
 
-func (s *Server) handleRegroom(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRegroom(rt *route, w http.ResponseWriter, r *http.Request) {
 	var req RollRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readJSON(rt, w, r, &req) {
 		return
 	}
-	rep := s.begin()
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	moved, err := s.net.Regroom(req.Customer, griphon.ConnID(req.ID))
 	if err != nil {
 		s.renderErr(rep, http.StatusConflict, err)
 		return
 	}
-	conn := s.net.Conn(griphon.ConnID(req.ID))
-	s.render(rep, http.StatusOK, RegroomResponse{Moved: moved, Connection: FromConnection(conn, s.now(), s.graph())})
+	conn, now, g := s.net.Conn(griphon.ConnID(req.ID)), s.now(), s.graph()
+	s.render(rep, http.StatusOK, func(b []byte) []byte { return appendRegroom(b, moved, conn, now, g) })
 }
 
-func (s *Server) handleAdjust(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAdjust(rt *route, w http.ResponseWriter, r *http.Request) {
 	var req AdjustRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readJSON(rt, w, r, &req) {
 		return
 	}
-	rep := s.begin()
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	rate, err := griphon.ParseRate(req.Rate)
 	if err != nil {
@@ -207,30 +226,33 @@ func (s *Server) handleAdjust(w http.ResponseWriter, r *http.Request) {
 		s.renderErr(rep, http.StatusConflict, err)
 		return
 	}
-	conn := s.net.Conn(griphon.ConnID(req.ID))
-	s.render(rep, http.StatusOK, FromConnection(conn, s.now(), s.graph()))
+	s.renderConn(rep, griphon.ConnID(req.ID))
 }
 
-func (s *Server) handleDefrag(w http.ResponseWriter, r *http.Request) {
-	rep := s.begin()
+// renderConn answers with one connection's ConnectionJSON.
+func (s *Server) renderConn(rep *reply, id griphon.ConnID) {
+	conn, now, g := s.net.Conn(id), s.now(), s.graph()
+	s.render(rep, http.StatusOK, func(b []byte) []byte { return appendConnection(b, conn, now, g) })
+}
+
+func (s *Server) handleDefrag(rt *route, w http.ResponseWriter, r *http.Request) {
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	moved, err := s.net.DefragmentSpectrum()
 	if err != nil {
 		s.renderErr(rep, http.StatusConflict, err)
 		return
 	}
-	s.render(rep, http.StatusOK, DefragResponse{
-		Retuned:       moved,
-		MaxChannelNow: s.net.ShardSet().MaxChannelInUse(),
-	})
+	maxChannel := s.net.ShardSet().MaxChannelInUse()
+	s.render(rep, http.StatusOK, func(b []byte) []byte { return appendDefrag(b, moved, maxChannel) })
 }
 
-func (s *Server) handleCut(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCut(rt *route, w http.ResponseWriter, r *http.Request) {
 	var req LinkRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readJSON(rt, w, r, &req) {
 		return
 	}
-	rep := s.begin()
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	if err := s.net.CutFiber(req.Link); err != nil {
 		s.renderErr(rep, http.StatusConflict, err)
@@ -239,12 +261,12 @@ func (s *Server) handleCut(w http.ResponseWriter, r *http.Request) {
 	rep.static(bodyCut)
 }
 
-func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRepair(rt *route, w http.ResponseWriter, r *http.Request) {
 	var req LinkRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readJSON(rt, w, r, &req) {
 		return
 	}
-	rep := s.begin()
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	if err := s.net.RepairFiber(req.Link); err != nil {
 		s.renderErr(rep, http.StatusConflict, err)
@@ -253,12 +275,12 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	rep.static(bodyRepaired)
 }
 
-func (s *Server) handleMaintenance(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMaintenance(rt *route, w http.ResponseWriter, r *http.Request) {
 	var req LinkRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readJSON(rt, w, r, &req) {
 		return
 	}
-	rep := s.begin()
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	in, err := time.ParseDuration(valueOr(req.In, "1m"))
 	if err != nil {
@@ -277,14 +299,7 @@ func (s *Server) handleMaintenance(w http.ResponseWriter, r *http.Request) {
 	}
 	// Let the whole window play out so the response is conclusive.
 	s.net.Advance(in + window + time.Hour)
-	out := MaintenanceJSON{Link: string(m.Link), Finished: m.Finished}
-	for _, id := range m.Rolled {
-		out.Rolled = append(out.Rolled, string(id))
-	}
-	for _, id := range m.Unmoved {
-		out.Unmoved = append(out.Unmoved, string(id))
-	}
-	s.render(rep, http.StatusOK, out)
+	s.render(rep, http.StatusOK, func(b []byte) []byte { return appendMaintenance(b, m) })
 }
 
 func valueOr(s, def string) string {
@@ -294,12 +309,12 @@ func valueOr(s, def string) string {
 	return s
 }
 
-func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAdvance(rt *route, w http.ResponseWriter, r *http.Request) {
 	var req AdvanceRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readJSON(rt, w, r, &req) {
 		return
 	}
-	rep := s.begin()
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	d, err := time.ParseDuration(req.Duration)
 	if err != nil || d < 0 {
@@ -307,36 +322,19 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.net.Advance(d)
-	s.render(rep, http.StatusOK, map[string]string{"now": s.net.Now().String()})
+	now := s.net.Now()
+	s.render(rep, http.StatusOK, func(b []byte) []byte { return appendAdvance(b, now) })
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	rep := s.begin()
+func (s *Server) handleStats(rt *route, w http.ResponseWriter, r *http.Request) {
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
-	st := s.net.Stats()
-	out := StatsJSON{
-		Now:           s.net.Now().String(),
-		Active:        st.Active,
-		Pending:       st.Pending,
-		Down:          st.Down,
-		Restoring:     st.Restoring,
-		Released:      st.Released,
-		InternalConns: st.InternalConns,
-		ChannelsInUse: st.ChannelsInUse,
-		OTsInUse:      st.OTsInUse,
-		OTsTotal:      st.OTsTotal,
-		Pipes:         st.Pipes,
-		SlotsInUse:    st.SlotsInUse,
-		SlotsTotal:    st.SlotsTotal,
-	}
-	for _, l := range st.DownLinks {
-		out.DownLinks = append(out.DownLinks, string(l))
-	}
-	s.render(rep, http.StatusOK, out)
+	st, now := s.net.Stats(), s.net.Now()
+	s.render(rep, http.StatusOK, func(b []byte) []byte { return appendStats(b, now, &st) })
 }
 
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	rep := s.begin()
+func (s *Server) handleEvents(rt *route, w http.ResponseWriter, r *http.Request) {
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	q := r.URL.Query()
 
@@ -355,13 +353,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		evs, next := s.net.EventsSince(since)
-		page := EventsPage{Events: make([]EventJSON, 0, len(evs)), Next: next}
-		for _, e := range evs {
-			page.Events = append(page.Events, EventJSON{
-				At: e.At.String(), Conn: string(e.Conn), Kind: e.Kind, Text: e.Text,
-			})
-		}
-		s.render(rep, http.StatusOK, page)
+		s.render(rep, http.StatusOK, func(b []byte) []byte { return appendEventsPage(b, evs, next) })
 		return
 	}
 
@@ -372,17 +364,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	} else {
 		evs = s.net.Events()
 	}
-	out := make([]EventJSON, 0, len(evs))
-	for _, e := range evs {
-		out = append(out, EventJSON{
-			At: e.At.String(), Conn: string(e.Conn), Kind: e.Kind, Text: e.Text,
-		})
-	}
-	s.render(rep, http.StatusOK, out)
+	s.render(rep, http.StatusOK, func(b []byte) []byte { return appendEvents(b, evs) })
 }
 
-func (s *Server) handleAlarms(w http.ResponseWriter, r *http.Request) {
-	rep := s.begin()
+func (s *Server) handleAlarms(rt *route, w http.ResponseWriter, r *http.Request) {
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	q := r.URL.Query()
 	var since uint64
@@ -395,46 +381,31 @@ func (s *Server) handleAlarms(w http.ResponseWriter, r *http.Request) {
 		since = v
 	}
 	groups, next := s.net.Alarms(since, q.Get("customer"))
-	out := AlarmsResponse{Groups: make([]AlarmGroupJSON, 0, len(groups)), Next: next}
-	for _, g := range groups {
-		out.Groups = append(out.Groups, FromGroup(g))
-	}
-	s.render(rep, http.StatusOK, out)
+	s.render(rep, http.StatusOK, func(b []byte) []byte { return appendAlarms(b, groups, next) })
 }
 
-func (s *Server) handleSLA(w http.ResponseWriter, r *http.Request) {
-	rep := s.begin()
+func (s *Server) handleSLA(rt *route, w http.ResponseWriter, r *http.Request) {
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
-	s.render(rep, http.StatusOK, FromSLAReport(s.net.SLA(r.URL.Query().Get("customer"))))
+	report := s.net.SLA(r.URL.Query().Get("customer"))
+	s.render(rep, http.StatusOK, func(b []byte) []byte { return appendSLA(b, &report) })
 }
 
-func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
-	rep := s.begin()
+func (s *Server) handleShards(rt *route, w http.ResponseWriter, r *http.Request) {
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	set := s.net.ShardSet()
-	out := ShardsResponse{Shards: set.Len()}
-	for i := 0; i < set.Len(); i++ {
-		st := set.Shard(i).Ctrl.Snapshot()
-		out.PerShard = append(out.PerShard, ShardJSON{
-			Index:         i,
-			Active:        st.Active,
-			Pending:       st.Pending,
-			Down:          st.Down,
-			ChannelsInUse: st.ChannelsInUse,
-			Pipes:         st.Pipes,
-		})
-	}
-	s.render(rep, http.StatusOK, out)
+	s.render(rep, http.StatusOK, func(b []byte) []byte { return appendShards(b, set) })
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	rep := s.begin()
+func (s *Server) handleMetrics(rt *route, w http.ResponseWriter, r *http.Request) {
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	s.export(rep, metricsContentType, s.net.MetricsTo)
 }
 
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	rep := s.begin()
+func (s *Server) handleTrace(rt *route, w http.ResponseWriter, r *http.Request) {
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	if !s.net.Tracing() {
 		s.renderErr(rep, http.StatusConflict,
@@ -451,30 +422,20 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleBill(w http.ResponseWriter, r *http.Request) {
-	rep := s.begin()
+func (s *Server) handleBill(rt *route, w http.ResponseWriter, r *http.Request) {
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
 	cust := r.URL.Query().Get("customer")
 	if cust == "" {
 		s.renderErr(rep, http.StatusBadRequest, fmt.Errorf("customer query parameter required"))
 		return
 	}
-	s.render(rep, http.StatusOK, BillJSON{Customer: cust, GbHours: s.net.BillGbHours(cust)})
+	gbHours := s.net.BillGbHours(cust)
+	s.render(rep, http.StatusOK, func(b []byte) []byte { return appendBill(b, cust, gbHours) })
 }
 
-func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
-	rep := s.begin()
+func (s *Server) handleTopology(rt *route, w http.ResponseWriter, r *http.Request) {
+	rep := s.begin(rt)
 	defer s.ack(w, rep)
-	g := s.graph()
-	out := TopologyJSON{}
-	for _, n := range g.Nodes() {
-		out.PoPs = append(out.PoPs, string(n.ID))
-	}
-	for _, l := range g.Links() {
-		out.Fibers = append(out.Fibers, fmt.Sprintf("%s (%.0f km)", l.ID, l.KM))
-	}
-	for _, site := range g.Sites() {
-		out.Sites = append(out.Sites, fmt.Sprintf("%s @ %s (%.0fG access)", site.ID, site.Home, site.AccessGbps))
-	}
-	s.render(rep, http.StatusOK, out)
+	rep.static(s.topology)
 }

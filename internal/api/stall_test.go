@@ -139,8 +139,8 @@ func TestLargeReplyIsNotPooled(t *testing.T) {
 		return false
 	}
 	small, large := &reply{}, &reply{}
-	small.buf.Grow(512)
-	large.buf.Grow(maxRequestBody + 1)
+	small.buf = make([]byte, 0, 512)
+	large.buf = make([]byte, 0, maxRequestBody+1)
 	if !pooled(small) {
 		t.Error("a small reply did not go back to the pool")
 	}

@@ -5,18 +5,13 @@
 // progress), hiding the network's internals from the customer. It also
 // carries the operator-side endpoints (fiber cuts, repairs, maintenance,
 // clock control) that a lab GUI would expose.
+//
+// The types below are the wire schema. Clients — Client, griphonctl, the
+// benchmark — decode them with encoding/json; the server appends the same
+// bytes by hand, straight from controller state (respond.go).
 package api
 
-import (
-	"time"
-
-	"griphon/internal/alarms"
-	"griphon/internal/core"
-	"griphon/internal/rwa"
-	"griphon/internal/sim"
-	"griphon/internal/slo"
-	"griphon/internal/topo"
-)
+import "time"
 
 // ConnectionJSON is the customer-visible view of a connection.
 type ConnectionJSON struct {
@@ -39,39 +34,6 @@ type ConnectionJSON struct {
 	// route in milliseconds (zero for OTN circuits, whose fiber path is
 	// the pipes' concern).
 	PropagationMS float64 `json:"propagation_ms,omitempty"`
-}
-
-// FromConnection converts a controller record; now is the current virtual
-// time (for still-open outages) and g the topology (for propagation delay;
-// nil skips it).
-func FromConnection(c *core.Connection, now sim.Time, g *topo.Graph) ConnectionJSON {
-	j := ConnectionJSON{
-		ID:           string(c.ID),
-		Customer:     string(c.Customer),
-		From:         string(c.From),
-		To:           string(c.To),
-		Rate:         c.Rate.String(),
-		Layer:        c.Layer.String(),
-		Protection:   c.Protect.String(),
-		State:        c.State.String(),
-		Restorations: c.Restorations,
-		Rolls:        c.Rolls,
-	}
-	if r := c.Route(); len(r.Nodes) > 0 {
-		j.Route = r.String()
-		if g != nil {
-			j.PropagationMS = rwa.PropagationDelay(g, r) * 1000
-		}
-	}
-	if st := c.SetupTime(); st > 0 {
-		j.SetupTime = st.String()
-		j.SetupSeconds = st.Seconds()
-	}
-	if outage := c.Outage(now); outage > 0 {
-		j.TotalOutage = outage.String()
-		j.OutageNanos = outage
-	}
-	return j
 }
 
 // ConnectRequest asks for a new connection.
@@ -195,25 +157,6 @@ type AlarmsResponse struct {
 	Next   uint64           `json:"next"`
 }
 
-func fromAlarm(a alarms.Alarm) AlarmJSON {
-	return AlarmJSON{
-		At: a.At.String(), Node: string(a.Node), Conn: a.Conn,
-		Customer: a.Customer, Type: a.Type.String(), Detail: a.Detail,
-	}
-}
-
-// FromGroup converts a correlated alarm group for the wire.
-func FromGroup(g alarms.Group) AlarmGroupJSON {
-	out := AlarmGroupJSON{
-		Seq: g.Seq, At: g.At.String(), Kind: g.Kind.String(),
-		Link: string(g.Link), Root: fromAlarm(g.Root),
-	}
-	for _, a := range g.Children {
-		out.Children = append(out.Children, fromAlarm(a))
-	}
-	return out
-}
-
 // SLAPhaseJSON is one phase of an outage (phases tile the interval).
 type SLAPhaseJSON struct {
 	Name    string  `json:"name"`
@@ -265,62 +208,6 @@ type SLAJSON struct {
 	Outages      int           `json:"outages"`
 	Unattributed int           `json:"unattributed"`
 	Conns        []SLAConnJSON `json:"connections"`
-}
-
-// FromSLAReport converts a ledger report for the wire.
-func FromSLAReport(rep slo.CustomerReport) SLAJSON {
-	out := SLAJSON{
-		Customer:     rep.Customer,
-		Now:          rep.Now.String(),
-		LifetimeS:    rep.TotalLifetime.Seconds(),
-		DowntimeS:    rep.TotalDowntime.Seconds(),
-		Availability: rep.Availability,
-		Outages:      rep.OutageCount,
-		Unattributed: rep.Unattributed,
-	}
-	for _, cr := range rep.Conns {
-		cj := SLAConnJSON{
-			ID:           cr.Conn,
-			Customer:     cr.Customer,
-			Activated:    cr.ActivatedAt.String(),
-			Degraded:     cr.Degraded,
-			LifetimeS:    cr.Lifetime.Seconds(),
-			DowntimeS:    cr.Downtime.Seconds(),
-			Availability: cr.Availability,
-		}
-		if cr.Released {
-			cj.Released = cr.ReleasedAt.String()
-		}
-		for _, o := range cr.Outages {
-			oj := SLAOutageJSON{
-				Start:      o.Start.String(),
-				Open:       o.Open,
-				Seconds:    o.Duration(rep.Now).Seconds(),
-				Cause:      o.Cause.String(),
-				Link:       string(o.Link),
-				Detail:     o.Detail,
-				Resolution: o.Resolution,
-			}
-			if !o.Open {
-				oj.End = o.End.String()
-			}
-			for _, p := range o.Phases {
-				pj := SLAPhaseJSON{Name: p.Name, Start: p.Start.String(), Open: p.Open}
-				if !p.Open {
-					pj.Seconds = p.Duration().Seconds()
-				} else {
-					pj.Seconds = rep.Now.Sub(p.Start).Seconds()
-				}
-				oj.Phases = append(oj.Phases, pj)
-			}
-			for _, b := range o.Blocks {
-				oj.Blocks = append(oj.Blocks, SLABlockJSON{At: b.At.String(), Reason: b.Reason})
-			}
-			cj.Outages = append(cj.Outages, oj)
-		}
-		out.Conns = append(out.Conns, cj)
-	}
-	return out
 }
 
 // TopologyJSON describes the network for display.

@@ -38,19 +38,22 @@ func GbpsOf(g float64) Rate { return Rate(math.Round(g * 1e9)) }
 func (r Rate) Gbps() float64 { return float64(r) / 1e9 }
 
 // String renders the rate compactly: "1G", "2.5G", "10G", "622M".
-func (r Rate) String() string {
+func (r Rate) String() string { return string(r.Append(nil)) }
+
+// Append appends the rate as String renders it, without allocating: the form
+// the API's response appenders use.
+func (r Rate) Append(b []byte) []byte {
 	switch {
 	case r <= 0:
-		return "0"
+		return append(b, '0')
 	case r%Gbps == 0:
-		return fmt.Sprintf("%dG", r/Gbps)
+		return append(strconv.AppendInt(b, int64(r/Gbps), 10), 'G')
 	case r >= Gbps:
-		s := strconv.FormatFloat(float64(r)/1e9, 'f', -1, 64)
-		return s + "G"
+		return append(strconv.AppendFloat(b, float64(r)/1e9, 'f', -1, 64), 'G')
 	case r%Mbps == 0:
-		return fmt.Sprintf("%dM", r/Mbps)
+		return append(strconv.AppendInt(b, int64(r/Mbps), 10), 'M')
 	default:
-		return fmt.Sprintf("%dbps", int64(r))
+		return append(strconv.AppendInt(b, int64(r), 10), "bps"...)
 	}
 }
 

@@ -1,6 +1,8 @@
 package bw
 
 import (
+	"fmt"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -101,4 +103,44 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("round trip %q -> %v -> %v", s, r, back)
 		}
 	})
+}
+
+// formatRate is the fmt-based rendering String had before it was built on
+// Append: the reference Append is held to.
+func formatRate(r Rate) string {
+	switch {
+	case r <= 0:
+		return "0"
+	case r%Gbps == 0:
+		return fmt.Sprintf("%dG", int64(r/Gbps))
+	case r >= Gbps:
+		return strconv.FormatFloat(float64(r)/1e9, 'f', -1, 64) + "G"
+	case r%Mbps == 0:
+		return fmt.Sprintf("%dM", int64(r/Mbps))
+	default:
+		return fmt.Sprintf("%dbps", int64(r))
+	}
+}
+
+// TestAppendMatchesFormat: Append renders every rate as the fmt-based
+// reference does, whole gigabits, fractional gigabits, megabits and bare bits
+// alike, and into a buffer with room it allocates nothing.
+func TestAppendMatchesFormat(t *testing.T) {
+	prop := func(n int64, unit uint8) bool {
+		r := Rate(n)
+		switch unit % 3 {
+		case 0:
+			r = Rate(n%1000) * Gbps
+		case 1:
+			r = Rate(n%1_000_000) * Mbps
+		}
+		return string(r.Append(nil)) == formatRate(r)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	buf := make([]byte, 0, 32)
+	if allocs := testing.AllocsPerRun(100, func() { buf = Rate2G5.Append(buf[:0]) }); allocs != 0 {
+		t.Errorf("Append allocates %v objects, want 0", allocs)
+	}
 }

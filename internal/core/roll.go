@@ -116,6 +116,9 @@ func (c *Controller) ScheduleMaintenance(link topo.LinkID, at sim.Time, window s
 	if window <= 0 {
 		return nil, nil, fmt.Errorf("core: non-positive maintenance window %v", window)
 	}
+	if now := c.k.Now(); at.Before(now) {
+		return nil, nil, fmt.Errorf("core: maintenance start %v is before now %v", at, now)
+	}
 	m := &Maintenance{Link: link, Window: window}
 	out := c.k.NewJob()
 	c.k.At(at, func() {

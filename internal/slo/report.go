@@ -78,6 +78,7 @@ func (l *Ledger) Report(customer string, now sim.Time) CustomerReport {
 	}
 	if customer != "" {
 		if cl := l.custs[customer]; cl != nil {
+			rep.Conns = make([]ConnReport, 0, len(cl.rows))
 			for _, r := range cl.rows {
 				add(r, cl)
 			}

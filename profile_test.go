@@ -60,7 +60,7 @@ func BenchmarkJournaledWavelengthChurn(b *testing.B) {
 // a journaled, fsynced network over topo (churnNetwork), after 256 cycles of
 // history.
 func benchJournaled(b *testing.B, topo *griphon.Topology, primed bool, class func() (rate, protect string), refusals ...string) {
-	net, churn := churnNetwork(b, b.TempDir(), topo, 64, primed, class, refusals)
+	net, _, churn := churnNetwork(b, b.TempDir(), topo, 64, primed, class, refusals)
 	defer net.Close()
 	for i := 0; i < 256; i++ {
 		churn(i)
@@ -73,14 +73,14 @@ func benchJournaled(b *testing.B, topo *griphon.Topology, primed bool, class fun
 }
 
 // churnNetwork opens a journaled, fsynced network over topo in dir, with
-// opts, and returns it with churn: churn(i) is one connect and its disconnect
-// through the network's HTTP handler, tenants and every ordered site pair
-// taking turns. class gives each connect's rate and protection. When primed,
+// opts, and returns it with its HTTP handler and churn: churn(i) is one
+// connect and its disconnect through that handler, tenants and every ordered
+// site pair taking turns. class gives each connect's rate and protection. When primed,
 // it first cycles a 1G circuit over each neighbouring pair of the sorted
 // sites, which builds the OTN pipes. A connect refused with a 409 whose text
 // holds one of refusals is counted as the carrier's no and gets no
 // disconnect; any other refusal fails.
-func churnNetwork(b *testing.B, dir string, topo *griphon.Topology, tenants int, primed bool, class func() (rate, protect string), refusals []string, opts ...griphon.Option) (*griphon.Network, func(int)) {
+func churnNetwork(b *testing.B, dir string, topo *griphon.Topology, tenants int, primed bool, class func() (rate, protect string), refusals []string, opts ...griphon.Option) (*griphon.Network, http.Handler, func(int)) {
 	opts = append([]griphon.Option{griphon.WithSeed(1), griphon.WithStateDir(dir), griphon.WithFsync()}, opts...)
 	net, err := griphon.New(topo, opts...)
 	if err != nil {
@@ -133,12 +133,94 @@ func churnNetwork(b *testing.B, dir string, topo *griphon.Topology, tenants int,
 			cycle(0, sites[i], sites[i+1], "1G", "")
 		}
 	}
-	return net, func(i int) {
+	return net, h, func(i int) {
 		rate, protect := class()
 		p := pairs[i%len(pairs)]
 		cycle(i, p[0], p[1], rate, protect)
 	}
 }
+
+// BenchmarkPortalRead is the daemon's read path under the portal-read
+// benchmark workload, in one process:
+//
+//	go test -run=NONE -bench=PortalRead -cpuprofile cpu.prof .
+//
+// Set-up is that workload's: the primed backbone, 1 000 connect/disconnect
+// cycles of 64 tenants as history (churnNetwork), then 30 tenants holding one
+// live 1G circuit each between neighbouring sites. Each iteration is one GET
+// through the network's HTTP handler, drawn from portal-read's mix:
+// connections 40 %, bill, sla and events 15 % each, stats 10 %, topology 5 %.
+// A listing, bill or report names a random tenant; events pages through the
+// last eight entries of the audit log.
+func BenchmarkPortalRead(b *testing.B) {
+	const tenants, live = 64, 30
+	topo := griphon.Backbone()
+	net, h, churn := churnNetwork(b, b.TempDir(), topo, tenants, true, func() (string, string) { return "1G", "" }, nil)
+	defer net.Close()
+	for i := 0; i < 1000; i++ {
+		churn(i)
+	}
+	sites := topo.Sites()
+	for i := 0; i < live; i++ {
+		from := i % (len(sites) - 1)
+		body := fmt.Sprintf(`{"customer":"tenant-%03d","from":%q,"to":%q,"rate":"1G"}`, i, sites[from], sites[from+1])
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/connect", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("POST connect %s: %d %s", body, rec.Code, rec.Body)
+		}
+	}
+	_, next := net.EventsSince(0)
+	shared := map[string]*http.Request{}
+	for _, path := range []string{"/api/v1/stats", "/api/v1/topology", fmt.Sprintf("/api/v1/events?since=%d", next-8)} {
+		shared[path] = httptest.NewRequest(http.MethodGet, path, nil)
+	}
+	perTenant := func(route string) []*http.Request {
+		out := make([]*http.Request, tenants)
+		for i := range out {
+			out[i] = httptest.NewRequest(http.MethodGet, fmt.Sprintf("/api/v1/%s?customer=tenant-%03d", route, i), nil)
+		}
+		return out
+	}
+	conns, bills, slas := perTenant("connections"), perTenant("bill"), perTenant("sla")
+	events := shared[fmt.Sprintf("/api/v1/events?since=%d", next-8)]
+	mix := [20][]*http.Request{
+		conns, conns, conns, conns, conns, conns, conns, conns,
+		bills, bills, bills,
+		slas, slas, slas,
+		{events}, {events}, {events},
+		{shared["/api/v1/stats"]}, {shared["/api/v1/stats"]},
+		{shared["/api/v1/topology"]},
+	}
+	rng := sim.NewRand(1)
+	w := &discardWriter{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reqs := mix[rng.Intn(len(mix))]
+		w.code = 0
+		h.ServeHTTP(w, reqs[rng.Intn(len(reqs))])
+		if w.code != http.StatusOK {
+			b.Fatalf("GET answered %d", w.code)
+		}
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps only the status, so that a
+// benchmark measures the handler and not a recorder's buffer.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (d *discardWriter) Header() http.Header {
+	if d.h == nil {
+		d.h = make(http.Header)
+	}
+	return d.h
+}
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(code int)        { d.code = code }
 
 // BenchmarkRecover is griphond's restart on churn-groomed's history at that
 // workload's op cap, in one process:
@@ -161,7 +243,7 @@ func BenchmarkRecoverSharded(b *testing.B) {
 
 func benchRecover(b *testing.B, shards, tenants, cycles int) {
 	dir := b.TempDir()
-	net, churn := churnNetwork(b, dir, griphon.Backbone(), tenants, true, func() (string, string) { return "1G", "" }, nil, griphon.WithShards(shards))
+	net, _, churn := churnNetwork(b, dir, griphon.Backbone(), tenants, true, func() (string, string) { return "1G", "" }, nil, griphon.WithShards(shards))
 	for i := 0; i < cycles; i++ {
 		churn(i)
 	}
