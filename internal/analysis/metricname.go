@@ -13,10 +13,11 @@ const obsPkg = "griphon/internal/obs"
 // registryMethods maps the obs.Registry instrument constructors to the index
 // of their name argument (always 0) and their kind for suffix rules.
 var registryMethods = map[string]string{
-	"Counter":     "counter",
-	"CounterFunc": "counter",
-	"GaugeFunc":   "gauge",
-	"Histogram":   "histogram",
+	"Counter":       "counter",
+	"CounterFunc":   "counter",
+	"GaugeFunc":     "gauge",
+	"Histogram":     "histogram",
+	"HistogramFunc": "histogram",
 }
 
 var (
@@ -25,8 +26,9 @@ var (
 )
 
 // histogramUnits are the unit suffixes a histogram name may end with.
-// Everything this simulator observes is virtual seconds or bytes.
-var histogramUnits = []string{"_seconds", "_bytes"}
+// Everything this simulator observes is seconds (virtual, or wall time of
+// real I/O), bytes, or the records one journal sync covered.
+var histogramUnits = []string{"_seconds", "_bytes", "_records"}
 
 // Metricname enforces the instrument naming scheme: names are compile-time
 // string constants (so the /api/v1/metrics surface is greppable), prefixed

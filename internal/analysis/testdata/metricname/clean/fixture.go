@@ -10,4 +10,5 @@ func register(r *obs.Registry) {
 	r.GaugeFunc("griphon_connections", "Connections in service.", func() float64 { return 0 })
 	r.Histogram("griphon_setup_seconds", "Setup latency.", obs.DefaultLatencyBuckets())
 	r.Histogram("griphon_frame_bytes", "Frame sizes.", []float64{64, 1500})
+	r.HistogramFunc("griphon_journal_sync_records", "Records per sync.", func() *obs.Histogram { return nil })
 }

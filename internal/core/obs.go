@@ -161,6 +161,10 @@ func (c *Controller) initObs() {
 			func() float64 { return float64(c.jrnl.Stats().Compacted) })
 		r.CounterFunc("griphon_journal_dup_seqs_total", "Duplicate WAL sequence numbers resolved last-write-wins at open.",
 			func() float64 { return float64(c.jrnl.Stats().DupSeqs) })
+		r.HistogramFunc("griphon_journal_sync_seconds", "Wall time of each WAL sync, in real seconds.",
+			func() *obs.Histogram { h, _ := c.jrnl.SyncHistograms(); return h })
+		r.HistogramFunc("griphon_journal_sync_records", "WAL records each sync newly made durable.",
+			func() *obs.Histogram { _, h := c.jrnl.SyncHistograms(); return h })
 	}
 
 	// Live-state gauges, computed at scrape time from the resource database.

@@ -132,8 +132,11 @@ func CrashRecN(seed int64, trials int) (Result, error) {
 
 	// makeTrialDir lays out a crash at byte offset cut of the logical stream:
 	// files wholly below the cut survive intact, the file holding the cut is
-	// torn there, and files after it never existed yet.
-	makeTrialDir := func(trialDir string, cut int) error {
+	// torn there, and files after it never existed yet. Padded, the torn file
+	// also keeps zeros after the cut, the way a store opened with
+	// journal.Options.Fsync leaves its active segment zero-filled ahead of
+	// the writer (or a sealed one whose trim the crash lost).
+	makeTrialDir := func(trialDir string, cut int, padded bool) error {
 		if err := os.MkdirAll(trialDir, 0o755); err != nil {
 			return err
 		}
@@ -151,7 +154,11 @@ func CrashRecN(seed int64, trials int) (Result, error) {
 			if rem < n {
 				n = rem
 			}
-			if err := os.WriteFile(filepath.Join(trialDir, p.name), p.data[:n], 0o644); err != nil {
+			data := p.data[:n]
+			if padded && rem == n {
+				data = append(data[:n:n], make([]byte, crashSegmentSize-n%crashSegmentSize)...)
+			}
+			if err := os.WriteFile(filepath.Join(trialDir, p.name), data, 0o644); err != nil {
 				return err
 			}
 			rem -= n
@@ -173,48 +180,26 @@ func CrashRecN(seed int64, trials int) (Result, error) {
 		cuts = append(cuts, boundary)
 	}
 
-	findings := 0
-	tornTotal := int64(0)
-	minSeq, maxSeq := uint64(1<<63), uint64(0)
-	for trial, cut := range cuts {
-		trialDir := filepath.Join(dir, fmt.Sprintf("trial%d", trial))
-		if err := makeTrialDir(trialDir, cut); err != nil {
-			return Result{}, err
-		}
-
+	// recoverTrial opens a crash layout, replays and rehydrates it, and
+	// checks both against the shadow at the surviving sequence number. It
+	// returns that number and the torn bytes discarded, or a finding.
+	recoverTrial := func(trialDir string, trial int) (seq uint64, torn int64, finding string) {
 		tstore, err := journal.Open(trialDir, journal.Options{SegmentSize: crashSegmentSize})
 		if err != nil {
-			findings++
-			res.notef("trial %d (cut %d): reopen failed: %v", trial, cut, err)
-			continue
+			return 0, 0, fmt.Sprintf("reopen failed: %v", err)
 		}
-		tornTotal += tstore.Stats().TornBytes
-		seq := tstore.Seq()
-		if seq < minSeq {
-			minSeq = seq
-		}
-		if seq > maxSeq {
-			maxSeq = seq
-		}
+		defer tstore.Close()
+		seq, torn = tstore.Seq(), tstore.Stats().TornBytes
 		want, ok := shadows[seq]
 		if !ok {
-			findings++
-			res.notef("trial %d (cut %d): recovered seq %d has no shadow", trial, cut, seq)
-			tstore.Close()
-			continue
+			return seq, torn, fmt.Sprintf("recovered seq %d has no shadow", seq)
 		}
 		replayed, err := core.ReplayDurable(tstore.Recovered())
 		if err != nil {
-			findings++
-			res.notef("trial %d (cut %d): replay failed: %v", trial, cut, err)
-			tstore.Close()
-			continue
+			return seq, torn, fmt.Sprintf("replay failed: %v", err)
 		}
 		if !bytes.Equal(replayed, want) {
-			findings++
-			res.notef("trial %d (cut %d): replay of seq %d diverges from shadow", trial, cut, seq)
-			tstore.Close()
-			continue
+			return seq, torn, fmt.Sprintf("replay of seq %d diverges from shadow", seq)
 		}
 		k2 := sim.NewKernel(seed + int64(trial) + 1000)
 		ctrl2, err := core.Rehydrate(k2, topo.Testbed(), core.Config{
@@ -223,20 +208,49 @@ func CrashRecN(seed int64, trials int) (Result, error) {
 		if err != nil {
 			// Rehydrate audits the rebuilt state internally; a failure here is
 			// a recovery that leaked or double-booked resources.
-			findings++
-			res.notef("trial %d (cut %d): rehydrate seq %d: %v", trial, cut, seq, err)
-			tstore.Close()
-			continue
+			return seq, torn, fmt.Sprintf("rehydrate seq %d: %v", seq, err)
 		}
 		got, err := ctrl2.DurableState()
 		if err != nil {
-			return Result{}, err
+			return seq, torn, fmt.Sprintf("rehydrated state at seq %d: %v", seq, err)
 		}
 		if !bytes.Equal(got, want) {
-			findings++
-			res.notef("trial %d (cut %d): rehydrated state at seq %d diverges from shadow", trial, cut, seq)
+			return seq, torn, fmt.Sprintf("rehydrated state at seq %d diverges from shadow", seq)
 		}
-		tstore.Close()
+		return seq, torn, ""
+	}
+
+	// Every cut is laid out bare and zero-padded. The zeros are a clean end:
+	// the padded layout must recover the same sequence number, and count torn
+	// bytes exactly when the bare one does — when a partial frame survives.
+	findings := 0
+	tornTotal := int64(0)
+	minSeq, maxSeq := uint64(1<<63), uint64(0)
+	for trial, cut := range cuts {
+		trialDir := filepath.Join(dir, fmt.Sprintf("trial%d", trial))
+		if err := makeTrialDir(trialDir, cut, false); err != nil {
+			return Result{}, err
+		}
+		seq, torn, finding := recoverTrial(trialDir, trial)
+		if finding != "" {
+			findings++
+			res.notef("trial %d (cut %d): %s", trial, cut, finding)
+			continue
+		}
+		tornTotal += torn
+		minSeq, maxSeq = min(minSeq, seq), max(maxSeq, seq)
+
+		if err := makeTrialDir(trialDir+"-padded", cut, true); err != nil {
+			return Result{}, err
+		}
+		pseq, ptorn, finding := recoverTrial(trialDir+"-padded", trial)
+		if finding == "" && (pseq != seq || (ptorn > 0) != (torn > 0)) {
+			finding = fmt.Sprintf("recovered seq %d with %d torn bytes, bare %d with %d", pseq, ptorn, seq, torn)
+		}
+		if finding != "" {
+			findings++
+			res.notef("trial %d (cut %d, zero-padded): %s", trial, cut, finding)
+		}
 	}
 
 	// Mid-compaction kill points: the final snapshot and WAL tail, plus the
@@ -250,7 +264,7 @@ func CrashRecN(seed int64, trials int) (Result, error) {
 	compactTrials, staleSegs := 0, 0
 	if len(archive) > 0 {
 		trialDir := filepath.Join(dir, "compaction")
-		if err := makeTrialDir(trialDir, total); err != nil {
+		if err := makeTrialDir(trialDir, total, false); err != nil {
 			return Result{}, err
 		}
 		for name, b := range archive {
@@ -313,7 +327,7 @@ func CrashRecN(seed int64, trials int) (Result, error) {
 	res.value("torn_bytes", float64(tornTotal))
 	res.value("findings", float64(findings))
 	if findings == 0 {
-		res.notef("%d kill points recovered exactly (%d random, %d segment-boundary, %d mid-compaction): every torn tail discarded whole, every recovery audit-clean and byte-identical to its shadow", allTrials, trials, len(parts), compactTrials)
+		res.notef("%d kill points recovered exactly (%d random, %d segment-boundary, %d mid-compaction; each cut laid out bare and zero-padded): every torn tail discarded whole, every zero tail read as a clean end, every recovery audit-clean and byte-identical to its shadow", allTrials, trials, len(parts), compactTrials)
 	} else {
 		res.notef("RECOVERY FAILURES: %d of %d trials — see notes above", findings, allTrials)
 	}

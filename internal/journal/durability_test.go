@@ -643,3 +643,95 @@ func TestRotationSealsAfterSync(t *testing.T) {
 		t.Fatalf("replayed %d records ending at %d, want all %d", len(got), got[len(got)-1], healed)
 	}
 }
+
+// TestFailedSyncStaysFailed: a sequence number a failed sync covered is
+// never acknowledged, even after a later sync of the same file succeeds. The
+// kernel reports a lost writeback once; the later success does not prove the
+// earlier pages reached the disk. Numbers synced before the failure stay
+// acknowledged, and back-to-back failures poison everything they covered.
+func TestFailedSyncStaysFailed(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	write := func() uint64 {
+		t.Helper()
+		seq, err := s.Write("commit", []byte(`{"n":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq
+	}
+	fail := false
+	s.testSyncErr = func() error {
+		if fail {
+			return fmt.Errorf("injected fsync failure")
+		}
+		return nil
+	}
+	before := write()
+	if err := s.Sync(before); err != nil {
+		t.Fatal(err)
+	}
+	fail = true
+	first := write()
+	if err := s.Sync(first); err == nil {
+		t.Fatal("Sync survived an injected fsync failure")
+	}
+	second := write()
+	if err := s.Sync(second); err == nil {
+		t.Fatal("Sync survived an injected fsync failure")
+	}
+	fail = false
+	after := write()
+	if err := s.Sync(after); err != nil {
+		t.Fatalf("Sync after the disk healed: %v", err)
+	}
+	for _, c := range []struct {
+		seq    uint64
+		failed bool
+	}{{before, false}, {first, true}, {second, true}, {after, false}} {
+		if err := s.Sync(c.seq); (err != nil) != c.failed {
+			t.Fatalf("Sync(%d) = %v; want failed %v", c.seq, err, c.failed)
+		}
+	}
+}
+
+// TestSnapshotDirSyncFailureKeepsSegments: the snapshot's rename is durable
+// only once the directory is synced. If that sync fails, compaction must not
+// unlink the covered segments: after a power loss the unlinks could survive
+// while the rename does not. Reopening without the snapshot — the rename
+// lost — must still recover every acknowledged record.
+func TestSnapshotDirSyncFailureKeepsSegments(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{SegmentSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10
+	for i := 0; i < n; i++ {
+		mustAppend(t, s, "commit", fmt.Sprintf(`{"n":%d}`, i))
+	}
+	segments := walFileNames(t, dir)
+	s.testSnapErr = func(at string) error {
+		if at == "dirsync" {
+			return fmt.Errorf("injected directory sync failure")
+		}
+		return nil
+	}
+	if err := s.WriteSnapshot([]byte(`{"state":"s"}`)); err == nil {
+		t.Fatal("snapshot survived an injected directory sync failure")
+	}
+	s.CompactWait()
+	if got := walFileNames(t, dir); strings.Join(got, " ") != strings.Join(segments, " ") {
+		t.Fatalf("segments %v after a failed directory sync, want %v left in place", got, segments)
+	}
+	s.Close()
+	if err := os.Remove(filepath.Join(dir, snapName)); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayedSeqs(t, dir); len(got) != n {
+		t.Fatalf("replayed %v without the snapshot, want all %d acknowledged records", got, n)
+	}
+}

@@ -53,7 +53,9 @@ func FuzzRecord(f *testing.F) {
 }
 
 // FuzzWALReplay writes arbitrary bytes as a WAL file and opens the store:
-// recovery must never panic and must leave an appendable log.
+// recovery must never panic, must count torn bytes exactly when something
+// other than zeros follows the last intact frame, and must leave a log whose
+// next append survives the next reopen.
 func FuzzWALReplay(f *testing.F) {
 	var seeded []byte
 	seeded = appendFrame(seeded, appendBinaryRecord(nil, 1, "commit", []byte(`{"n":1}`)))
@@ -61,12 +63,15 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(seeded)
 	f.Add(seeded[:len(seeded)-3])
 	f.Add([]byte("not a wal at all"))
+	zeros := make([]byte, 64)
+	f.Add(append(seeded[:len(seeded):len(seeded)], zeros...))
+	f.Add(append(append(seeded[:len(seeded):len(seeded)], zeros...), "garbage"...))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, legacyWALName), b, 0o644); err != nil {
 			t.Skip()
 		}
-		s, err := Open(dir, Options{})
+		s, err := Open(dir, Options{Fsync: true})
 		if err != nil {
 			return
 		}
@@ -78,17 +83,25 @@ func FuzzWALReplay(f *testing.F) {
 			}
 			prev = e.Seq
 		}
+		if torn, zeroTail := s.Stats().TornBytes > 0, allZero(b[s.activeSize:]); torn == zeroTail {
+			t.Fatalf("torn bytes %d after the clean end at %d; the rest is all zeros: %v", s.Stats().TornBytes, s.activeSize, zeroTail)
+		}
 		if _, err := s.Append("commit", []byte(`{"post":"fuzz"}`)); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		// The directory must reopen cleanly after the repair + append.
+		// The directory must reopen cleanly after the repair + append, with
+		// the appended record last.
 		s2, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
-		s2.Close()
+		defer s2.Close()
+		_, after := s2.Recovered()
+		if len(after) != len(entries)+1 || string(after[len(after)-1].Data) != `{"post":"fuzz"}` {
+			t.Fatalf("reopen recovered %d entries, want %d ending in the append", len(after), len(entries)+1)
+		}
 	})
 }

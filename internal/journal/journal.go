@@ -21,12 +21,22 @@
 // binary record encoding (varint sequence number, a one-byte kind table, then
 // the raw record bytes — see binary.go). Snapshots carry the same format byte.
 //
+// Under Options.Fsync the active segment also has a zero tail: the file is
+// zero-filled, with written zeros, up to an extentStep boundary ahead of the
+// last frame (never past the rotation bound plus one frame), so an append
+// changes neither the file's size nor its allocation and its fdatasync has no
+// metadata to flush. Rotation trims the tail before sealing, so sealed
+// segments hold frames only.
+//
 // A write that is torn mid-frame — short header, short payload, or a payload
 // whose checksum does not match — invalidates that frame and everything after
 // it, across segment boundaries. Open detects the torn tail, truncates the
 // segment back to the last intact frame, deletes any later segments, and
 // reports how many bytes were discarded. A torn record is therefore discarded
-// whole: recovery never sees a half-applied operation.
+// whole: recovery never sees a half-applied operation. A remainder of nothing
+// but zeros is not torn: it is the unwritten end of a zero-filled segment, the
+// file's clean end, and the next append is written over it. A zero header
+// followed by any non-zero byte is still torn.
 //
 // An append has two halves. Write frames the record, puts it in the active
 // file and returns its sequence number; Sync blocks until a sequence number is
@@ -34,20 +44,25 @@
 // holds a lock of its own while it writes can release it before it syncs, and
 // one Sync of the last number a batch of writes returned covers the batch.
 // Under Options.Fsync the syncs are group-committed: the first waiter in a
-// window becomes the sync leader, one fsync covers every frame written before
-// it ran, and the other waiters wake without issuing their own. A single
-// sequential appender degenerates to exactly one fsync per append.
+// window becomes the sync leader, one fdatasync covers every frame written
+// before it ran, and the other waiters wake without issuing their own. A
+// single sequential appender degenerates to exactly one sync per append. A
+// number a failed sync covered is never acknowledged, even after a later sync
+// succeeds. Each new segment's directory entry is synced before any record in
+// it can be acknowledged.
 //
-// Snapshots are streamed (temp file + fsync + rename) and stamped with the
-// WAL sequence number they cover. After a successful snapshot the WAL rotates
-// to a fresh segment and a background compactor unlinks the covered segments;
-// if the process dies anywhere in that window, replay simply skips the WAL
-// entries whose sequence numbers the snapshot already covers. A segment is
-// sealed only once every frame in it is fsynced, so a sequence number a Sync
-// is still waiting on is never left behind in a closed file.
+// Snapshots are streamed (temp file + fsync + rename + directory sync) and
+// stamped with the WAL sequence number they cover. After a successful
+// snapshot the WAL rotates to a fresh segment and a background compactor
+// unlinks the covered segments; if the process dies anywhere in that window,
+// replay simply skips the WAL entries whose sequence numbers the snapshot
+// already covers. A segment is sealed only once every frame in it is synced,
+// so a sequence number a Sync is still waiting on is never left behind in a
+// closed file.
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -55,6 +70,9 @@ import (
 	"io"
 	"os"
 	"sync"
+
+	"griphon/internal/obs"
+	"griphon/internal/sim"
 )
 
 const (
@@ -65,6 +83,24 @@ const (
 	// defaultSegmentSize rotates the WAL once the active segment holds this
 	// many bytes.
 	defaultSegmentSize = 4 << 20
+	// extentStep is how far ahead of the write offset a store opened with
+	// Options.Fsync zero-fills its active segment, and the boundary the fill
+	// is aligned to. An append inside the filled extent changes neither the
+	// file's size nor its block allocation, so its fdatasync leaves the
+	// filesystem no metadata to journal; one append in a step's worth pays
+	// for the next step.
+	extentStep = 128 << 10
+)
+
+// zeroExtent is the source of every zero-fill write: read only, so it costs
+// the process no memory beyond the kernel's shared zero page.
+var zeroExtent [extentStep]byte
+
+// Bucket bounds of the sync histograms: wall seconds from 10 µs to 100 ms,
+// and the records one sync covered.
+var (
+	syncSecondsBuckets = []float64{1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1}
+	syncRecordsBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 )
 
 // Entry is one recovered WAL record.
@@ -94,9 +130,9 @@ type Options struct {
 // Stats counts the store's lifetime activity, including what Open recovered.
 type Stats struct {
 	Appends      uint64 // records appended this process
-	Bytes        uint64 // WAL bytes written this process
-	Fsyncs       uint64 // fsync calls issued
-	GroupCommits uint64 // fsync batches that covered more than one append
+	Bytes        uint64 // WAL frame bytes written this process; zero fill not counted
+	Fsyncs       uint64 // file syncs issued: each WAL sync and each snapshot's fsync
+	GroupCommits uint64 // WAL syncs that covered more than one append
 	Snapshots    uint64 // snapshots written this process
 	Rotations    uint64 // WAL segment rotations
 	Compacted    uint64 // covered WAL files unlinked by the compactor
@@ -104,6 +140,16 @@ type Stats struct {
 	Skipped      int    // WAL entries Open discarded as covered by the snapshot
 	DupSeqs      int    // duplicate sequence numbers resolved last-write-wins
 	TornBytes    int64  // bytes truncated from a torn WAL tail
+}
+
+// syncFailure is the range of sequence numbers, (from, to], that a failed
+// sync covered and no earlier sync had covered. Those numbers are never
+// acknowledged, even once a later sync succeeds: the kernel reports a lost
+// writeback once, so a later success does not prove their pages reached the
+// disk.
+type syncFailure struct {
+	from, to uint64
+	err      error
 }
 
 // sealedFile is a WAL file no longer appended to, awaiting compaction once a
@@ -124,7 +170,8 @@ type Store struct {
 
 	active     *os.File
 	activePath string
-	activeSize int64
+	activeSize int64  // frame bytes in the active file: the write offset
+	fileSize   int64  // the active file's length: activeSize plus its zero tail
 	activeSeq  uint64 // last sequence number written to the active file
 	segIndex   uint64 // active segment index (0 = legacy wal.log)
 	sealed     []sealedFile
@@ -140,10 +187,11 @@ type Store struct {
 
 	// Group-commit state: the sync leader releases every waiter whose frame
 	// its fsync covered.
-	syncing     bool
-	syncedSeq   uint64 // highest seq known durable
-	syncFailSeq uint64 // highest seq covered by a failed fsync batch
-	syncFailErr error
+	syncing   bool
+	syncedSeq uint64        // highest seq known durable
+	syncFails []syncFailure // ranges failed syncs poisoned, ascending
+	// Each sync's wall time and the records it newly covered.
+	syncSecs, syncRecords *obs.Histogram
 
 	snapshotting bool
 	compactWG    sync.WaitGroup
@@ -159,11 +207,11 @@ type Store struct {
 
 	encBuf []byte // reused frame-encoding scratch, guarded by mu
 
-	// Test seams, nil in production. testSyncErr replaces the WAL fsync
+	// Test seams, nil in production. testSyncErr replaces the WAL sync
 	// result; testSnapErr injects a failure at a named snapshot stage
-	// ("write", "sync", "rename", "rotate"); testWriteErr fails the next
-	// WAL write after emitting only the reported number of frame bytes;
-	// testTruncErr fails partial-frame truncation.
+	// ("write", "sync", "rename", "dirsync", "rotate"); testWriteErr fails
+	// the next WAL write after emitting only the reported number of frame
+	// bytes; testTruncErr fails partial-frame truncation.
 	testSyncErr  func() error
 	testSnapErr  func(stage string) error
 	testWriteErr func() (partial int, err error)
@@ -178,7 +226,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts}
+	s := &Store{
+		dir:         dir,
+		opts:        opts,
+		syncSecs:    obs.NewHistogram(syncSecondsBuckets),
+		syncRecords: obs.NewHistogram(syncRecordsBuckets),
+	}
 	s.syncCond = sync.NewCond(&s.mu)
 	if err := s.loadSnapshot(); err != nil {
 		return nil, err
@@ -188,12 +241,16 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	// Everything recovered from disk is as durable as it gets.
 	s.syncedSeq = s.seq
-	if s.hasSnap {
+	if s.hasSnap && len(s.sealed) > 0 && s.sealed[0].maxSeq <= s.snapSeq {
 		// A crash may have landed between a snapshot and its compaction;
-		// finish the job so covered segments do not accumulate.
-		s.mu.Lock()
-		s.compactCovered()
-		s.mu.Unlock()
+		// finish the job so covered segments do not accumulate. The crash
+		// may also have come before the snapshot's directory sync, so make
+		// the rename durable before unlinking what it covers.
+		if err := syncDir(dir); err == nil {
+			s.mu.Lock()
+			s.compactCovered()
+			s.mu.Unlock()
+		}
 	}
 	return s, nil
 }
@@ -208,16 +265,23 @@ func (s *Store) loadWAL() error {
 		return err
 	}
 	if len(files) == 0 {
-		return s.openActive(segmentPath(s.dir, 1), 1)
+		f, err := s.newSegment(1)
+		if err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
+		s.setActive(f, segmentPath(s.dir, 1), 1, 0, 0)
+		return nil
 	}
 	activeIdx := len(files) - 1
 	fileMaxes := make([]uint64, len(files))
+	activeEnd := 0
 	for i, wf := range files {
 		good, fileMax, clean, err := s.scanFile(wf.path)
 		if err != nil {
 			return err
 		}
 		fileMaxes[i] = fileMax
+		activeEnd = good
 		if clean {
 			continue
 		}
@@ -242,7 +306,7 @@ func (s *Store) loadWAL() error {
 	for i := 0; i < activeIdx; i++ {
 		s.sealed = append(s.sealed, sealedFile{path: files[i].path, maxSeq: fileMaxes[i]})
 	}
-	if err := s.openActive(files[activeIdx].path, files[activeIdx].index); err != nil {
+	if err := s.openActive(files[activeIdx].path, files[activeIdx].index, int64(activeEnd)); err != nil {
 		return err
 	}
 	s.stats.Replayed = len(s.entries)
@@ -252,14 +316,16 @@ func (s *Store) loadWAL() error {
 
 // scanFile folds one WAL file's intact frames into the store, returning the
 // clean byte length, the highest sequence number seen in the file (including
-// snapshot-covered frames), and whether the file ended cleanly.
+// snapshot-covered frames), and whether the file ended cleanly. A remainder
+// of nothing but zeros is a clean end: the unwritten part of a zero-filled
+// extent, not a torn frame.
 func (s *Store) scanFile(path string) (good int, fileMax uint64, clean bool, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, false, fmt.Errorf("journal: %w", err)
 	}
 	fileMax = s.seq
-	for good < len(raw) {
+	for good < len(raw) && !allZero(raw[good:]) {
 		payload, n, err := readFrame(raw[good:])
 		if err != nil {
 			s.stats.TornBytes += int64(len(raw) - good)
@@ -298,24 +364,48 @@ func (s *Store) scanFile(path string) (good int, fileMax uint64, clean bool, err
 	return good, fileMax, true, nil
 }
 
-// openActive opens (creating if needed) the append target positioned at its
-// clean end.
-func (s *Store) openActive(path string, index uint64) error {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// allZero reports whether b holds nothing but zero bytes. It compares a
+// zero extent at a time and stops at the first block that differs, so a
+// frame header costs it one block.
+func allZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), extentStep)
+		if !bytes.Equal(b[:n], zeroExtent[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
+}
+
+// openActive opens the scanned append target positioned at its clean end,
+// which is short of the file's length by any zero tail.
+func (s *Store) openActive(path string, index uint64, clean int64) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	size, err := f.Seek(0, 2)
+	st, err := f.Stat()
+	if err == nil {
+		_, err = f.Seek(clean, io.SeekStart)
+	}
 	if err != nil {
 		f.Close()
 		return fmt.Errorf("journal: %w", err)
 	}
+	s.setActive(f, path, index, clean, st.Size())
+	return nil
+}
+
+// setActive makes f, holding clean frame bytes in a file of size bytes, the
+// append target.
+func (s *Store) setActive(f *os.File, path string, index uint64, clean, size int64) {
 	s.active = f
 	s.activePath = path
-	s.activeSize = size
+	s.activeSize = clean
+	s.fileSize = size
 	s.activeSeq = s.seq
 	s.segIndex = index
-	return nil
 }
 
 // Recovered returns what Open found: the latest snapshot payload (nil if
@@ -416,6 +506,9 @@ func (s *Store) Write(kind string, data []byte) (uint64, error) {
 		return 0, fmt.Errorf("journal: %w", err)
 	}
 	preSize := s.activeSize
+	if err := s.extend(preSize + int64(len(frame))); err != nil {
+		return 0, fmt.Errorf("journal: zero-filling the segment: %w", err)
+	}
 	n, werr := s.writeActive(frame)
 	if werr != nil {
 		if terr := s.truncateActive(preSize); terr == nil {
@@ -432,6 +525,7 @@ func (s *Store) Write(kind string, data []byte) (uint64, error) {
 		s.seq = seq
 		s.activeSeq = seq
 		s.activeSize += int64(n)
+		s.fileSize = max(s.fileSize, s.activeSize)
 		s.wedgedAt = preSize
 		s.wedgedErr = werr
 		return 0, fmt.Errorf("journal: %w", werr)
@@ -439,6 +533,7 @@ func (s *Store) Write(kind string, data []byte) (uint64, error) {
 	s.seq = seq
 	s.activeSeq = seq
 	s.activeSize += int64(len(frame))
+	s.fileSize = max(s.fileSize, s.activeSize)
 	s.stats.Bytes += uint64(len(frame))
 	s.pending++
 	s.stats.Appends++
@@ -465,6 +560,30 @@ func (s *Store) Sync(seq uint64) error {
 	}
 	if err := s.waitDurable(seq); err != nil {
 		return fmt.Errorf("journal: %w", err)
+	}
+	return nil
+}
+
+// extend zero-fills the active file, under Options.Fsync, so that it reaches
+// at least end: to the next extentStep boundary, but not past the rotation
+// bound unless end itself is. The zeros are written, not fallocated: the
+// first write into an unwritten extent is an allocation change of its own,
+// which an fdatasync would have to journal. Without Options.Fsync there is no
+// sync to spare, and the file grows frame by frame. Called with mu held.
+func (s *Store) extend(end int64) error {
+	if !s.opts.Fsync || end <= s.fileSize {
+		return nil
+	}
+	target := (end + extentStep - 1) / extentStep * extentStep
+	if limit := s.segmentLimit(); limit > 0 && target > limit {
+		target = max(limit, end)
+	}
+	for s.fileSize < target {
+		n, err := s.active.WriteAt(zeroExtent[:min(target-s.fileSize, extentStep)], s.fileSize)
+		s.fileSize += int64(n)
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -500,6 +619,7 @@ func (s *Store) truncateActive(off int64) error {
 	if err := s.active.Truncate(off); err != nil {
 		return err
 	}
+	s.fileSize = off
 	if _, err := s.active.Seek(off, io.SeekStart); err != nil {
 		return err
 	}
@@ -508,15 +628,17 @@ func (s *Store) truncateActive(off int64) error {
 }
 
 // waitDurable blocks until seq is covered by a successful fsync, electing
-// this goroutine sync leader if no fsync is in flight. Called and returns
-// with mu held; mu is released while it waits or syncs.
+// this goroutine sync leader if no fsync is in flight. A number a failed
+// fsync covered first is never acknowledged, even once a later fsync of the
+// same file succeeds. Called and returns with mu held; mu is released while
+// it waits or syncs.
 func (s *Store) waitDurable(seq uint64) error {
 	for {
+		if err := s.poisoned(seq); err != nil {
+			return err
+		}
 		if s.syncedSeq >= seq {
 			return nil
-		}
-		if s.syncFailSeq >= seq {
-			return s.syncFailErr
 		}
 		if s.active == nil {
 			// Nothing can cover seq any more; nil here would acknowledge it.
@@ -529,31 +651,55 @@ func (s *Store) waitDurable(seq uint64) error {
 			hook := s.testSyncErr
 			prevSynced := s.syncedSeq
 			s.mu.Unlock()
-			err := f.Sync()
+			sw := sim.NewStopwatch()
+			err := datasync(f)
 			if hook != nil {
 				err = hook()
 			}
+			elapsed := sw.Elapsed()
 			s.mu.Lock()
 			s.syncing = false
 			s.stats.Fsyncs++
 			if top > prevSynced+1 {
 				s.stats.GroupCommits++
 			}
-			if err == nil {
-				if top > s.syncedSeq {
-					s.syncedSeq = top
-				}
-			} else {
-				if top > s.syncFailSeq {
-					s.syncFailSeq = top
-				}
-				s.syncFailErr = err
+			s.syncSecs.Observe(elapsed.Seconds())
+			s.syncRecords.Observe(float64(top - prevSynced))
+			switch n := len(s.syncFails); {
+			case err == nil:
+				s.syncedSeq = max(s.syncedSeq, top)
+			case n > 0 && s.syncFails[n-1].from == prevSynced:
+				// No sync succeeded since the last failure: widen its range.
+				s.syncFails[n-1].to = top
+				s.syncFails[n-1].err = err
+			default:
+				s.syncFails = append(s.syncFails, syncFailure{from: prevSynced, to: top, err: err})
 			}
 			s.syncCond.Broadcast()
 			continue
 		}
 		s.syncCond.Wait()
 	}
+}
+
+// poisoned returns the error of the failed fsync that poisoned seq, or nil.
+// Called with mu held.
+func (s *Store) poisoned(seq uint64) error {
+	for i := len(s.syncFails) - 1; i >= 0 && s.syncFails[i].to >= seq; i-- {
+		if seq > s.syncFails[i].from {
+			return s.syncFails[i].err
+		}
+	}
+	return nil
+}
+
+// SyncHistograms returns copies of the histograms of every WAL sync's wall
+// time in seconds and of the records it newly covered. A store opened
+// without Options.Fsync never syncs its WAL, and both stay empty.
+func (s *Store) SyncHistograms() (seconds, records *obs.Histogram) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.syncSecs.Clone(), s.syncRecords.Clone()
 }
 
 // encodeFrame builds the on-disk frame for one record in the store's reused

@@ -146,7 +146,11 @@ func TestSnapshotCrashBeforeWALReset(t *testing.T) {
 
 // TestTornTailTruncatedAtEveryOffset appends a few records, then truncates
 // the WAL at every possible byte offset. Recovery must keep exactly the
-// records whose frames survive whole and discard the torn tail cleanly.
+// records whose frames survive whole and discard the torn tail cleanly. Each
+// cut is tried twice: bare, and padded with zeros to an extent boundary the
+// way a crashed Options.Fsync store leaves its active segment. The zero tail
+// is a clean end, so only a partial frame counts torn bytes, and the next
+// append lands right after the last intact frame.
 func TestTornTailTruncatedAtEveryOffset(t *testing.T) {
 	base := t.TempDir()
 	ref, err := Open(filepath.Join(base, "ref"), Options{})
@@ -170,53 +174,74 @@ func TestTornTailTruncatedAtEveryOffset(t *testing.T) {
 	}
 	ref.Close()
 
-	intactAt := func(cut int) int {
-		n := 0
+	intactAt := func(cut int) (n, end int) {
 		for _, e := range ends {
 			if e <= cut {
-				n++
+				n, end = n+1, e
 			}
 		}
-		return n
+		return n, end
 	}
 
 	for cut := 0; cut <= total; cut++ {
-		dir := filepath.Join(base, fmt.Sprintf("cut%04d", cut))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		// Written under the legacy name: the cut trial doubles as coverage of
-		// the pre-segmentation read path.
-		if err := os.WriteFile(filepath.Join(dir, legacyWALName), walBytes[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		_, entries := s.Recovered()
-		want := intactAt(cut)
-		if len(entries) != want {
-			t.Fatalf("cut %d: recovered %d entries, want %d", cut, len(entries), want)
-		}
-		for i, e := range entries {
-			if wantData := fmt.Sprintf(`{"n":%d}`, i); string(e.Data) != wantData {
-				t.Fatalf("cut %d entry %d: %s", cut, i, e.Data)
+		for _, padded := range []bool{false, true} {
+			dir := filepath.Join(base, fmt.Sprintf("cut%04d-%v", cut, padded))
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
 			}
+			raw := walBytes[:cut]
+			opts := Options{}
+			if padded {
+				raw = append(raw[:cut:cut], make([]byte, extentStep-cut)...)
+				opts.Fsync = true
+			}
+			// Written under the legacy name: the cut trial doubles as coverage
+			// of the pre-segmentation read path.
+			if err := os.WriteFile(filepath.Join(dir, legacyWALName), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, opts)
+			if err != nil {
+				t.Fatalf("cut %d padded %v: %v", cut, padded, err)
+			}
+			_, entries := s.Recovered()
+			want, intact := intactAt(cut)
+			if len(entries) != want {
+				t.Fatalf("cut %d padded %v: recovered %d entries, want %d", cut, padded, len(entries), want)
+			}
+			for i, e := range entries {
+				if wantData := fmt.Sprintf(`{"n":%d}`, i); string(e.Data) != wantData {
+					t.Fatalf("cut %d padded %v entry %d: %s", cut, padded, i, e.Data)
+				}
+			}
+			wantTorn := int64(0)
+			if cut > intact {
+				wantTorn = int64(len(raw) - intact)
+			}
+			if got := s.Stats().TornBytes; got != wantTorn {
+				t.Fatalf("cut %d padded %v: %d torn bytes, want %d", cut, padded, got, wantTorn)
+			}
+			// The next append lands right after the last intact frame: the
+			// torn tail was truncated off, and a zero tail is written over.
+			mustAppend(t, s, "commit", `{"n":99}`)
+			s.Close()
+			after, err := os.ReadFile(filepath.Join(dir, legacyWALName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p, _, err := readFrame(after[intact:]); err != nil || !bytes.HasSuffix(p, []byte(`{"n":99}`)) {
+				t.Fatalf("cut %d padded %v: no appended frame at byte %d (%v)", cut, padded, intact, err)
+			}
+			s2, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatalf("cut %d padded %v reopen: %v", cut, padded, err)
+			}
+			_, entries2 := s2.Recovered()
+			if len(entries2) != want+1 || s2.Stats().TornBytes != 0 {
+				t.Fatalf("cut %d padded %v reopen: %d entries, %d torn bytes; want %d, none", cut, padded, len(entries2), s2.Stats().TornBytes, want+1)
+			}
+			s2.Close()
 		}
-		// The file must have been truncated back to the last intact frame,
-		// so a fresh append produces a clean log.
-		mustAppend(t, s, "commit", `{"n":99}`)
-		s.Close()
-		s2, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatalf("cut %d reopen: %v", cut, err)
-		}
-		_, entries2 := s2.Recovered()
-		if len(entries2) != want+1 {
-			t.Fatalf("cut %d reopen: %d entries, want %d", cut, len(entries2), want+1)
-		}
-		s2.Close()
 	}
 }
 

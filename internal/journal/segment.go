@@ -71,20 +71,57 @@ func WALFiles(dir string) ([]string, error) {
 	return out, nil
 }
 
+// segmentLimit is the active segment size that triggers rotation, or 0 if
+// the store never rotates.
+func (s *Store) segmentLimit() int64 {
+	switch limit := s.opts.SegmentSize; {
+	case limit < 0:
+		return 0
+	case limit == 0:
+		return defaultSegmentSize
+	default:
+		return limit
+	}
+}
+
 // maybeRotate seals the active file and opens the next segment once the
 // active one is full. Called with mu held.
 func (s *Store) maybeRotate() {
-	limit := s.opts.SegmentSize
-	if limit < 0 {
-		return
-	}
-	if limit == 0 {
-		limit = defaultSegmentSize
-	}
-	if s.activeSize < limit {
+	if limit := s.segmentLimit(); limit == 0 || s.activeSize < limit {
 		return
 	}
 	s.rotate() //lint:allow errcheck rotation failure leaves the oversized segment active; the next append retries
+}
+
+// newSegment creates segment n empty. Under Options.Fsync it also syncs the
+// directory, so the new name is durable before any record in the file can be
+// acknowledged.
+func (s *Store) newSegment(n uint64) (*os.File, error) {
+	f, err := os.OpenFile(segmentPath(s.dir, n), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if s.opts.Fsync {
+		if err := syncDir(s.dir); err != nil {
+			f.Close() //lint:allow errcheck already failing; the empty file replays as nothing
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// syncDir makes dir's entries — created, renamed and unlinked names —
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // rotate seals the active file and starts the next segment. Called with mu
@@ -99,6 +136,10 @@ func (s *Store) maybeRotate() {
 // is not sealed. mu is released during the sync, so another writer may add
 // frames, seal the file or wedge the store meanwhile: the loop takes the
 // first two into account, and the wedge is checked after it.
+//
+// The sealed file is trimmed of its zero tail first, so every sealed segment
+// holds frames and nothing else. The trim is not synced: a crash that loses
+// it leaves a zero tail replay reads as the file's clean end.
 func (s *Store) rotate() error {
 	if s.opts.Fsync {
 		f := s.active
@@ -124,19 +165,19 @@ func (s *Store) rotate() error {
 		// segment numbering.
 		next = 1
 	}
-	path := segmentPath(s.dir, next)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if s.fileSize > s.activeSize {
+		if err := s.active.Truncate(s.activeSize); err != nil {
+			return fmt.Errorf("journal: trimming segment before sealing it: %w", err)
+		}
+		s.fileSize = s.activeSize
+	}
+	f, err := s.newSegment(next)
 	if err != nil {
 		return fmt.Errorf("journal: rotating segment: %w", err)
 	}
-	old, oldPath, oldSeq := s.active, s.activePath, s.activeSeq
-	old.Close() //lint:allow errcheck file is sealed read-only from here; replay re-verifies every frame
-	s.sealed = append(s.sealed, sealedFile{path: oldPath, maxSeq: oldSeq})
-	s.active = f
-	s.activePath = path
-	s.activeSize = 0
-	s.activeSeq = s.seq
-	s.segIndex = next
+	s.active.Close() //lint:allow errcheck file is sealed read-only from here; replay re-verifies every frame
+	s.sealed = append(s.sealed, sealedFile{path: s.activePath, maxSeq: s.activeSeq})
+	s.setActive(f, segmentPath(s.dir, next), next, 0, 0)
 	s.stats.Rotations++
 	return nil
 }

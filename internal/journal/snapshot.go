@@ -41,7 +41,8 @@ func (s *Store) loadSnapshot() error {
 // holds the whole snapshot in memory, which is what lets the controller
 // serialize its state record by record instead of one giant marshal.
 // Commit finalizes the frame header, fsyncs, renames the temp file into
-// place, rotates the WAL, and kicks the background compactor.
+// place, syncs the directory, rotates the WAL, and kicks the background
+// compactor.
 type SnapshotWriter struct {
 	s    *Store
 	f    *os.File
@@ -133,13 +134,17 @@ func (w *SnapshotWriter) Abort() {
 }
 
 // Commit finalizes the snapshot: patch the frame header, fsync, rename into
-// place, then (now that the snapshot is durable) fold it into the store's
-// accounting, rotate the WAL and compact the covered segments.
+// place, sync the directory so the rename is durable, then fold the snapshot
+// into the store's accounting, rotate the WAL and compact the covered
+// segments.
 //
 // Accounting is committed exactly when the rename is: a failure before it
 // leaves stats, cadence and sequence bookkeeping describing the previous
-// snapshot; a failure after it (rotation) is reported but the bookkeeping
-// already reflects the snapshot that is, in fact, on disk.
+// snapshot; a failure after it (directory sync, rotation) is reported but the
+// bookkeeping already reflects the snapshot that is, in fact, in place. A
+// failed directory sync also skips rotation and compaction: after a power
+// loss the unlinks could survive while the rename does not, losing the
+// records the covered segments hold. The next snapshot compacts them.
 func (w *SnapshotWriter) Commit() error {
 	if w.done {
 		return fmt.Errorf("journal: snapshot writer is finished")
@@ -180,6 +185,10 @@ func (w *SnapshotWriter) Commit() error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	w.done = true
+	derr := syncDir(w.s.dir)
+	if herr := w.injected("dirsync"); herr != nil {
+		derr = herr
+	}
 
 	s := w.s
 	s.mu.Lock()
@@ -194,6 +203,9 @@ func (w *SnapshotWriter) Commit() error {
 	s.snapData = nil
 	s.entries = nil
 	s.pending = int(s.seq - w.seq)
+	if derr != nil {
+		return fmt.Errorf("journal: syncing the directory after the snapshot rename: %w", derr)
+	}
 	var rerr error
 	if s.activeSize > 0 {
 		rerr = s.rotate()

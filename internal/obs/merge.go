@@ -52,9 +52,8 @@ func WriteMergedPrometheus(w io.Writer, labelKey string, labelVals []string, reg
 			for _, i := range sortedChildren(f) {
 				ch := f.children[i]
 				labels := injectLabel(ch.labels, labelKey, labelVals[ri])
-				switch {
-				case ch.h != nil:
-					h := ch.h
+				switch h := ch.histogram(); {
+				case h != nil:
 					cum := uint64(0)
 					for bi, bound := range h.bounds {
 						cum += h.counts[bi]

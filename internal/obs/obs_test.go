@@ -170,6 +170,40 @@ lat_seconds_count 5
 	}
 }
 
+// TestHistogramFunc: a histogram observed outside the registry is exported
+// from the copy its owner hands over at render time, and a copy does not see
+// later observations.
+func TestHistogramFunc(t *testing.T) {
+	owned := NewHistogram([]float64{1e-4, 1e-3})
+	r := NewRegistry()
+	r.HistogramFunc("sync_seconds", "sync", owned.Clone)
+	owned.Observe(5e-5)
+	owned.Observe(2e-3)
+	snap := owned.Clone()
+	owned.Observe(5e-4)
+	if snap.Count() != 2 || owned.Count() != 3 {
+		t.Fatalf("clone count %d, owner count %d; want 2 and 3", snap.Count(), owned.Count())
+	}
+	var buf bytes.Buffer
+	if err := WriteMergedPrometheus(&buf, "shard", []string{"1"}, []*Registry{r}); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP sync_seconds sync
+# TYPE sync_seconds histogram
+sync_seconds_bucket{shard="1",le="0.0001"} 1
+sync_seconds_bucket{shard="1",le="0.001"} 2
+sync_seconds_bucket{shard="1",le="+Inf"} 3
+sync_seconds_sum{shard="1"} 0.00255
+sync_seconds_count{shard="1"} 3
+`
+	if buf.String() != want {
+		t.Errorf("prometheus output:\n%s\nwant:\n%s", buf.String(), want)
+	}
+	if p := r.Snapshot(); len(p) != 1 || p[0].Count != 3 || p[0].Kind != "histogram" {
+		t.Errorf("snapshot = %+v", p)
+	}
+}
+
 func TestPrometheusOutputOrderAndLabels(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z_total", "last", "layer", "otn").Inc()

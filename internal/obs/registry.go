@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,7 +36,17 @@ type child struct {
 	labels string // rendered {k="v",...} block, "" for unlabeled
 	c      *Counter
 	h      *Histogram
+	hfn    func() *Histogram
 	fn     func() float64
+}
+
+// histogram returns the child's histogram, reading a HistogramFunc's owner
+// now; nil if the child is not a histogram.
+func (ch child) histogram() *Histogram {
+	if ch.hfn != nil {
+		return ch.hfn()
+	}
+	return ch.h
 }
 
 // NewRegistry returns an empty registry.
@@ -158,8 +169,10 @@ func DefaultLatencyBuckets() []float64 {
 	return []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 20, 30, 45, 60, 75, 90, 120, 180, 300, 600}
 }
 
-// Histogram is a fixed-bucket histogram of virtual-time observations in
-// seconds. A nil *Histogram is valid and inert; Observe never allocates.
+// Histogram is a fixed-bucket histogram of observations: virtual seconds for
+// the controller's own instruments, wall seconds or counts where a component
+// such as the journal times real I/O. A nil *Histogram is valid and inert;
+// Observe never allocates.
 type Histogram struct {
 	bounds []float64
 	counts []uint64 // len(bounds)+1; last bucket is +Inf
@@ -167,7 +180,21 @@ type Histogram struct {
 	n      uint64
 }
 
-// Observe records v (seconds).
+// NewHistogram returns a histogram with the given bucket upper bounds that
+// belongs to no registry: for a component that observes on its own
+// goroutines under its own lock and exports copies through HistogramFunc.
+func NewHistogram(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+}
+
+// Clone returns a copy of h that later observations on h do not touch.
+func (h *Histogram) Clone() *Histogram {
+	c := *h
+	c.counts = slices.Clone(h.counts)
+	return &c
+}
+
+// Observe records v.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
@@ -211,9 +238,21 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 	if bounds == nil {
 		bounds = DefaultLatencyBuckets()
 	}
-	h := &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+	h := NewHistogram(bounds)
 	f.add(lb, child{h: h})
 	return h
+}
+
+// HistogramFunc registers a histogram read at export time: fn returns a copy
+// of one its owner observes outside the registry's single thread, such as the
+// journal's sync timings, taken under the owner's lock.
+func (r *Registry) HistogramFunc(name, help string, fn func() *Histogram, labels ...string) {
+	f := r.family(name, help, "histogram")
+	lb := labelBlock(labels)
+	if _, ok := f.child(lb); ok {
+		return
+	}
+	f.add(lb, child{hfn: fn})
 }
 
 // MetricPoint is one exported sample in a registry snapshot.
@@ -235,12 +274,12 @@ func (r *Registry) Snapshot() []MetricPoint {
 		for _, i := range idx {
 			ch := f.children[i]
 			p := MetricPoint{Name: name, Labels: ch.labels, Kind: f.kind}
-			switch {
+			switch h := ch.histogram(); {
 			case ch.c != nil:
 				p.Value = ch.c.Value()
-			case ch.h != nil:
-				p.Value = ch.h.Sum()
-				p.Count = ch.h.Count()
+			case h != nil:
+				p.Value = h.Sum()
+				p.Count = h.Count()
 			case ch.fn != nil:
 				p.Value = ch.fn()
 			}
