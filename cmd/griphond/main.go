@@ -23,6 +23,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"runtime"
 
 	"griphon"
 	"griphon/internal/api"
@@ -46,9 +47,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	procs := serveProcs(os.LookupEnv)
+	registerRuntime(net.Metrics())
 	srv := api.NewServer(net)
-	log.Printf("griphond: %s, listening on %s", desc, *listen)
+	log.Printf("griphond: %s, %d P, listening on %s", desc, procs, *listen)
 	log.Fatal(http.ListenAndServe(*listen, srv.Handler()))
+}
+
+// serveProcs sets the P count griphond serves on, and returns it. Every
+// request runs under one server mutex and the shards move in lockstep, so a
+// second P buys no throughput, only wakeups across CPUs (DESIGN.md §14).
+// GOMAXPROCS in the environment, which the Go runtime has already applied,
+// wins. main calls this once the network is built, so that a sharded restart
+// still rebuilds its shards on every CPU.
+func serveProcs(lookupEnv func(string) (string, bool)) int {
+	if v, set := lookupEnv("GOMAXPROCS"); set && v != "" {
+		return runtime.GOMAXPROCS(0)
+	}
+	runtime.GOMAXPROCS(1)
+	return 1
 }
 
 // buildNetwork assembles the simulated network for the chosen topology.

@@ -276,8 +276,9 @@ func New(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 	}
 	c.roadmEMS.SetTracer(c.tr)
 	c.otnEMS.SetTracer(c.tr)
+	fxcLayout := fxc.StandardLayout(nClient, nLine, 16)
 	for _, n := range g.Nodes() {
-		c.fxcs[n.ID] = fxc.Standard(n.ID, nClient, nLine, 16)
+		c.fxcs[n.ID] = fxcLayout.Switch(n.ID)
 		m := ems.NewManager(fmt.Sprintf("fxc-ctl-%s", n.ID), k)
 		m.SetTracer(c.tr)
 		if c.faultModel != nil {

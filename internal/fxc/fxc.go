@@ -9,6 +9,7 @@ package fxc
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"griphon/internal/topo"
 )
@@ -46,62 +47,75 @@ type Port struct {
 	Role PortRole
 }
 
-// Switch is one fiber cross-connect. Connections are bidirectional
-// one-to-one port mappings. The zero value is unusable; use New.
-type Switch struct {
-	node  topo.NodeID
-	ports map[PortID]Port
-	peer  map[PortID]PortID
-	owner map[PortID]string
-	// byRole holds each role's port IDs in sorted order, fixed at
-	// construction, so FreePort is a scan instead of a collect-and-sort.
+// Layout is an FXC model's port plan: its ports, and each role's port IDs in
+// sorted order so that FreePort is a scan instead of a collect-and-sort. A
+// layout is immutable once built, so every switch of one model shares it.
+type Layout struct {
+	ports  map[PortID]Port
 	byRole map[PortRole][]PortID
 }
 
-// New creates an FXC at the given node with the given ports.
-func New(node topo.NodeID, ports []Port) (*Switch, error) {
-	s := &Switch{
-		node:   node,
+// NewLayout builds the port plan for the given ports.
+func NewLayout(ports []Port) (*Layout, error) {
+	l := &Layout{
 		ports:  make(map[PortID]Port, len(ports)),
-		peer:   make(map[PortID]PortID),
-		owner:  make(map[PortID]string),
 		byRole: make(map[PortRole][]PortID),
 	}
 	for _, p := range ports {
 		if p.ID == "" {
-			return nil, fmt.Errorf("fxc: empty port ID at %s", node)
+			return nil, fmt.Errorf("fxc: empty port ID")
 		}
-		if _, dup := s.ports[p.ID]; dup {
-			return nil, fmt.Errorf("fxc: duplicate port %s at %s", p.ID, node)
+		if _, dup := l.ports[p.ID]; dup {
+			return nil, fmt.Errorf("fxc: duplicate port %s", p.ID)
 		}
-		s.ports[p.ID] = p
-		s.byRole[p.Role] = append(s.byRole[p.Role], p.ID)
+		l.ports[p.ID] = p
+		l.byRole[p.Role] = append(l.byRole[p.Role], p.ID)
 	}
-	for _, ids := range s.byRole {
+	for _, ids := range l.byRole {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	}
-	return s, nil
+	return l, nil
 }
 
-// Standard builds the FXC used at every GRIPhoN PoP: nClient client ports,
+// StandardLayout is the FXC used at every GRIPhoN PoP: nClient client ports,
 // nLine transponder-facing ports and nGroom OTN-facing ports, with
 // predictable IDs (C0.., L0.., G0..).
-func Standard(node topo.NodeID, nClient, nLine, nGroom int) *Switch {
-	var ports []Port
-	for i := 0; i < nClient; i++ {
-		ports = append(ports, Port{ID: PortID(fmt.Sprintf("C%d", i)), Role: Client})
+func StandardLayout(nClient, nLine, nGroom int) *Layout {
+	ports := make([]Port, 0, nClient+nLine+nGroom)
+	for _, bank := range []struct {
+		prefix string
+		n      int
+		role   PortRole
+	}{{"C", nClient, Client}, {"L", nLine, Line}, {"G", nGroom, Groom}} {
+		for i := 0; i < bank.n; i++ {
+			ports = append(ports, Port{ID: PortID(bank.prefix + strconv.Itoa(i)), Role: bank.role})
+		}
 	}
-	for i := 0; i < nLine; i++ {
-		ports = append(ports, Port{ID: PortID(fmt.Sprintf("L%d", i)), Role: Line})
-	}
-	for i := 0; i < nGroom; i++ {
-		ports = append(ports, Port{ID: PortID(fmt.Sprintf("G%d", i)), Role: Groom})
-	}
-	s, err := New(node, ports)
+	l, err := NewLayout(ports)
 	if err != nil {
 		panic(err) // unreachable: generated IDs are unique and non-empty
 	}
-	return s
+	return l
+}
+
+// Switch returns a fiber cross-connect with this layout at the given node,
+// with every port free.
+func (l *Layout) Switch(node topo.NodeID) *Switch {
+	return &Switch{
+		layout: l,
+		node:   node,
+		peer:   make(map[PortID]PortID),
+		owner:  make(map[PortID]string),
+	}
+}
+
+// Switch is one fiber cross-connect. Connections are bidirectional
+// one-to-one port mappings. The zero value is unusable; use Layout.Switch.
+type Switch struct {
+	layout *Layout
+	node   topo.NodeID
+	peer   map[PortID]PortID
+	owner  map[PortID]string
 }
 
 // Connect maps ports a and b to each other on behalf of owner. Both ports
@@ -111,11 +125,11 @@ func (s *Switch) Connect(a, b PortID, owner string) error {
 	if owner == "" {
 		return fmt.Errorf("fxc: empty owner")
 	}
-	pa, ok := s.ports[a]
+	pa, ok := s.layout.ports[a]
 	if !ok {
 		return fmt.Errorf("fxc: unknown port %s at %s", a, s.node)
 	}
-	pb, ok := s.ports[b]
+	pb, ok := s.layout.ports[b]
 	if !ok {
 		return fmt.Errorf("fxc: unknown port %s at %s", b, s.node)
 	}
@@ -152,7 +166,7 @@ func (s *Switch) Disconnect(p PortID) error {
 // FreePort returns the lowest-ID free port with the given role, or an error
 // when the bank of that role is exhausted.
 func (s *Switch) FreePort(role PortRole) (PortID, error) {
-	for _, id := range s.byRole[role] {
+	for _, id := range s.layout.byRole[role] {
 		if _, busy := s.peer[id]; !busy {
 			return id, nil
 		}

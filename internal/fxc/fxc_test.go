@@ -1,20 +1,22 @@
 package fxc
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func std(t *testing.T) *Switch {
 	t.Helper()
-	return Standard("I", 4, 4, 2)
+	return StandardLayout(4, 4, 2).Switch("I")
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New("I", []Port{{ID: "", Role: Client}}); err == nil {
+	if _, err := NewLayout([]Port{{ID: "", Role: Client}}); err == nil {
 		t.Error("empty port ID accepted")
 	}
-	if _, err := New("I", []Port{{ID: "a", Role: Client}, {ID: "a", Role: Line}}); err == nil {
+	if _, err := NewLayout([]Port{{ID: "a", Role: Client}, {ID: "a", Role: Line}}); err == nil {
 		t.Error("duplicate port ID accepted")
 	}
 }
@@ -24,8 +26,72 @@ func TestStandardShape(t *testing.T) {
 	if s.node != "I" {
 		t.Errorf("node = %s", s.node)
 	}
-	if len(s.byRole[Client]) != 4 || len(s.byRole[Line]) != 4 || len(s.byRole[Groom]) != 2 {
-		t.Errorf("ports = %d/%d/%d", len(s.byRole[Client]), len(s.byRole[Line]), len(s.byRole[Groom]))
+	by := s.layout.byRole
+	if len(by[Client]) != 4 || len(by[Line]) != 4 || len(by[Groom]) != 2 {
+		t.Errorf("ports = %d/%d/%d", len(by[Client]), len(by[Line]), len(by[Groom]))
+	}
+}
+
+// TestSharedLayoutSwitches holds switches built from one shared layout to
+// what a switch built port by port for its own node did: the same IDs per
+// role, handed out by FreePort in the same (lexical) order, the same errors
+// naming the switch's node, and no state leaking from one switch to another.
+func TestSharedLayoutSwitches(t *testing.T) {
+	l := StandardLayout(12, 12, 16)
+	a, b := l.Switch("A"), l.Switch("B")
+	for _, bank := range []struct {
+		prefix string
+		n      int
+		role   PortRole
+	}{{"C", 12, Client}, {"L", 12, Line}, {"G", 16, Groom}} {
+		var want []string
+		for i := 0; i < bank.n; i++ {
+			want = append(want, fmt.Sprintf("%s%d", bank.prefix, i))
+		}
+		sort.Strings(want)
+		for i, id := range want {
+			got, err := a.FreePort(bank.role)
+			if err != nil || string(got) != id {
+				t.Fatalf("%v #%d: FreePort = %q, %v; want %q", bank.role, i, got, err, id)
+			}
+			if role := a.layout.ports[got].Role; role != bank.role {
+				t.Fatalf("%s has role %v, want %v", got, role, bank.role)
+			}
+			a.peer[got], a.owner[got] = "x", "o" // occupy without a partner
+		}
+		_, err := a.FreePort(bank.role)
+		if want := fmt.Sprintf("fxc: no free %v port at A", bank.role); err == nil || err.Error() != want {
+			t.Errorf("exhausted %v bank: err = %v, want %q", bank.role, err, want)
+		}
+		if got, err := b.FreePort(bank.role); err != nil || string(got) != want[0] {
+			t.Errorf("switch B sees switch A's ports: FreePort = %q, %v", got, err)
+		}
+	}
+	for _, c := range []struct {
+		a, b PortID
+		want string
+	}{
+		{"X9", "L0", "fxc: unknown port X9 at B"},
+		{"C0", "X9", "fxc: unknown port X9 at B"},
+		{"C0", "C0", "fxc: cannot connect port C0 to itself"},
+		{"C0", "C1", "fxc: client-to-client cross-connect C0-C1 rejected"},
+	} {
+		if err := b.Connect(c.a, c.b, "o"); err == nil || err.Error() != c.want {
+			t.Errorf("Connect(%s, %s) = %v, want %q", c.a, c.b, err, c.want)
+		}
+	}
+}
+
+// TestSwitchAllocsIndependentOfPorts gates what a controller pays per PoP:
+// the port tables are built once per layout, so a switch costs its own
+// struct and two empty maps, however many ports the model has.
+func TestSwitchAllocsIndependentOfPorts(t *testing.T) {
+	for _, n := range []int{4, 64} {
+		l := StandardLayout(n, n, n)
+		allocs := testing.AllocsPerRun(100, func() { l.Switch("I") })
+		if allocs > 3 {
+			t.Errorf("%d ports per bank: Layout.Switch allocates %.0f objects, want at most 3", n, allocs)
+		}
 	}
 }
 
@@ -90,7 +156,7 @@ func TestConnectRejections(t *testing.T) {
 }
 
 func TestFreePort(t *testing.T) {
-	s := Standard("I", 2, 1, 0)
+	s := StandardLayout(2, 1, 0).Switch("I")
 	p, err := s.FreePort(Client)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +181,7 @@ func TestFreePort(t *testing.T) {
 // duplicate ports.
 func TestConnectSymmetryProperty(t *testing.T) {
 	prop := func(ops []uint8) bool {
-		s := Standard("N", 8, 8, 0)
+		s := StandardLayout(8, 8, 0).Switch("N")
 		for _, op := range ops {
 			c := PortID([]string{"C0", "C1", "C2", "C3", "C4", "C5", "C6", "C7"}[op%8])
 			l := PortID([]string{"L0", "L1", "L2", "L3", "L4", "L5", "L6", "L7"}[(op/8)%8])

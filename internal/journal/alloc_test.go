@@ -1,6 +1,10 @@
 package journal
 
-import "testing"
+import (
+	"bytes"
+	"runtime"
+	"testing"
+)
 
 // TestAppendZeroAlloc gates the binary append hot path: once the scratch
 // buffer has warmed up, Append must not allocate. A regression here is a
@@ -39,5 +43,43 @@ func TestAppendZeroAlloc(t *testing.T) {
 				t.Fatalf("Append allocates %.2f objects per call, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestLoadSnapshotHoldsFileOnce bounds what reading a snapshot back costs: the
+// file's bytes, once, plus a constant. The snapshot handed to the controller
+// is a view of the file's buffer, not a second copy of it.
+func TestLoadSnapshotHoldsFileOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under the race detector")
+	}
+	const size = 1 << 20
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := bytes.Repeat([]byte("0123456789abcdef"), size/16)
+	if err := s.WriteSnapshot(state); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		r := &Store{dir: dir}
+		if err := r.loadSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(r.snapData, state) {
+			t.Fatal("snapshot read back differs from what was written")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perLoad := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(size + 32<<10); perLoad > limit {
+		t.Errorf("loadSnapshot allocates %d B for a %d B snapshot, want at most %d", perLoad, size, limit)
 	}
 }

@@ -93,7 +93,9 @@ func appendBinarySnapshotPreamble(buf []byte, seq uint64) []byte {
 }
 
 // decodeSnapshot decodes a snapshot frame payload in either format,
-// returning the covered sequence number and the raw snapshot bytes.
+// returning the covered sequence number and the raw snapshot bytes. A binary
+// snapshot's bytes are a sub-slice of payload, not a copy: a restart holds
+// the snapshot file in memory once.
 func decodeSnapshot(payload []byte) (seq uint64, data []byte, err error) {
 	if len(payload) == 0 {
 		return 0, nil, fmt.Errorf("empty snapshot payload")
@@ -113,7 +115,7 @@ func decodeSnapshot(payload []byte) (seq uint64, data []byte, err error) {
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("corrupt snapshot sequence varint")
 	}
-	return seq, append([]byte(nil), rest[n:]...), nil
+	return seq, rest[n:], nil
 }
 
 // snapEnvelope is the legacy JSON snapshot wrapper: snapshot bytes plus the

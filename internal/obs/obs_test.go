@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -405,5 +406,21 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"name":"roadm-ems"`) {
 		t.Error("missing thread_name metadata for roadm-ems")
+	}
+}
+
+// TestObserveN: n observations of one value land as n observations would,
+// in count, bucket and sum.
+func TestObserveN(t *testing.T) {
+	one, many := NewHistogram([]float64{1, 10}), NewHistogram([]float64{1, 10})
+	for i := 0; i < 4; i++ {
+		one.Observe(5)
+	}
+	one.Observe(20)
+	many.ObserveN(5, 4)
+	many.ObserveN(20, 1)
+	many.ObserveN(0.5, 0)
+	if !reflect.DeepEqual(one, many) {
+		t.Errorf("ObserveN = %+v, want %+v", many, one)
 	}
 }

@@ -195,7 +195,11 @@ func (h *Histogram) Clone() *Histogram {
 }
 
 // Observe records v.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of v: how a histogram kept elsewhere at a
+// finer resolution, such as one of the Go runtime's, is re-bucketed.
+func (h *Histogram) ObserveN(v float64, n uint64) {
 	if h == nil {
 		return
 	}
@@ -203,9 +207,9 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i]++
-	h.sum += v
-	h.n++
+	h.counts[i] += n
+	h.sum += v * float64(n)
+	h.n += n
 }
 
 // ObserveDuration records a virtual duration.
