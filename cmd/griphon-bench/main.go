@@ -36,26 +36,13 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	traceOut := flag.String("trace", "", "record a scripted setup→cut→restore demo and write its Chrome trace to this file")
 	chaos := flag.Int("chaos", 0, "run the chaos soak with this many randomized operations and exit")
-	flightOut := flag.String("flight-out", "chaos-flight.json", "where a failing chaos soak writes the flight-recorder dump (empty disables)")
+	flightOut := flag.String("flight-out", "chaos-flight.json", "where a failing soak writes the flight-recorder dump, one JSON document per shard (empty disables)")
 	crash := flag.Int("crash", 0, "run the crash-recovery soak with this many WAL truncation trials and exit")
 	latency := flag.Int("latency", 0, "run the setup-latency benchmark with this many setups per class and write the JSON report")
 	latencyOut := flag.String("latency-out", "BENCH_PR6.json", "where -latency writes the JSON report")
 	tenants := flag.Int("tenants", 0, "with -chaos, spread the soak over this many customers on -shards shards and audit across shards")
 	shards := flag.Int("shards", 4, "shard count for the -chaos -tenants soak")
 	flag.Parse()
-
-	if *tenants > 0 && *chaos > 0 {
-		res, err := experiments.ChaosShardedN(*seed, *chaos, *tenants, *shards, false)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaos-tenants:", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
-		if res.Values["audit_findings"] != 0 {
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *latency > 0 {
 		if err := runLatencyBench(*seed, *latency, *latencyOut); err != nil {
@@ -65,37 +52,8 @@ func main() {
 		return
 	}
 
-	if *crash > 0 {
-		res, err := experiments.CrashRecN(*seed, *crash)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crash:", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
-		if res.Values["findings"] != 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *chaos > 0 {
-		res, err := experiments.ChaosN(*seed, *chaos)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaos:", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
-		if b, ok := res.Artifacts["flight.json"]; ok && *flightOut != "" {
-			if werr := os.WriteFile(*flightOut, b, 0o644); werr != nil {
-				fmt.Fprintln(os.Stderr, "flight-out:", werr)
-			} else {
-				fmt.Printf("wrote flight-recorder dump to %s\n", *flightOut)
-			}
-		}
-		if res.Values["audit_findings"] != 0 || res.Values["sla_findings"] != 0 {
-			os.Exit(1)
-		}
-		return
+	if *chaos > 0 || *crash > 0 {
+		os.Exit(runSoak(*seed, *chaos, *tenants, *shards, *crash, *flightOut))
 	}
 
 	if *traceOut != "" {
@@ -163,6 +121,39 @@ func main() {
 			os.Exit(2)
 		}
 	}
+}
+
+// runSoak runs the soak preset the flags select — the multi-tenant chaos
+// soak, the crash-recovery soak or the chaos soak, in that order — prints it,
+// writes a failing run's flight-recorder dump to flightOut (unless empty),
+// and returns the exit status: 1 on any audit, SLA or recovery finding.
+func runSoak(seed int64, steps, tenants, shards, trials int, flightOut string) int {
+	var res experiments.Result
+	var err error
+	switch {
+	case tenants > 0 && steps > 0:
+		res, err = experiments.ChaosShardedN(seed, steps, tenants, shards, false)
+	case trials > 0:
+		res, err = experiments.CrashRecN(seed, trials)
+	default:
+		res, err = experiments.ChaosN(seed, steps)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "soak:", err)
+		return 1
+	}
+	fmt.Print(res.String())
+	if b, ok := res.Artifacts["flight.json"]; ok && flightOut != "" {
+		if werr := os.WriteFile(flightOut, b, 0o644); werr != nil {
+			fmt.Fprintln(os.Stderr, "flight-out:", werr)
+		} else {
+			fmt.Printf("wrote flight-recorder dump to %s\n", flightOut)
+		}
+	}
+	if res.Values["findings"] != 0 {
+		return 1
+	}
+	return 0
 }
 
 // writeDemoTrace runs the paper's headline scenario — a 10G wavelength setup

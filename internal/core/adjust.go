@@ -61,8 +61,8 @@ func (c *Controller) AdjustRate(cust inventory.Customer, id ConnID, newRate bw.R
 			return nil, err
 		}
 		if err := txn.Do(
-			func() error { return c.ledger.Admit(cust, delta) },
-			func() { c.ledger.Discharge(cust, delta) }, //lint:allow errcheck rollback
+			func() error { return c.ledger.Resize(cust, delta) },
+			func() { c.ledger.Resize(cust, -delta) }, //lint:allow errcheck rollback
 		); err != nil {
 			return nil, err
 		}
@@ -89,7 +89,7 @@ func (c *Controller) AdjustRate(cust inventory.Customer, id ConnID, newRate bw.R
 	if delta < 0 {
 		// Shrinks cannot fail admission; settle the books directly.
 		c.releaseAccess(conn.From, conn.To, -delta)
-		c.ledger.Discharge(cust, -delta) //lint:allow errcheck symmetric
+		c.ledger.Resize(cust, delta) //lint:allow errcheck symmetric
 	}
 	conn.Rate = newRate
 	txn.Commit()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"griphon/internal/bw"
+	"griphon/internal/inventory"
 	"griphon/internal/sim"
 	"griphon/internal/topo"
 )
@@ -40,6 +41,68 @@ func TestAdjustCircuitGrow(t *testing.T) {
 	}
 	if u := c.ledger.UsageOf("x"); u.Bandwidth != bw.Rate2G5 {
 		t.Errorf("ledger = %+v", u)
+	}
+}
+
+// TestAdjustMovesBandwidthOnly: a rate change moves the customer's ledger
+// bandwidth and never its connection count, so a shrunk circuit's teardown
+// balances the books, a one-connection quota still lets a circuit grow, and
+// the live usage is what a restart recounts from the journal.
+func TestAdjustMovesBandwidthOnly(t *testing.T) {
+	dir := t.TempDir()
+	store := openJournal(t, dir)
+	k := sim.NewKernel(93)
+	c, err := New(k, topo.Testbed(), Config{Journal: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adjust := func(conn *Connection, rate bw.Rate) {
+		t.Helper()
+		job, err := c.AdjustRate(conn.Customer, conn.ID, rate)
+		if err != nil {
+			t.Fatalf("adjust %s to %v: %v", conn.ID, rate, err)
+		}
+		k.Run()
+		if job.Err() != nil {
+			t.Fatal(job.Err())
+		}
+	}
+
+	shrunk := mustConnect(t, k, c, Request{Customer: "x", From: "DC-A", To: "DC-B", Rate: bw.Rate2G5})
+	adjust(shrunk, bw.Rate1G)
+	if u := c.ledger.UsageOf("x"); u != (inventory.Usage{Connections: 1, Bandwidth: bw.Rate1G}) {
+		t.Errorf("usage after shrink = %+v", u)
+	}
+	if _, err := c.Disconnect("x", shrunk.ID); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	if u := c.ledger.UsageOf("x"); u != (inventory.Usage{}) {
+		t.Errorf("usage after disconnecting the shrunk circuit = %+v, want zero", u)
+	}
+	checkInvariants(t, c, 1)
+
+	c.SetQuota("y", inventory.Quota{MaxConnections: 1})
+	grown := mustConnect(t, k, c, Request{Customer: "y", From: "DC-A", To: "DC-C", Rate: bw.Rate1G})
+	adjust(grown, bw.Rate2G5)
+	adjust(grown, bw.Rate1G)
+	adjust(grown, bw.Rate2G5)
+	checkInvariants(t, c, 2)
+
+	live := []inventory.Usage{c.ledger.UsageOf("x"), c.ledger.UsageOf("y")}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store2 := openJournal(t, dir)
+	defer store2.Close()
+	c2, err := Rehydrate(sim.NewKernel(94), topo.Testbed(), Config{Journal: store2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cust := range []inventory.Customer{"x", "y"} {
+		if got := c2.ledger.UsageOf(cust); got != live[i] {
+			t.Errorf("%s: live usage %+v, recounted after restart %+v", cust, live[i], got)
+		}
 	}
 }
 

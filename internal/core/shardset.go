@@ -44,8 +44,11 @@ type ShardSetConfig struct {
 	Shards int
 	// Seed seeds shard i's kernel with Seed+i.
 	Seed int64
-	// Core is the per-shard controller template. Journal, Tracer and Shard
-	// are managed per shard; everything else applies verbatim.
+	// Core is the per-shard controller template. Tracer and Shard are
+	// managed per shard; everything else applies verbatim. Journal passes
+	// through to a one-shard set without StateDir, whose caller owns (and
+	// closes) the store; NewShardSet refuses it anywhere else, since shards
+	// cannot share a store and StateDir opens their own.
 	Core Config
 	// StateDir, when non-empty, makes every shard durable: shard i journals
 	// under StateDir/shard-<i>, except a single-shard set which uses
@@ -115,6 +118,9 @@ func NewShardSet(g *topo.Graph, cfg ShardSetConfig) (*ShardSet, error) {
 	n := cfg.Shards
 	if n < 1 {
 		n = 1
+	}
+	if cfg.Core.Journal != nil && (n > 1 || cfg.StateDir != "") {
+		return nil, fmt.Errorf("core: Core.Journal needs a one-shard set without StateDir (have %d shards, StateDir %q)", n, cfg.StateDir)
 	}
 	s := &ShardSet{reg: obs.NewRegistry(), alarmLog: alarms.NewLog(alarmLogSize * n)}
 	if n > 1 {

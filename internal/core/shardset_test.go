@@ -462,6 +462,27 @@ func TestSingleShardSetMatchesController(t *testing.T) {
 	auditSetClean(t, s)
 }
 
+// TestShardSetJournalPassThrough: a caller's own store serves a one-shard
+// set without StateDir, and is refused where it would be shared by shards or
+// shadowed by the stores StateDir opens.
+func TestShardSetJournalPassThrough(t *testing.T) {
+	store := openJournal(t, t.TempDir())
+	defer store.Close()
+	s := newShardSet(t, 1, ShardSetConfig{Core: Config{Journal: store}})
+	shardConnect(t, s, "acme", "DC-A", "DC-C", bw.Rate10G)
+	if s.Shard(0).Store != nil || store.Seq() == 0 {
+		t.Errorf("one-shard set did not journal to the caller's store (seq %d)", store.Seq())
+	}
+	for _, cfg := range []ShardSetConfig{
+		{Shards: 2, Core: Config{Journal: store}},
+		{Shards: 1, StateDir: t.TempDir(), Core: Config{Journal: store}},
+	} {
+		if _, err := NewShardSet(topo.Testbed(), cfg); err == nil {
+			t.Errorf("Shards %d, StateDir %q: Core.Journal accepted", cfg.Shards, cfg.StateDir)
+		}
+	}
+}
+
 // mergedLogSession provisions two customers per shard on three shards, tears
 // half of them down, and returns the set with its merged log rendered.
 func mergedLogSession(t *testing.T) (*ShardSet, []*Connection, []byte) {

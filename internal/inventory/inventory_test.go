@@ -201,6 +201,27 @@ func TestLedgerDischarge(t *testing.T) {
 	}
 }
 
+func TestLedgerResize(t *testing.T) {
+	l := NewLedger()
+	l.SetQuota("c", Quota{MaxConnections: 1, MaxBandwidth: bw.Rate10G})
+	l.Admit("c", bw.Rate1G)
+	if err := l.Resize("c", bw.Rate2G5-bw.Rate1G); err != nil {
+		t.Fatalf("grow under MaxConnections 1: %v", err)
+	}
+	if u := l.UsageOf("c"); u.Connections != 1 || u.Bandwidth != bw.Rate2G5 {
+		t.Errorf("usage after grow = %+v", u)
+	}
+	if err := l.Resize("c", bw.Rate10G); !errors.Is(err, ErrQuota) {
+		t.Errorf("grow past MaxBandwidth err = %v, want quota error", err)
+	}
+	if err := l.Resize("c", -bw.Rate10G); err == nil {
+		t.Error("resize underflow accepted")
+	}
+	if u := l.UsageOf("c"); u.Connections != 1 || u.Bandwidth != bw.Rate2G5 {
+		t.Errorf("failed resizes recorded usage: %+v", u)
+	}
+}
+
 func TestLedgerIsolation(t *testing.T) {
 	l := NewLedger()
 	if err := l.Claim("csp1", "ot:OT-I-00"); err != nil {

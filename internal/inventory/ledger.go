@@ -85,6 +85,23 @@ func (l *Ledger) Discharge(c Customer, rate bw.Rate) error {
 	return nil
 }
 
+// Resize moves an admitted connection's rate by delta without counting a
+// connection. A growth fails, recording nothing, if it would exceed
+// MaxBandwidth; a shrink below zero is an underflow.
+func (l *Ledger) Resize(c Customer, delta bw.Rate) error {
+	q := l.quotas[c]
+	u := l.usage[c]
+	if u.Bandwidth+delta < 0 {
+		return fmt.Errorf("inventory: resize underflow for %s (%v by %v)", c, u.Bandwidth, delta)
+	}
+	if delta > 0 && q.MaxBandwidth > 0 && u.Bandwidth+delta > q.MaxBandwidth {
+		return fmt.Errorf("%w: %s at %v of %v", ErrQuota, c, u.Bandwidth, q.MaxBandwidth)
+	}
+	u.Bandwidth += delta
+	l.usage[c] = u
+	return nil
+}
+
 // Claim records that a resource (by unique key, e.g. "ot:OT-I-03" or
 // "conn:C42") belongs to a customer. Claiming a resource already owned by a
 // different customer is an isolation violation and fails.

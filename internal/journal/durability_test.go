@@ -723,7 +723,7 @@ func TestSnapshotDirSyncFailureKeepsSegments(t *testing.T) {
 	if err := s.WriteSnapshot([]byte(`{"state":"s"}`)); err == nil {
 		t.Fatal("snapshot survived an injected directory sync failure")
 	}
-	s.CompactWait()
+	s.compactWG.Wait()
 	if got := walFileNames(t, dir); strings.Join(got, " ") != strings.Join(segments, " ") {
 		t.Fatalf("segments %v after a failed directory sync, want %v left in place", got, segments)
 	}

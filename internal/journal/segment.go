@@ -216,7 +216,3 @@ func (s *Store) compactCovered() {
 		s.mu.Unlock()
 	}()
 }
-
-// CompactWait blocks until any in-flight background compaction finishes —
-// test and harness plumbing, so file listings are deterministic.
-func (s *Store) CompactWait() { s.compactWG.Wait() }

@@ -80,7 +80,7 @@ func TestCompactionRemovesCoveredSegments(t *testing.T) {
 	if err := s.WriteSnapshot([]byte(`{"state":"s20"}`)); err != nil {
 		t.Fatal(err)
 	}
-	s.CompactWait()
+	s.compactWG.Wait()
 	after := walFileNames(t, dir)
 	if len(after) != 1 {
 		t.Fatalf("wal files after compaction = %v, want just the active segment", after)
@@ -145,7 +145,7 @@ func TestOpenFinishesInterruptedCompaction(t *testing.T) {
 	if got := s2.Stats().Skipped; got != 20 {
 		t.Fatalf("skipped = %d, want 20", got)
 	}
-	s2.CompactWait()
+	s2.compactWG.Wait()
 	left := walFileNames(t, dir)
 	if len(left) != 1 {
 		t.Fatalf("wal files after recovery compaction = %v", left)
