@@ -403,12 +403,14 @@ func (n *Network) BridgeAndRoll(customer string, id ConnID) error {
 func (n *Network) ScheduleMaintenance(link string, in, window time.Duration) (*Maintenance, error) {
 	defer n.settle()
 	// Planned work is plant state, replicated like fiber cuts: every shard
-	// schedules its own window so each drains and restores its own
-	// customers. The operator watches shard 0's record.
+	// schedules its own window, opening at one instant of the set's clock,
+	// so each drains and restores its own customers. The operator watches
+	// shard 0's record.
+	at := n.set.Now().Add(in)
 	var first *Maintenance
 	var firstErr error
 	for _, sh := range n.set.Shards() {
-		m, _, err := sh.Ctrl.ScheduleMaintenance(topo.LinkID(link), sh.Kernel.Now().Add(in), window)
+		m, _, err := sh.Ctrl.ScheduleMaintenance(topo.LinkID(link), at, window)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -184,6 +184,37 @@ func TestMaintenanceViaFacade(t *testing.T) {
 	}
 }
 
+// TestShardedMaintenanceOpensAtOneInstant: planned work is plant state, so
+// every shard opens the window at the same virtual instant, even after an
+// awaited connect has run one shard's clock ahead of the others. Each shard
+// still rolls its own customers off the link before its cut, so the cuts
+// themselves land at different instants; aligning those belongs with the
+// shard plant replicas (ROADMAP item 17).
+func TestShardedMaintenanceOpensAtOneInstant(t *testing.T) {
+	n := newNet(t, WithShards(4))
+	if _, err := n.Connect("acme", "DC-A", "DC-C", Rate10G); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.ScheduleMaintenance("I-IV", time.Hour, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	n.Advance(time.Hour + 30*time.Second)
+	var starts []Event
+	for _, e := range n.Events() {
+		if e.Kind == "maintenance-start" {
+			starts = append(starts, e)
+		}
+	}
+	if len(starts) != 4 {
+		t.Fatalf("%d shards opened the window, want 4: %v", len(starts), starts)
+	}
+	for _, e := range starts[1:] {
+		if e.At != starts[0].At {
+			t.Errorf("maintenance started at %v and at %v, want one instant", starts[0].At, e.At)
+		}
+	}
+}
+
 func TestBridgeAndRollAndRegroomViaFacade(t *testing.T) {
 	n := newNet(t, WithSeed(3))
 	conn, err := n.Connect("acme", "DC-A", "DC-C", Rate10G)

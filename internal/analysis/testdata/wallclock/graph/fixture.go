@@ -12,10 +12,10 @@ import (
 // would differ between a live run and a journal replay.
 func buildSetup(k *sim.Kernel) *sim.Job {
 	g := sim.NewGraph(k)
-	a := g.Node("fxc-a", func() *sim.Job {
+	a := g.Node(func() *sim.Job {
 		return k.AfterJob(1500*time.Millisecond, nil) // duration literals are fine
 	})
-	b := g.Node("stamp", func() *sim.Job {
+	b := g.Node(func() *sim.Job {
 		_ = time.Now() // want `time\.Now reads the wall clock`
 		return k.AfterJob(time.Second, nil)
 	})

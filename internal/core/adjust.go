@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"griphon/internal/bw"
-	"griphon/internal/ems"
 	"griphon/internal/inventory"
 	"griphon/internal/obs"
 	"griphon/internal/otn"
@@ -172,16 +171,5 @@ func (c *Controller) adjustWavelength(conn *Connection, newRate bw.Rate, parent 
 		}
 	}
 	// Re-framing the line briefly interrupts traffic.
-	hit := c.jit(c.lat.ProtectionSwitch)
-	c.connDown(conn, slo.CauseAdjust, "", "rate re-frame hit", "hit")
-	out := c.k.NewJob()
-	c.k.After(hit, func() {
-		c.connUp(conn, "adjust-done")
-		batch := c.roadmEMS.SubmitBatch([]ems.Command{
-			{Name: "rate-retune", Dur: c.jit(c.lat.LaserTune), Span: parent},
-			{Name: "verify", Dur: c.jit(c.lat.VerifyEndToEnd), Span: parent},
-		})
-		batch.OnDone(func(err error) { out.Complete(err) })
-	})
-	return out, nil
+	return c.retune(conn, slo.CauseAdjust, "rate re-frame hit", "adjust-done", "rate-retune", parent), nil
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"griphon/internal/ems"
 	"griphon/internal/inventory"
 	"griphon/internal/obs"
@@ -32,7 +30,7 @@ func (c *Controller) DefragmentSpectrum() (*sim.Job, int) {
 			moved++
 			c.ins.retunes.Inc()
 			movedConns = append(movedConns, conn)
-			jobs = append(jobs, c.retuneJob(conn, sp))
+			jobs = append(jobs, c.retune(conn, slo.CauseDefrag, "defrag retune hit", "retune-done", "defrag-retune:"+string(conn.ID), sp))
 		}
 	}
 	if moved > 0 {
@@ -100,17 +98,19 @@ func (c *Controller) retuneDown(conn *Connection) bool {
 	return movedAny
 }
 
-// retuneJob models the EMS work and brief hit of re-tuning a live wavelength.
-func (c *Controller) retuneJob(conn *Connection, parent obs.SpanRef) *sim.Job {
-	out := c.k.NewJob()
+// retune re-tunes a live wavelength: a brief traffic hit of cause, then the
+// re-tune, a command named name, and an end-to-end verify as one ROADM batch.
+// detail and resolution label the SLA outage the hit opens and closes.
+func (c *Controller) retune(conn *Connection, cause slo.Cause, detail, resolution, name string, parent obs.SpanRef) *sim.Job {
 	hit := c.jit(c.lat.ProtectionSwitch)
-	c.connDown(conn, slo.CauseDefrag, "", "defrag retune hit", "hit")
+	c.connDown(conn, cause, "", detail, "hit")
+	out := c.k.NewJob()
 	c.k.After(hit, func() {
-		c.connUp(conn, "retune-done")
+		c.connUp(conn, resolution)
 		c.roadmEMS.SubmitBatch([]ems.Command{
-			{Name: fmt.Sprintf("defrag-retune:%s", conn.ID), Dur: c.jit(c.lat.LaserTune), Span: parent},
+			{Name: name, Dur: c.jit(c.lat.LaserTune), Span: parent},
 			{Name: "verify", Dur: c.jit(c.lat.VerifyEndToEnd), Span: parent},
-		}).OnDone(func(err error) { out.Complete(err) })
+		}).OnDone(out.Complete)
 	})
 	return out
 }

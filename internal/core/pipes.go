@@ -30,82 +30,91 @@ func (c *Controller) connectCircuit(conn *Connection, a, b topo.NodeID) (*sim.Jo
 	}
 	conn.slots = slots
 
+	// The circuit's chain: ensure overlay capacity, reserve slots, the
+	// controller's overhead, program the electronic cross-connects.
 	var pipes []*otn.Pipe
-	seq := sim.NewSequence(c.k).
-		// Ensure overlay capacity, building a pipe if grooming cannot
-		// fit the circuit into existing ones. Concurrent circuits
-		// between the same PoPs share one in-flight build instead of
-		// each lighting a wavelength.
-		Then(func() *sim.Job {
-			p, err := c.fabric.FindPath(a, b, slots, nil)
-			if err == nil {
-				pipes = p
-				return nil
-			}
-			if pending := c.pendingPipe(a, b); pending != nil {
-				sp := c.tr.Start(conn.opSpan, "pipe:wait")
-				pending.OnDone(func(err error) { sp.EndErr(err) })
-				c.log(conn, "pipe-wait", "waiting for in-flight pipe %s-%s", a, b)
-				return pending
-			}
-			c.log(conn, "pipe-build", "no OTN capacity %s->%s, lighting a new wavelength", a, b)
-			sp := c.tr.Start(conn.opSpan, "pipe:wait")
-			j := c.startPipeBuild(a, b, otn.ODU2)
-			j.OnDone(func(err error) { sp.EndErr(err) })
-			return j
-		}).
-		// Reserve tributary slots (and a best-effort shared-mesh backup).
-		ThenDo(func() error {
-			if conn.State != StatePending {
-				// Released while waiting for the pipe (a composite sibling
-				// failed): nothing is left to hold slots for.
-				return fmt.Errorf("core: connection %s was %v before its slots were reserved", conn.ID, conn.State)
-			}
-			// The path was found in an earlier kernel event; housekeeping may
-			// have retired one of its pipes in between (an idle pipe carries
-			// no hint that a setup intends to use it). Reserving on such a
-			// ghost would strand the circuit on a pipe whose wavelength is
-			// being torn down — re-resolve instead.
-			for _, p := range pipes {
-				if c.fabric.Pipe(p.ID()) == nil {
-					c.log(conn, "pipe-stale", "pipe %s retired mid-setup, re-routing", p.ID())
-					pipes = nil
-					break
-				}
-			}
-			if pipes == nil {
-				p, err := c.fabric.FindPath(a, b, slots, nil)
-				if err != nil {
-					return err
-				}
-				pipes = p
-			}
-			if err := otn.ReservePath(pipes, string(conn.ID), slots); err != nil {
-				return err
-			}
-			conn.pipes = pipes
-			if conn.Protect == SharedMesh {
-				c.reserveSharedBackup(conn, a, b)
-			}
+	g := sim.NewGraph(c.k)
+	// Build a pipe if grooming cannot fit the circuit into existing ones.
+	// Concurrent circuits between the same PoPs share one in-flight build
+	// instead of each lighting a wavelength.
+	ensure := g.Node(func() *sim.Job {
+		p, err := c.fabric.FindPath(a, b, slots, nil)
+		if err == nil {
+			pipes = p
 			return nil
-		}).
-		// Program the electronic cross-connects.
-		Then(func() *sim.Job {
-			osp := c.tr.Start(conn.opSpan, "controller-overhead")
-			j := c.k.AfterJob(c.jit(c.lat.ControllerOverhead), nil)
-			j.OnDone(func(err error) { osp.EndErr(err) })
-			return j
-		}).
-		Then(func() *sim.Job {
-			bud := &opBudget{}
-			return c.retrying(conn.opSpan, bud, func() *sim.Job {
-				return c.otnEMS.SubmitBatch(c.circuitProgramCmds(len(pipes)+1, conn.opSpan))
-			})
+		}
+		if pending := c.pendingPipe(a, b); pending != nil {
+			sp := c.tr.Start(conn.opSpan, "pipe:wait")
+			pending.OnDone(func(err error) { sp.EndErr(err) })
+			c.log(conn, "pipe-wait", "waiting for in-flight pipe %s-%s", a, b)
+			return pending
+		}
+		c.log(conn, "pipe-build", "no OTN capacity %s->%s, lighting a new wavelength", a, b)
+		sp := c.tr.Start(conn.opSpan, "pipe:wait")
+		j := c.startPipeBuild(a, b, otn.ODU2)
+		j.OnDone(func(err error) { sp.EndErr(err) })
+		return j
+	})
+	reserve := g.Node(func() *sim.Job {
+		var err error
+		pipes, err = c.reserveCircuit(conn, a, b, pipes)
+		return c.k.CompletedJob(err)
+	})
+	overhead := g.Node(func() *sim.Job {
+		osp := c.tr.Start(conn.opSpan, "controller-overhead")
+		j := c.k.AfterJob(c.jit(c.lat.ControllerOverhead), nil)
+		j.OnDone(func(err error) { osp.EndErr(err) })
+		return j
+	})
+	program := g.Node(func() *sim.Job {
+		return c.retrying(conn.opSpan, &opBudget{}, func() *sim.Job {
+			return c.otnEMS.SubmitBatch(c.circuitProgramCmds(len(pipes)+1, conn.opSpan))
 		})
-
-	job := seq.Go()
+	})
+	g.Edge(ensure, reserve)
+	g.Edge(reserve, overhead)
+	g.Edge(overhead, program)
+	job := g.Go()
 	job.OnDone(func(err error) { c.finishSetup(conn, err) })
 	return job, nil
+}
+
+// reserveCircuit books conn's tributary slots on pipes, the path found when
+// capacity was ensured (nil when the circuit waited for a pipe), and a
+// best-effort shared-mesh backup. It returns the path it booked.
+func (c *Controller) reserveCircuit(conn *Connection, a, b topo.NodeID, pipes []*otn.Pipe) ([]*otn.Pipe, error) {
+	if conn.State != StatePending {
+		// Released while waiting for the pipe (a composite sibling
+		// failed): nothing is left to hold slots for.
+		return nil, fmt.Errorf("core: connection %s was %v before its slots were reserved", conn.ID, conn.State)
+	}
+	// The path was found in an earlier kernel event; housekeeping may have
+	// retired one of its pipes in between (an idle pipe carries no hint that
+	// a setup intends to use it). Reserving on such a ghost would strand the
+	// circuit on a pipe whose wavelength is being torn down — re-resolve
+	// instead.
+	for _, p := range pipes {
+		if c.fabric.Pipe(p.ID()) == nil {
+			c.log(conn, "pipe-stale", "pipe %s retired mid-setup, re-routing", p.ID())
+			pipes = nil
+			break
+		}
+	}
+	if pipes == nil {
+		p, err := c.fabric.FindPath(a, b, conn.slots, nil)
+		if err != nil {
+			return nil, err
+		}
+		pipes = p
+	}
+	if err := otn.ReservePath(pipes, string(conn.ID), conn.slots); err != nil {
+		return nil, err
+	}
+	conn.pipes = pipes
+	if conn.Protect == SharedMesh {
+		c.reserveSharedBackup(conn, a, b)
+	}
+	return pipes, nil
 }
 
 // reserveSharedBackup books a pipe-disjoint backup path with shared-mesh
@@ -146,15 +155,16 @@ func (c *Controller) circuitProgramCmds(nSwitches int, parent obs.SpanRef) []ems
 // circuitTeardownJob is the (fast, electronic) release choreography for an
 // OTN circuit.
 func (c *Controller) circuitTeardownJob(conn *Connection, parent obs.SpanRef) *sim.Job {
-	bud := &opBudget{}
-	return sim.NewSequence(c.k).
-		ThenWait(c.jit(c.lat.TeardownController)).
-		Then(func() *sim.Job {
-			return c.retrying(parent, bud, func() *sim.Job {
-				return c.otnEMS.SubmitBatch(c.circuitProgramCmds(len(conn.pipes)+1, parent))
-			})
-		}).
-		Go()
+	ctl := c.jit(c.lat.TeardownController)
+	g := sim.NewGraph(c.k)
+	wait := g.Node(func() *sim.Job { return c.k.AfterJob(ctl, nil) })
+	program := g.Node(func() *sim.Job {
+		return c.retrying(parent, &opBudget{}, func() *sim.Job {
+			return c.otnEMS.SubmitBatch(c.circuitProgramCmds(len(conn.pipes)+1, parent))
+		})
+	})
+	g.Edge(wait, program)
+	return g.Go()
 }
 
 // pendingKey canonicalizes a node pair.

@@ -158,10 +158,13 @@ func (m *Manager) Submit(cmd Command) *sim.Job {
 // midway). Commands with distinct Elems land on distinct lanes, so a batch
 // over independent elements executes concurrently while staying atomic at
 // enqueue: no other submission can interleave into the lanes between the
-// batch's own commands.
+// batch's own commands. A batch of one is that command's own job.
 func (m *Manager) SubmitBatch(cmds []Command) *sim.Job {
-	if len(cmds) == 0 {
+	switch len(cmds) {
+	case 0:
 		return m.k.CompletedJob(nil)
+	case 1:
+		return m.Submit(cmds[0])
 	}
 	jobs := make([]*sim.Job, len(cmds))
 	for i, c := range cmds {

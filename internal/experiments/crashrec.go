@@ -35,7 +35,10 @@ const crashSnapshotEvery = 24
 // (a) discard the torn tail whole, (b) rehydrate to a state that passes the
 // invariant audit, and (c) land byte-identically on the shadow captured at
 // the surviving sequence number. A single half-applied operation anywhere
-// breaks (c); a leaked resource breaks (b).
+// breaks (c); a leaked resource breaks (b). Every commit is also checked as
+// it is written, not only where a cut happens to land: the replay of the WAL
+// up to it must equal its shadow, or the commit left out a change the
+// controller made.
 type crashRun struct {
 	dir, live string
 	store     *journal.Store
@@ -44,7 +47,12 @@ type crashRun struct {
 	shadows map[uint64][]byte
 	// archive photographs the WAL directory at crashArchiveSeq.
 	archive map[string][]byte
-	hookErr error
+	// entries copies every record written, in order.
+	entries []journal.Entry
+	// divergent names each sequence number whose WAL prefix replays to a
+	// state other than its shadow.
+	divergent []string
+	hookErr   error
 }
 
 // walPart is one WAL file's contribution to the logical byte stream.
@@ -87,6 +95,13 @@ func (cr *crashRun) shadow(ctrl *core.Controller) error {
 			cr.hookErr = err
 		}
 		cr.shadows[e.Seq] = st
+		e.Data = bytes.Clone(e.Data) // the store reuses its buffer
+		cr.entries = append(cr.entries, e)
+		if replayed, err := core.ReplayDurable(nil, cr.entries); err != nil {
+			cr.divergent = append(cr.divergent, fmt.Sprintf("replay of the WAL to seq %d failed: %v", e.Seq, err))
+		} else if st != nil && !bytes.Equal(replayed, st) {
+			cr.divergent = append(cr.divergent, fmt.Sprintf("replay of the WAL to seq %d diverges from its shadow", e.Seq))
+		}
 		if e.Seq == crashArchiveSeq {
 			paths, err := journal.WALFiles(cr.live)
 			if err != nil {
@@ -221,10 +236,16 @@ func (cr *crashRun) crash(res *Result, seed int64, trials int) (int, error) {
 		return seq, torn, ""
 	}
 
+	// A commit whose record leaves out what changed is a finding wherever the
+	// cuts land.
+	findings := len(cr.divergent)
+	for _, d := range cr.divergent {
+		res.notef("commit check: %s", d)
+	}
+
 	// Every cut is laid out bare and zero-padded. The zeros are a clean end:
 	// the padded layout must recover the same sequence number, and count torn
 	// bytes exactly when the bare one does — when a partial frame survives.
-	findings := 0
 	tornTotal := int64(0)
 	minSeq, maxSeq := uint64(1<<63), uint64(0)
 	for trial, cut := range cuts {

@@ -31,11 +31,13 @@ func BenchmarkJobChain(b *testing.B) {
 	k := NewKernel(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		seq := NewSequence(k).
-			ThenWait(time.Second).
-			ThenDo(func() error { return nil }).
-			ThenWait(time.Second)
-		seq.Go()
+		g := NewGraph(k)
+		wait := g.Node(func() *Job { return k.AfterJob(time.Second, nil) })
+		do := g.Node(func() *Job { return k.CompletedJob(nil) })
+		wait2 := g.Node(func() *Job { return k.AfterJob(time.Second, nil) })
+		g.Edge(wait, do)
+		g.Edge(do, wait2)
+		g.Go()
 		if i%256 == 255 {
 			k.Run()
 		}

@@ -1,45 +1,41 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// NodeID identifies one node of a Graph.
+// NodeID identifies one node of a Graph: its position in creation order.
 type NodeID int
 
-// graphNode is one unit of work plus its wiring. state tracks the node
-// through its lifecycle; nodes never run twice.
+// maxGraphNodes bounds a Graph: a node keeps its successors as one bit each.
+const maxGraphNodes = 32
+
+// graphNode is one unit of work plus its wiring; nodes never run twice.
 type graphNode struct {
-	name  string
 	run   func() *Job
-	succs []NodeID
+	succs uint32 // bit s set: an edge from this node to node s
 	// waiting counts unfinished predecessors; the node starts the instant
-	// it reaches zero (all predecessors succeeded).
-	waiting int
-	state   nodeState
-	err     error
+	// it reaches zero (all predecessors succeeded). It is decided, -1, once
+	// the node has started or was skipped because a (transitive)
+	// predecessor failed.
+	waiting int32
 }
 
-type nodeState int
-
-const (
-	nodePending nodeState = iota
-	nodeRunning
-	nodeDone    // completed without error
-	nodeFailed  // completed with error
-	nodeSkipped // a (transitive) predecessor failed; never started
-)
+// decided marks a node that has started or was skipped.
+const decided = -1
 
 // Graph runs jobs under happens-before constraints: nodes are jobs, edges are
 // dependencies, and a node starts the instant its last predecessor completes
-// successfully — not when some coarser phase barrier falls. It is the
-// replacement for chaining independent EMS steps through Sequence, where
-// simulated latency is the sum of every step even when steps touch
-// independent elements.
+// successfully — not when some coarser phase barrier falls. A chain of nodes
+// runs its steps one after another, each starting inside the completion of
+// the one before; a wider graph lets independent steps overlap, so simulated
+// latency is the critical path rather than the sum.
 //
-// Determinism: when one completion unblocks several nodes they start in
-// node-creation order, synchronously within the completing event, exactly as
-// Sequence starts its next step inside the previous step's completion
-// callback. A linear chain of Graph nodes is therefore event-for-event
-// identical to the equivalent Sequence.
+// Nodes are declared in a topological order: an edge runs from an earlier
+// node to a later one, so a Graph cannot have a cycle. When one completion
+// unblocks several nodes they start in creation order, synchronously within
+// the completing event.
 //
 // Failure: a node completing with an error marks every (transitive) dependent
 // skipped; independent branches keep running. The graph's job completes when
@@ -47,56 +43,67 @@ const (
 // node-creation order (not completion order, which would make the reported
 // error depend on relative EMS timing).
 type Graph struct {
-	k       *Kernel
-	nodes   []graphNode
-	job     *Job
+	job   *Job
+	nodes []graphNode
+	// buf backs nodes up to its length, so a short chain costs one
+	// allocation besides its job.
+	buf     [4]graphNode
+	pending int32
+	errNode int32 // the node err came from
+	err     error // the error of the failed node created first
 	started bool
-	pending int
 }
 
 // NewGraph returns an empty graph whose completion is observable via Go's
 // returned job.
 func NewGraph(k *Kernel) *Graph {
-	return &Graph{k: k, job: k.NewJob()}
+	g := &Graph{job: k.NewJob()}
+	g.nodes = g.buf[:0]
+	return g
 }
 
 // Node adds a unit of work and returns its ID. run is called when the node
 // starts and returns the job the node waits on; a nil run (or a run returning
-// a nil job) is an instantaneous barrier. Nodes added after Go panic.
-func (g *Graph) Node(name string, run func() *Job) NodeID {
+// a nil job) is an instantaneous barrier. Nodes added after Go, or past the
+// 32nd, panic.
+func (g *Graph) Node(run func() *Job) NodeID {
 	if g.started {
 		panic("sim: Graph.Node after Go")
 	}
-	g.nodes = append(g.nodes, graphNode{name: name, run: run})
+	if len(g.nodes) == maxGraphNodes {
+		panic(fmt.Sprintf("sim: Graph holds at most %d nodes", maxGraphNodes))
+	}
+	g.nodes = append(g.nodes, graphNode{run: run})
 	return NodeID(len(g.nodes) - 1)
 }
 
 // Edge declares that to must not start before from completes successfully.
-// Duplicate edges are harmless but count twice; self-edges panic immediately,
-// longer cycles panic at Go.
+// from must have been created before to; any other edge — a self-edge, or one
+// that could close a cycle — panics. Declaring an edge twice is harmless.
 func (g *Graph) Edge(from, to NodeID) {
 	if g.started {
 		panic("sim: Graph.Edge after Go")
 	}
-	if from == to {
-		panic(fmt.Sprintf("sim: Graph self-edge on node %d (%s)", from, g.nodes[from].name))
+	if from < 0 || from >= to || int(to) >= len(g.nodes) {
+		panic(fmt.Sprintf("sim: Graph edge %d -> %d does not run from an earlier node to a later one", from, to))
 	}
-	g.nodes[from].succs = append(g.nodes[from].succs, to)
-	g.nodes[to].waiting++
+	n := &g.nodes[from]
+	if n.succs&(1<<to) == 0 {
+		n.succs |= 1 << to
+		g.nodes[to].waiting++
+	}
 }
 
-// Go validates the graph is acyclic, starts every root node (in creation
-// order, synchronously) and returns the graph's job. An empty graph completes
-// at the current instant.
+// Go starts every root node (in creation order, synchronously) and returns
+// the graph's job. An empty graph completes at the current instant.
 func (g *Graph) Go() *Job {
 	if g.started {
 		panic("sim: Graph.Go called twice")
 	}
 	g.started = true
-	g.checkAcyclic()
-	g.pending = len(g.nodes)
+	g.pending = int32(len(g.nodes))
 	if g.pending == 0 {
-		g.k.Defer(func() { g.job.Complete(nil) })
+		g.job.k.Defer(func() { g.job.Complete(nil) })
 		return g.job
 	}
 	for i := range g.nodes {
@@ -107,46 +114,19 @@ func (g *Graph) Go() *Job {
 	return g.job
 }
 
-// checkAcyclic runs Kahn's algorithm over a scratch copy of the in-degrees;
-// a cycle is a construction bug, so it panics rather than erroring.
-func (g *Graph) checkAcyclic() {
-	indeg := make([]int, len(g.nodes))
-	for i := range g.nodes {
-		indeg[i] = g.nodes[i].waiting
-	}
-	queue := make([]NodeID, 0, len(g.nodes))
-	for i := range g.nodes {
-		if indeg[i] == 0 {
-			queue = append(queue, NodeID(i))
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, s := range g.nodes[n].succs {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if seen != len(g.nodes) {
-		panic(fmt.Sprintf("sim: Graph has a dependency cycle (%d of %d nodes reachable)", seen, len(g.nodes)))
-	}
-}
-
-// start runs one node whose predecessors have all succeeded.
+// start runs one node whose predecessors have all succeeded. A node with
+// nothing to wait on finishes at the current instant, after the events
+// already scheduled for it.
 func (g *Graph) start(id NodeID) {
 	n := &g.nodes[id]
-	n.state = nodeRunning
+	n.waiting = decided
 	var j *Job
 	if n.run != nil {
 		j = n.run()
 	}
 	if j == nil {
-		j = g.k.CompletedJob(nil)
+		g.job.k.Defer(func() { g.finish(id, nil) })
+		return
 	}
 	j.OnDone(func(err error) { g.finish(id, err) })
 }
@@ -154,20 +134,18 @@ func (g *Graph) start(id NodeID) {
 // finish records a node's outcome, releases or skips its dependents, and
 // completes the graph's job when nothing is left.
 func (g *Graph) finish(id NodeID, err error) {
-	n := &g.nodes[id]
-	n.err = err
-	if err != nil {
-		n.state = nodeFailed
-	} else {
-		n.state = nodeDone
-	}
+	succs := g.nodes[id].succs
 	g.pending--
 	if err != nil {
-		g.skipDependents(id)
+		if g.err == nil || int32(id) < g.errNode {
+			g.err, g.errNode = err, int32(id)
+		}
+		g.skip(succs)
 	} else {
-		for _, s := range n.succs {
+		for ; succs != 0; succs &= succs - 1 {
+			s := NodeID(bits.TrailingZeros32(succs))
 			sn := &g.nodes[s]
-			if sn.state != nodePending {
+			if sn.waiting == decided {
 				continue // already skipped by a failed sibling branch
 			}
 			sn.waiting--
@@ -177,32 +155,20 @@ func (g *Graph) finish(id NodeID, err error) {
 		}
 	}
 	if g.pending == 0 {
-		g.job.Complete(g.firstErr())
+		g.job.Complete(g.err)
 	}
 }
 
-// skipDependents marks every pending (transitive) dependent of id skipped.
-func (g *Graph) skipDependents(id NodeID) {
-	stack := append([]NodeID(nil), g.nodes[id].succs...)
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		sn := &g.nodes[s]
-		if sn.state != nodePending {
+// skip marks the undecided nodes of succs, and transitively their
+// successors, skipped.
+func (g *Graph) skip(succs uint32) {
+	for ; succs != 0; succs &= succs - 1 {
+		sn := &g.nodes[bits.TrailingZeros32(succs)]
+		if sn.waiting == decided {
 			continue // running or finished before the failure landed, or already skipped
 		}
-		sn.state = nodeSkipped
+		sn.waiting = decided
 		g.pending--
-		stack = append(stack, sn.succs...)
+		succs |= sn.succs
 	}
-}
-
-// firstErr returns the first node error in creation order.
-func (g *Graph) firstErr() error {
-	for i := range g.nodes {
-		if g.nodes[i].err != nil {
-			return g.nodes[i].err
-		}
-	}
-	return nil
 }

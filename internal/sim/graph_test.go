@@ -16,11 +16,11 @@ func TestGraphDiamondTiming(t *testing.T) {
 	// slower branch ends (5s), not after the sum (8s).
 	k := NewKernel(1)
 	g := NewGraph(k)
-	root := g.Node("root", after(k, 1*time.Second, nil))
-	left := g.Node("left", after(k, 5*time.Second, nil))
-	right := g.Node("right", after(k, 3*time.Second, nil))
+	root := g.Node(after(k, 1*time.Second, nil))
+	left := g.Node(after(k, 5*time.Second, nil))
+	right := g.Node(after(k, 3*time.Second, nil))
 	var sinkStart Time
-	sink := g.Node("sink", func() *Job {
+	sink := g.Node(func() *Job {
 		sinkStart = k.Now()
 		return k.AfterJob(2*time.Second, nil)
 	})
@@ -41,44 +41,6 @@ func TestGraphDiamondTiming(t *testing.T) {
 	}
 }
 
-func TestGraphLinearChainMatchesSequence(t *testing.T) {
-	durs := []Duration{2 * time.Second, 3 * time.Second, 5 * time.Second}
-
-	run := func(build func(k *Kernel) *Job) Duration {
-		k := NewKernel(1)
-		job := build(k)
-		k.Run()
-		if job.Err() != nil {
-			t.Fatalf("job failed: %v", job.Err())
-		}
-		return job.Elapsed()
-	}
-
-	seq := run(func(k *Kernel) *Job {
-		s := NewSequence(k)
-		for _, d := range durs {
-			d := d
-			s.Then(func() *Job { return k.AfterJob(d, nil) })
-		}
-		return s.Go()
-	})
-	chain := run(func(k *Kernel) *Job {
-		g := NewGraph(k)
-		var prev NodeID = -1
-		for i, d := range durs {
-			n := g.Node("step", after(k, d, nil))
-			if i > 0 {
-				g.Edge(prev, n)
-			}
-			prev = n
-		}
-		return g.Go()
-	})
-	if seq != chain {
-		t.Errorf("linear graph took %v, Sequence took %v; want identical", chain, seq)
-	}
-}
-
 func TestGraphFailureSkipsDependents(t *testing.T) {
 	// root -> bad -> skipped -> skipped2, root -> good. The independent
 	// branch still runs; the dependents of the failure never start.
@@ -92,11 +54,11 @@ func TestGraphFailureSkipsDependents(t *testing.T) {
 			return k.AfterJob(d, err)
 		}
 	}
-	root := g.Node("root", mark("root", time.Second, nil))
-	bad := g.Node("bad", mark("bad", time.Second, boom))
-	dep := g.Node("dep", mark("dep", time.Second, nil))
-	dep2 := g.Node("dep2", mark("dep2", time.Second, nil))
-	good := g.Node("good", mark("good", 10*time.Second, nil))
+	root := g.Node(mark("root", time.Second, nil))
+	bad := g.Node(mark("bad", time.Second, boom))
+	dep := g.Node(mark("dep", time.Second, nil))
+	dep2 := g.Node(mark("dep2", time.Second, nil))
+	good := g.Node(mark("good", 10*time.Second, nil))
 	g.Edge(root, bad)
 	g.Edge(root, good)
 	g.Edge(bad, dep)
@@ -125,8 +87,8 @@ func TestGraphFirstErrorInCreationOrder(t *testing.T) {
 	errSlow := errors.New("slow")
 	errFast := errors.New("fast")
 	g := NewGraph(k)
-	g.Node("slow", after(k, 5*time.Second, errSlow))
-	g.Node("fast", after(k, 1*time.Second, errFast))
+	g.Node(after(k, 5*time.Second, errSlow))
+	g.Node(after(k, 1*time.Second, errFast))
 	job := g.Go()
 	k.Run()
 	if !errors.Is(job.Err(), errSlow) {
@@ -138,11 +100,11 @@ func TestGraphNilRunBarrier(t *testing.T) {
 	// A nil-run node is an instantaneous barrier: fan-in, zero latency.
 	k := NewKernel(1)
 	g := NewGraph(k)
-	a := g.Node("a", after(k, 2*time.Second, nil))
-	b := g.Node("b", after(k, 3*time.Second, nil))
-	barrier := g.Node("barrier", nil)
+	a := g.Node(after(k, 2*time.Second, nil))
+	b := g.Node(after(k, 3*time.Second, nil))
+	barrier := g.Node(nil)
 	var tailStart Time
-	tail := g.Node("tail", func() *Job {
+	tail := g.Node(func() *Job {
 		tailStart = k.Now()
 		return k.AfterJob(time.Second, nil)
 	})
@@ -172,28 +134,114 @@ func TestGraphEmptyCompletes(t *testing.T) {
 }
 
 func TestGraphCyclePanics(t *testing.T) {
+	// Nodes are declared in a topological order, so the edge that would
+	// close a cycle runs backwards and panics when declared.
 	k := NewKernel(1)
 	g := NewGraph(k)
-	a := g.Node("a", nil)
-	b := g.Node("b", nil)
+	a := g.Node(nil)
+	b := g.Node(nil)
 	g.Edge(a, b)
-	g.Edge(b, a)
 	defer func() {
 		if recover() == nil {
-			t.Error("Go on a cyclic graph did not panic")
+			t.Error("an edge closing a cycle did not panic")
 		}
 	}()
-	g.Go()
+	g.Edge(b, a)
 }
 
 func TestGraphSelfEdgePanics(t *testing.T) {
 	k := NewKernel(1)
 	g := NewGraph(k)
-	a := g.Node("a", nil)
+	a := g.Node(nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("self-edge did not panic")
 		}
 	}()
 	g.Edge(a, a)
+}
+
+// chain is a test helper: a graph whose nodes run one after another.
+func chain(k *Kernel, runs ...func() *Job) *Job {
+	g := NewGraph(k)
+	for i, run := range runs {
+		if n := g.Node(run); i > 0 {
+			g.Edge(n-1, n)
+		}
+	}
+	return g.Go()
+}
+
+func TestGraphChainRunsStepsInOrder(t *testing.T) {
+	k := NewKernel(1)
+	var marks []Time
+	mark := func() *Job { marks = append(marks, k.Now()); return nil }
+	j := chain(k, after(k, 2*time.Second, nil), mark, after(k, 3*time.Second, nil), mark)
+	k.Run()
+	if !j.Done() || j.Err() != nil {
+		t.Fatalf("chain done=%v err=%v", j.Done(), j.Err())
+	}
+	if len(marks) != 2 || marks[0] != Time(2*time.Second) || marks[1] != Time(5*time.Second) {
+		t.Errorf("marks = %v, want [2s 5s]", marks)
+	}
+	if j.Elapsed() != 5*time.Second {
+		t.Errorf("Elapsed = %v, want 5s", j.Elapsed())
+	}
+}
+
+func TestGraphChainStopsOnError(t *testing.T) {
+	k := NewKernel(1)
+	boom := errors.New("boom")
+	ran := false
+	j := chain(k,
+		func() *Job { return k.CompletedJob(boom) },
+		func() *Job { ran = true; return nil })
+	k.Run()
+	if j.Err() != boom {
+		t.Errorf("err = %v, want boom", j.Err())
+	}
+	if ran {
+		t.Error("step after failing step still ran")
+	}
+}
+
+func TestGraphChainNilStep(t *testing.T) {
+	k := NewKernel(1)
+	j := chain(k, func() *Job { return nil }, after(k, time.Second, nil))
+	k.Run()
+	if !j.Done() || j.Err() != nil {
+		t.Fatalf("done=%v err=%v", j.Done(), j.Err())
+	}
+	if j.Elapsed() != time.Second {
+		t.Errorf("Elapsed = %v, want 1s", j.Elapsed())
+	}
+}
+
+func TestGraphDuplicateEdgeCountsOnce(t *testing.T) {
+	k := NewKernel(1)
+	g := NewGraph(k)
+	a := g.Node(after(k, time.Second, nil))
+	b := g.Node(after(k, time.Second, nil))
+	g.Edge(a, b)
+	g.Edge(a, b)
+	job := g.Go()
+	k.Run()
+	if !job.Done() || job.Elapsed() != 2*time.Second {
+		t.Errorf("done=%v elapsed=%v, want done after 2s", job.Done(), job.Elapsed())
+	}
+}
+
+func TestGraphNodeLimit(t *testing.T) {
+	k := NewKernel(1)
+	g := NewGraph(k)
+	for i := 0; i < maxGraphNodes; i++ {
+		g.Node(nil)
+	}
+	g.Edge(0, maxGraphNodes-1)
+	defer func() {
+		if recover() == nil {
+			t.Errorf("node %d did not panic", maxGraphNodes+1)
+		}
+	}()
+	g.Node(nil)
 }

@@ -107,58 +107,3 @@ func All(k *Kernel, jobs ...*Job) *Job {
 	}
 	return out
 }
-
-// Sequence runs simulated steps one after another, each step starting when
-// the previous one's job completes. A step returning a nil job is treated as
-// instantaneous. The sequence stops at the first error.
-type Sequence struct {
-	k     *Kernel
-	steps []func() *Job
-	job   *Job
-}
-
-// NewSequence returns an empty sequence whose completion is observable via
-// Job.
-func NewSequence(k *Kernel) *Sequence {
-	return &Sequence{k: k, job: k.NewJob()}
-}
-
-// Then appends a step and returns the sequence for chaining.
-func (s *Sequence) Then(step func() *Job) *Sequence {
-	s.steps = append(s.steps, step)
-	return s
-}
-
-// ThenWait appends a step that simply waits d.
-func (s *Sequence) ThenWait(d Duration) *Sequence {
-	return s.Then(func() *Job { return s.k.AfterJob(d, nil) })
-}
-
-// ThenDo appends an instantaneous step that may fail.
-func (s *Sequence) ThenDo(fn func() error) *Sequence {
-	return s.Then(func() *Job { return s.k.CompletedJob(fn()) })
-}
-
-// Go starts the sequence and returns its job.
-func (s *Sequence) Go() *Job {
-	s.runFrom(0)
-	return s.job
-}
-
-func (s *Sequence) runFrom(i int) {
-	if i >= len(s.steps) {
-		s.job.Complete(nil)
-		return
-	}
-	j := s.steps[i]()
-	if j == nil {
-		j = s.k.CompletedJob(nil)
-	}
-	j.OnDone(func(err error) {
-		if err != nil {
-			s.job.Complete(err)
-			return
-		}
-		s.runFrom(i + 1)
-	})
-}

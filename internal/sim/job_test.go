@@ -139,59 +139,6 @@ func TestAllEmpty(t *testing.T) {
 	}
 }
 
-func TestSequenceRunsStepsInOrder(t *testing.T) {
-	k := NewKernel(1)
-	var marks []Time
-	seq := NewSequence(k).
-		ThenWait(2 * time.Second).
-		ThenDo(func() error { marks = append(marks, k.Now()); return nil }).
-		ThenWait(3 * time.Second).
-		ThenDo(func() error { marks = append(marks, k.Now()); return nil })
-	j := seq.Go()
-	k.Run()
-	if !j.Done() || j.Err() != nil {
-		t.Fatalf("sequence done=%v err=%v", j.Done(), j.Err())
-	}
-	if len(marks) != 2 || marks[0] != Time(2*time.Second) || marks[1] != Time(5*time.Second) {
-		t.Errorf("marks = %v, want [2s 5s]", marks)
-	}
-	if j.Elapsed() != 5*time.Second {
-		t.Errorf("Elapsed = %v, want 5s", j.Elapsed())
-	}
-}
-
-func TestSequenceStopsOnError(t *testing.T) {
-	k := NewKernel(1)
-	boom := errors.New("boom")
-	ran := false
-	j := NewSequence(k).
-		ThenDo(func() error { return boom }).
-		ThenDo(func() error { ran = true; return nil }).
-		Go()
-	k.Run()
-	if j.Err() != boom {
-		t.Errorf("err = %v, want boom", j.Err())
-	}
-	if ran {
-		t.Error("step after failing step still ran")
-	}
-}
-
-func TestSequenceNilStepJob(t *testing.T) {
-	k := NewKernel(1)
-	j := NewSequence(k).
-		Then(func() *Job { return nil }).
-		ThenWait(time.Second).
-		Go()
-	k.Run()
-	if !j.Done() || j.Err() != nil {
-		t.Fatalf("done=%v err=%v", j.Done(), j.Err())
-	}
-	if j.Elapsed() != time.Second {
-		t.Errorf("Elapsed = %v, want 1s", j.Elapsed())
-	}
-}
-
 func TestRandDistributions(t *testing.T) {
 	r := NewRand(1)
 	const n = 20000

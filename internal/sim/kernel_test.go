@@ -332,16 +332,3 @@ func TestJobStartEndAccessors(t *testing.T) {
 		t.Errorf("End = %v", j.End())
 	}
 }
-
-func TestSequenceJobAccessor(t *testing.T) {
-	k := NewKernel(1)
-	s := NewSequence(k).ThenWait(time.Second)
-	if s.job == nil || s.job.Done() {
-		t.Error("Job accessor wrong before Go")
-	}
-	s.Go()
-	k.Run()
-	if !s.job.Done() {
-		t.Error("sequence job not done")
-	}
-}
