@@ -399,32 +399,10 @@ func (n *Network) BridgeAndRoll(customer string, id ConnID) error {
 
 // ScheduleMaintenance plans work on a link at a virtual time offset `in` from
 // now, lasting `window`. It returns immediately; advance the clock to let it
-// happen. The Maintenance record fills in as it proceeds.
+// happen. The Maintenance record fills in as it proceeds, from every shard.
 func (n *Network) ScheduleMaintenance(link string, in, window time.Duration) (*Maintenance, error) {
 	defer n.settle()
-	// Planned work is plant state, replicated like fiber cuts: every shard
-	// schedules its own window, opening at one instant of the set's clock,
-	// so each drains and restores its own customers. The operator watches
-	// shard 0's record.
-	at := n.set.Now().Add(in)
-	var first *Maintenance
-	var firstErr error
-	for _, sh := range n.set.Shards() {
-		m, _, err := sh.Ctrl.ScheduleMaintenance(topo.LinkID(link), at, window)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if first == nil {
-			first = m
-		}
-	}
-	if first != nil {
-		return first, nil
-	}
-	return nil, firstErr
+	return n.set.ScheduleMaintenance(topo.LinkID(link), n.set.Now().Add(in), window)
 }
 
 // Regroom moves a connection onto a better path if one exists (reports

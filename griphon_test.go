@@ -2,6 +2,7 @@ package griphon
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -189,13 +190,17 @@ func TestMaintenanceViaFacade(t *testing.T) {
 // awaited connect has run one shard's clock ahead of the others. Each shard
 // still rolls its own customers off the link before its cut, so the cuts
 // themselves land at different instants; aligning those belongs with the
-// shard plant replicas (ROADMAP item 17).
+// shard plant replicas (ROADMAP item 17). The record returned is every
+// shard's: it lists what each shard rolled, and is finished only once every
+// window has closed.
 func TestShardedMaintenanceOpensAtOneInstant(t *testing.T) {
 	n := newNet(t, WithShards(4))
-	if _, err := n.Connect("acme", "DC-A", "DC-C", Rate10G); err != nil {
+	conn, err := n.Connect("acme", "DC-A", "DC-C", Rate10G)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.ScheduleMaintenance("I-IV", time.Hour, time.Hour); err != nil {
+	m, err := n.ScheduleMaintenance("I-IV", time.Hour, time.Hour)
+	if err != nil {
 		t.Fatal(err)
 	}
 	n.Advance(time.Hour + 30*time.Second)
@@ -212,6 +217,11 @@ func TestShardedMaintenanceOpensAtOneInstant(t *testing.T) {
 		if e.At != starts[0].At {
 			t.Errorf("maintenance started at %v and at %v, want one instant", starts[0].At, e.At)
 		}
+	}
+	n.Drain()
+	if !slices.Contains(m.Rolled, conn.ID) || len(m.Unmoved) != 0 || !m.Finished {
+		t.Errorf("record after the window: rolled %v, unmoved %v, finished %v; want %s rolled and finished",
+			m.Rolled, m.Unmoved, m.Finished, conn.ID)
 	}
 }
 

@@ -22,9 +22,10 @@ func (f Finding) String() string { return f.Kind + ": " + f.Detail }
 // AuditInvariants sweeps the whole resource database for cross-layer
 // accounting drift: orphaned spectrum, leaked transponders, OTN slot books
 // that do not sum, over-subscribed access pipes, ROADM or FXC state owned by
-// dead connections, and ledger claims with no connection behind them. It
-// returns every violation found (empty means the books balance). The chaos
-// soak calls it after every operation; tests call it through checkInvariants.
+// dead connections, ledger claims with no connection behind them, and ledger
+// releases that failed. It returns every violation found (empty means the
+// books balance). The chaos soak calls it after every operation; tests call
+// it through checkInvariants.
 //
 // The check is read-only and safe at any instant of virtual time: every
 // mutation in the controller happens atomically within one event, so between
@@ -190,6 +191,11 @@ func (c *Controller) AuditInvariants() []Finding {
 	}
 	if gotCarrier != wantCarrier {
 		report("ledger-bandwidth", "carrier bandwidth %v, want %v", gotCarrier, wantCarrier)
+	}
+
+	// 8. No ledger release has failed.
+	for _, e := range c.releaseErrs {
+		report("ledger-release", "%s", e)
 	}
 	return out
 }

@@ -130,3 +130,29 @@ func TestAuditFindingsDeterministicOrder(t *testing.T) {
 		t.Errorf("two audits of identical state disagree on order:\n%v\nvs\n%v", first, second)
 	}
 }
+
+// TestAuditReportsLedgerRelease: a ledger release that fails is recorded where
+// it happens, and the audit names the connection. The rate of a live
+// connection is discharged behind the controller's back, so the teardown's own
+// discharge underflows.
+func TestAuditReportsLedgerRelease(t *testing.T) {
+	k, c := newTestbed(t, 7)
+	conn := mustConnect(t, k, c, Request{Customer: "x", From: "DC-A", To: "DC-B", Rate: bw.Rate1G})
+	if err := c.ledger.Discharge(conn.Customer, conn.Rate); err != nil {
+		t.Fatal(err)
+	}
+	td, err := c.Disconnect(conn.Customer, conn.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	if td.Err() != nil {
+		t.Fatal(td.Err())
+	}
+	findings := c.AuditInvariants()
+	if !slices.ContainsFunc(findings, func(f Finding) bool {
+		return f.Kind == "ledger-release" && strings.Contains(f.Detail, string(conn.ID))
+	}) {
+		t.Errorf("no ledger-release finding naming %s; findings: %v", conn.ID, findings)
+	}
+}

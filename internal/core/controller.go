@@ -119,6 +119,9 @@ type Controller struct {
 	lat    ems.Latencies
 	rwaOpt rwa.Options
 	ledger *inventory.Ledger
+	// releaseErrs records the ledger releases that failed, for the audit
+	// sweep: a release must never fail, and one that does is a bug upstream.
+	releaseErrs []string
 
 	roadmEMS *ems.Manager
 	otnEMS   *ems.Manager
@@ -140,6 +143,9 @@ type Controller struct {
 	// encBuf is the record encoder's buffer, reused by every commit and
 	// snapshot: the journal copies what it is handed into its frame.
 	encBuf []byte
+	// commitBuf is the record journalCommit fills, its slices reused by
+	// every commit.
+	commitBuf commitRec
 	// What journalCommit has left for TakeUnsynced: the last sequence number
 	// written and not yet handed to a Sync, and the first commit that failed.
 	unsynced  uint64

@@ -13,6 +13,7 @@ import (
 
 	"griphon/internal/bw"
 	"griphon/internal/journal"
+	"griphon/internal/jsonenc"
 	"griphon/internal/optics"
 	"griphon/internal/rwa"
 	"griphon/internal/sim"
@@ -184,7 +185,7 @@ func scanSeeds(t testing.TB) [][]byte {
 // accepts, encoding/json decodes to the same state; whatever encoding/json
 // accepts and would write back byte for byte, the scanner accepts.
 func checkScanAgainstJSON(t *testing.T, data []byte) {
-	got, gerr := newStateScanner().decodeState(data, 0)
+	got, gerr := decodeState(jsonenc.NewScanner(), data, 0)
 	var want stateRec
 	werr := json.Unmarshal(data, &want)
 	switch {
@@ -219,7 +220,7 @@ func FuzzScanState(f *testing.F) {
 // plain `go test`, and requires the scanner to accept each of them.
 func TestScanStateSeeds(t *testing.T) {
 	for i, seed := range scanSeeds(t) {
-		if _, err := newStateScanner().decodeState(seed, 0); err != nil {
+		if _, err := decodeState(jsonenc.NewScanner(), seed, 0); err != nil {
 			t.Errorf("seed %d rejected: %v\n%s", i, err, seed)
 		}
 		checkScanAgainstJSON(t, seed)
@@ -233,7 +234,7 @@ func TestScanStateSeeds(t *testing.T) {
 		`{"conns":[{"id":"a","path":{"route":{"Plan":{"Segments":[{"KM":.5}]}}}}]}`,
 		`{"conns":[{"id":"a","path":{"route":{"Channels":[1.0]}}}]}`,
 	} {
-		if _, err := newStateScanner().decodeState([]byte(bad), 0); err == nil {
+		if _, err := decodeState(jsonenc.NewScanner(), []byte(bad), 0); err == nil {
 			t.Errorf("scanner accepts %q", bad)
 		}
 		checkScanAgainstJSON(t, []byte(bad))

@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"griphon/internal/journal"
+	"griphon/internal/jsonenc"
 	"griphon/internal/obs"
 	"griphon/internal/otn"
 	"griphon/internal/rwa"
@@ -381,10 +382,10 @@ func (c *Controller) DurableState() ([]byte, error) {
 // in the snapshot's own ID order and take their upserts in place.
 func foldState(snapshot []byte, entries []journal.Entry) (stateRec, error) {
 	var st stateRec
-	s := newStateScanner()
+	s := jsonenc.NewScanner()
 	if snapshot != nil {
 		var err error
-		if st, err = s.decodeState(snapshot, len(entries)); err != nil {
+		if st, err = decodeState(s, snapshot, len(entries)); err != nil {
 			return st, fmt.Errorf("core: corrupt state snapshot: %w", err)
 		}
 		for i := 1; i < len(st.Conns); i++ {
@@ -406,7 +407,7 @@ func foldState(snapshot []byte, entries []journal.Entry) (stateRec, error) {
 		if e.Kind != recKindCommit {
 			return st, fmt.Errorf("core: unknown journal record kind %q at seq %d", e.Kind, e.Seq)
 		}
-		if err := s.decodeCommit(e.Data, &rec); err != nil {
+		if err := decodeCommit(s, e.Data, &rec); err != nil {
 			return st, fmt.Errorf("core: corrupt commit record at seq %d: %w", e.Seq, err)
 		}
 		st.Now = rec.Now
@@ -433,11 +434,11 @@ func foldState(snapshot []byte, entries []journal.Entry) (stateRec, error) {
 			st.Quotas = *rec.Quotas
 		}
 	}
-	st.Pipes = nil
+	st.Pipes = slices.Grow([]pipeRec(nil), len(pipes))
 	for _, id := range sortedKeys(pipes) {
 		st.Pipes = append(st.Pipes, pipes[id])
 	}
-	st.Bookings = nil
+	st.Bookings = slices.Grow([]bookingRec(nil), len(books))
 	bids := make([]int, 0, len(books))
 	for id := range books {
 		bids = append(bids, id)
@@ -510,13 +511,18 @@ func (c *Controller) journalCommit(cs commitSet) {
 	if c.jrnl == nil && c.flight == nil {
 		return
 	}
-	rec := commitRec{
+	rec := &c.commitBuf
+	*rec = commitRec{
 		Reason:      cs.reason,
 		Now:         int64(c.k.Now()),
 		NextConn:    c.nextConn,
 		LpSeq:       c.lpSeq,
 		NextBooking: c.nextBooking,
 		NextPipe:    c.fabric.NextID(),
+		Conns:       rec.Conns[:0],
+		Pipes:       rec.Pipes[:0],
+		DelPipes:    rec.DelPipes[:0],
+		Bookings:    rec.Bookings[:0],
 	}
 	seenConn := map[ConnID]bool{}
 	for _, conn := range cs.conns {
@@ -562,7 +568,7 @@ func (c *Controller) journalCommit(cs commitSet) {
 		q := c.quotaRecs()
 		rec.Quotas = &q
 	}
-	c.encBuf = appendCommitRec(c.encBuf[:0], &rec)
+	c.encBuf = commitFields.Append(c.encBuf[:0], rec)
 	data := c.encBuf
 	if c.flight != nil {
 		// The recorder keeps what it is given; the buffer is the next commit's.

@@ -6,11 +6,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"griphon/internal/bw"
 	"griphon/internal/inventory"
+	"griphon/internal/jsonenc"
 	"griphon/internal/optics"
 	"griphon/internal/rwa"
 	"griphon/internal/sim"
@@ -34,9 +37,9 @@ func sameAsMarshal(t *testing.T, got []byte, v any) {
 func checkRecords(t *testing.T, rec *commitRec, st *stateRec) {
 	t.Helper()
 	for i := range st.Conns {
-		sameAsMarshal(t, appendConnRec(nil, &st.Conns[i]), &st.Conns[i])
+		sameAsMarshal(t, connFields.Append(nil, &st.Conns[i]), &st.Conns[i])
 	}
-	sameAsMarshal(t, appendCommitRec(nil, rec), rec)
+	sameAsMarshal(t, commitFields.Append(nil, rec), rec)
 	got, err := appendState(nil, nil, st, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +170,7 @@ func FuzzRecordEncoding(f *testing.F) {
 // internal/jsonenc.
 func TestRecordEncodingShapes(t *testing.T) {
 	var route rwa.Route
-	got := appendRoute(nil, &route)
+	got := routeFields.Append(nil, &route)
 	if want := `{"Path":{"Nodes":null,"Links":null},"Plan":{"Segments":null,"RegenNodes":null},"Channels":null}`; string(got) != want {
 		t.Errorf("empty route appends as %s, want %s", got, want)
 	}
@@ -175,13 +178,13 @@ func TestRecordEncodingShapes(t *testing.T) {
 	empty, none := []string{}, []string(nil)
 	noQuotas := []quotaRec(nil)
 	rec := commitRec{Reason: "fiber-cut", DownLinks: &empty, Quotas: &noQuotas}
-	got = appendCommitRec(nil, &rec)
+	got = commitFields.Append(nil, &rec)
 	if want := `{"reason":"fiber-cut","now":0,"next_conn":0,"lp_seq":0,"next_booking":0,"next_pipe":0,"down_links":[],"quotas":null}`; string(got) != want {
 		t.Errorf("commit appends as %s, want %s", got, want)
 	}
 	sameAsMarshal(t, got, &rec)
 	rec.DownLinks = &none
-	sameAsMarshal(t, appendCommitRec(nil, &rec), &rec)
+	sameAsMarshal(t, commitFields.Append(nil, &rec), &rec)
 }
 
 // countingWriter counts the writes it is handed and keeps their bytes.
@@ -201,7 +204,7 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // encoding/json.
 func TestStreamStateChunks(t *testing.T) {
 	rec, st := fuzzRecords("C0001", 12345, 87.5, 0xffff)
-	one := appendConnRec(nil, &rec.Conns[0])
+	one := connFields.Append(nil, &rec.Conns[0])
 	for len(st.Conns)*len(one) < 3*snapshotChunk {
 		st.Conns = append(st.Conns, rec.Conns[0])
 	}
@@ -263,11 +266,11 @@ func TestCommitEncodeZeroAlloc(t *testing.T) {
 				continue
 			}
 			found = true
-			buf := appendCommitRec(nil, &rec)
+			buf := commitFields.Append(nil, &rec)
 			if !bytes.Equal(buf, e.Data) {
 				t.Fatalf("%s commit re-encodes differently:\njournal: %s\nappend:  %s", name, e.Data, buf)
 			}
-			if allocs := testing.AllocsPerRun(100, func() { buf = appendCommitRec(buf[:0], &rec) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(100, func() { buf = commitFields.Append(buf[:0], &rec) }); allocs != 0 {
 				t.Errorf("%s commit: %v allocations per encode, want 0", name, allocs)
 			}
 			break
@@ -349,5 +352,48 @@ func TestFailedSnapshotRetriesOnCadence(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Errorf("rehydrated state differs:\nlive:      %s\nrecovered: %s", want, got)
+	}
+}
+
+// TestFieldTablesMatchTags keeps each record table beside its type: the rows
+// name the members in declaration order, under the json tag's name with its
+// omitempty, or under the Go name in the untagged route types. A row reads
+// null exactly where encoding/json writes one: a slice of an untagged type,
+// and a pointer to a slice.
+func TestFieldTablesMatchTags(t *testing.T) {
+	checkTable(t, commitFields)
+	checkTable(t, stateFields)
+	checkTable(t, connFields)
+	checkTable(t, lightpathFields)
+	checkTable(t, routeFields)
+	checkTable(t, pathFields)
+	checkTable(t, planFields)
+	checkTable(t, segmentFields)
+	checkTable(t, pipeFields)
+	checkTable(t, bookingFields)
+	checkTable(t, quotaFields)
+}
+
+func checkTable[T any](t *testing.T, tab jsonenc.Table[T]) {
+	t.Helper()
+	typ := reflect.TypeFor[T]()
+	if len(tab) != typ.NumField() {
+		t.Errorf("%v: %d rows for %d fields", typ, len(tab), typ.NumField())
+		return
+	}
+	for i, f := range tab {
+		sf := typ.Field(i)
+		key, opts, tagged := sf.Name, "", false
+		if tag, ok := sf.Tag.Lookup("json"); ok {
+			key, opts, _ = strings.Cut(tag, ",")
+			tagged = true
+		}
+		omit := strings.Contains(opts, "omitempty")
+		k := sf.Type.Kind()
+		null := !tagged && k == reflect.Slice || k == reflect.Pointer && sf.Type.Elem().Kind() == reflect.Slice
+		if f.Key != key || f.Omit != omit || f.Null != null {
+			t.Errorf("%v row %d: key %q, omit %v, null %v; field %s wants %q, %v, %v",
+				typ, i, f.Key, f.Omit, f.Null, sf.Name, key, omit, null)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"griphon/internal/bw"
 	"griphon/internal/inventory"
 	"griphon/internal/journal"
+	"griphon/internal/jsonenc"
 	"griphon/internal/optics"
 	"griphon/internal/sim"
 	"griphon/internal/topo"
@@ -156,7 +157,7 @@ func TestClearedQuotaSurvivesRestart(t *testing.T) {
 // scanner accepts.
 func checkCommitAgainstJSON(t *testing.T, data []byte) {
 	var got commitRec
-	gerr := newStateScanner().decodeCommit(data, &got)
+	gerr := decodeCommit(jsonenc.NewScanner(), data, &got)
 	var want commitRec
 	werr := json.Unmarshal(data, &want)
 	switch {
@@ -174,7 +175,7 @@ func checkCommitAgainstJSON(t *testing.T, data []byte) {
 }
 
 // FuzzScanCommit holds the commit-record scanner to encoding/json on
-// arbitrary bytes, and requires it to accept what appendCommitRec writes for
+// arbitrary bytes, and requires it to accept what commitFields writes for
 // records built from the rest of the input (fuzzRecords). The seeds are a
 // real journal's records and a few the appenders never write.
 func FuzzScanCommit(f *testing.F) {
@@ -203,9 +204,9 @@ func FuzzScanCommit(f *testing.F) {
 			km = 0
 		}
 		rec, _ := fuzzRecords(s, n, km, shape)
-		b := appendCommitRec(nil, &rec)
-		if err := newStateScanner().decodeCommit(b, new(commitRec)); err != nil {
-			t.Fatalf("scanner rejects what appendCommitRec writes (%v): %q", err, b)
+		b := commitFields.Append(nil, &rec)
+		if err := decodeCommit(jsonenc.NewScanner(), b, new(commitRec)); err != nil {
+			t.Fatalf("scanner rejects what commitFields writes (%v): %q", err, b)
 		}
 		checkCommitAgainstJSON(t, b)
 	})

@@ -93,13 +93,16 @@ func (c *Controller) bridgeAndRoll(conn *Connection, avoid map[topo.LinkID]bool)
 	return out, nil
 }
 
-// Maintenance is a planned work window on one link.
+// Maintenance is a planned work window on one link. On a ShardSet every
+// shard rolls its own customers into the one record.
 type Maintenance struct {
 	Link     topo.LinkID
 	Window   sim.Duration
 	Rolled   []ConnID
 	Unmoved  []ConnID
-	Finished bool
+	Finished bool // every shard's window has closed
+	// open counts the shards whose window has not closed yet.
+	open int
 }
 
 // ScheduleMaintenance plans work on a link at a future time: when the window
@@ -110,16 +113,27 @@ type Maintenance struct {
 // GRIPhoN's automation is designed to avoid. The returned job completes when
 // the link is back; the Maintenance record reports what was moved.
 func (c *Controller) ScheduleMaintenance(link topo.LinkID, at sim.Time, window sim.Duration) (*Maintenance, *sim.Job, error) {
+	m := &Maintenance{Link: link, Window: window}
+	out, err := c.scheduleMaintenance(m, at)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, out, nil
+}
+
+// scheduleMaintenance schedules this controller's share of m's work.
+func (c *Controller) scheduleMaintenance(m *Maintenance, at sim.Time) (*sim.Job, error) {
+	link, window := m.Link, m.Window
 	if c.g.Link(link) == nil {
-		return nil, nil, fmt.Errorf("core: unknown link %s", link)
+		return nil, fmt.Errorf("core: unknown link %s", link)
 	}
 	if window <= 0 {
-		return nil, nil, fmt.Errorf("core: non-positive maintenance window %v", window)
+		return nil, fmt.Errorf("core: non-positive maintenance window %v", window)
 	}
 	if now := c.k.Now(); at.Before(now) {
-		return nil, nil, fmt.Errorf("core: maintenance start %v is before now %v", at, now)
+		return nil, fmt.Errorf("core: maintenance start %v is before now %v", at, now)
 	}
-	m := &Maintenance{Link: link, Window: window}
+	m.open++
 	out := c.k.NewJob()
 	c.k.At(at, func() {
 		c.log(nil, "maintenance-start", "link %s window %v", link, window)
@@ -146,7 +160,7 @@ func (c *Controller) ScheduleMaintenance(link topo.LinkID, at sim.Time, window s
 			c.startMaintenanceWindow(m, out)
 		})
 	})
-	return m, out, nil
+	return out, nil
 }
 
 func (c *Controller) startMaintenanceWindow(m *Maintenance, out *sim.Job) {
@@ -164,7 +178,8 @@ func (c *Controller) startMaintenanceWindow(m *Maintenance, out *sim.Job) {
 		if !c.plant.LinkUp(link) {
 			c.RepairFiber(link) //lint:allow errcheck symmetric with cut
 		}
-		m.Finished = true
+		m.open--
+		m.Finished = m.open == 0
 		c.log(nil, "maintenance-done", "link %s returned to service", link)
 		out.Complete(nil)
 	})

@@ -654,8 +654,16 @@ func (c *Controller) releaseConnResources(conn *Connection) {
 	if !conn.Internal {
 		c.releaseAccess(conn.From, conn.To, conn.Rate)
 	}
-	c.ledger.Discharge(conn.Customer, conn.Rate)      //lint:allow errcheck symmetric with admit
-	c.ledger.Release(conn.Customer, connKey(conn.ID)) //lint:allow errcheck symmetric with claim
+	c.ledgerReleased(conn, c.ledger.Discharge(conn.Customer, conn.Rate))
+	c.ledgerReleased(conn, c.ledger.Release(conn.Customer, connKey(conn.ID)))
+}
+
+// ledgerReleased records a ledger release of conn's that failed, as a
+// violation for the audit sweep.
+func (c *Controller) ledgerReleased(conn *Connection, err error) {
+	if err != nil {
+		c.releaseErrs = append(c.releaseErrs, fmt.Sprintf("connection %s: %v", conn.ID, err))
+	}
 }
 
 // ConnectComposite provisions a >wavelength-granularity service as multiple

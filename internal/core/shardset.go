@@ -504,6 +504,22 @@ func (s *ShardSet) RepairFiber(link topo.LinkID) error {
 	return s.eachPlant(func(c *Controller) error { return c.RepairFiber(link) })
 }
 
+// ScheduleMaintenance plans work on a link, which is plant state: every
+// shard schedules its own window, opening at one instant of the set's clock,
+// and rolls its own customers off the link into the one record returned. It
+// fails only if every shard refused.
+func (s *ShardSet) ScheduleMaintenance(link topo.LinkID, at sim.Time, window sim.Duration) (*Maintenance, error) {
+	m := &Maintenance{Link: link, Window: window}
+	err := s.eachPlant(func(c *Controller) error {
+		_, err := c.scheduleMaintenance(m, at)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 // eachPlant applies a fiber-state mutation to every shard, succeeding if any
 // shard accepted it.
 func (s *ShardSet) eachPlant(op func(*Controller) error) error {

@@ -1,16 +1,19 @@
-// Package jsonenc holds the JSON primitives the repository's hand-written
-// encoders share: the journal's record appenders (internal/core) and the HTTP
-// API's response appenders (internal/api). Each appends exactly the bytes
-// encoding/json's Marshal emits for the same value — its HTML-safe string
-// escaping, its float format, null for a nil slice — so an appender built
-// from them can be held byte-equal to encoding/json, which the callers' fuzz
-// tests use as the oracle. There is one string-escaping routine and one float
-// formatter in the repository, and they are these.
+// Package jsonenc writes and reads JSON without reflection, byte for byte as
+// encoding/json does: its HTML-safe string escaping, its float format, null
+// for a nil slice. Its appenders are shared by the journal's records
+// (internal/core) and the HTTP API's responses (internal/api). A Table lists
+// a record type's members once, and its Append and Read walk the rows. The
+// Scanner reads exactly what the appenders write: members in table order,
+// each at most once, no whitespace, null only where a row allows it (DESIGN.md
+// §17 gives the grammar). encoding/json is the oracle the callers' fuzz tests
+// hold all of it to; here it only unquotes an escaped string.
 package jsonenc
 
 import (
+	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 )
 
@@ -31,19 +34,9 @@ func AppendElems[T any](b []byte, s []T, elem func([]byte, *T) []byte) []byte {
 }
 
 // AppendStrings appends s as a JSON array of strings; a nil slice is null.
-func AppendStrings[S ~string](b []byte, s []S) []byte {
-	if s == nil {
-		return append(b, "null"...)
-	}
-	b = append(b, '[')
-	for i, v := range s {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = AppendString(b, string(v))
-	}
-	return append(b, ']')
-}
+func AppendStrings[S ~string](b []byte, s []S) []byte { return AppendElems(b, s, appendString[S]) }
+
+func appendString[S ~string](b []byte, v *S) []byte { return AppendString(b, string(*v)) }
 
 // AppendKeyInt appends key, which carries its own punctuation (`,"now":`),
 // and v.
@@ -76,14 +69,24 @@ func AppendFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// plainByte marks the bytes a JSON string holds as they stand: printable
-// ASCII other than `"`, `\` and the HTML-sensitive <, > and &.
-var plainByte = func() (t [256]bool) {
-	for c := 0x20; c < utf8.RuneSelf; c++ {
-		t[c] = true
+// escaped is how encoding/json writes each ASCII byte in a string: "" for
+// one it copies as it stands, printable and other than `"`, `\` and the
+// HTML-sensitive <, > and &; `"`, `\`, \b \f \n \r \t by name; the rest as
+// \u00XX.
+var escaped = func() (t [utf8.RuneSelf]string) {
+	for c := range t {
+		if c < 0x20 || strings.ContainsRune(`"\<>&`, rune(c)) {
+			t[c] = fmt.Sprintf(`\u%04x`, c)
+		}
 	}
-	for _, c := range `"\<>&` {
-		t[c] = false
+	t['"'], t['\\'], t['\b'], t['\f'], t['\n'], t['\r'], t['\t'] = `\"`, `\\`, `\b`, `\f`, `\n`, `\r`, `\t`
+	return t
+}()
+
+// plainByte marks the bytes a string holds as they stand.
+var plainByte = func() (t [256]bool) {
+	for c, e := range escaped {
+		t[c] = e == ""
 	}
 	return t
 }()
@@ -100,63 +103,36 @@ func Plain(s string) bool {
 	return true
 }
 
-// AppendString appends s as a JSON string. A Plain s is copied as it stands;
-// anything else is escaped exactly as encoding/json escapes it: `"` and `\`
-// by backslash, \b \f \n \r \t by name, other control bytes and the
-// HTML-sensitive <, > and & as \u00XX, U+2028 and U+2029 as \u202X, and each
-// byte of invalid UTF-8 as \ufffd.
+// AppendString appends s as a JSON string, escaped exactly as encoding/json
+// escapes it: each ASCII byte as escaped says, U+2028 and U+2029 as \u202X,
+// and each byte of invalid UTF-8 as \ufffd.
 func AppendString(b []byte, s string) []byte {
-	if Plain(s) {
-		b = append(b, '"')
-		b = append(b, s...)
-		return append(b, '"')
-	}
-	const hex = "0123456789abcdef"
 	b = append(b, '"')
+	if Plain(s) {
+		return append(append(b, s...), '"')
+	}
 	start := 0
 	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if plainByte[c] {
-				i++
-				continue
+		esc, size := "", 1
+		if c := s[i]; c < utf8.RuneSelf {
+			esc = escaped[c]
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			switch {
+			case r == utf8.RuneError && size == 1:
+				esc = `\ufffd`
+			case r == '\u2028':
+				esc = `\u2028`
+			case r == '\u2029':
+				esc = `\u2029`
 			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
-		default:
-			i += size
-			continue
+		if esc != "" {
+			b = append(append(b, s[start:i]...), esc...)
+			start = i + size
 		}
 		i += size
-		start = i
 	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
+	return append(append(b, s[start:]...), '"')
 }

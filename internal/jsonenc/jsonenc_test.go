@@ -56,3 +56,44 @@ func TestPrimitiveShapes(t *testing.T) {
 	}
 	sameAsMarshal(t, AppendStrings(nil, []string{oddString, ""}), []string{oddString, ""})
 }
+
+// FuzzScanner holds the scanner's value readers to encoding/json on the same
+// bytes: whatever the scanner accepts, encoding/json decodes to the same
+// value, and whatever encoding/json accepts the scanner accepts too, unless
+// the bytes lie outside the scanner's grammar (whitespace around the value,
+// or a null).
+func FuzzScanner(f *testing.F) {
+	for _, seed := range []string{
+		`"C0001"`, `""`, `"ac\"meé\n"`, "\"\xff\xc3\"", `"\ud800"`, "\"a\x01\"", `"a`,
+		`0`, `-0`, `01`, `-`, `12345678901234567890`, `-9223372036854775808`, `9223372036854775808`,
+		`1.5`, `-0.0e+0`, `1e-7`, `1E21`, `1e400`, `.5`, `1.`, `+1`, `true`, `false`, `tru`, `null`, ` 1`, `1 `,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		agree(t, data, (*Scanner).str)
+		agree(t, data, (*Scanner).int)
+		agree(t, data, (*Scanner).num)
+		agree(t, data, (*Scanner).float)
+		agree(t, data, (*Scanner).bool)
+	})
+}
+
+// agree holds read to encoding/json's Unmarshal into a V on data.
+func agree[V comparable](t *testing.T, data []byte, read func(*Scanner) V) {
+	t.Helper()
+	s := NewScanner()
+	var got, want V
+	gerr := s.Decode(data, func() { got = read(s) })
+	werr := json.Unmarshal(data, &want)
+	trimmed := bytes.TrimSpace(data)
+	inGrammar := len(trimmed) == len(data) && string(data) != "null"
+	switch {
+	case gerr == nil && werr != nil:
+		t.Fatalf("%T: scanner accepts %q, encoding/json refuses it: %v", want, data, werr)
+	case gerr == nil && got != want:
+		t.Fatalf("%T: scanner reads %q as %v, encoding/json as %v", want, data, got, want)
+	case gerr != nil && werr == nil && inGrammar:
+		t.Fatalf("%T: scanner refuses %q (%v), encoding/json reads %v", want, data, gerr, want)
+	}
+}
