@@ -5,7 +5,10 @@ package core
 // the shards' views of the shared plant agree with the coordinator's, and
 // that no customer's state leaked onto a shard that doesn't own them.
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // AuditInvariants audits every shard's books plus the cross-shard invariants:
 //
@@ -18,10 +21,13 @@ import "fmt"
 //   - tenant-leak: every customer with state on a shard actually hashes to
 //     that shard;
 //   - xshard-violation: release/claim inconsistencies the coordinator
-//     recorded as they happened.
+//     recorded as they happened;
+//   - plant-replica: every shard's plant replica shows the links down that
+//     shard 0's does.
 //
 // Empty means every shard's books balance and the shards agree with the
-// coordinator. A plant claims and lights a channel in one step, so this holds
+// coordinator and on the plant. A plant claims and lights a channel in one
+// step, and a fiber event reaches every replica at one instant, so this holds
 // between any two events, like the per-shard audit. Read-only.
 func (s *ShardSet) AuditInvariants() []Finding {
 	var out []Finding
@@ -34,6 +40,7 @@ func (s *ShardSet) AuditInvariants() []Finding {
 			out = append(out, Finding{Kind: f.Kind, Detail: fmt.Sprintf("shard-%d: %s", i, f.Detail)})
 		}
 	}
+	out = append(out, s.plantDrift()...)
 	if s.coord == nil {
 		return out
 	}
@@ -80,6 +87,20 @@ func (s *ShardSet) AuditInvariants() []Finding {
 
 	for _, v := range s.coord.Violations() {
 		report("xshard-violation", "%s", v)
+	}
+	return out
+}
+
+// plantDrift returns a plant-replica finding for every shard whose replica
+// shows other links down than shard 0's.
+func (s *ShardSet) plantDrift() []Finding {
+	var out []Finding
+	want := s.shards[0].Ctrl.plant.DownLinks()
+	for i, sh := range s.shards[1:] {
+		if got := sh.Ctrl.plant.DownLinks(); !slices.Equal(got, want) {
+			out = append(out, Finding{Kind: "plant-replica",
+				Detail: fmt.Sprintf("shard-%d has links %v down, shard-0 %v", i+1, got, want)})
+		}
 	}
 	return out
 }
