@@ -373,14 +373,17 @@ func (n *Network) Connections(customer string) []*Connection {
 // Conn returns one connection by ID, or nil (searched across shards).
 func (n *Network) Conn(id ConnID) *Connection { return n.set.Conn(id) }
 
-// CutFiber fails a fiber link on every shard's plant replica; detection,
-// localization and restoration proceed as the simulation advances.
+// CutFiber fails a fiber link. Shard 0 decides the cut and applies it to
+// every shard's plant replica at one instant; with WithAutoRepair it sends
+// the one repair crew. Detection, localization and restoration proceed as
+// the simulation advances.
 func (n *Network) CutFiber(link string) error {
 	defer n.settle()
 	return n.set.CutFiber(topo.LinkID(link))
 }
 
-// RepairFiber returns a failed link to service on every shard.
+// RepairFiber returns a failed link to service on every shard at one
+// instant, and calls off a repair crew still on its way.
 func (n *Network) RepairFiber(link string) error {
 	defer n.settle()
 	return n.set.RepairFiber(topo.LinkID(link))

@@ -3,6 +3,7 @@ package griphon
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -185,14 +186,56 @@ func TestMaintenanceViaFacade(t *testing.T) {
 	}
 }
 
+// eventsAt returns the events of one kind on a link and fails the test
+// unless there are want of them, all at one instant.
+func eventsAt(t *testing.T, n *Network, kind, link string, want int) []Event {
+	t.Helper()
+	var evs []Event
+	for _, e := range n.Events() {
+		if e.Kind == kind && strings.Contains(e.Text, link) {
+			evs = append(evs, e)
+		}
+	}
+	if len(evs) != want {
+		t.Fatalf("%d %s events on %s, want %d: %v", len(evs), kind, link, want, evs)
+	}
+	for _, e := range evs[1:] {
+		if e.At != evs[0].At {
+			t.Errorf("%s at %v and at %v, want one instant", kind, evs[0].At, e.At)
+		}
+	}
+	return evs
+}
+
+// TestShardedCutIsOneEvent: shard 0 decides a fiber cut and its repair. An
+// awaited connect has run acme's shard's clock ahead of the others, yet every
+// shard's replica takes the cut at one instant, one crew is sent, and the
+// crew repairs every replica at one instant. The link is down everywhere, so
+// a second cut is refused.
+func TestShardedCutIsOneEvent(t *testing.T) {
+	n := newNet(t, WithSeed(1), WithShards(4), WithAutoRepair())
+	if _, err := n.Connect("acme", "DC-A", "DC-C", Rate10G); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.CutFiber("I-IV"); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.CutFiber("I-IV"); err == nil {
+		t.Error("second cut of a down link accepted")
+	}
+	eventsAt(t, n, "fiber-cut", "I-IV", 4)
+	eventsAt(t, n, "repair-dispatch", "I-IV", 1)
+	n.Drain()
+	eventsAt(t, n, "repair", "I-IV", 4)
+}
+
 // TestShardedMaintenanceOpensAtOneInstant: planned work is plant state, so
 // every shard opens the window at the same virtual instant, even after an
 // awaited connect has run one shard's clock ahead of the others. Each shard
-// still rolls its own customers off the link before its cut, so the cuts
-// themselves land at different instants; aligning those belongs with the
-// shard plant replicas (ROADMAP item 17). The record returned is every
-// shard's: it lists what each shard rolled, and is finished only once every
-// window has closed.
+// rolls its own customers off the link; the link is cut on every shard at
+// one instant, once the last roll is done, and returned at one instant. The
+// record returned is every shard's: it lists what each shard rolled, and is
+// finished once the window has closed.
 func TestShardedMaintenanceOpensAtOneInstant(t *testing.T) {
 	n := newNet(t, WithShards(4))
 	conn, err := n.Connect("acme", "DC-A", "DC-C", Rate10G)
@@ -204,24 +247,16 @@ func TestShardedMaintenanceOpensAtOneInstant(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Advance(time.Hour + 30*time.Second)
-	var starts []Event
-	for _, e := range n.Events() {
-		if e.Kind == "maintenance-start" {
-			starts = append(starts, e)
-		}
-	}
-	if len(starts) != 4 {
-		t.Fatalf("%d shards opened the window, want 4: %v", len(starts), starts)
-	}
-	for _, e := range starts[1:] {
-		if e.At != starts[0].At {
-			t.Errorf("maintenance started at %v and at %v, want one instant", starts[0].At, e.At)
-		}
-	}
+	eventsAt(t, n, "maintenance-start", "I-IV", 4)
 	n.Drain()
 	if !slices.Contains(m.Rolled, conn.ID) || len(m.Unmoved) != 0 || !m.Finished {
 		t.Errorf("record after the window: rolled %v, unmoved %v, finished %v; want %s rolled and finished",
 			m.Rolled, m.Unmoved, m.Finished, conn.ID)
+	}
+	cut := eventsAt(t, n, "fiber-cut", "I-IV", 4)[0].At
+	repair := eventsAt(t, n, "repair", "I-IV", 4)[0].At
+	if got := repair.Sub(cut); got != time.Hour {
+		t.Errorf("link out of service for %v, want the 1h window", got)
 	}
 }
 

@@ -153,10 +153,14 @@ type Controller struct {
 
 	correlator *alarms.Correlator
 	autoRepair bool
-	repairing  map[topo.LinkID]bool
-	// maint marks links being cut by a maintenance window, so the hits they
-	// cause attribute to planned work rather than a plant failure.
-	maint map[topo.LinkID]bool
+	// crews holds the pending repair crew of each link this controller cut.
+	crews map[topo.LinkID]*sim.Timer
+	// replicas are the plants a fiber event on this controller reaches: every
+	// shard's on shard 0 of a ShardSet, which decides them, else its own.
+	replicas []*Controller
+	// planned is set while a maintenance window cuts its link, so the hits
+	// it causes attribute to planned work rather than a plant failure.
+	planned bool
 
 	sla      *slo.Ledger
 	alarmLog *alarms.Log
@@ -244,8 +248,7 @@ func New(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 		bookings:     make(map[int]*Booking),
 		accessUsed:   make(map[topo.SiteID]bw.Rate),
 		autoRepair:   cfg.AutoRepair,
-		repairing:    make(map[topo.LinkID]bool),
-		maint:        make(map[topo.LinkID]bool),
+		crews:        make(map[topo.LinkID]*sim.Timer),
 		pipeCarrier:  make(map[otn.PipeID]ConnID),
 		pendingPipes: make(map[string]*sim.Job),
 		shard:        cfg.Shard,
@@ -302,6 +305,7 @@ func New(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 		c.flight.AttachSpans(func() []slo.SpanRecord { return c.spanTail(tail) })
 	}
 	c.correlator = alarms.NewCorrelator(k, correlationWindow, c.onAlarmBatch)
+	c.replicas = []*Controller{c}
 	return c, nil
 }
 

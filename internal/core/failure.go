@@ -13,34 +13,50 @@ import (
 // CutFiber fails a fiber link: every wavelength on it loses light, affected
 // connections alarm, and — per the paper's automation story — detection,
 // localization and restoration proceed without operator involvement. With
-// Config.AutoRepair a repair crew is dispatched automatically (4–12 h).
+// Config.AutoRepair a repair crew is dispatched (4–12 h). On shard 0 of a
+// ShardSet the cut reaches every shard's plant replica, and each shard
+// restores its own customers.
 func (c *Controller) CutFiber(link topo.LinkID) error {
-	l := c.g.Link(link)
-	if l == nil {
+	if c.g.Link(link) == nil {
 		return fmt.Errorf("core: unknown link %s", link)
 	}
 	if !c.plant.LinkUp(link) {
 		return fmt.Errorf("core: link %s is already down", link)
 	}
-	c.plant.SetLinkUp(link, false)
-	c.ins.cuts.Inc()
-	c.log(nil, "fiber-cut", "link %s cut", link)
-
-	for _, conn := range c.liveConns() {
-		c.hitByCut(conn, link)
+	c.cut(link, false)
+	if c.autoRepair {
+		c.sendCrew(link, "")
 	}
-
-	if c.autoRepair && !c.repairing[link] {
-		c.repairing[link] = true
-		crew := c.lat.FiberRepair(c.k.Rand())
-		c.log(nil, "repair-dispatch", "crew for %s, ETA %v", link, crew)
-		c.k.After(crew, func() { c.RepairFiber(link) }) //lint:allow errcheck best-effort auto repair
-	}
-	// One commit for the whole synchronous blast radius: downed connections,
-	// failed pipes, and the authoritative down-link set. A released
-	// connection's record cannot change, so only live ones are written.
-	c.journalCommit(commitSet{reason: "fiber-cut", conns: c.conns.live, pipes: c.fabric.Pipes(), links: true})
 	return nil
+}
+
+// cut takes a link down on every plant replica. A planned cut is
+// maintenance: the SLA ledger attributes its hits to planned work rather
+// than a plant failure.
+func (c *Controller) cut(link topo.LinkID, planned bool) {
+	for _, r := range c.replicas {
+		r.planned = planned
+		r.plant.SetLinkUp(link, false)
+		r.ins.cuts.Inc()
+		r.log(nil, "fiber-cut", "link %s cut", link)
+		for _, conn := range r.liveConns() {
+			r.hitByCut(conn, link)
+		}
+		r.planned = false
+		// One commit for the whole synchronous blast radius: downed
+		// connections, failed pipes, and the authoritative down-link set. A
+		// released connection's record cannot change, so only live ones are
+		// written.
+		r.journalCommit(commitSet{reason: "fiber-cut", conns: r.conns.live, pipes: r.fabric.Pipes(), links: true})
+	}
+}
+
+// sendCrew dispatches a cut link's repair crew, its time drawn from this
+// controller's kernel; a repair that comes first calls it off.
+func (c *Controller) sendCrew(link topo.LinkID, why string) {
+	crew := c.lat.FiberRepair(c.k.Rand())
+	c.log(nil, "repair-dispatch", "crew for %s%s, ETA %v", link, why, crew)
+	c.crews[link] = c.k.After(crew, func() { c.RepairFiber(link) }) //lint:allow errcheck best-effort auto repair
 }
 
 // hitByCut applies a fiber cut to one connection.
@@ -76,7 +92,7 @@ func (c *Controller) hitByCut(conn *Connection, link topo.LinkID) {
 	if conn.Protect != Restore {
 		phase = "repair-wait" // unprotected: down until the fiber is repaired
 	}
-	c.connDown(conn, c.cutCause(link), link, fmt.Sprintf("working path lost on %s", link), phase)
+	c.connDown(conn, c.cutCause(), link, fmt.Sprintf("working path lost on %s", link), phase)
 	conn.State = StateDown
 	conn.stable = StateDown
 	if conn.Protect == Restore {
@@ -113,7 +129,7 @@ func (c *Controller) protectionSwitch(conn *Connection, link topo.LinkID) {
 	} else {
 		target = conn.protect
 	}
-	c.connDown(conn, c.cutCause(link), link, fmt.Sprintf("1+1 working leg lost on %s", link), "switch")
+	c.connDown(conn, c.cutCause(), link, fmt.Sprintf("1+1 working leg lost on %s", link), "switch")
 	if target == nil || !c.plant.PathUp(target.route.Path) {
 		conn.State = StateDown
 		conn.stable = StateDown
@@ -182,7 +198,7 @@ func (c *Controller) failCircuit(conn *Connection, pipe otn.PipeID, link topo.Li
 	if conn.State != StateActive {
 		return
 	}
-	c.connDown(conn, c.cutCause(link), link, fmt.Sprintf("pipe %s failed", pipe), "detect")
+	c.connDown(conn, c.cutCause(), link, fmt.Sprintf("pipe %s failed", pipe), "detect")
 	conn.State = StateDown
 	conn.stable = StateDown
 	conn.opSpan = c.tr.Start(obs.SpanRef{}, "op:restore")
@@ -253,16 +269,26 @@ func (c *Controller) failCircuit(conn *Connection, pipe otn.PipeID, link topo.Li
 // RepairFiber returns a link to service and revives connections whose
 // working path is whole again (the "wait for repair" recovery of unprotected
 // services, and restore-mode connections that found no alternate capacity).
+// A crew still on its way to the link is called off. On shard 0 of a
+// ShardSet the repair reaches every shard's plant replica at this instant.
 func (c *Controller) RepairFiber(link topo.LinkID) error {
-	l := c.g.Link(link)
-	if l == nil {
+	if c.g.Link(link) == nil {
 		return fmt.Errorf("core: unknown link %s", link)
 	}
 	if c.plant.LinkUp(link) {
 		return fmt.Errorf("core: link %s is not down", link)
 	}
+	c.crews[link].Stop()
+	delete(c.crews, link)
+	for _, r := range c.replicas {
+		r.repair(link)
+	}
+	return nil
+}
+
+// repair returns a link to service on this controller's plant replica.
+func (c *Controller) repair(link topo.LinkID) {
 	c.plant.SetLinkUp(link, true)
-	delete(c.repairing, link)
 	c.ins.repairs.Inc()
 	c.log(nil, "repair", "link %s repaired", link)
 
@@ -304,7 +330,6 @@ func (c *Controller) RepairFiber(link topo.LinkID) error {
 
 	// One commit for the synchronous revival sweep.
 	c.journalCommit(commitSet{reason: "repair", conns: c.conns.live, pipes: c.fabric.Pipes(), links: true})
-	return nil
 }
 
 // revivePipe brings a carrier connection's pipe back and revives circuits.

@@ -374,3 +374,35 @@ func TestSecondCutDuringProtectionSwitch(t *testing.T) {
 		t.Errorf("audit: %s", f)
 	}
 }
+
+// TestCrewNeverRaisesLaterCut: a repair calls off the crew its cut sent, so
+// the link's next cut stays down at least the shortest crew time, whoever
+// repaired the first.
+func TestCrewNeverRaisesLaterCut(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		k := sim.NewKernel(seed)
+		c, err := New(k, topo.Testbed(), Config{AutoRepair: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CutFiber("I-IV"); err != nil {
+			t.Fatal(err)
+		}
+		k.RunFor(time.Hour)
+		if err := c.RepairFiber("I-IV"); err != nil {
+			t.Fatal(err)
+		}
+		k.RunFor(time.Hour)
+		if err := c.CutFiber("I-IV"); err != nil {
+			t.Fatal(err)
+		}
+		k.RunFor(c.lat.FiberRepairMin - time.Nanosecond)
+		if c.Plant().LinkUp("I-IV") {
+			t.Errorf("seed %d: I-IV up within %v of its second cut, the shortest crew time", seed, c.lat.FiberRepairMin)
+		}
+		k.Run()
+		if !c.Plant().LinkUp("I-IV") {
+			t.Errorf("seed %d: the second cut's crew never repaired I-IV", seed)
+		}
+	}
+}

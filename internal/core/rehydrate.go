@@ -74,13 +74,10 @@ func Rehydrate(k *sim.Kernel, g *topo.Graph, cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("core: journaled down link %s is not in the topology", link)
 		}
 		c.plant.SetLinkUp(link, false)
-		if c.autoRepair {
+		if c.autoRepair && c.shard.Index == 0 {
 			// The crashed controller's crew ETA is gone with its event queue;
-			// dispatch a fresh crew.
-			c.repairing[link] = true
-			crew := c.lat.FiberRepair(c.k.Rand())
-			c.log(nil, "repair-dispatch", "crew for %s after recovery, ETA %v", link, crew)
-			c.k.After(crew, func() { c.RepairFiber(link) }) //lint:allow errcheck best-effort auto repair
+			// shard 0 dispatches a fresh crew for the set.
+			c.sendCrew(link, " after recovery")
 		}
 	}
 

@@ -100,9 +100,9 @@ type Maintenance struct {
 	Window   sim.Duration
 	Rolled   []ConnID
 	Unmoved  []ConnID
-	Finished bool // every shard's window has closed
-	// open counts the shards whose window has not closed yet.
-	open int
+	Finished bool // the window has closed
+	// moving counts the replicas still rolling their customers off the link.
+	moving int
 }
 
 // ScheduleMaintenance plans work on a link at a future time: when the window
@@ -110,57 +110,52 @@ type Maintenance struct {
 // rolled off it; the link is then taken out of service for the window and
 // returned afterwards. Connections that cannot be moved (no disjoint path)
 // ride through the hit like an unplanned failure — exactly the impact
-// GRIPhoN's automation is designed to avoid. The returned job completes when
-// the link is back; the Maintenance record reports what was moved.
+// GRIPhoN's automation is designed to avoid. No repair crew is sent. The
+// returned job completes when the link is back; the Maintenance record
+// reports what was moved. On shard 0 of a ShardSet every shard rolls its own
+// customers, and the link is cut once, when the last shard's moves are done.
 func (c *Controller) ScheduleMaintenance(link topo.LinkID, at sim.Time, window sim.Duration) (*Maintenance, *sim.Job, error) {
-	m := &Maintenance{Link: link, Window: window}
-	out, err := c.scheduleMaintenance(m, at)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, out, nil
-}
-
-// scheduleMaintenance schedules this controller's share of m's work.
-func (c *Controller) scheduleMaintenance(m *Maintenance, at sim.Time) (*sim.Job, error) {
-	link, window := m.Link, m.Window
 	if c.g.Link(link) == nil {
-		return nil, fmt.Errorf("core: unknown link %s", link)
+		return nil, nil, fmt.Errorf("core: unknown link %s", link)
 	}
 	if window <= 0 {
-		return nil, fmt.Errorf("core: non-positive maintenance window %v", window)
+		return nil, nil, fmt.Errorf("core: non-positive maintenance window %v", window)
 	}
 	if now := c.k.Now(); at.Before(now) {
-		return nil, fmt.Errorf("core: maintenance start %v is before now %v", at, now)
+		return nil, nil, fmt.Errorf("core: maintenance start %v is before now %v", at, now)
 	}
-	m.open++
+	m := &Maintenance{Link: link, Window: window, moving: len(c.replicas)}
 	out := c.k.NewJob()
-	c.k.At(at, func() {
-		c.log(nil, "maintenance-start", "link %s window %v", link, window)
-		var rolls []*sim.Job
-		for _, conn := range c.liveConns() {
-			if conn.Layer != LayerDWDM || conn.State != StateActive {
-				continue
+	for _, r := range c.replicas {
+		r.k.At(at, func() {
+			r.log(nil, "maintenance-start", "link %s window %v", link, window)
+			var rolls []*sim.Job
+			for _, conn := range r.liveConns() {
+				if conn.Layer != LayerDWDM || conn.State != StateActive {
+					continue
+				}
+				lp := conn.working()
+				if lp == nil || !lp.route.Path.HasLink(link) {
+					continue
+				}
+				job, err := r.bridgeAndRoll(conn, map[topo.LinkID]bool{link: true})
+				if err != nil {
+					m.Unmoved = append(m.Unmoved, conn.ID)
+					r.log(conn, "maintenance-hit", "cannot move off %s: %v", link, err)
+					continue
+				}
+				m.Rolled = append(m.Rolled, conn.ID)
+				rolls = append(rolls, job)
 			}
-			lp := conn.working()
-			if lp == nil || !lp.route.Path.HasLink(link) {
-				continue
-			}
-			job, err := c.bridgeAndRoll(conn, map[topo.LinkID]bool{link: true})
-			if err != nil {
-				m.Unmoved = append(m.Unmoved, conn.ID)
-				c.log(conn, "maintenance-hit", "cannot move off %s: %v", link, err)
-				continue
-			}
-			m.Rolled = append(m.Rolled, conn.ID)
-			rolls = append(rolls, job)
-		}
-		sim.All(c.k, rolls...).OnDone(func(error) {
-			// Work starts once the moves are done (moved or not).
-			c.startMaintenanceWindow(m, out)
+			sim.All(r.k, rolls...).OnDone(func(error) {
+				// Work starts once every replica's moves are done, moved or not.
+				if m.moving--; m.moving == 0 {
+					c.startMaintenanceWindow(m, out)
+				}
+			})
 		})
-	})
-	return out, nil
+	}
+	return m, out, nil
 }
 
 func (c *Controller) startMaintenanceWindow(m *Maintenance, out *sim.Job) {
@@ -168,18 +163,13 @@ func (c *Controller) startMaintenanceWindow(m *Maintenance, out *sim.Job) {
 	if c.plant.LinkUp(link) {
 		// Anything still on the link takes an unplanned-style hit — but the
 		// SLA ledger attributes it to planned work, not a plant failure.
-		// Attribution happens synchronously inside CutFiber, so the marker
-		// can be cleared immediately.
-		c.maint[link] = true
-		c.CutFiber(link) //lint:allow errcheck link verified at scheduling
-		delete(c.maint, link)
+		c.cut(link, true)
 	}
 	c.k.After(m.Window, func() {
 		if !c.plant.LinkUp(link) {
 			c.RepairFiber(link) //lint:allow errcheck symmetric with cut
 		}
-		m.open--
-		m.Finished = m.open == 0
+		m.Finished = true
 		c.log(nil, "maintenance-done", "link %s returned to service", link)
 		out.Complete(nil)
 	})

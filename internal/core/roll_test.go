@@ -305,3 +305,36 @@ func TestStateAndEnumStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestMaintenanceSendsNoCrew: planned work returns its link when the window
+// closes, not when a repair crew would arrive. Thirteen hours into a 24 h
+// window, past the longest crew time, the link is still down, and it comes
+// up at maintenance-done.
+func TestMaintenanceSendsNoCrew(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		k := sim.NewKernel(seed)
+		c, err := New(k, topo.Testbed(), Config{AutoRepair: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := k.Now().Add(time.Hour)
+		if _, _, err := c.ScheduleMaintenance("I-IV", at, 24*time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		k.RunUntil(at.Add(13 * time.Hour))
+		if c.Plant().LinkUp("I-IV") {
+			t.Errorf("seed %d: I-IV back in service 13 h into its 24 h window", seed)
+		}
+		k.Run()
+		times := map[string]sim.Time{}
+		for _, e := range logged(&c.events) {
+			times[e.Kind] = e.At
+		}
+		if _, ok := times["repair-dispatch"]; ok {
+			t.Errorf("seed %d: planned work sent a repair crew", seed)
+		}
+		if times["repair"] != times["maintenance-done"] {
+			t.Errorf("seed %d: I-IV repaired at %v, window closed at %v", seed, times["repair"], times["maintenance-done"])
+		}
+	}
+}

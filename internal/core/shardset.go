@@ -16,9 +16,11 @@ package core
 //
 // Shard ownership rules: connections, bookings, quotas, SLA ledgers, alarm
 // streams and billing are wholly owned by the customer's shard. Fiber state
-// is replicated (cuts and repairs fan out to every shard so each restores its
-// own customers). Spectrum is claimed through the Coordinator before any
-// shard-local reservation sticks.
+// is replicated and owned by shard 0: its controller decides every cut,
+// repair and maintenance window, sends the one repair crew, and applies each
+// event to every shard's plant replica at one instant, so each shard restores
+// its own customers. The other shards only follow. Spectrum is claimed
+// through the Coordinator before any shard-local reservation sticks.
 
 import (
 	"fmt"
@@ -157,9 +159,21 @@ func NewShardSet(g *topo.Graph, cfg ShardSetConfig) (*ShardSet, error) {
 	if err := s.build(builds); err != nil {
 		return nil, err
 	}
+	// Shard 0 decides every fiber event, and every shard's plant replicates
+	// its: recovery must find them agreeing.
+	owner := s.shards[0].Ctrl
+	owner.replicas = nil
 	for i, sh := range s.shards {
 		s.observe(uint32(i), sh.Ctrl)
+		owner.replicas = append(owner.replicas, sh.Ctrl)
 	}
+	if drift := s.plantDrift(); len(drift) > 0 {
+		s.Close() //lint:allow errcheck recovery already failed
+		return nil, fmt.Errorf("core: recovered plant replicas disagree: %s", drift[0].Detail)
+	}
+	// Shards rebuilt from journals resume at their own last commits: run what
+	// they left due by the latest, so the set has one clock.
+	s.Advance(0)
 	return s, nil
 }
 
@@ -279,14 +293,24 @@ func (s *ShardSet) earliest() (idx int, at sim.Time, ok bool) {
 	return idx, at, ok
 }
 
-// Step executes the globally earliest pending event. It reports false when
-// every shard is drained.
+// Step executes the globally earliest pending event, after bringing every
+// shard's clock to its instant: the set keeps one clock, so a fiber event
+// shard 0 decides happens at one instant on every shard. It reports false
+// when every shard is drained.
 func (s *ShardSet) Step() bool {
-	i, _, ok := s.earliest()
+	i, at, ok := s.earliest()
 	if !ok {
 		return false
 	}
+	s.align(at)
 	return s.shards[i].Kernel.Step()
+}
+
+// align brings every shard's clock to t, before which nothing is pending.
+func (s *ShardSet) align(t sim.Time) {
+	for _, sh := range s.shards {
+		sh.Kernel.Align(t)
+	}
 }
 
 // Await drives the set in lockstep until the job completes.
@@ -314,16 +338,10 @@ func (s *ShardSet) Now() sim.Time {
 // shard clock on the target instant.
 func (s *ShardSet) Advance(d sim.Duration) {
 	target := s.Now().Add(d)
-	for {
-		i, at, ok := s.earliest()
-		if !ok || at.After(target) {
-			break
-		}
-		s.shards[i].Kernel.Step()
+	for _, at, ok := s.earliest(); ok && !at.After(target); _, at, ok = s.earliest() {
+		s.Step()
 	}
-	for _, sh := range s.shards {
-		sh.Kernel.RunUntil(target)
-	}
+	s.align(target)
 }
 
 // Drain runs the set in lockstep until no shard has pending events.
@@ -418,7 +436,7 @@ func (s *ShardSet) Conn(id ConnID) *Connection {
 
 // Snapshot aggregates per-shard statistics. Counters sum (each shard's
 // device pools are its own inventory allocation); DownLinks come from shard
-// 0, whose fiber state every shard replicates.
+// 0, which decides the fiber state every shard replicates.
 func (s *ShardSet) Snapshot() Stats {
 	var out Stats
 	for i, sh := range s.shards {
@@ -491,53 +509,21 @@ func (s *ShardSet) DumpFlight(reason string, findings []string) []slo.Dump {
 	return dumps
 }
 
-// CutFiber fails a fiber on every shard's plant replica; each shard restores
-// its own customers. It fails only if every shard refused (the replicas can
-// drift on repair state when auto-repair crews finish at different virtual
-// times).
-func (s *ShardSet) CutFiber(link topo.LinkID) error {
-	return s.eachPlant(func(c *Controller) error { return c.CutFiber(link) })
-}
+// CutFiber fails a fiber on every shard's plant replica at one instant; each
+// shard restores its own customers, and shard 0 sends the one repair crew.
+func (s *ShardSet) CutFiber(link topo.LinkID) error { return s.shards[0].Ctrl.CutFiber(link) }
 
-// RepairFiber returns a fiber to service on every shard's plant replica.
-func (s *ShardSet) RepairFiber(link topo.LinkID) error {
-	return s.eachPlant(func(c *Controller) error { return c.RepairFiber(link) })
-}
+// RepairFiber returns a fiber to service on every shard's plant replica at
+// one instant.
+func (s *ShardSet) RepairFiber(link topo.LinkID) error { return s.shards[0].Ctrl.RepairFiber(link) }
 
 // ScheduleMaintenance plans work on a link, which is plant state: every
-// shard schedules its own window, opening at one instant of the set's clock,
-// and rolls its own customers off the link into the one record returned. It
-// fails only if every shard refused.
+// shard opens the window at one instant of the set's clock and rolls its own
+// customers off the link into the one record returned, and the link is cut
+// once, when the last shard's moves are done.
 func (s *ShardSet) ScheduleMaintenance(link topo.LinkID, at sim.Time, window sim.Duration) (*Maintenance, error) {
-	m := &Maintenance{Link: link, Window: window}
-	err := s.eachPlant(func(c *Controller) error {
-		_, err := c.scheduleMaintenance(m, at)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// eachPlant applies a fiber-state mutation to every shard, succeeding if any
-// shard accepted it.
-func (s *ShardSet) eachPlant(op func(*Controller) error) error {
-	var firstErr error
-	okAny := false
-	for _, sh := range s.shards {
-		if err := op(sh.Ctrl); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-		} else {
-			okAny = true
-		}
-	}
-	if okAny {
-		return nil
-	}
-	return firstErr
+	m, _, err := s.shards[0].Ctrl.ScheduleMaintenance(link, at, window)
+	return m, err
 }
 
 // TakeUnsynced appends to seqs, per shard, the journal sequence number of the

@@ -867,3 +867,51 @@ func TestShardSetRehydrateDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestShardSetRecoveryAgreesOnPlant: shard 0 decides the plant, so a
+// sharded restart whose journals disagree on the down links refuses to
+// serve and names the shard that differs. A cut made through the set
+// reopens cleanly, and shard 0 re-sends its one crew.
+func TestShardSetRecoveryAgreesOnPlant(t *testing.T) {
+	dir := t.TempDir()
+	s := newShardSet(t, 2, ShardSetConfig{StateDir: dir})
+	if err := s.Shard(1).Ctrl.CutFiber("I-IV"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 { // the refusal closes the journals, so a retry reads them again
+		if _, err := NewShardSet(topo.Testbed(), ShardSetConfig{Shards: 2, Seed: 1, StateDir: dir}); err == nil || !strings.Contains(err.Error(), "shard-1") {
+			t.Fatalf("reopen with shard 1 alone cut: err %v, want one naming shard-1", err)
+		}
+	}
+
+	dir = t.TempDir()
+	cfg := ShardSetConfig{StateDir: dir, Core: Config{AutoRepair: true}}
+	s = newShardSet(t, 2, cfg)
+	if err := s.CutFiber("I-IV"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = newShardSet(t, 2, cfg)
+	defer s.Close()
+	crews := 0
+	for _, e := range s.Events() {
+		if e.Kind == "repair-dispatch" && strings.Contains(e.Text, "after recovery") {
+			crews++
+		}
+	}
+	if crews != 1 {
+		t.Errorf("%d crews re-sent after recovery, want 1", crews)
+	}
+	s.Drain()
+	for i, sh := range s.Shards() {
+		if !sh.Ctrl.Plant().LinkUp("I-IV") {
+			t.Errorf("shard %d: I-IV still down after the crew", i)
+		}
+	}
+	auditSetClean(t, s)
+}

@@ -81,8 +81,8 @@ func (c *Controller) slaBlock(conn *Connection, reason string) {
 
 // cutCause attributes a link failure: fiber cuts inside a maintenance window
 // are planned work, not plant failures.
-func (c *Controller) cutCause(link topo.LinkID) slo.Cause {
-	if c.maint[link] {
+func (c *Controller) cutCause() slo.Cause {
+	if c.planned {
 		return slo.CauseMaintenance
 	}
 	return slo.CauseFiberCut

@@ -326,7 +326,8 @@ func (w *workload) step() string {
 		}
 		return "adjust"
 	case 6:
-		// Every shard's plant replica takes the cut; crews repair.
+		// Shard 0 decides the cut, every shard's plant replica takes it at
+		// one instant, and shard 0's crew repairs it.
 		ctrl := set.Shard(0).Ctrl
 		links := ctrl.Graph().Links()
 		l := links[rng.Intn(len(links))]

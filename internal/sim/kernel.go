@@ -205,6 +205,18 @@ func (k *Kernel) RunUntil(deadline Time) {
 	}
 }
 
+// Align moves the clock forward to t, if t is later, and runs nothing: it
+// lets a caller outside this kernel apply an event at t. An event pending
+// before t panics, as scheduling in the past does.
+func (k *Kernel) Align(t Time) {
+	if next := k.peek(); next != nil && next.at < t {
+		panic(fmt.Sprintf("sim: aligning on %v past the event pending at %v", t, next.at))
+	}
+	if t > k.now {
+		k.now = t
+	}
+}
+
 // RunFor executes events for the next d of virtual time.
 func (k *Kernel) RunFor(d Duration) { k.RunUntil(k.now.Add(d)) }
 

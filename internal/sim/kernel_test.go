@@ -158,6 +158,25 @@ func TestRunForAdvancesIdleClock(t *testing.T) {
 	}
 }
 
+// TestAlign: Align moves the clock forward and never back, runs nothing, and
+// refuses to pass a pending event.
+func TestAlign(t *testing.T) {
+	k := NewKernel(1)
+	ran := false
+	k.After(time.Hour, func() { ran = true })
+	k.Align(Time(time.Hour))
+	k.Align(Time(time.Minute))
+	if k.Now() != Time(time.Hour) || ran {
+		t.Errorf("after Align: Now = %v, ran = %v; want 1h and nothing run", k.Now(), ran)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Align past a pending event did not panic")
+		}
+	}()
+	k.Align(Time(2 * time.Hour))
+}
+
 func TestDeferRunsAtCurrentInstant(t *testing.T) {
 	k := NewKernel(1)
 	var at Time = -1
